@@ -58,6 +58,7 @@ from .percolation import (
     exclusion_bound,
     open_components,
     origin_exclusion_estimate,
+    origin_exclusion_estimates,
 )
 from .repair import (
     PeriodicSft,

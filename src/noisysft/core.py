@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 Offset = tuple[int, ...]
 
@@ -528,9 +527,15 @@ def thicken(mask: NoiseMask, n: int) -> NoiseMask:
         return mask
     if any(s <= 2 * n for s in mask.shape):
         raise ValueError("box too small to thicken")
-    fat = ndimage.maximum_filter(mask.data, size=2 * n + 1, mode="constant")
-    crop = tuple(slice(n, s - n) for s in mask.shape)
-    return NoiseMask(tuple(o + n for o in mask.origin), fat[crop],
+    # per axis: OR windows of doubling width k, then two overlapping k-windows
+    fat, w = mask.data, 2 * n + 1
+    for axis in range(fat.ndim):
+        a, k = np.moveaxis(fat, axis, 0), 1
+        while 2 * k <= w:
+            a = a[:-k] | a[k:]
+            k *= 2
+        fat = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
+    return NoiseMask(tuple(o + n for o in mask.origin), fat,
                      meta=dict(mask.meta))
 
 

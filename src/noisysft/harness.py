@@ -31,7 +31,7 @@ from .core import (
     parse_sft,
 )
 from .noise import derive_seed, marginal_rate, parse_model, sample_mask
-from .percolation import exclusion_bound, origin_exclusion_estimate
+from .percolation import exclusion_bound, origin_exclusion_estimates
 from .repair import (
     PeriodicSft,
     local_global_constant,
@@ -308,11 +308,12 @@ def run_perc_sweep(spec: ExperimentSpec):
     spec.validate()
     c = 1 if spec.c is None else spec.c
     box = spec.box[0]
+    ests = origin_exclusion_estimates(
+        spec.epsilons, c, box, spec.trials,
+        derive_seed(spec.seed, "perc-sweep", c), proxy=spec.proxy,
+        mapper=functools.partial(_pool_map, threads=spec.threads))
     rows = []
-    for eps in spec.epsilons:
-        est = origin_exclusion_estimate(
-            eps, c, box, spec.trials,
-            derive_seed(spec.seed, "perc-sweep", c), proxy=spec.proxy)
+    for eps, est in zip(spec.epsilons, ests):
         base = {"experiment": "perc", "sft": f"free-c{c}",
                 "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
                 "box": _box_str((box, box)), "trials": spec.trials,
@@ -520,12 +521,13 @@ def run_instability_phase1d(p: int, box: int, trials: int,
 
 
 def _periodic_cycle(auto: a1d.WordAutomaton) -> np.ndarray:
-    """Symbols along the lex-least cycle of the automaton."""
-    state = 0
+    """Symbols along the lex-least live cycle from the smallest live state."""
+    live = a1d.live_states(auto)
+    state = min(live)
     seen = {state: 0}
     letters = []
     while True:
-        letter, nxt = auto.edges[state][0]
+        letter, nxt = next(e for e in auto.edges[state] if e[1] in live)
         letters.append(letter)
         if nxt in seen:
             start = seen[nxt]

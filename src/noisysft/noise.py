@@ -12,9 +12,8 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
-from .core import NoiseMask
+from .core import NoiseMask, thicken
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -22,12 +21,14 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _mix(z):
-    # uint64 arithmetic wraps by design
-    with np.errstate(over="ignore"):
-        z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    z = np.uint64(z) if np.isscalar(z) else z  # arrays are mixed in place
+    with np.errstate(over="ignore"):  # uint64 arithmetic wraps by design
+        z ^= z >> np.uint64(30)
+        z *= _M1
+        z ^= z >> np.uint64(27)
+        z *= _M2
+        z ^= z >> np.uint64(31)
+    return z
 
 
 def derive_seed(*parts) -> int:
@@ -44,21 +45,18 @@ def derive_seed(*parts) -> int:
     return int(h)
 
 
-def _cell_hash(seed: int, coord_arrays) -> np.ndarray:
-    h = np.full(coord_arrays[0].shape, np.uint64(seed), dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for i, c in enumerate(coord_arrays):
-            arr = c.astype(np.int64).view(np.uint64)
-            h = _mix(h ^ _mix(arr + _GOLDEN * np.uint64(i + 1)))
-    return h
-
-
 def cell_uniform(seed: int, origin, shape) -> np.ndarray:
-    """Per-cell uniforms in [0, 1) keyed by absolute coordinates."""
-    coords = np.indices(shape, dtype=np.int64)
-    coords = [coords[i] + origin[i] for i in range(len(shape))]
-    h = _cell_hash(seed, coords)
-    return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+    """Per-cell uniforms in [0, 1) keyed by absolute coordinates: cell x
+    hashes to h_d, h_0 = seed, h_{i+1} = mix(h_i ^ mix(x_i + GOLDEN (i+1))).
+    The inner mix runs on each axis's coordinates, then broadcasts."""
+    h = np.full((), seed, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        for i, (o, s) in enumerate(zip(origin, shape)):
+            axis = np.arange(o, o + s, dtype=np.int64).view(np.uint64)
+            axis += _GOLDEN * np.uint64(i + 1)
+            h = _mix(h[..., None] ^ _mix(axis))
+    h >>= np.uint64(11)
+    return h.astype(np.float64) * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -183,16 +181,10 @@ def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:
         return NoiseMask(origin, hit, meta=meta)
 
     if isinstance(model, Thickened):
-        if model.n == 0:
-            inner = sample_mask(model.base, shape, seed, origin)
-            return NoiseMask(origin, inner.data, meta=meta)
         grown_origin = tuple(o - model.n for o in origin)
         grown_shape = tuple(s + 2 * model.n for s in shape)
         inner = sample_mask(model.base, grown_shape, seed, grown_origin)
-        fat = ndimage.maximum_filter(inner.data, size=2 * model.n + 1,
-                                     mode="constant")
-        crop = tuple(slice(model.n, model.n + s) for s in shape)
-        return NoiseMask(origin, fat[crop], meta=meta)
+        return NoiseMask(origin, thicken(inner, model.n).data, meta=meta)
 
     raise TypeError(f"unknown noise model {model!r}")
 
@@ -217,7 +209,7 @@ def marginal_rate(model, dim: int) -> float:
             return min(1.0, (2 * n + 1) / base.p)
         if isinstance(base, GridNoise):
             # count the thickened base pattern exactly over one period;
-            # tile enough copies that the window never outruns the array
+            # tile enough copies that the thickened interior spans a period
             period = base.period
             reps = 2 * (n // period + 1) + 1
             side = period * reps
@@ -225,6 +217,6 @@ def marginal_rate(model, dim: int) -> float:
             hit = np.zeros((side,) * dim, dtype=bool)
             for i in range(dim):
                 hit |= np.mod(coords[i], period) < base.k
-            fat = ndimage.maximum_filter(hit, size=2 * n + 1, mode="wrap")
-            return float(fat.mean())
+            fat = thicken(NoiseMask((0,) * dim, hit), n).data
+            return float(fat[(slice(period),) * dim].mean())
     raise TypeError(f"unknown noise model {model!r}")

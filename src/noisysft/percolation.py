@@ -5,6 +5,10 @@ clear cells of the thickened mask percolate and the centre cell belongs
 to the dominant open component with high probability.  On a finite box
 the infinite cluster is read through a proxy: the largest open component
 by default, or the component touching all box sides behind a flag.
+
+Estimates over several epsilons are threshold-coupled: a trial hashes
+one uniform field and reads every epsilon from it as `u < eps`, so its
+masks nest as epsilon grows and the field is built once per trial.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import NoiseMask, thicken
-from .noise import Bernoulli, derive_seed, sample_mask
+from .noise import cell_uniform, derive_seed
 
 # 4-adjacency
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
@@ -108,20 +112,40 @@ class ExclusionEstimate:
         return self.value + 3 * self.ci95 <= self.bound
 
 
+def _trial_exclusions(payload) -> list[bool]:
+    """One trial's exclusion flag per epsilon, all read off one field."""
+    epsilons, c, box, tseed, proxy = payload
+    u = cell_uniform(tseed, (0, 0), (box, box))
+    return [origin_excluded(NoiseMask((0, 0), u < eps), c, proxy=proxy)
+            for eps in epsilons]
+
+
+def origin_exclusion_estimates(epsilons, c: int, box: int, trials: int,
+                               seed: int, *, proxy: str = "largest",
+                               mapper=map) -> list[ExclusionEstimate]:
+    """`origin_exclusion_estimate` at every epsilon on shared trial fields;
+    `mapper(fn, payloads)` runs the trials and returns results in order."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    if not all(0.0 <= eps <= 1.0 for eps in epsilons):
+        raise ValueError("epsilon must lie in [0, 1]")
+    payloads = [(tuple(epsilons), c, box, derive_seed(seed, "perc", t), proxy)
+                for t in range(trials)]
+    hits = np.sum(list(mapper(_trial_exclusions, payloads)), axis=0)
+    out = []
+    for eps, h in zip(epsilons, hits):
+        p = int(h) / trials
+        ci = 1.96 * math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
+        out.append(ExclusionEstimate(
+            epsilon=eps, c=c, box=box, trials=trials, value=p, ci95=ci,
+            bound=exclusion_bound(eps, c), proxy=proxy))
+    return out
+
+
 def origin_exclusion_estimate(epsilon: float, c: int, box: int, trials: int,
                               seed: int, *, proxy: str = "largest",
                               ) -> ExclusionEstimate:
     """Monte Carlo estimate of P(centre outside the giant open component)
     for Bernoulli(epsilon) noise thickened by c on a box of the given side."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    model = Bernoulli(epsilon)
-    hits = 0
-    for t in range(trials):
-        m = sample_mask(model, (box, box), derive_seed(seed, "perc", t))
-        hits += origin_excluded(m, c, proxy=proxy)
-    p = hits / trials
-    ci = 1.96 * math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
-    return ExclusionEstimate(epsilon=epsilon, c=c, box=box, trials=trials,
-                             value=p, ci95=ci, bound=exclusion_bound(epsilon, c),
-                             proxy=proxy)
+    return origin_exclusion_estimates([epsilon], c, box, trials, seed,
+                                      proxy=proxy)[0]

@@ -14,11 +14,10 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import automaton1d as a1d
 from . import core
-from .core import Grid, NoiseMask, Pattern, Sft
+from .core import Grid, NoiseMask, Pattern, Sft, thicken
 from .percolation import OpenComponents, open_components
 
 
@@ -79,9 +78,8 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
     if length < 2 * (c_const + e_const + wl) + n0 + 2:
         raise ValueError("box too small to repair")
 
-    noise = mask.data.astype(bool)
-    fat = ndimage.maximum_filter1d(noise.view(np.uint8), size=2 * e_const + 1,
-                                   mode="constant").astype(bool)
+    padded = NoiseMask((0,), np.pad(mask.data, e_const))
+    fat = thicken(padded, e_const).data.astype(bool)
     out = np.array(grid.data, copy=True)
     origin = grid.origin[0]
     interior = (origin + c_const, origin + length - c_const)
@@ -404,10 +402,8 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     vote = np.full(comps.labels.shape, -1, dtype=np.int32)
     for i, t in enumerate(orbit):  # lex order; later overwrites win
         ref = p.tiling(t, grid.origin, grid.shape).data
-        match = grid.data == ref
-        eroded = ndimage.minimum_filter(match.view(np.uint8), size=2 * c + 1,
-                                        mode="constant", cval=0)[inner]
-        vote[eroded.astype(bool)] = i
+        mismatch = NoiseMask(grid.origin, grid.data != ref)
+        vote[thicken(mismatch, c).data == 0] = i
     on_comp = comps.largest_mask() & (vote >= 0)
     counts = np.bincount(vote[on_comp], minlength=len(orbit)) if on_comp.any() \
         else np.zeros(len(orbit), dtype=int)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from noisysft import core
 from noisysft.core import (
@@ -158,6 +159,29 @@ class TestThicken:
         t = thicken(m, n)
         lo = n
         assert (t.data >= m.data[lo:lo + t.shape[0]]).all()
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3), st.integers(0, 20), st.data())
+    def test_matches_maximum_filter(self, dim, n, data):
+        side = 2 * n + 1
+        shape = tuple(data.draw(st.integers(side, side + 5)) for _ in range(dim))
+        if dim == 3:
+            shape = (side,) * 2 + shape[2:]  # keep 3D boxes small
+        seed = data.draw(st.integers(0, 2 ** 32 - 1))
+        rng = np.random.default_rng(seed)
+        m = NoiseMask((0,) * dim, rng.random(shape) < rng.random() * 0.2)
+        fat = ndimage.maximum_filter(m.data, size=2 * n + 1, mode="constant")
+        t = thicken(m, n)
+        assert t.origin == (n,) * dim
+        assert np.array_equal(t.data, fat[tuple(slice(n, s - n) for s in shape)])
+
+    @given(st.integers(1, 3), st.integers(1, 20), st.data())
+    def test_too_small_raises(self, dim, n, data):
+        shape = [2 * n + 1] * dim
+        shape[data.draw(st.integers(0, dim - 1))] = data.draw(st.integers(1, 2 * n))
+        with pytest.raises(ValueError, match="too small"):
+            thicken(NoiseMask((0,) * dim, np.zeros(shape)), n)
 
 
 class TestPhi:

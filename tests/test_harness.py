@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from noisysft import cli
 from noisysft import harness as H
 from noisysft.automaton1d import build_automaton, is_globally_admissible
-from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft
+from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft, word_sft
 from noisysft.percolation import exclusion_bound
 from noisysft.repair import PeriodicSft
 
@@ -146,6 +147,22 @@ class TestPercSweep:
         assert 0.0 <= by["origin_excluded"] <= 1.0
 
 
+    def test_threads_do_not_change_bytes(self, monkeypatch):
+        pool_map, used = H._pool_map, []
+
+        def spy(fn, payloads, threads):
+            used.append(threads)
+            return pool_map(fn, payloads, threads)
+
+        monkeypatch.setattr(H, "_pool_map", spy)
+        spec = H.ExperimentSpec(kind="perc", epsilons=(0.01, 0.05), box=(48,),
+                                trials=6, seed=3, c=1)
+        one = H.format_csv(H.run_perc_sweep(spec))
+        two = H.format_csv(H.run_perc_sweep(dataclasses.replace(spec, threads=2)))
+        assert one == two
+        assert used == [1, 2]
+
+
 class TestRepair2dSweep:
     def test_checkerboard_recovery(self):
         spec = H.ExperimentSpec(kind="repair2d", sft="checkerboard",
@@ -259,6 +276,22 @@ class TestInstabilityBern1d:
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             H.run_instability_bern1d(ALTERNATING, 1.5, 1000, 2, 0)
+
+
+    def test_cycle_skips_dead_states(self):
+        # state 00 has no out edges; 11 is the only live state
+        auto = build_automaton(word_sft("01", ["01", "10", "000"]))
+        assert H._periodic_cycle(auto).tolist() == [1]
+        assert H._periodic_cycle(build_automaton(ALTERNATING)).tolist() == [1, 0]
+
+    def test_dead_first_state(self):
+        # a -> nothing; b -> c -> b, with b also stepping into the dead a
+        sft = word_sft("abc", ["aa", "ab", "ac", "bb", "cc"])
+        assert H._periodic_cycle(build_automaton(sft)).tolist() == [2, 1]
+        # a 2-cycle with d = 1, like the alternating shift: same distances
+        rep = H.run_instability_bern1d(sft, 0.01, 5000, 4, 0)
+        alt = H.run_instability_bern1d(ALTERNATING, 0.01, 5000, 4, 0)
+        assert (rep.estimate, rep.certificate) == (alt.estimate, alt.certificate)
 
 
 class TestInstabilityGrid2d:

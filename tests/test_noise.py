@@ -83,6 +83,45 @@ class TestBernoulli:
         assert abs(u.mean() - 0.5) < 0.01
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _ref_mix(z: int) -> int:
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
+    return z ^ (z >> 31)
+
+
+def _ref_uniform(seed: int, cell) -> float:
+    """The per-cell formula one cell at a time, in Python integers."""
+    h = int(seed)
+    for i, x in enumerate(cell):
+        h = _ref_mix(h ^ _ref_mix((x + 0x9E3779B97F4A7C15 * (i + 1)) & _MASK64))
+    return (h >> 11) * 2.0 ** -53
+
+
+class TestCellUniformReference:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), st.booleans(),
+           st.integers(1, 3).flatmap(lambda d: st.tuples(
+               st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
+               st.lists(st.integers(1, 6), min_size=d, max_size=d))))
+    def test_matches_scalar_reference(self, seed, as_uint64, box):
+        origin, shape = box
+        key = np.uint64(seed) if as_uint64 else seed
+        u = cell_uniform(key, tuple(origin), tuple(shape))
+        assert u.shape == tuple(shape)
+        for idx in np.ndindex(*shape):
+            cell = [o + i for o, i in zip(origin, idx)]
+            assert u[idx] == _ref_uniform(seed, cell)
+
+    def test_high_seeds_and_negative_origin(self):
+        for seed in (2 ** 63, 2 ** 63 + 5, 2 ** 64 - 1):
+            u = cell_uniform(seed, (-3, 5), (4, 3))
+            for i, j in np.ndindex(4, 3):
+                assert u[i, j] == _ref_uniform(seed, (i - 3, j + 5))
+
+
 class TestGridNoise:
     def test_exact_periodicity(self):
         m = sample_mask(GridNoise(1, 3), (64,), seed=2)

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisysft.core import NoiseMask
-from noisysft.noise import Bernoulli, sample_mask
+from noisysft.noise import Bernoulli, derive_seed, sample_mask
 from noisysft.percolation import (
     ExclusionEstimate,
     exclusion_bound,
     open_components,
     origin_exclusion_estimate,
+    origin_exclusion_estimates,
     origin_excluded,
 )
 
@@ -144,3 +145,27 @@ class TestEstimate:
         est = origin_exclusion_estimate(0.0, c=1, box=33, trials=100, seed=2)
         # zero variance still reports the 1/T resolution floor
         assert est.ci95 == pytest.approx(1.96 * np.sqrt(1.0 / 100 / 100))
+
+
+class TestSharedField:
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]), min_size=1,
+                    max_size=4),
+           st.integers(0, 2), st.integers(9, 25), st.integers(1, 4),
+           st.integers(0, 2 ** 64 - 1), st.sampled_from(["largest", "sides"]))
+    def test_equals_per_epsilon_estimates(self, epsilons, c, box, trials,
+                                          seed, proxy):
+        shared = origin_exclusion_estimates(epsilons, c, box, trials, seed,
+                                            proxy=proxy)
+        assert shared == [origin_exclusion_estimate(e, c, box, trials, seed,
+                                                    proxy=proxy)
+                          for e in epsilons]
+        # reference: a fresh Bernoulli mask per (epsilon, trial)
+        hits = [sum(origin_excluded(
+            sample_mask(Bernoulli(e), (box, box), derive_seed(seed, "perc", t)),
+            c, proxy=proxy) for t in range(trials)) for e in epsilons]
+        assert [est.value for est in shared] == [h / trials for h in hits]
+
+    def test_epsilon_range(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            origin_exclusion_estimates([0.1, 1.5], 1, 17, 2, 0)
