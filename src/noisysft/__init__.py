@@ -57,7 +57,6 @@ from .percolation import (
     OpenComponents,
     exclusion_bound,
     open_components,
-    origin_exclusion_estimate,
     origin_exclusion_estimates,
 )
 from .repair import (

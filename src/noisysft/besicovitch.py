@@ -9,9 +9,7 @@ certificates, not estimates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -32,38 +30,6 @@ class DistanceEstimate:
     value: float
     ci95: float
     trials: int
-
-    @property
-    def upper(self) -> float:
-        return self.value + self.ci95
-
-    @property
-    def lower(self) -> float:
-        return self.value - self.ci95
-
-
-def db_upper_estimate(sampler: Callable[[int], tuple[Grid, Grid]],
-                      trials: int, *, seed: int = 0) -> DistanceEstimate:
-    """Mean Hamming density over coupled pairs drawn from the sampler.
-
-    The sampler receives a per-trial seed and returns a pair of grids on
-    the same box.  Any coupling gives an upper estimate of the Besicovitch
-    distance between the two underlying processes.
-    """
-    from .noise import derive_seed
-
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    vals = np.empty(trials, dtype=np.float64)
-    for t in range(trials):
-        a, b = sampler(derive_seed(seed, "db-upper", t))
-        vals[t] = hamming_density(a, b)
-    mean = float(vals.mean())
-    if trials > 1:
-        ci = 1.96 * float(vals.std(ddof=1)) / math.sqrt(trials)
-    else:
-        ci = float("inf")
-    return DistanceEstimate(value=mean, ci95=ci, trials=trials)
 
 
 def lower_certificate(kind: str, **params) -> float:

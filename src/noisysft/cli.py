@@ -67,10 +67,13 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
+    # each subcommand takes only the flags it reads
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file (default stdout)")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0)
+    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
     common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--plot", default=None, help="write a log-log SVG here")
 
     top = argparse.ArgumentParser(
@@ -79,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "percolation, instability certificates")
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("analyze", parents=[common],
+    p = sub.add_parser("analyze", parents=[out],
                        help="classify a 1D SFT and report repair constants")
     p.add_argument("--sft", required=True, help="registered name or file")
     p.add_argument("--refined", action="store_true",
                    help="use the refined peel constant")
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample", parents=[seeded],
                        help="sample a noise mask, optionally over a clean word")
     p.add_argument("--model", required=True, help="e.g. bernoulli:0.01")
     p.add_argument("--box", type=_box, required=True)
@@ -147,20 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("instability", help="adversarial lower-bound constructions")
     isub = p.add_subparsers(dest="icmd", required=True)
 
-    g = isub.add_parser("phase1d", parents=[common],
+    g = isub.add_parser("phase1d", parents=[seeded],
                         help="periodic mask over the alternating system")
     g.add_argument("--p", type=int, required=True)
     g.add_argument("--box", type=_box, default=(100_000,))
     g.add_argument("--trials", type=int, default=50)
 
-    g = isub.add_parser("bern1d", parents=[common],
+    g = isub.add_parser("bern1d", parents=[seeded],
                         help="Bernoulli noise over an irreducible periodic target")
     g.add_argument("--sft", default="alternating")
     g.add_argument("--epsilon", type=float, required=True)
     g.add_argument("--box", type=_box, default=(100_000,))
     g.add_argument("--trials", type=int, default=50)
 
-    g = isub.add_parser("grid2d", parents=[common],
+    g = isub.add_parser("grid2d", parents=[seeded],
                         help="grid noise over a periodic orbit")
     g.add_argument("--periodic", default="checkerboard")
     g.add_argument("--k", type=int, default=1)
@@ -191,9 +194,8 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_rows(rows, args) -> None:
-    text = hn.format_csv(rows)
-    _emit(text, getattr(args, "out", None))
-    if getattr(args, "plot", None):
+    _emit(hn.format_csv(rows), args.out)
+    if args.plot:
         hn.write_plot(args.plot, rows)
 
 

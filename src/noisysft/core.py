@@ -181,22 +181,6 @@ class NoiseMask:
         return float(self.data.mean()) if self.data.size else 0.0
 
 
-@dataclass(frozen=True)
-class LocalMap:
-    """A sliding-block map: window offsets plus a lookup table.
-
-    The table maps tuples of symbols, read in window order, to an output
-    symbol.  Applying the map shrinks the box to the cells whose whole
-    window fits inside.
-    """
-
-    window: tuple[Offset, ...]
-    table: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "window", tuple(_as_offset(o) for o in self.window))
-
-
 _DIRECTIVE_RE = re.compile(r"^(\w+)\s*(.*)$")
 _FORBID_CELL_RE = re.compile(r"\(([^)]*)\)\s*=\s*(\S+)")
 
@@ -487,36 +471,6 @@ def reconstruction_phi(sft: Sft, window, cap: int, *,
     raise CapExceeded(f"no reconstruction radius up to {cap}")
 
 
-def apply_local_map(lmap: LocalMap, grid: Grid) -> Grid:
-    """Apply a sliding-block map; the output lives on the interior where
-    the whole window fits."""
-    dim = grid.dim
-    offs = lmap.window
-    if not offs:
-        raise ValueError("empty window")
-    mins = tuple(min(o[i] for o in offs) for i in range(dim))
-    maxs = tuple(max(o[i] for o in offs) for i in range(dim))
-    out_shape = tuple(grid.shape[i] - (maxs[i] - mins[i]) for i in range(dim))
-    if any(s <= 0 for s in out_shape):
-        raise ValueError("box too small for the window")
-    stacks = []
-    for off in offs:
-        sl = tuple(slice(off[i] - mins[i], off[i] - mins[i] + out_shape[i])
-                   for i in range(dim))
-        stacks.append(grid.data[sl])
-    out = np.empty(out_shape, dtype=grid.data.dtype)
-    it = np.nditer(stacks[0], flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        key = tuple(int(st[idx]) for st in stacks)
-        try:
-            out[idx] = lmap.table[key]
-        except KeyError:
-            raise KeyError(f"local map has no entry for window contents {key}") from None
-    new_origin = tuple(grid.origin[i] - mins[i] for i in range(dim))
-    return Grid(new_origin, out)
-
-
 def thicken(mask: NoiseMask, n: int) -> NoiseMask:
     """The n-thickening: a cell is obscured when any cell within
     L-infinity distance n of it is.  Free boundary, so the box shrinks by
@@ -537,23 +491,6 @@ def thicken(mask: NoiseMask, n: int) -> NoiseMask:
         fat = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
     return NoiseMask(tuple(o + n for o in mask.origin), fat,
                      meta=dict(mask.meta))
-
-
-def extend_dimension(sft: Sft, dim: int, axis: int = 0) -> Sft:
-    """Lift a 1D SFT to `dim` dimensions, words running along `axis`."""
-    if sft.dim != 1:
-        raise ValueError("only 1D SFTs can be lifted")
-    if not 0 <= axis < dim:
-        raise ValueError("bad axis")
-    pats = []
-    for p in sft.forbidden:
-        cells = []
-        for off, sym in p.cells:
-            vec = [0] * dim
-            vec[axis] = off[0]
-            cells.append((tuple(vec), sym))
-        pats.append(Pattern.from_cells(cells))
-    return Sft(dim=dim, alphabet=sft.alphabet, forbidden=frozenset(pats))
 
 
 GOLDEN_MEAN = word_sft("01", ["11"])

@@ -14,7 +14,7 @@ import functools
 import io
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,10 +42,6 @@ from .repair import (
 
 SCHEMA = ("experiment", "sft", "model", "epsilon", "box", "trials",
           "seed", "metric", "value", "ci95")
-
-KINDS = ("analyze", "sample", "repair1d", "repair2d", "robinson_repair",
-         "perc", "instability_phase1d", "instability_bern1d",
-         "instability_grid2d", "sweep")
 
 CHECKERBOARD_TEXT = """
 dim 2
@@ -116,16 +112,14 @@ class ExperimentSpec:
     scales: tuple[int, ...] = (2,)  # robinson only
     c: int | None = None
     proxy: str = "largest"
-    p: int = 2        # phase1d period
-    k: int = 1        # grid2d slab width
-    n: int = 1        # grid2d clear blocks hold n x n periods
     threads: int = 1
     out: str | None = None
     plot: str | None = None
 
     def validate(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.kind not in _SWEEP_DRIVERS:
+            raise ValueError(f"kind {self.kind!r} is not sweepable; choose "
+                             f"from {', '.join(sorted(_SWEEP_DRIVERS))}")
         for e in self.epsilons:
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"epsilon {e} outside [0, 1]")
@@ -135,11 +129,10 @@ class ExperimentSpec:
             raise ValueError("box sides must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if self.kind in ("repair1d", "instability_bern1d") or (
-                self.kind in ("analyze", "sample") and self.sft):
-            if self.sft not in NAMED_1D and self.sft not in NAMED_PERIODIC \
-                    and not os.path.exists(self.sft):
-                raise ValueError(f"SFT file {self.sft!r} does not exist")
+        if self.kind == "repair1d" and self.sft not in NAMED_1D \
+                and self.sft not in NAMED_PERIODIC \
+                and not os.path.exists(self.sft):
+            raise ValueError(f"SFT file {self.sft!r} does not exist")
 
 
 def _box_str(box) -> str:
@@ -195,21 +188,24 @@ def _pool_map(fn, payloads, threads: int):
 
 def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
                            seed: int) -> np.ndarray:
-    """A random globally admissible word from a live-state walk."""
+    """A random globally admissible word from a walk on the live states.
+
+    The walk starts at a live state and follows only edges into live
+    states; every live state has one, since a bi-infinite path runs
+    through it."""
     if length < auto.word_len:
         raise ValueError("box shorter than the automaton word length")
-    live = [i for i, e in enumerate(auto.edges) if e]
+    live = a1d.live_states(auto)
     if not live:
         raise ValueError("automaton has no admissible configurations")
+    edges = [[e for e in out if e[1] in live] for out in auto.edges]
+    starts = sorted(live)
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << 32, size=length + 1)
-    state = live[int(draws[0]) % len(live)]
+    state = starts[int(draws[0]) % len(starts)]
     out = list(auto.states[state])
-    edges = auto.edges
     for i in range(length - len(out)):
         opts = edges[state]
-        if not opts:
-            raise ValueError("walk reached a dead state; target is reducible")
         letter, state = opts[int(draws[i + 1]) % len(opts)]
         out.append(letter)
     return np.asarray(out[:length], dtype=np.int64)
@@ -226,26 +222,72 @@ def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
 
 # ---------------------------------------------------------------------------
 # repair sweeps
+#
+# Every repair driver runs the same Monte Carlo loop.  A trial takes
+# (payload, epsilons, trial seed), draws its clean sample once, and
+# returns one {metric: value} dict per epsilon; `_sweep_rows` pools the
+# trials and turns them into rows.
 
 
-def _trial_repair1d(payload):
-    sft, eps, length, tseed = payload
+def _base_row(spec: ExperimentSpec, experiment: str, sft: str, eps: float,
+              box) -> dict:
+    return {"experiment": experiment, "sft": sft,
+            "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
+            "box": _box_str(box), "trials": spec.trials, "seed": spec.seed}
+
+
+def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
+                trial, payload, closed, *scale) -> list[dict]:
+    """Rows per epsilon: the trial mean and ci95 of every metric, then the
+    closed-form metrics `closed(eps, per_trial)`, which replace an averaged
+    metric of the same name.  Trial seeds are derived from the master
+    seed, the experiment label, the scale if any and the trial index."""
+    tseeds = [derive_seed(spec.seed, experiment, *scale, t)
+              for t in range(spec.trials)]
+    results = _pool_map(trial, [(payload, spec.epsilons, s) for s in tseeds],
+                        spec.threads)
+    rows = []
+    for i, eps in enumerate(spec.epsilons):
+        per_trial = [res[i] for res in results]
+        cells = {m: mean_ci([r[m] for r in per_trial]) for m in per_trial[0]}
+        cells.update((m, (v, 0.0)) for m, v in closed(eps, per_trial).items())
+        base = _base_row(spec, experiment, sft, eps, box)
+        rows += [dict(base, metric=m, value=v, ci95=ci)
+                 for m, (v, ci) in cells.items()]
+    return rows
+
+
+def _corrupted(clean: np.ndarray, eps: float, nsym: int,
+               tseed: int) -> tuple[Grid, NoiseMask]:
+    """The clean sample under Bernoulli(eps) noise, seeded per trial."""
+    mask = sample_mask(parse_model(f"bernoulli:{eps}"), clean.shape,
+                       derive_seed(tseed, "mask"))
+    noisy = corrupt(clean, mask.data.astype(bool), nsym,
+                    derive_seed(tseed, "corrupt"))
+    return Grid((0,) * clean.ndim, noisy), mask
+
+
+def _trial_repair1d(args):
+    (sft, length), epsilons, tseed = args
     auto = _auto_cached(sft)
     word = sample_admissible_word(auto, length, derive_seed(tseed, "clean"))
-    mask = sample_mask(parse_model(f"bernoulli:{eps}"), (length,),
-                       derive_seed(tseed, "mask"))
-    noisy = corrupt(word, mask.data.astype(bool), len(sft.alphabet),
-                    derive_seed(tseed, "corrupt"))
-    rep = repair_1d(auto, Grid((0,), noisy), mask)
+    return [_repair1d_cell(auto, word, eps, tseed) for eps in epsilons]
+
+
+def _repair1d_cell(auto: a1d.WordAutomaton, word: np.ndarray, eps: float,
+                   tseed: int) -> dict:
+    grid, mask = _corrupted(word, eps, len(auto.sft.alphabet), tseed)
+    rep = repair_1d(auto, grid, mask)
     lo, hi = rep.interior
     # locally admissible == globally admissible on an irreducible target
     admissible = is_locally_admissible(
-        sft, Grid((0,), rep.grid.data[lo:hi]))
+        auto.sft, Grid((0,), rep.grid.data[lo:hi]))
     pos = np.flatnonzero(rep.changed)
     pos = pos[(pos >= lo) & (pos < hi)]
-    local = bool(np.all(_locality_flags(pos, np.flatnonzero(mask.data),
-                                        rep.constants, lo, hi)))
-    return rep.changed_fraction, bool(admissible), local
+    local = np.all(_locality_flags(pos, np.flatnonzero(mask.data),
+                                   rep.constants, lo, hi))
+    return {"changed_fraction": rep.changed_fraction,
+            "admissible": float(admissible), "locality": float(local)}
 
 
 def _locality_flags(pos: np.ndarray, obscured: np.ndarray,
@@ -278,30 +320,12 @@ def run_repair1d_sweep(spec: ExperimentSpec):
     spec.validate()
     name, sft = resolve_sft_1d(spec.sft)
     auto = _auto_cached(sft)
-    cls = a1d.classify(auto)
-    if cls.kind != "irreducible_aperiodic":
+    if a1d.classify(auto).kind != "irreducible_aperiodic":
         raise ValueError("repair sweep needs an irreducible aperiodic target")
-    consts = a1d.repair_constants(auto)
-    length = spec.box[0]
-    rows = []
-    tseeds = [derive_seed(spec.seed, "repair1d", t) for t in range(spec.trials)]
-    for eps in spec.epsilons:
-        res = _pool_map(_trial_repair1d,
-                        [(sft, eps, length, s) for s in tseeds], spec.threads)
-        changed, adm, loc = zip(*res)
-        base = {"experiment": "repair1d", "sft": name,
-                "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
-                "box": _box_str(spec.box), "trials": spec.trials,
-                "seed": spec.seed}
-        m, ci = mean_ci(changed)
-        rows.append(dict(base, metric="changed_fraction", value=m, ci95=ci))
-        m, ci = mean_ci([1.0 if a else 0.0 for a in adm])
-        rows.append(dict(base, metric="admissible", value=m, ci95=ci))
-        m, ci = mean_ci([1.0 if v else 0.0 for v in loc])
-        rows.append(dict(base, metric="locality", value=m, ci95=ci))
-        rows.append(dict(base, metric="bound",
-                         value=3.0 * (2 * consts.E + 1) * eps, ci95=0.0))
-    return rows
+    envelope = 3.0 * (2 * a1d.repair_constants(auto).E + 1)
+    return _sweep_rows(spec, "repair1d", name, spec.box, _trial_repair1d,
+                       (sft, spec.box[0]),
+                       lambda eps, _: {"bound": envelope * eps})
 
 
 def run_perc_sweep(spec: ExperimentSpec):
@@ -314,10 +338,7 @@ def run_perc_sweep(spec: ExperimentSpec):
         mapper=functools.partial(_pool_map, threads=spec.threads))
     rows = []
     for eps, est in zip(spec.epsilons, ests):
-        base = {"experiment": "perc", "sft": f"free-c{c}",
-                "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
-                "box": _box_str((box, box)), "trials": spec.trials,
-                "seed": spec.seed}
+        base = _base_row(spec, "perc", f"free-c{c}", eps, (box, box))
         rows.append(dict(base, metric="origin_excluded",
                          value=est.value, ci95=est.ci95))
         rows.append(dict(base, metric="exclusion_bound",
@@ -325,100 +346,68 @@ def run_perc_sweep(spec: ExperimentSpec):
     return rows
 
 
-def _trial_repair2d(payload):
-    ptext, eps, shape, c, tseed = payload
-    p = _periodic_cached(ptext)
+def _square(box) -> tuple[int, int]:
+    return tuple(box) if len(box) == 2 else (box[0],) * 2
+
+
+def _trial_repair2d(args):
+    (p, shape, c), epsilons, tseed = args
     orbit = p.orbit()
     rng = np.random.default_rng(derive_seed(tseed, "offset"))
     offset = orbit[int(rng.integers(len(orbit)))]
-    clean = p.tiling(offset, (0, 0), shape)
-    mask = sample_mask(parse_model(f"bernoulli:{eps}"), shape,
-                       derive_seed(tseed, "mask"))
-    noisy = corrupt(clean.data, mask.data.astype(bool),
-                    len(p.sft.alphabet), derive_seed(tseed, "corrupt"))
-    rep = repair_periodic(p, Grid((0, 0), noisy), mask, c=c)
-    return rep.changed_fraction, tuple(rep.offset) == tuple(offset)
+    clean = p.tiling(offset, (0, 0), shape).data
+    return [_repair2d_cell(p, clean, offset, c, eps, tseed) for eps in epsilons]
 
 
-@functools.lru_cache(maxsize=8)
-def _periodic_cached(text: str) -> PeriodicSft:
-    return parse_periodic(text)
+def _repair2d_cell(p: PeriodicSft, clean: np.ndarray, offset, c: int,
+                   eps: float, tseed: int) -> dict:
+    grid, mask = _corrupted(clean, eps, len(p.sft.alphabet), tseed)
+    rep = repair_periodic(p, grid, mask, c=c)
+    return {"changed_fraction": rep.changed_fraction,
+            "offset_recovered": float(tuple(rep.offset) == tuple(offset))}
 
 
 def run_repair2d_sweep(spec: ExperimentSpec):
     spec.validate()
-    if spec.sft in NAMED_PERIODIC:
-        name, ptext = spec.sft, NAMED_PERIODIC[spec.sft]
-    elif os.path.exists(spec.sft):
-        with open(spec.sft, encoding="utf-8") as fh:
-            ptext = fh.read()
-        name = os.path.splitext(os.path.basename(spec.sft))[0]
-    else:
-        raise ValueError(f"unknown periodic SFT {spec.sft!r}")
-    p = _periodic_cached(ptext)
+    name, p = resolve_periodic(spec.sft)
     c = local_global_constant(p) if spec.c is None else spec.c
-    shape = tuple(spec.box) if len(spec.box) == 2 else (spec.box[0],) * 2
-    rows = []
-    tseeds = [derive_seed(spec.seed, "repair2d", t) for t in range(spec.trials)]
-    for eps in spec.epsilons:
-        res = _pool_map(_trial_repair2d,
-                        [(ptext, eps, shape, c, s) for s in tseeds],
-                        spec.threads)
-        changed, offs = zip(*res)
-        base = {"experiment": "repair2d", "sft": name,
-                "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
-                "box": _box_str(shape), "trials": spec.trials,
-                "seed": spec.seed}
-        m, ci = mean_ci(changed)
-        rows.append(dict(base, metric="changed_fraction", value=m, ci95=ci))
-        m, ci = mean_ci([1.0 if o else 0.0 for o in offs])
-        rows.append(dict(base, metric="offset_recovered", value=m, ci95=ci))
-        rows.append(dict(base, metric="bound",
-                         value=2.0 * exclusion_bound(eps, c), ci95=0.0))
-    return rows
+    shape = _square(spec.box)
+    return _sweep_rows(spec, "repair2d", name, shape, _trial_repair2d,
+                       (p, shape, c),
+                       lambda eps, _: {"bound": 2.0 * exclusion_bound(eps, c)})
 
 
-def _trial_robinson(payload):
-    n_scale, eps, shape, tseed = payload
+def _trial_robinson(args):
+    (n_scale, shape), epsilons, tseed = args
     rng = np.random.default_rng(derive_seed(tseed, "translate"))
     t_in = tuple(int(v) for v in rng.integers(0, 512, size=2))
     clean = rb.reference_window((0, 0), shape, t_in)
-    mask = sample_mask(parse_model(f"bernoulli:{eps}"), shape,
-                       derive_seed(tseed, "mask"))
-    noisy = corrupt(clean, mask.data.astype(bool), rb.NTILES,
-                    derive_seed(tseed, "corrupt"))
-    rep = rb.robinson_repair(Grid((0, 0), noisy), mask, n_scale, seed=tseed)
     period = 2 ** (n_scale + 1)
-    t_ok = rep.translate == (t_in[0] % period, t_in[1] % period)
-    return rep.changed_fraction, bool(t_ok), rep.slack
+    t_mod = (t_in[0] % period, t_in[1] % period)
+    return [_robinson_cell(clean, n_scale, t_mod, eps, tseed)
+            for eps in epsilons]
+
+
+def _robinson_cell(clean: np.ndarray, n_scale: int, t_mod, eps: float,
+                   tseed: int) -> dict:
+    grid, mask = _corrupted(clean, eps, rb.NTILES, tseed)
+    rep = rb.robinson_repair(grid, mask, n_scale, seed=tseed)
+    return {"changed_fraction": rep.changed_fraction,
+            "translate_recovered": float(rep.translate == t_mod),
+            "slack": rep.slack}
 
 
 def run_robinson_repair(spec: ExperimentSpec):
     spec.validate()
-    shape = tuple(spec.box) if len(spec.box) == 2 else (spec.box[0],) * 2
+    shape = _square(spec.box)
     rows = []
     for n_scale in spec.scales:
-        tseeds = [derive_seed(spec.seed, "robinson", n_scale, t)
-                  for t in range(spec.trials)]
-        for eps in spec.epsilons:
-            res = _pool_map(_trial_robinson,
-                            [(n_scale, eps, shape, s) for s in tseeds],
-                            spec.threads)
-            changed, t_ok, slacks = zip(*res)
-            base = {"experiment": "robinson", "sft": f"robinson-{n_scale}",
-                    "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
-                    "box": _box_str(shape), "trials": spec.trials,
-                    "seed": spec.seed}
-            m, ci = mean_ci(changed)
-            rows.append(dict(base, metric="changed_fraction", value=m, ci95=ci))
-            m, ci = mean_ci([1.0 if v else 0.0 for v in t_ok])
-            rows.append(dict(base, metric="translate_recovered",
-                             value=m, ci95=ci))
-            rows.append(dict(base, metric="slack",
-                             value=max(slacks), ci95=0.0))
-            rows.append(dict(base, metric="bound",
-                             value=rb.robinson_bound(eps, n_scale) + max(slacks),
-                             ci95=0.0))
+        def closed(eps, per_trial, n_scale=n_scale):
+            slack = max(r["slack"] for r in per_trial)
+            return {"slack": slack,
+                    "bound": rb.robinson_bound(eps, n_scale) + slack}
+        rows += _sweep_rows(spec, "robinson", f"robinson-{n_scale}", shape,
+                            _trial_robinson, (n_scale, shape), closed, n_scale)
     return rows
 
 
@@ -481,6 +470,24 @@ class InstabilityReport:
         ]
 
 
+def _instability_report(kind: str, refs, draw, trials: int, seed: int,
+                        box: tuple[int, ...], **fields) -> InstabilityReport:
+    """The loop shared by the constructions: `draw(t)` returns trial t's
+    configuration and mask; the report holds the distance to the nearest
+    reference and the mean obscured fraction."""
+    per_ref = np.empty((len(refs), trials))
+    obscured = 0.0
+    for t in range(trials):
+        x, mask = draw(t)
+        per_ref[:, t] = [float((x != ref).mean()) for ref in refs]
+        obscured += float(mask.mean())
+    return InstabilityReport(
+        kind=kind, estimate=_min_over_refs(per_ref),
+        obscured_rate=obscured / trials,
+        slack=finite_size_slack(math.prod(box)), box=box, trials=trials,
+        seed=seed, **fields)
+
+
 def run_instability_phase1d(p: int, box: int, trials: int,
                             seed: int) -> InstabilityReport:
     """Deterministic period-p mask over the {00,11} system.
@@ -496,28 +503,19 @@ def run_instability_phase1d(p: int, box: int, trials: int,
         raise ValueError("box too small for the mask period")
     model = parse_model(f"grid:1,{p - 1}")
     idx = np.arange(box, dtype=np.int64)
-    ref0 = (idx % 2).astype(np.int64)
-    refs = [ref0, 1 - ref0]
-    per_ref = np.empty((2, trials))
-    obscured = 0.0
-    for t in range(trials):
-        mask = sample_mask(model, (box,), derive_seed(seed, "phase1d", t))
-        m = mask.data.astype(bool)
+    ref0 = idx % 2
+
+    def draw(t):
+        m = sample_mask(model, (box,), derive_seed(seed, "phase1d", t))
+        m = m.data.astype(bool)
         phase = int(np.flatnonzero(m)[0]) % p
         seg = (idx - phase + p) // p
-        x = np.where(m, ref0, (idx + seg) % 2)
-        for j, ref in enumerate(refs):
-            per_ref[j, t] = float((x != ref).mean())
-        obscured += float(m.mean())
-    return InstabilityReport(
-        kind="instability_phase1d",
-        estimate=_min_over_refs(per_ref),
+        return np.where(m, ref0, (idx + seg) % 2), m
+
+    return _instability_report(
+        "instability_phase1d", [ref0, 1 - ref0], draw, trials, seed, (box,),
         certificate=lower_certificate("phase1d", p=p),
-        obscured_rate=obscured / trials,
-        slack=finite_size_slack(box),
-        box=(box,), trials=trials, seed=seed,
-        model=f"grid:1,{p - 1}", sft="alternating",
-        epsilon=1.0 / p)
+        model=f"grid:1,{p - 1}", sft="alternating", epsilon=1.0 / p)
 
 
 def _periodic_cycle(auto: a1d.WordAutomaton) -> np.ndarray:
@@ -559,26 +557,21 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
     idx = np.arange(box, dtype=np.int64)
     refs = [word[(idx + s) % period] for s in range(period)]
     model = parse_model(f"bernoulli:{epsilon}")
-    per_ref = np.empty((period, trials))
-    obscured = 0.0
-    for t in range(trials):
+
+    def draw(t):
         tseed = derive_seed(seed, "bern1d", t)
-        mask = sample_mask(model, (box,), derive_seed(tseed, "mask")).data.astype(bool)
+        mask = sample_mask(model, (box,), derive_seed(tseed, "mask"))
+        mask = mask.data.astype(bool)
         run_id, nruns = _mask_runs(mask, d)
         rng = np.random.default_rng(derive_seed(tseed, "translate"))
         shifts = rng.integers(0, period, size=nruns + 1)
         x = word[(idx + shifts[run_id]) % period]
         x[mask] = word[idx[mask] % period]
-        for j, ref in enumerate(refs):
-            per_ref[j, t] = float((x != ref).mean())
-        obscured += float(mask.mean())
-    return InstabilityReport(
-        kind="instability_bern1d",
-        estimate=_min_over_refs(per_ref),
+        return x, mask
+
+    return _instability_report(
+        "instability_bern1d", refs, draw, trials, seed, (box,),
         certificate=lower_certificate("bern1d", p=period, d=d, epsilon=epsilon),
-        obscured_rate=obscured / trials,
-        slack=finite_size_slack(box),
-        box=(box,), trials=trials, seed=seed,
         model=f"bernoulli:{_fmt(epsilon)}", sft=_sft_label(auto.sft),
         epsilon=epsilon)
 
@@ -636,9 +629,8 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
     tilings = np.stack([p.tiling(o, (0, 0), shape).data for o in orbit])
     stride = k + block
     rr, cc = np.indices(shape)
-    per_ref = np.empty((len(orbit), trials))
-    obscured = 0.0
-    for t in range(trials):
+
+    def draw(t):
         rng = np.random.default_rng(derive_seed(seed, "grid2d", t))
         ph = rng.integers(0, stride, size=2)
         mask = (((rr + ph[0]) % stride) < k) | (((cc + ph[1]) % stride) < k)
@@ -648,16 +640,11 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
                               size=(int(b0.max()) + 1, int(b1.max()) + 1))
         x = tilings[choice[b0, b1], rr, cc]
         x[mask] = tilings[0][mask]
-        for j, tl in enumerate(tilings):
-            per_ref[j, t] = float((x != tl).mean())
-        obscured += float(mask.mean())
-    return InstabilityReport(
-        kind="instability_grid2d",
-        estimate=_min_over_refs(per_ref),
+        return x, mask
+
+    return _instability_report(
+        "instability_grid2d", tilings, draw, trials, seed, shape,
         certificate=lower_certificate("grid2d", n=period, d=p.sft.dim),
-        obscured_rate=obscured / trials,
-        slack=finite_size_slack(box * box),
-        box=shape, trials=trials, seed=seed,
         model=f"grid:{k},{block}", sft=f"periodic-{period}",
         epsilon=marginal_rate(parse_model(f"grid:{k},{block}"), 2))
 
@@ -675,28 +662,22 @@ _SWEEP_DRIVERS = {
 
 
 def run_sweep(spec: ExperimentSpec):
-    """Cross-product sweep with per-cell error capture.
+    """One driver call over every epsilon, with error capture.
 
-    Each epsilon cell runs independently; a failing cell contributes an
-    error row and the sweep continues.  An empty epsilon list yields a
-    header-only CSV.
+    If the driver fails, each epsilon gets one `error` row naming the
+    exception type and nothing else is emitted.  An empty epsilon list runs
+    no trials and yields a header-only CSV.
     """
     spec.validate()
-    kind = spec.kind if spec.kind != "sweep" else "repair1d"
-    if kind not in _SWEEP_DRIVERS:
-        raise ValueError(f"kind {kind!r} is not sweepable")
-    driver = _SWEEP_DRIVERS[kind]
     rows = []
-    for eps in spec.epsilons:
-        cell = replace(spec, kind=kind, epsilons=(eps,))
+    if spec.epsilons:
         try:
-            rows.extend(driver(cell))
-        except Exception as exc:  # noqa: BLE001 - per-row capture is the contract
-            rows.append({"experiment": kind, "sft": spec.sft,
-                         "model": type(exc).__name__, "epsilon": eps,
-                         "box": _box_str(spec.box), "trials": spec.trials,
-                         "seed": spec.seed, "metric": "error",
-                         "value": float("nan"), "ci95": float("nan")})
+            rows = _SWEEP_DRIVERS[spec.kind](spec)
+        except Exception as exc:  # noqa: BLE001 - error rows are the contract
+            rows = [dict(_base_row(spec, spec.kind, spec.sft, eps, spec.box),
+                         model=type(exc).__name__, metric="error",
+                         value=float("nan"), ci95=float("nan"))
+                    for eps in spec.epsilons]
     if spec.out:
         write_csv(spec.out, rows)
     if spec.plot:

@@ -123,8 +123,10 @@ def _trial_exclusions(payload) -> list[bool]:
 def origin_exclusion_estimates(epsilons, c: int, box: int, trials: int,
                                seed: int, *, proxy: str = "largest",
                                mapper=map) -> list[ExclusionEstimate]:
-    """`origin_exclusion_estimate` at every epsilon on shared trial fields;
-    `mapper(fn, payloads)` runs the trials and returns results in order."""
+    """Monte Carlo estimates of P(centre outside the giant open component)
+    for Bernoulli noise thickened by c on a box of the given side, one per
+    epsilon, all read off shared trial fields.  `mapper(fn, payloads)` runs
+    the trials and returns results in order."""
     if trials < 1:
         raise ValueError("need at least one trial")
     if not all(0.0 <= eps <= 1.0 for eps in epsilons):
@@ -141,11 +143,3 @@ def origin_exclusion_estimates(epsilons, c: int, box: int, trials: int,
             bound=exclusion_bound(eps, c), proxy=proxy))
     return out
 
-
-def origin_exclusion_estimate(epsilon: float, c: int, box: int, trials: int,
-                              seed: int, *, proxy: str = "largest",
-                              ) -> ExclusionEstimate:
-    """Monte Carlo estimate of P(centre outside the giant open component)
-    for Bernoulli(epsilon) noise thickened by c on a box of the given side."""
-    return origin_exclusion_estimates([epsilon], c, box, trials, seed,
-                                      proxy=proxy)[0]

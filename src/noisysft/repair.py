@@ -265,10 +265,8 @@ class PeriodicSft:
 
     def tiling(self, offset, origin, shape) -> Grid:
         """The translate by `offset` of the base tiling, on the given box."""
-        idx = np.indices(shape)
-        n = self.period
-        sel = tuple(np.mod(idx[i] + origin[i] - offset[i], n)
-                    for i in range(self.dim))
+        sel = np.ix_(*(np.mod(np.arange(shape[i]) + origin[i] - offset[i],
+                              self.period) for i in range(self.dim)))
         return Grid(tuple(origin), self.base[sel])
 
     def orbit(self):

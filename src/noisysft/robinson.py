@@ -186,20 +186,6 @@ def make_cross(orient, parity=BUMPY) -> int:
     return _CROSS_ID[(parity, orient % 4)]
 
 
-def matches(a: int, b: int, direction: str) -> bool:
-    """Can tile b sit in the given direction (E or N) from tile a?"""
-    if direction == "E":
-        return bool(H_OK[a, b])
-    if direction == "N":
-        return bool(V_OK[b, a])
-    raise ValueError("direction must be E or N")
-
-
-def square_ok(quad) -> bool:
-    """Exactly-one-bumpy rule for a 2x2 block (any order)."""
-    return sum(int(PARITY[t]) for t in quad) == 1
-
-
 # side codes pack (black, colour) into 0..5 for the strip-tile lookup
 _SIDE_CODE = (SIDE_BLACK * 2 + SIDE_COLOUR).astype(np.int8)
 _FLIP_CODE = np.array([0, 1, 4, 5, 2, 3], dtype=np.int8)  # out <-> in
@@ -842,22 +828,6 @@ def peel_verify(n: int = 9, mode: str = "exhaustive",
 def peel_constant(N: int) -> int:
     """Layers sufficient to expose the aligned macro grid at scale N."""
     return 2 ** N - 1
-
-
-def detect_macro_centres(grid, N: int) -> list:
-    """Positions whose surrounding (2^N-1)-window is a complete N-macro."""
-    g, origin = _as_ids(grid)
-    side = 2 ** N - 1
-    half = side // 2
-    macros = [build_macro(N, o) for o in range(4)]
-    h, w = g.shape
-    out = []
-    for r in range(half, h - half):
-        for c in range(half, w - half):
-            sub = g[r - half:r + half + 1, c - half:c + half + 1]
-            if any(np.array_equal(sub, m) for m in macros):
-                out.append((origin[0] + r, origin[1] + c))
-    return out
 
 
 # ---------------------------------------------------------------------------

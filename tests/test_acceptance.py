@@ -17,7 +17,7 @@ from noisysft.automaton1d import build_automaton, classify, repair_constants
 from noisysft.besicovitch import hamming_density
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Grid, NoiseMask, thicken
 from noisysft.noise import sample_mask, parse_model
-from noisysft.percolation import exclusion_bound, origin_exclusion_estimate
+from noisysft.percolation import exclusion_bound, origin_exclusion_estimates
 
 LINES: list[str] = []
 
@@ -82,8 +82,9 @@ def test_criterion_4_percolation_bound():
     parts = []
     ok = True
     for c in (1, 2):
-        for eps in (1e-3, 3e-3):
-            est = origin_exclusion_estimate(eps, c, 1024, 500, seed=404)
+        for est in origin_exclusion_estimates([1e-3, 3e-3], c, 1024, 500,
+                                              seed=404):
+            eps = est.epsilon
             bound = exclusion_bound(eps, c)
             good = est.value + 3 * est.ci95 <= bound
             ok = ok and good

@@ -1,4 +1,4 @@
-"""Hamming density, upper estimates, certificate values."""
+"""Hamming density and certificate values."""
 
 import numpy as np
 import pytest
@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisysft.besicovitch import (
-    DistanceEstimate,
-    db_upper_estimate,
     hamming_density,
     lower_certificate,
 )
 from noisysft.core import Grid
-from noisysft.noise import cell_uniform
 
 
 def g(values, origin=(0,)):
@@ -43,44 +40,6 @@ class TestHamming:
         assert hamming_density(a, a) == 0.0
         assert dab <= hamming_density(a, c) + hamming_density(c, b) + 1e-12
         assert 0.0 <= dab <= 1.0
-
-
-class TestUpperEstimate:
-    def test_identical_pairs(self):
-        def sampler(seed):
-            a = g([0, 1, 0, 1, 0])
-            return a, a
-
-        est = db_upper_estimate(sampler, trials=10)
-        assert est.value == 0.0
-        assert est.ci95 == 0.0
-
-    def test_independent_uniform(self):
-        def sampler(seed):
-            u = cell_uniform(seed, (0,), (4096,))
-            v = cell_uniform(seed ^ 0x5DEECE66D, (0,), (4096,))
-            return g((u < 0.5).astype(int)), g((v < 0.5).astype(int))
-
-        est = db_upper_estimate(sampler, trials=50, seed=5)
-        assert abs(est.value - 0.5) < 3 * est.ci95 + 1e-3
-        assert est.ci95 < 0.01
-
-    def test_ci_shrinks_with_trials(self):
-        def sampler(seed):
-            u = cell_uniform(seed, (0,), (256,))
-            return g((u < 0.5).astype(int)), g(np.zeros(256, dtype=int))
-
-        small = db_upper_estimate(sampler, trials=25, seed=1)
-        large = db_upper_estimate(sampler, trials=400, seed=1)
-        # quadrupling trials four-fold should quarter the interval, up to
-        # the variability of the std estimate itself
-        assert large.ci95 < small.ci95 / 2.5
-        assert large.ci95 > small.ci95 / 8
-
-    def test_single_trial_has_no_interval(self):
-        est = db_upper_estimate(lambda s: (g([0]), g([1])), trials=1)
-        assert est.value == 1.0
-        assert est.ci95 == float("inf")
 
 
 class TestCertificates:

@@ -12,13 +12,10 @@ from noisysft.core import (
     GOLDEN_MEAN,
     CapExceeded,
     Grid,
-    LocalMap,
     NoiseMask,
     Pattern,
     Sft,
     SftParseError,
-    apply_local_map,
-    extend_dimension,
     is_locally_admissible,
     parse_sft,
     reconstruction_phi,
@@ -216,39 +213,6 @@ class TestPhi:
             return True
 
         assert reconstruction_phi(checker, [(0, 0)], 2, global_oracle=oracle) == 0
-
-
-class TestLocalMap:
-    def test_majority(self):
-        win = [(-1,), (0,), (1,)]
-        table = {}
-        for a in (0, 1):
-            for b in (0, 1):
-                for c in (0, 1):
-                    table[(a, b, c)] = 1 if a + b + c >= 2 else 0
-        lm = LocalMap(window=tuple(win), table=table)
-        g = grid1([0, 1, 1, 1, 0, 0, 1])
-        out = apply_local_map(lm, g)
-        assert out.origin == (1,)
-        assert list(out.data) == [1, 1, 1, 0, 0]
-
-    def test_missing_entry(self):
-        lm = LocalMap(window=((0,),), table={(0,): 0})
-        with pytest.raises(KeyError):
-            apply_local_map(lm, grid1([0, 1]))
-
-
-class TestExtendDimension:
-    def test_lift(self):
-        lifted = extend_dimension(GOLDEN_MEAN, 2, axis=1)
-        assert lifted.dim == 2
-        (p,) = lifted.forbidden
-        assert p.cells == (((0, 0), 1), ((0, 1), 1))
-        # rows must avoid 11, columns are free
-        g = Grid((0, 0), np.array([[1, 0, 1], [1, 1, 0]]))
-        assert not is_locally_admissible(lifted, g)
-        g2 = Grid((0, 0), np.array([[1, 0, 1], [1, 0, 1]]))
-        assert is_locally_admissible(lifted, g2)
 
 
 class TestCanonicalForm:

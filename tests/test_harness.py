@@ -9,7 +9,11 @@ from hypothesis import strategies as st
 
 from noisysft import cli
 from noisysft import harness as H
-from noisysft.automaton1d import build_automaton, is_globally_admissible
+from noisysft.automaton1d import (
+    build_automaton,
+    is_globally_admissible,
+    live_states,
+)
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft, word_sft
 from noisysft.percolation import exclusion_bound
 from noisysft.repair import PeriodicSft
@@ -75,6 +79,25 @@ class TestSampling:
         auto = build_automaton(GOLDEN_MEAN)
         with pytest.raises(ValueError):
             H.sample_admissible_word(auto, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_walk_avoids_transient_and_dead_states(self, seed):
+        # 01 is a dead end and 10 is transient: only 0^Z is admissible
+        auto = build_automaton(word_sft("01", ["11", "010"]))
+        word = H.sample_admissible_word(auto, 300, seed)
+        assert is_globally_admissible(auto, tuple(int(v) for v in word))
+
+    @given(st.lists(st.text("ab", min_size=2, max_size=3), min_size=1,
+                    max_size=3), st.integers(0, 2 ** 32))
+    @settings(max_examples=60, deadline=None)
+    def test_random_sfts_sample_admissibly(self, forbidden, seed):
+        auto = build_automaton(word_sft("ab", forbidden))
+        if not live_states(auto):
+            with pytest.raises(ValueError, match="no admissible"):
+                H.sample_admissible_word(auto, 40, seed)
+            return
+        word = H.sample_admissible_word(auto, 40, seed)
+        assert is_globally_admissible(auto, tuple(int(v) for v in word))
 
     def test_corrupt_touches_only_mask(self):
         data = np.zeros(100, dtype=np.int64)
@@ -222,6 +245,28 @@ class TestSweepRunner:
             box=(1000,), trials=2))
         assert [r["metric"] for r in rows] == ["error", "error"]
         assert all(math.isnan(r["value"]) for r in rows)
+
+    def test_one_driver_call_over_all_epsilons(self, monkeypatch):
+        calls = []
+
+        def driver(spec):
+            calls.append(spec.epsilons)
+            return []
+
+        monkeypatch.setitem(H._SWEEP_DRIVERS, "perc", driver)
+        H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2)))
+        H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=()))
+        assert calls == [(0.1, 0.2)]
+
+    def test_error_rows_name_the_exception(self, monkeypatch):
+        def driver(spec):
+            raise KeyError("boom")
+
+        monkeypatch.setitem(H._SWEEP_DRIVERS, "perc", driver)
+        rows = H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2),
+                                            box=(64,)))
+        assert [(r["epsilon"], r["model"], r["box"]) for r in rows] == \
+            [(0.1, "KeyError", "64"), (0.2, "KeyError", "64")]
 
     def test_unsweepable_kind(self):
         with pytest.raises(ValueError, match="sweepable"):
@@ -380,6 +425,24 @@ class TestPlotAndConfig:
 
 
 class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--sft", "golden-mean", "--seed", "1"],
+        ["analyze", "--sft", "golden-mean", "--threads", "2"],
+        ["analyze", "--sft", "golden-mean", "--plot", "x.svg"],
+        ["sample", "--model", "bernoulli:0.5", "--box", "8", "--threads", "2"],
+        ["sample", "--model", "bernoulli:0.5", "--box", "8", "--plot", "x.svg"],
+        ["instability", "phase1d", "--p", "2", "--box", "400", "--trials",
+         "1", "--plot", "x.svg"],
+        ["instability", "bern1d", "--epsilon", "0.01", "--box", "400",
+         "--threads", "2"],
+        ["instability", "grid2d", "--box", "32", "--plot", "x.svg"],
+    ])
+    def test_unread_flags_rejected(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 2
+        assert not list(tmp_path.iterdir())
+
+
     def test_analyze_ok(self, capsys):
         assert cli.main(["analyze", "--sft", "golden-mean"]) == 0
         out = capsys.readouterr().out

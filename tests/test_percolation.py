@@ -10,7 +10,6 @@ from noisysft.percolation import (
     ExclusionEstimate,
     exclusion_bound,
     open_components,
-    origin_exclusion_estimate,
     origin_exclusion_estimates,
     origin_excluded,
 )
@@ -120,7 +119,8 @@ class TestOriginExcluded:
 
 class TestEstimate:
     def test_zero_noise_never_excludes(self):
-        est = origin_exclusion_estimate(0.0, c=1, box=65, trials=40, seed=9)
+        est, = origin_exclusion_estimates([0.0], c=1, box=65, trials=40,
+                                          seed=9)
         assert est.value == 0.0
         assert est.trials == 40
         # the CI floor keeps within_bound honest even at zero noise
@@ -132,17 +132,21 @@ class TestEstimate:
         assert exclusion_bound(2e-3, 2) == pytest.approx(48 * 25 * 2e-3)
 
     def test_estimate_is_deterministic(self):
-        a = origin_exclusion_estimate(0.02, c=1, box=33, trials=30, seed=4)
-        b = origin_exclusion_estimate(0.02, c=1, box=33, trials=30, seed=4)
+        a, = origin_exclusion_estimates([0.02], c=1, box=33, trials=30,
+                                        seed=4)
+        b, = origin_exclusion_estimates([0.02], c=1, box=33, trials=30,
+                                        seed=4)
         assert a == b
 
     def test_estimate_tracks_rate(self):
         # at eps=0.2 with c=1 the 33x33 thickened box is mostly holes
-        est = origin_exclusion_estimate(0.2, c=1, box=33, trials=60, seed=1)
+        est, = origin_exclusion_estimates([0.2], c=1, box=33, trials=60,
+                                          seed=1)
         assert est.value > 0.5
 
     def test_ci_floor(self):
-        est = origin_exclusion_estimate(0.0, c=1, box=33, trials=100, seed=2)
+        est, = origin_exclusion_estimates([0.0], c=1, box=33, trials=100,
+                                          seed=2)
         # zero variance still reports the 1/T resolution floor
         assert est.ci95 == pytest.approx(1.96 * np.sqrt(1.0 / 100 / 100))
 
@@ -157,8 +161,8 @@ class TestSharedField:
                                           seed, proxy):
         shared = origin_exclusion_estimates(epsilons, c, box, trials, seed,
                                             proxy=proxy)
-        assert shared == [origin_exclusion_estimate(e, c, box, trials, seed,
-                                                    proxy=proxy)
+        assert shared == [origin_exclusion_estimates([e], c, box, trials,
+                                                     seed, proxy=proxy)[0]
                           for e in epsilons]
         # reference: a fresh Bernoulli mask per (epsilon, trial)
         hits = [sum(origin_excluded(

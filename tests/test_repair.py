@@ -203,6 +203,16 @@ class TestPeriodicSft:
         # translating the offset shifts the pattern
         g1 = p.tiling((0, 1), (0, 0), (2, 2))
         assert g1.data.tolist() == [[1, 0], [0, 1]]
+        # negative origins and offsets wrap around the period
+        s = parse_periodic(STRIPES_TEXT)
+        for offset in [(-1, 2), (4, -5), (-3, -7)]:
+            for origin in [(-4, -1), (-7, 3), (2, -2)]:
+                got = s.tiling(offset, origin, (4, 5))
+                assert got.origin == origin
+                assert got.data.tolist() == [
+                    [int(s.base[(origin[0] + i - offset[0]) % 3,
+                                (origin[1] + j - offset[1]) % 3])
+                     for j in range(5)] for i in range(4)]
 
     def test_tiling_origin_consistency(self):
         p = parse_periodic(CHECKER_TEXT)

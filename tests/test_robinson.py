@@ -43,30 +43,21 @@ class TestTileset:
         tile = rb.TILES[t]
         assert rb.colour_swap(rb.colour_swap(tile)) == tile
 
-    @given(st.integers(0, 55), st.integers(0, 55))
-    def test_matches_agrees_with_tables(self, a, b):
-        assert rb.matches(a, b, "E") == bool(rb.H_OK[a, b])
-        assert rb.matches(a, b, "N") == bool(rb.V_OK[b, a])
-
-    def test_matches_rejects_other_directions(self):
-        with pytest.raises(ValueError):
-            rb.matches(0, 0, "W")
-
     def test_make_cross_accepts_names(self):
         assert rb.make_cross("se") == rb.make_cross(0)
         assert rb.make_cross("NW", rb.DENTED) == rb.make_cross(2, rb.DENTED)
 
     def test_adjacent_tiles_of_a_macro_match(self):
         g = rb.build_macro(2, 0)
-        assert rb.matches(int(g[1, 0]), int(g[1, 1]), "E")
-        assert rb.matches(int(g[1, 0]), int(g[0, 0]), "N")
+        # g[1, 1] sits east of g[1, 0]; g[0, 0] sits north of it
+        assert rb.H_OK[g[1, 0], g[1, 1]]
+        assert rb.V_OK[g[0, 0], g[1, 0]]
 
     def test_square_rule(self):
+        # exactly one bumpy tile in a 2x2 block; the corners hold four
         g = rb.build_macro(2, 0)
-        assert rb.square_ok([int(g[0, 0]), int(g[0, 1]),
-                             int(g[1, 0]), int(g[1, 1])])
-        corners = [int(g[r, c]) for r in (0, 2) for c in (0, 2)]
-        assert not rb.square_ok(corners)
+        assert rb.PARITY[g[:2, :2]].sum() == 1
+        assert rb.PARITY[g[::2, ::2]].sum() == 4
 
 
 class TestMacros:
@@ -119,14 +110,6 @@ class TestMacros:
 
     def test_orient_by_name(self):
         assert np.array_equal(rb.build_macro(3, "ne"), rb.build_macro(3, 1))
-
-    def test_detected_centres_spacing(self):
-        g = rb.build_macro(4, 0)
-        centres = rb.detect_macro_centres(g, 2)
-        assert centres == [(r, c) for r in (1, 5, 9, 13)
-                           for c in (1, 5, 9, 13)]
-        rows = sorted({r for r, _ in centres})
-        assert min(np.diff(rows)) >= 4
 
 
 class TestEdgeWords:
