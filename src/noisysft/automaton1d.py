@@ -30,9 +30,21 @@ class WordAutomaton:
     # edges[i] = sorted tuple of (letter, target state index)
     edges: tuple[tuple[tuple[int, int], ...], ...]
 
-    @property
+    # computed on first read and kept on the instance; equality and hash
+    # still come from the fields alone
+    @functools.cached_property
     def index(self) -> dict:
         return {w: i for i, w in enumerate(self.states)}
+
+    @functools.cached_property
+    def _reach(self) -> dict:
+        """`_ReachTable` per target state, built on first use."""
+        return {}
+
+    @functools.cached_property
+    def _gaps(self) -> dict:
+        """`fill_gap` results per (left, right, n), at most _GAP_CACHE long."""
+        return {}
 
     def graph(self) -> nx.DiGraph:
         g = nx.DiGraph()
@@ -182,6 +194,47 @@ def format_word(sft: Sft, word: Word) -> str:
     return "".join(sft.alphabet[s] for s in word)
 
 
+def window_states(auto: WordAutomaton, word) -> np.ndarray:
+    """Index of the state spelled by word[p:p + word_len] for every start
+    p, or -1 where that window is no state, in the smallest signed integer
+    type that holds every index.
+
+    Each window is read as a number in base |alphabet| + 1, accumulated
+    letter by letter over all windows at once; the extra digit stands for
+    any letter outside the alphabet, so such windows match no state.  The
+    numbers index a lookup table when it is no larger than the word;
+    otherwise a binary search over the sorted state numbers finds them.
+    """
+    w = np.asarray(word, dtype=np.int64)
+    wl, nsym = auto.word_len, len(auto.sft.alphabet)
+    count = len(w) - wl + 1
+    out_type = np.min_scalar_type(-max(len(auto.states), 1))
+    if count <= 0:
+        return np.zeros(0, dtype=out_type)
+    if not auto.states:
+        return np.full(count, -1, dtype=out_type)
+    base = nsym + 1
+    size = base ** wl
+    # numbers past int64 fall back to exact Python integers
+    dtype = np.int64 if size < 2 ** 63 else object
+    valid = (w >= 0) & (w < nsym)
+    digits = (w if valid.all() else np.where(valid, w, nsym)).astype(
+        dtype, copy=False)
+    codes = np.zeros(count, dtype=dtype)
+    table = np.zeros(len(auto.states), dtype=dtype)
+    letters = np.array(auto.states, dtype=dtype).reshape(len(auto.states), wl)
+    for i in range(wl):
+        codes *= base
+        codes += digits[i:i + count]
+        table = table * base + letters[:, i]
+    if size <= count:
+        lut = np.full(size, -1, dtype=out_type)
+        lut[table] = np.arange(len(table))
+        return lut[codes]
+    idx = np.minimum(np.searchsorted(table, codes), len(table) - 1)
+    return np.where(table[idx] == codes, idx, -1).astype(out_type)
+
+
 def is_globally_admissible(auto: WordAutomaton, word) -> bool:
     """Does the word occur in some bi-infinite admissible configuration?
 
@@ -190,27 +243,32 @@ def is_globally_admissible(auto: WordAutomaton, word) -> bool:
     co-reachable to a cycle.  Shorter words only need to occur inside some
     such state.
     """
-    w = coerce_word(auto.sft, word)
+    if not isinstance(word, np.ndarray):
+        word = coerce_word(auto.sft, word)
+    w = np.asarray(word, dtype=np.int64)
     wl = auto.word_len
     live = live_states(auto)
     if len(w) < wl:
+        w = tuple(int(v) for v in w)
         for i in live:
             s = auto.states[i]
             if any(s[a:a + len(w)] == w for a in range(wl - len(w) + 1)):
                 return True
         return False
-    index = auto.index
-    prev = index.get(w[:wl])
-    if prev is None or prev not in live:
+    states = window_states(auto, w)
+    # the extra last slot is False, so a window that is no state (-1) fails
+    live_at = np.zeros(len(auto.states) + 1, dtype=bool)
+    live_at[list(live)] = True
+    if not live_at[states].all():
         return False
-    for i in range(wl, len(w)):
-        nxt = index.get(w[i - wl + 1:i + 1])
-        if nxt is None or nxt not in live:
-            return False
-        if not any(b == w[i] and j == nxt for b, j in auto.edges[prev]):
-            return False
-        prev = nxt
-    return True
+    # consecutive windows overlap in word_len - 1 letters, so the step
+    # between them is the edge out of the first state labelled by the
+    # next letter
+    steps = np.zeros((len(auto.states), len(auto.sft.alphabet)), dtype=bool)
+    for u, outs in enumerate(auto.edges):
+        for b, _ in outs:
+            steps[u, b] = True
+    return bool(steps[states[:-1], w[wl:]].all())
 
 
 def _wielandt_cap(k: int) -> int:
@@ -332,17 +390,31 @@ def _state_index(auto: WordAutomaton, state) -> int:
         raise ValueError(f"{w} is not a state") from None
 
 
+_GAP_CACHE = 4096
+
+
 def fill_gap(auto: WordAutomaton, left, right, n: int) -> Word | None:
     """Lexicographically least word w of length n with left.w.right locally
     admissible as a path, or None when no such word exists.
 
     Deterministic: ties are broken by alphabet order at every letter.
+    Results are kept per automaton, the oldest dropped past _GAP_CACHE.
     """
     if n < 0:
         raise ValueError("gap length must be nonnegative")
-    li = _state_index(auto, left)
-    ri = _state_index(auto, right)
-    reach = _ReachTable(auto, ri)
+    key = (_state_index(auto, left), _state_index(auto, right), n)
+    gaps = auto._gaps
+    if key not in gaps:
+        if len(gaps) >= _GAP_CACHE:
+            del gaps[next(iter(gaps))]
+        gaps[key] = _walk_gap(auto, *key)
+    return gaps[key]
+
+
+def _walk_gap(auto: WordAutomaton, li: int, ri: int, n: int) -> Word | None:
+    if ri not in auto._reach:
+        auto._reach[ri] = _ReachTable(auto, ri)
+    reach = auto._reach[ri]
     wl = auto.word_len
     if li not in reach(n + wl):
         return None

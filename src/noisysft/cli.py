@@ -40,6 +40,11 @@ def _box(text: str) -> tuple[int, ...]:
     return sides
 
 
+# default box of each sweep kind, shared by its own subcommand and `sweep`
+SWEEP_BOX = {"repair1d": (100_000,), "perc": (1024,), "repair2d": (512, 512),
+             "robinson_repair": (1024, 1024)}
+
+
 def _apply_config(argv: list[str]) -> list[str]:
     """Pull --config out of argv and splice the file's pairs in as flags
     right after the subcommand, so later (explicit) flags win."""
@@ -99,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="origin exclusion probability vs the union bound")
     p.add_argument("--epsilons", type=_floats, required=True)
     p.add_argument("--c", type=int, default=1)
-    p.add_argument("--box", type=_box, default=(1024,))
+    p.add_argument("--box", type=_box, default=SWEEP_BOX["perc"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--proxy", choices=("largest", "sides"), default="largest")
 
@@ -107,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="changed-fraction sweep for 1D repair")
     p.add_argument("--sft", default="golden-mean")
     p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=(100_000,))
+    p.add_argument("--box", type=_box, default=SWEEP_BOX["repair1d"])
     p.add_argument("--trials", type=int, default=50)
 
     p = sub.add_parser("repair2d", parents=[common],
@@ -115,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--periodic", required=True,
                    help="registered name (checkerboard, stripes) or file")
     p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=(512, 512))
+    p.add_argument("--box", type=_box, default=SWEEP_BOX["repair2d"])
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--c", type=int, default=None)
 
@@ -138,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = rsub.add_parser("repair", help="scale-N repair sweep")
     g.add_argument("--epsilon", type=_floats, required=True)
     g.add_argument("--scale", type=_ints, default=(2,))
-    g.add_argument("--box", type=_box, default=(1024, 1024))
+    g.add_argument("--box", type=_box, default=SWEEP_BOX["robinson_repair"])
     g.add_argument("--trials", type=int, default=10)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--threads", type=int, default=1)
@@ -177,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=sorted(hn._SWEEP_DRIVERS))
     p.add_argument("--sft", default="golden-mean")
     p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=(100_000,))
+    p.add_argument("--box", type=_box, default=None,
+                   help="default: the box of the kind's own subcommand")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--scales", type=_ints, default=(2,))
@@ -331,7 +337,8 @@ def _dispatch(args) -> int:
         return _cmd_instability(args)
     if args.cmd == "sweep":
         spec = hn.ExperimentSpec(kind=args.kind, sft=args.sft,
-                                 epsilons=args.epsilons, box=args.box,
+                                 epsilons=args.epsilons,
+                                 box=args.box or SWEEP_BOX[args.kind],
                                  trials=args.trials, seed=args.seed,
                                  c=args.c, scales=args.scales,
                                  proxy=args.proxy, threads=args.threads,

@@ -27,10 +27,15 @@ from .core import (
     Grid,
     NoiseMask,
     Sft,
-    is_locally_admissible,
     parse_sft,
 )
-from .noise import derive_seed, marginal_rate, parse_model, sample_mask
+from .noise import (
+    cell_uniform,
+    derive_seed,
+    marginal_rate,
+    parse_model,
+    sample_mask,
+)
 from .percolation import exclusion_bound, origin_exclusion_estimates
 from .repair import (
     PeriodicSft,
@@ -192,23 +197,60 @@ def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
 
     The walk starts at a live state and follows only edges into live
     states; every live state has one, since a bi-infinite path runs
-    through it."""
+    through it.  The start state and each step are fixed by pre-drawn
+    integers: step i leaves state s by its (draw % deg(s))-th live edge.
+
+    The walk runs in numpy.  With L the lcm of the live out-degrees,
+    draw % deg(s) == (draw % L) % deg(s), because deg(s) divides L, so
+    one (state, draw % L) table gives each step's next state and letter.
+    The steps are cut into blocks of about sqrt(steps) (and at least as
+    many steps as live states, so every array stays O(length)).  Pass 1
+    runs every block but the last from every live state at once, giving
+    each block's map from entry to exit state; a short loop over the
+    blocks chains the maps into each block's entry state; pass 2 walks
+    all blocks from their entries at once and reads off the letters."""
     if length < auto.word_len:
         raise ValueError("box shorter than the automaton word length")
     live = a1d.live_states(auto)
     if not live:
         raise ValueError("automaton has no admissible configurations")
-    edges = [[e for e in out if e[1] in live] for out in auto.edges]
     starts = sorted(live)
+    pos = {s: i for i, s in enumerate(starts)}
+    opts = [[(b, pos[j]) for b, j in auto.edges[s] if j in live]
+            for s in starts]
+    period = math.lcm(*(len(o) for o in opts))
+    # (state, draw % period) -> (letter, next state), flattened per column
+    table = np.array([[o[r % len(o)] for r in range(period)] for o in opts],
+                     dtype=np.int64)
+    letter, nxt = table[..., 0].ravel(), table[..., 1].ravel()
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << 32, size=length + 1)
-    state = starts[int(draws[0]) % len(starts)]
-    out = list(auto.states[state])
-    for i in range(length - len(out)):
-        opts = edges[state]
-        letter, state = opts[int(draws[i + 1]) % len(opts)]
-        out.append(letter)
-    return np.asarray(out[:length], dtype=np.int64)
+    first = int(draws[0]) % len(starts)
+    steps = length - auto.word_len
+    if steps == 0:
+        return np.asarray(auto.states[starts[first]], dtype=np.int64)
+    block = max(math.isqrt(steps), len(starts))
+    nblocks = -(-steps // block)
+    # row b holds the draws of block b; the last block is padded
+    cols = np.zeros((nblocks, block), dtype=np.int64)
+    np.remainder(draws[1:steps + 1], period, out=cols.reshape(-1)[:steps])
+    del draws
+    maps = np.tile(np.arange(len(starts), dtype=np.int64), (nblocks - 1, 1))
+    for j in range(block):
+        maps = nxt[maps * period + cols[:-1, j, None]]
+    entry = np.empty(nblocks, dtype=np.int64)
+    entry[0] = first
+    for b in range(nblocks - 1):
+        entry[b + 1] = maps[b, entry[b]]
+    word = np.empty(auto.word_len + nblocks * block, dtype=np.int64)
+    word[:auto.word_len] = auto.states[starts[first]]
+    letters = word[auto.word_len:].reshape(nblocks, block)
+    cur = entry
+    for j in range(block):
+        at = cur * period + cols[:, j]
+        letters[:, j] = letter[at]
+        cur = nxt[at]
+    return word[:length]
 
 
 def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
@@ -257,31 +299,37 @@ def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
     return rows
 
 
-def _corrupted(clean: np.ndarray, eps: float, nsym: int,
-               tseed: int) -> tuple[Grid, NoiseMask]:
-    """The clean sample under Bernoulli(eps) noise, seeded per trial."""
-    mask = sample_mask(parse_model(f"bernoulli:{eps}"), clean.shape,
-                       derive_seed(tseed, "mask"))
+def _masks(shape, epsilons, tseed: int) -> list[NoiseMask]:
+    """Bernoulli(eps) masks for every epsilon from one keyed field per
+    trial: the mask seed ignores epsilon, so thresholding one field gives
+    the masks `sample_mask` would draw for each epsilon."""
+    origin = (0,) * len(shape)
+    u = cell_uniform(derive_seed(tseed, "mask"), origin, shape)
+    return [NoiseMask(origin, u < eps) for eps in epsilons]
+
+
+def _corrupted(clean: np.ndarray, mask: NoiseMask, nsym: int,
+               tseed: int) -> Grid:
+    """The clean sample with the masked cells resampled, seeded per trial."""
     noisy = corrupt(clean, mask.data.astype(bool), nsym,
                     derive_seed(tseed, "corrupt"))
-    return Grid((0,) * clean.ndim, noisy), mask
+    return Grid((0,) * clean.ndim, noisy)
 
 
 def _trial_repair1d(args):
     (sft, length), epsilons, tseed = args
     auto = _auto_cached(sft)
     word = sample_admissible_word(auto, length, derive_seed(tseed, "clean"))
-    return [_repair1d_cell(auto, word, eps, tseed) for eps in epsilons]
+    return [_repair1d_cell(auto, word, mask, tseed)
+            for mask in _masks(word.shape, epsilons, tseed)]
 
 
-def _repair1d_cell(auto: a1d.WordAutomaton, word: np.ndarray, eps: float,
-                   tseed: int) -> dict:
-    grid, mask = _corrupted(word, eps, len(auto.sft.alphabet), tseed)
+def _repair1d_cell(auto: a1d.WordAutomaton, word: np.ndarray,
+                   mask: NoiseMask, tseed: int) -> dict:
+    grid = _corrupted(word, mask, len(auto.sft.alphabet), tseed)
     rep = repair_1d(auto, grid, mask)
     lo, hi = rep.interior
-    # locally admissible == globally admissible on an irreducible target
-    admissible = is_locally_admissible(
-        auto.sft, Grid((0,), rep.grid.data[lo:hi]))
+    admissible = a1d.is_globally_admissible(auto, rep.grid.data[lo:hi])
     pos = np.flatnonzero(rep.changed)
     pos = pos[(pos >= lo) & (pos < hi)]
     local = np.all(_locality_flags(pos, np.flatnonzero(mask.data),
@@ -356,12 +404,13 @@ def _trial_repair2d(args):
     rng = np.random.default_rng(derive_seed(tseed, "offset"))
     offset = orbit[int(rng.integers(len(orbit)))]
     clean = p.tiling(offset, (0, 0), shape).data
-    return [_repair2d_cell(p, clean, offset, c, eps, tseed) for eps in epsilons]
+    return [_repair2d_cell(p, clean, offset, c, mask, tseed)
+            for mask in _masks(shape, epsilons, tseed)]
 
 
 def _repair2d_cell(p: PeriodicSft, clean: np.ndarray, offset, c: int,
-                   eps: float, tseed: int) -> dict:
-    grid, mask = _corrupted(clean, eps, len(p.sft.alphabet), tseed)
+                   mask: NoiseMask, tseed: int) -> dict:
+    grid = _corrupted(clean, mask, len(p.sft.alphabet), tseed)
     rep = repair_periodic(p, grid, mask, c=c)
     return {"changed_fraction": rep.changed_fraction,
             "offset_recovered": float(tuple(rep.offset) == tuple(offset))}
@@ -384,13 +433,13 @@ def _trial_robinson(args):
     clean = rb.reference_window((0, 0), shape, t_in)
     period = 2 ** (n_scale + 1)
     t_mod = (t_in[0] % period, t_in[1] % period)
-    return [_robinson_cell(clean, n_scale, t_mod, eps, tseed)
-            for eps in epsilons]
+    return [_robinson_cell(clean, n_scale, t_mod, mask, tseed)
+            for mask in _masks(shape, epsilons, tseed)]
 
 
-def _robinson_cell(clean: np.ndarray, n_scale: int, t_mod, eps: float,
+def _robinson_cell(clean: np.ndarray, n_scale: int, t_mod, mask: NoiseMask,
                    tseed: int) -> dict:
-    grid, mask = _corrupted(clean, eps, rb.NTILES, tseed)
+    grid = _corrupted(clean, mask, rb.NTILES, tseed)
     rep = rb.robinson_repair(grid, mask, n_scale, seed=tseed)
     return {"changed_fraction": rep.changed_fraction,
             "translate_recovered": float(rep.translate == t_mod),

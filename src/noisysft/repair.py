@@ -66,7 +66,6 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
     are counted separately.
     """
     auto = _coerce_automaton(sft_or_auto)
-    nsym = len(auto.sft.alphabet)
     rc = a1d.repair_constants(auto, refined=refined)
     wl, e_const, c_const, n0 = rc.word_len, rc.E, rc.C, rc.n0
     h = -(-auto.sft.diameter // 2)
@@ -87,16 +86,28 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
     end_rewrites = 0
     live = a1d.live_states(auto)
 
+    def window_start(pos: int, side: str) -> int | None:
+        """Start of out[pos-wl:pos] (left) or out[pos:pos+wl] (right), None
+        when that window leaves the box."""
+        lo = pos - wl if side == "left" else pos
+        return lo if 0 <= lo <= length - wl else None
+
+    # out is not written until every window is filled, so the anchors
+    # read their states from one pass over the noisy word
+    states_at = a1d.window_states(auto, out)
+
     def anchor_state(pos: int, side: str) -> int | None:
-        """State read from out[pos-wl:pos] (left) or out[pos:pos+wl] (right)."""
-        if side == "left":
-            lo, hi = pos - wl, pos
-        else:
-            lo, hi = pos, pos + wl
-        if lo < 0 or hi > length:
+        lo = window_start(pos, side)
+        if lo is None or states_at[lo] < 0:
             return None
-        word = tuple(int(v) for v in out[lo:hi])
-        return auto.index.get(word)
+        return int(states_at[lo])
+
+    def peel_state(pos: int, side: str) -> int | None:
+        """As anchor_state, read from out after the fills."""
+        lo = window_start(pos, side)
+        if lo is None:
+            return None
+        return auto.index.get(tuple(int(v) for v in out[lo:lo + wl]))
 
     windows = _runs(fat)
     # windows reaching into the peel margins count as boundary windows
@@ -199,9 +210,9 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
         for side in ("lo", "hi"):
             for j in range(c_const + 1):
                 if side == "lo":
-                    st = anchor_state(margin_lo + j + wl, "left")
+                    st = peel_state(margin_lo + j + wl, "left")
                 else:
-                    st = anchor_state(margin_hi - j - wl, "right")
+                    st = peel_state(margin_hi - j - wl, "right")
                 if st is not None and st in live:
                     if j > 0:
                         if side == "lo":

@@ -641,8 +641,14 @@ def forcing_3square() -> dict:
     """Exhaustive 3x3 solution counts for a pinned bumpy cross.
 
     Key (corner, orient_name); value (solutions, macros among them).
-    Inward pins force the four 2-macro completions exactly.
+    Inward pins force the four 2-macro completions exactly.  The search
+    runs once per process; each call gets its own copy of the result.
     """
+    return dict(_forcing_3square())
+
+
+@lru_cache(maxsize=None)
+def _forcing_3square() -> dict:
     macros = [_macro_as_fixed(2, o) for o in range(4)]
     cells = [(r, c) for r in range(3) for c in range(3)]
     report = {}

@@ -1,6 +1,8 @@
 """Word automaton structure, classification, constants, gap filling."""
 
+import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -259,6 +261,142 @@ class TestFillGap:
             assert got == tuple((i + 1) % 2 for i in range(n))
         else:
             assert got is None
+
+
+def _gap_reference(auto, li, ri, n, reach=None):
+    """fill_gap's walk with its own reach table and no result cache."""
+    reach = reach or a1d._ReachTable(auto, ri)
+    wl = auto.word_len
+    if li not in reach(n + wl):
+        return None
+    out, cur = [], li
+    for i in range(n):
+        b, cur = next((b, j) for b, j in auto.edges[cur]
+                      if j in reach(n - i - 1 + wl))
+        out.append(b)
+    return tuple(out)
+
+
+small_sfts = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just("abc"[:k]),
+    st.lists(st.text("abc"[:k], min_size=2, max_size=4), min_size=1,
+             max_size=4)))
+
+
+def _admissible_reference(auto, word):
+    """is_globally_admissible as a Python loop over the word's states."""
+    w = a1d.coerce_word(auto.sft, word)
+    wl = auto.word_len
+    live = a1d.live_states(auto)
+    if len(w) < wl:
+        for i in live:
+            s = auto.states[i]
+            if any(s[a:a + len(w)] == w for a in range(wl - len(w) + 1)):
+                return True
+        return False
+    index = {s: i for i, s in enumerate(auto.states)}
+    prev = index.get(w[:wl])
+    if prev is None or prev not in live:
+        return False
+    for i in range(wl, len(w)):
+        nxt = index.get(w[i - wl + 1:i + 1])
+        if nxt is None or nxt not in live:
+            return False
+        if not any(b == w[i] and j == nxt for b, j in auto.edges[prev]):
+            return False
+        prev = nxt
+    return True
+
+
+class TestGlobalOracle:
+    # random SFTs, with fixed ones that have transient and dead states
+    sfts = st.one_of(small_sfts, st.sampled_from([
+        ("01", ["11", "010"]), ("ab", ["aa", "ba"]),
+        ("abc", ["ab", "ba", "cc", "aca"])]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sfts, st.data())
+    def test_matches_loop(self, sft, data):
+        auto = a1d.build_automaton(word_sft(*sft))
+        nsym = len(auto.sft.alphabet)
+        n = data.draw(st.integers(0, 70))
+        if auto.states and data.draw(st.booleans()):
+            # a path from any state, live or not, then maybe one bad letter
+            cur = data.draw(st.integers(0, len(auto.states) - 1))
+            word = list(auto.states[cur])
+            while len(word) < n and auto.edges[cur]:
+                b, cur = data.draw(st.sampled_from(auto.edges[cur]))
+                word.append(b)
+            word = word[:n]
+            if word and data.draw(st.booleans()):
+                word[data.draw(st.integers(0, len(word) - 1))] = \
+                    data.draw(st.integers(0, nsym - 1))
+        else:
+            word = data.draw(st.lists(st.integers(0, nsym - 1), max_size=n))
+        want = _admissible_reference(auto, word)
+        assert a1d.is_globally_admissible(auto, word) is want
+        assert a1d.is_globally_admissible(
+            auto, np.array(word, dtype=np.int64)) is want
+
+    @pytest.mark.parametrize("sft, word", [
+        # window numbers past int64: exact Python integers
+        (word_sft("01", ["00", "11", "0" * 66]), "01" * 40),
+        (word_sft("01", ["00", "11", "0" * 66]), "01" * 20 + "1"),
+        # a table of 3^12 windows is larger than the word: binary search
+        (word_sft("01", ["11", "0" * 13]), "0010" * 10),
+        (word_sft("01", ["11", "0" * 13]), "0" * 14 + "10"),
+    ])
+    def test_long_states(self, sft, word):
+        auto = a1d.build_automaton(sft)
+        assert a1d.is_globally_admissible(auto, word) is \
+            _admissible_reference(auto, word)
+
+    def test_letters_outside_alphabet(self):
+        auto = a1d.build_automaton(GOLDEN_MEAN)
+        assert not a1d.is_globally_admissible(auto, np.array([0, 2, 0]))
+        assert not a1d.is_globally_admissible(auto, [0, -1, 0])
+        assert list(a1d.window_states(auto, [0, 2, -1, 1])) == [0, -1, -1, 1]
+
+
+class TestCaches:
+    @settings(max_examples=60, deadline=None)
+    @given(small_sfts)
+    def test_memoised_fill_gap_matches_fresh_walk(self, sft):
+        auto = a1d.build_automaton(word_sft(*sft))
+        states = range(len(auto.states))
+        for ri in states:
+            reach = a1d._ReachTable(auto, ri)
+            for li, n in itertools.product(states, range(7)):
+                want = _gap_reference(auto, li, ri, n, reach)
+                # the second call reads the cache
+                assert a1d.fill_gap(auto, li, ri, n) == want, (sft, li, ri, n)
+                assert a1d.fill_gap(auto, li, ri, n) == want
+
+    def test_gap_cache_is_bounded(self, monkeypatch):
+        auto = dataclasses.replace(a1d.build_automaton(TWO_THREE))
+        monkeypatch.setattr(a1d, "_GAP_CACHE", 5)
+        states = range(len(auto.states))
+        for li, ri, n in itertools.product(states, states, range(4)):
+            assert a1d.fill_gap(auto, li, ri, n) == \
+                _gap_reference(auto, li, ri, n)
+            assert len(auto._gaps) <= 5
+        assert set(auto._reach) <= set(states)
+
+    def test_index_built_once(self):
+        auto = a1d.build_automaton(TWO_THREE)
+        assert auto.index is auto.index
+        assert auto.index == {w: i for i, w in enumerate(auto.states)}
+
+    def test_equality_and_hash_ignore_caches(self):
+        auto = a1d.build_automaton(TWO_THREE)
+        fresh = dataclasses.replace(auto)
+        assert "index" not in vars(fresh)
+        a1d.fill_gap(auto, 0, 1, 3)
+        auto.index
+        assert auto == fresh and hash(auto) == hash(fresh)
+        assert auto == pickle.loads(pickle.dumps(auto))
+        assert a1d.fill_gap(pickle.loads(pickle.dumps(auto)), 0, 1, 3) == \
+            a1d.fill_gap(fresh, 0, 1, 3)
 
 
 class TestExtend:

@@ -15,6 +15,7 @@ from noisysft.automaton1d import (
     live_states,
 )
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft, word_sft
+from noisysft.noise import derive_seed, parse_model, sample_mask
 from noisysft.percolation import exclusion_bound
 from noisysft.repair import PeriodicSft
 
@@ -105,6 +106,80 @@ class TestSampling:
         mask[10:20] = True
         noisy = H.corrupt(data, mask, 5, 3)
         assert np.array_equal(noisy[~mask], data[~mask])
+
+
+def _walk_reference(auto, length, seed):
+    """The sequential walk `sample_admissible_word` replaced: one Python
+    step per letter, the same draws."""
+    if length < auto.word_len:
+        raise ValueError("box shorter than the automaton word length")
+    live = live_states(auto)
+    if not live:
+        raise ValueError("automaton has no admissible configurations")
+    edges = [[e for e in out if e[1] in live] for out in auto.edges]
+    starts = sorted(live)
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, 1 << 32, size=length + 1)
+    state = starts[int(draws[0]) % len(starts)]
+    out = list(auto.states[state])
+    for i in range(length - len(out)):
+        opts = edges[state]
+        letter, state = opts[int(draws[i + 1]) % len(opts)]
+        out.append(letter)
+    return np.asarray(out[:length], dtype=np.int64)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+small_sfts = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just("abc"[:k]),
+    st.lists(st.text("abc"[:k], min_size=2, max_size=4), min_size=1,
+             max_size=4)))
+
+
+class TestBlockedWalk:
+    @given(small_sfts, st.integers(1, 40), st.integers(0, 2 ** 32))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sequential_walk(self, sft, k, seed):
+        auto = build_automaton(word_sft(*sft))
+        wl = auto.word_len
+        # the walk takes length - word_len steps in blocks of about
+        # sqrt(steps): k^2 steps fill k blocks exactly (when k is at least
+        # the live state count), k^2 - 1 and k^2 + 1 leave a short block
+        for length in (wl - 1, wl, wl + 1, wl + k * k - 1, wl + k * k,
+                       wl + k * k + 1):
+            want = _outcome(_walk_reference, auto, length, seed)
+            got = _outcome(H.sample_admissible_word, auto, length, seed)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            assert got.dtype == np.int64 and got.shape == (length,)
+            assert np.array_equal(got, want), (sft, length, seed)
+
+    @pytest.mark.parametrize("sft", [GOLDEN_MEAN, ALTERNATING,
+                                     word_sft("012", ["11", "202", "0220"])])
+    def test_long_words_match(self, sft):
+        auto = build_automaton(sft)
+        for length, seed in ((100_000, 3), (4097, 8), (12_345, 9)):
+            assert np.array_equal(H.sample_admissible_word(auto, length, seed),
+                                  _walk_reference(auto, length, seed))
+
+
+class TestMasks:
+    @pytest.mark.parametrize("shape", [(1000,), (40, 30)])
+    def test_one_field_gives_each_epsilons_mask(self, shape):
+        eps = (0.0, 0.002, 0.01, 0.3, 1.0)
+        masks = H._masks(shape, eps, 77)
+        for e, mask in zip(eps, masks):
+            want = sample_mask(parse_model(f"bernoulli:{e}"), shape,
+                               derive_seed(77, "mask"))
+            assert mask.origin == want.origin
+            assert np.array_equal(mask.data, want.data)
 
 
 class TestLocalityFlags:
@@ -515,6 +590,19 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert ",3,4," in out.read_text().splitlines()[1]
+
+    def test_sweep_default_box_is_the_kinds_own(self, tmp_path):
+        out = tmp_path / "s.csv"
+        code = cli.main(["sweep", "--kind", "repair2d", "--sft",
+                         "checkerboard", "--epsilons", "0.01", "--trials",
+                         "1", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()
+        box = list(H.SCHEMA).index("box")
+        metric = list(H.SCHEMA).index("metric")
+        assert len(rows) > 1
+        assert {r.split(",")[box] for r in rows[1:]} == {"512x512"}
+        assert "error" not in {r.split(",")[metric] for r in rows[1:]}
 
     def test_config_needs_path(self, capsys):
         assert cli.main(["sweep", "--config"]) == 2

@@ -262,6 +262,14 @@ class TestPeel:
             == [((0, 0), "bumpy")]
         assert rb.cross_lattice_defects(g, (0, 0), (2, 0)) == []
 
+    def test_forcing_report_is_a_fresh_copy(self):
+        first = rb.forcing_3square()
+        want = dict(first)
+        first.clear()
+        again = rb.forcing_3square()
+        assert again == want and len(again) == 16
+        assert again is not rb.forcing_3square()
+
     def test_report_shape(self):
         rep = rb.peel_verify(n=3)
         assert set(rep["forcing"]) == {
