@@ -333,7 +333,10 @@ class RepairConstants:
     E: int
 
 
+@functools.lru_cache(maxsize=None)
 def repair_constants(auto: WordAutomaton, refined: bool = False) -> RepairConstants:
+    """The constants of `repair.repair_1d`, built once per (automaton,
+    refined) and shared: `RepairConstants` is frozen."""
     n0 = sticking_constant_n0(auto)
     c = peel_constant_C(auto, refined=refined)
     half_d = -(-auto.sft.diameter // 2)

@@ -9,6 +9,7 @@ overlap.  The hash is a splitmix64-style mixer applied coordinatewise.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,7 @@ from .core import NoiseMask, thicken
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_BLOCK_CELLS = 2 ** 15  # 32 rows of 1024: 256 KB of uint64 per temporary
 
 
 def _mix(z):
@@ -45,18 +47,38 @@ def derive_seed(*parts) -> int:
     return int(h)
 
 
+def _finish_hash(h, axes, out):
+    """Mix the hashes h of the leading coordinates with each mixed trailing
+    axis in turn, then write the top 53 bits of each cell as a float."""
+    with np.errstate(over="ignore"):
+        for m in axes:
+            h = _mix(h[..., None] ^ m)
+    h >>= np.uint64(11)
+    return np.multiply(h, 2.0 ** -53, out=out)
+
+
 def cell_uniform(seed: int, origin, shape) -> np.ndarray:
     """Per-cell uniforms in [0, 1) keyed by absolute coordinates: cell x
     hashes to h_d, h_0 = seed, h_{i+1} = mix(h_i ^ mix(x_i + GOLDEN (i+1))).
-    The inner mix runs on each axis's coordinates, then broadcasts."""
-    h = np.full((), seed, dtype=np.uint64)
+    The inner mix runs on each axis's coordinates, then broadcasts.  Fields
+    of two or more axes are hashed in blocks of about _BLOCK_CELLS cells
+    along the leading axis, so the uint64 temporaries stay in cache."""
+    axes = []
     with np.errstate(over="ignore"):
         for i, (o, s) in enumerate(zip(origin, shape)):
             axis = np.arange(o, o + s, dtype=np.int64).view(np.uint64)
             axis += _GOLDEN * np.uint64(i + 1)
-            h = _mix(h[..., None] ^ _mix(axis))
-    h >>= np.uint64(11)
-    return h.astype(np.float64) * 2.0 ** -53
+            axes.append(_mix(axis))
+    h = np.full((), seed, dtype=np.uint64)
+    out = np.empty(tuple(shape), dtype=np.float64)
+    if len(axes) < 2:  # one row is already a block; blocking measured slower
+        return _finish_hash(h, axes, out)
+    with np.errstate(over="ignore"):
+        lead = _mix(h[..., None] ^ axes[0])
+    rows = max(1, _BLOCK_CELLS // max(1, math.prod(out.shape[1:])))
+    for a in range(0, len(lead), rows):
+        _finish_hash(lead[a:a + rows], axes[1:], out[a:a + rows])
+    return out
 
 
 @dataclass(frozen=True)

@@ -908,7 +908,6 @@ def infer_translate(grid, mask, N: int, votes_ok=None):
         best = int(np.argmax(votes))
         tr, tc = best // 4, best % 4
 
-    dented = IS_DENTED_CROSS[g]
     for m in range(3, N + 2):
         period = 2 ** m
         half = period // 2
@@ -917,9 +916,13 @@ def infer_translate(grid, mask, N: int, votes_ok=None):
             for ac in (0, 1):
                 cr = (tr + ar * half + half - 1) % period
                 cc = (tc + ac * half + half - 1) % period
-                on = votes_ok & (pr % period == cr) & (pc % period == cc)
+                # the cells at absolute (cr, cc) mod period
+                cells = (slice((cr - origin[0]) % period, None, period),
+                         slice((cc - origin[1]) % period, None, period))
+                on = votes_ok[cells]
                 total = int(on.sum())
-                score = float((on & dented).sum()) / total if total else 0.0
+                dented = int((on & IS_DENTED_CROSS[g[cells]]).sum())
+                score = dented / total if total else 0.0
                 if score > best_score:
                     best_score, best_ext = score, (ar, ac)
         tr += best_ext[0] * half

@@ -421,3 +421,14 @@ class TestExtend:
         assert a1d.lex_least_admissible_word(golden, 4) == (0, 0, 0, 0)
         alt = a1d.build_automaton(ALTERNATING)
         assert a1d.lex_least_admissible_word(alt, 4) == (0, 1, 0, 1)
+
+
+class TestRepairConstantsCache:
+    def test_built_once_and_equal_to_fresh(self):
+        for sft in (GOLDEN_MEAN, FULL_SHIFT_2, word_sft("01", ["11", "010"])):
+            auto = a1d.build_automaton(sft)
+            for refined in (False, True):
+                first = a1d.repair_constants(auto, refined=refined)
+                assert a1d.repair_constants(auto, refined=refined) is first
+                assert first == a1d.repair_constants.__wrapped__(
+                    auto, refined=refined)

@@ -212,3 +212,30 @@ class TestMeta:
         m = sample_mask(Bernoulli(0.1), (10,), seed=42)
         assert m.meta["model"] == "bernoulli:0.1"
         assert m.meta["seed"] == 42
+
+
+class TestCellUniformBlocks:
+    @pytest.mark.parametrize("origin, shape", [
+        ((-35, 17), (70, 1024)),      # blocks of 32 rows: 32 + 32 + 6
+        ((5, -20, -350), (3, 40, 700)),  # one row of 28000 cells per block
+        ((0, 0), (1, 40000)),         # a row longer than a block
+        ((7, 3), (65, 512)),          # blocks of 64 rows
+    ])
+    def test_block_seams_and_random_cells(self, origin, shape):
+        seed = 2 ** 64 - 3
+        u = cell_uniform(seed, origin, shape)
+        assert u.shape == shape and u.dtype == np.float64
+        rows = max(1, 2 ** 15 // int(np.prod(shape[1:])))
+        lead = sorted({r for a in range(0, shape[0], rows)
+                       for r in (a - 1, a) if 0 <= r < shape[0]})
+        rng = np.random.default_rng(len(shape))
+        cells = [tuple(int(rng.integers(0, s)) for s in shape)
+                 for _ in range(200)]
+        for r in lead:
+            cells += [(r,) + tuple(int(rng.integers(0, s)) for s in shape[1:])
+                      for _ in range(20)]
+            cells += [(r,) + tuple(s - 1 for s in shape[1:]),
+                      (r,) + (0,) * (len(shape) - 1)]
+        for idx in cells:
+            cell = [o + i for o, i in zip(origin, idx)]
+            assert u[idx] == _ref_uniform(seed, cell), idx

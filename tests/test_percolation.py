@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import ndimage
 
-from noisysft.core import NoiseMask
+from noisysft import percolation
+from noisysft.core import NoiseMask, thicken
 from noisysft.noise import Bernoulli, derive_seed, sample_mask
 from noisysft.percolation import (
     ExclusionEstimate,
@@ -173,3 +175,187 @@ class TestSharedField:
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
             origin_exclusion_estimates([0.1, 1.5], 1, 17, 2, 0)
+
+
+def _dense_excluded(mask, c, proxy="largest"):
+    """origin_excluded as it was: label the whole thickened box."""
+    tm = thicken(mask, c)
+    struct = ndimage.generate_binary_structure(tm.data.ndim, 1)
+    labels, count = ndimage.label(tm.data == 0, structure=struct)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    centre = tuple(s // 2 for s in labels.shape)
+    if proxy == "largest":
+        lab = 0 if len(sizes) == 1 else int(np.argmax(sizes[1:])) + 1
+    elif proxy == "sides":
+        candidates = None
+        for axis in range(labels.ndim):
+            for edge in (0, -1):
+                touch = set(np.unique(np.take(labels, edge, axis=axis))) - {0}
+                candidates = touch if candidates is None else candidates & touch
+        lab = min(candidates) if candidates else 0
+    else:
+        raise ValueError(f"unknown proxy {proxy!r}")
+    return lab == 0 or labels[centre] != lab
+
+
+@pytest.fixture
+def dense_calls(monkeypatch):
+    """Counts the whole-box labellings origin_excluded falls back to."""
+    calls = []
+    real = percolation.open_components
+
+    def spy(mask, c):
+        calls.append(mask.shape)
+        return real(mask, c)
+
+    monkeypatch.setattr(percolation, "open_components", spy)
+    return calls
+
+
+def _points(shape, cells):
+    data = np.zeros(shape, dtype=np.uint8)
+    for cell in cells:
+        data[cell] = 1
+    return NoiseMask((-7, 3), data)
+
+
+def _ring(shape, centre, radius, step):
+    """Points every `step` cells on the square of the given Chebyshev
+    radius around `centre`, corners included."""
+    r0, c0 = centre
+    offs = sorted(set(range(-radius, radius + 1, step)) | {radius})
+    return ([(r0 + d, c0 + e) for d in (-radius, radius) for e in offs]
+            + [(r0 + e, c0 + d) for d in (-radius, radius) for e in offs])
+
+
+class TestSparseDecision:
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 90), st.integers(3, 90),
+           st.integers(-100, 100), st.integers(-100, 100), st.integers(1, 3),
+           st.floats(0.002, 0.2), st.sampled_from(["largest", "sides"]))
+    def test_matches_dense_reference(self, seed, h, w, o0, o1, c, density,
+                                     proxy):
+        rng = np.random.default_rng(seed)
+        data = (rng.random((h, w)) < density).astype(np.uint8)
+        mask = NoiseMask((o0, o1), data)
+        if min(h, w) <= 2 * c:
+            with pytest.raises(ValueError, match="too small"):
+                _dense_excluded(mask, c, proxy)
+            with pytest.raises(ValueError, match="too small"):
+                origin_excluded(mask, c, proxy=proxy)
+            return
+        assert origin_excluded(mask, c, proxy=proxy) == \
+            _dense_excluded(mask, c, proxy)
+
+    def test_certified_answers_match_on_random_fields(self):
+        rng = np.random.default_rng(5)
+        certified = excluded = 0
+        for _ in range(1500):
+            h, w = (int(v) for v in rng.integers(7, 90, size=2))
+            c = int(rng.integers(1, 4))
+            if min(h, w) <= 2 * c:
+                continue
+            density = float(np.exp(rng.uniform(np.log(0.002), np.log(0.2))))
+            mask = NoiseMask((0, 0), rng.random((h, w)) < density)
+            got = percolation._sparse_excluded(mask.data, c)
+            if got is not None:
+                certified += 1
+                excluded += got
+                assert got == _dense_excluded(mask, c)
+        # both answers occur on the certified path
+        assert certified > 700 and 0 < excluded < certified
+
+    def test_ring_of_points_encloses_centre(self, dense_calls):
+        # c = 1: points 3 apart give 3x3 squares that touch edge to edge
+        mask = _points((41, 41), _ring((41, 41), (20, 20), 8, 3))
+        assert origin_excluded(mask, 1)
+        assert dense_calls == []
+        assert _dense_excluded(mask, 1)
+
+    def test_two_squares_cut_off_a_corner(self, dense_calls):
+        # c = 2: squares at thickened rows 0-4, cols 4-8 and rows 5-9,
+        # cols 0-4 close a 5x4 pocket in the corner; the centre stays out
+        mask = _points((31, 61), [(4, 8), (9, 4)])
+        tm = thicken(mask, 2)
+        labels, _ = ndimage.label(tm.data == 0, structure=percolation._CROSS)
+        assert np.count_nonzero(labels == labels[0, 0]) == 20
+        assert not origin_excluded(mask, 2)
+        assert dense_calls == []
+        assert not _dense_excluded(mask, 2)
+
+    def test_corner_pocket_holding_the_centre(self, dense_calls):
+        # an L-shaped wall from the top side down and across to the left
+        # side closes the top-left corner, which holds the centre but is
+        # smaller than the rest of the box
+        wall = [(r, 91) for r in range(1, 14, 3)] \
+            + [(13, q) for q in range(1, 92, 3)]
+        mask = _points((23, 153), wall)
+        assert origin_excluded(mask, 1)
+        assert dense_calls == []
+        assert _dense_excluded(mask, 1)
+
+    def test_centre_obscured(self, dense_calls):
+        mask = _points((33, 47), [(17, 23)])
+        assert origin_excluded(mask, 1)
+        assert dense_calls == []
+
+    def test_all_obscured(self, dense_calls):
+        # the certificate would fail, but an obscured centre is excluded
+        # whatever the rest of the box holds
+        mask = NoiseMask((0, 0), np.ones((15, 15), dtype=np.uint8))
+        assert origin_excluded(mask, 2)
+        assert dense_calls == []
+        assert _dense_excluded(mask, 2)
+
+    def test_nothing_obscured(self, dense_calls):
+        assert not origin_excluded(_points((12, 30), []), 3)
+        assert dense_calls == []
+
+
+class TestSparseFallback:
+    """Every case the certificate does not cover labels the box whole once
+    and gives the dense answer."""
+
+    @pytest.mark.parametrize("mask, c, proxy", [
+        # a wall across the whole width: a cluster spans the box
+        (_points((31, 31), [(20, q) for q in range(0, 31, 3)]), 1, "largest"),
+        # a ring whose window covers most of the box: the pocket it closes
+        # is the largest component, so the area test must fail
+        (_points((41, 41), _ring((41, 41), (20, 20), 15, 3)), 1, "largest"),
+        # a clear centre in a mask too dense for the neighbour scan
+        (_points((29, 29), [(r, q) for r in range(29) for q in range(29)
+                            if not (12 <= r < 17 and 12 <= q < 17)]),
+         1, "largest"),
+        (_points((33, 33), [(5, 5)]), 1, "sides"),
+        (_points((33, 33), [(16, 16)]), 0, "largest"),
+        (NoiseMask((0, 0, 0), np.zeros((9, 9, 9), dtype=np.uint8)), 1,
+         "largest"),
+    ], ids=["spanning", "area", "dense-scan", "sides", "c0", "3d"])
+    def test_falls_back_to_dense(self, dense_calls, mask, c, proxy):
+        assert origin_excluded(mask, c, proxy=proxy) == \
+            _dense_excluded(mask, c, proxy)
+        assert len(dense_calls) == 1
+
+    def test_box_too_small(self):
+        mask = _points((4, 40), [(1, 1)])
+        with pytest.raises(ValueError, match="box too small to thicken"):
+            origin_excluded(mask, 2)
+
+    def test_unknown_proxy(self):
+        with pytest.raises(ValueError, match="unknown proxy"):
+            origin_excluded(_points((9, 9), []), 1, proxy="biggest")
+
+
+class TestLazySizes:
+    def test_single_component_skips_histogram(self):
+        comp = open_components(_points((20, 20), [(3, 3)]), 1)
+        assert comp.count == 1 and comp.largest_label == 1
+        assert "sizes" not in vars(comp)
+        assert comp.sizes[1] == 18 * 18 - 9
+
+    def test_sizes_match_bincount(self):
+        rows = np.zeros((7, 7), dtype=np.uint8)
+        rows[:, 2] = 1
+        comp = open_components(mask_from(rows), c=0)
+        assert comp.count == 2
+        assert np.array_equal(comp.sizes, np.bincount(comp.labels.ravel()))

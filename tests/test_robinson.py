@@ -438,3 +438,60 @@ class TestVerifySuite:
     def test_groups_run_clean(self):
         checks = rb.verify_suite(groups=("tileset", "align"))
         assert checks and all(ok for _, ok, _ in checks)
+
+
+def _infer_translate_full_box(grid, mask, N, votes_ok=None):
+    """infer_translate as it was, with full-box residue masks per level."""
+    g, origin = rb._as_ids(grid)
+    clear = rb._as_clear(mask, g.shape)
+    votes_ok = clear if votes_ok is None else votes_ok & clear
+    h, w = g.shape
+    pr = np.arange(h).reshape(-1, 1) + origin[0]
+    pc = np.arange(w).reshape(1, -1) + origin[1]
+    sel = votes_ok & (rb.BUMPY_ORIENT[g] >= 0)
+    no_votes = not sel.any()
+    if no_votes:
+        tr = tc = 0
+    else:
+        vr = (np.broadcast_to(pr, g.shape)[sel] - rb.CLASS_R[g[sel]]) % 4
+        vc = (np.broadcast_to(pc, g.shape)[sel] - rb.CLASS_C[g[sel]]) % 4
+        best = int(np.argmax(np.bincount(vr * 4 + vc, minlength=16)))
+        tr, tc = best // 4, best % 4
+    dented = rb.IS_DENTED_CROSS[g]
+    for m in range(3, N + 2):
+        period = 2 ** m
+        half = period // 2
+        best_score, best_ext = -1.0, (0, 0)
+        for ar in (0, 1):
+            for ac in (0, 1):
+                cr = (tr + ar * half + half - 1) % period
+                cc = (tc + ac * half + half - 1) % period
+                on = votes_ok & (pr % period == cr) & (pc % period == cc)
+                total = int(on.sum())
+                score = float((on & dented).sum()) / total if total else 0.0
+                if score > best_score:
+                    best_score, best_ext = score, (ar, ac)
+        tr += best_ext[0] * half
+        tc += best_ext[1] * half
+    return (tr, tc), no_votes
+
+
+class TestInferTranslateStrided:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.integers(-300, 300), st.integers(-300, 300),
+           st.integers(1, 70), st.integers(1, 70),
+           st.sampled_from([0.0, 0.05, 0.5, 1.0]), st.booleans(),
+           st.booleans())
+    def test_matches_full_box_levels(self, seed, n, o0, o1, h, w, eps,
+                                     random_ids, with_votes):
+        rng = np.random.default_rng(seed)
+        if random_ids:
+            ids = rng.integers(0, rb.NTILES, size=(h, w)).astype(np.int8)
+        else:
+            t = tuple(int(v) for v in rng.integers(0, 512, size=2))
+            ids = rb.reference_window((abs(o0), abs(o1)), (h, w), t)
+        grid = Grid((o0, o1), ids)
+        mask = NoiseMask((o0, o1), (rng.random((h, w)) < eps).astype(np.uint8))
+        votes_ok = rng.random((h, w)) < 0.8 if with_votes else None
+        assert rb.infer_translate(grid, mask, n, votes_ok) == \
+            _infer_translate_full_box(grid, mask, n, votes_ok)
