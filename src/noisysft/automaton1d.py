@@ -13,10 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from . import core
 from .core import Sft
 
 Word = tuple[int, ...]
@@ -46,13 +44,14 @@ class WordAutomaton:
         """`fill_gap` results per (left, right, n), at most _GAP_CACHE long."""
         return {}
 
-    def graph(self) -> nx.DiGraph:
-        g = nx.DiGraph()
-        g.add_nodes_from(range(len(self.states)))
-        for i, outs in enumerate(self.edges):
-            for letter, j in outs:
-                g.add_edge(i, j, letter=letter)
-        return g
+    @functools.cached_property
+    def _preds(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """_preds[v] = (source state index, letter) of every edge into v."""
+        preds: list[list[tuple[int, int]]] = [[] for _ in self.states]
+        for u, outs in enumerate(self.edges):
+            for b, v in outs:
+                preds[v].append((u, b))
+        return tuple(tuple(p) for p in preds)
 
 
 @dataclass(frozen=True)
@@ -121,14 +120,61 @@ def build_automaton(sft: Sft) -> WordAutomaton:
                          edges=tuple(edges))
 
 
+def _postorder(auto: WordAutomaton, nodes) -> list[int]:
+    """The states of `nodes` in depth-first finishing order, following only
+    edges between them.  The search keeps its own stack, so automata with
+    thousands of states do not reach the recursion limit."""
+    inside = set(nodes)
+    seen: set[int] = set()
+    order = []
+    for root in nodes:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(auto.edges[root]))]
+        while stack:
+            v, outs = stack[-1]
+            for _, w in outs:
+                if w in inside and w not in seen:
+                    seen.add(w)
+                    stack.append((w, iter(auto.edges[w])))
+                    break
+            else:
+                stack.pop()
+                order.append(v)
+    return order
+
+
+def _closure(seeds, step) -> set[int]:
+    """The seeds and every state reached from them through `step`."""
+    seen = set(seeds)
+    todo = list(seen)
+    while todo:
+        for w in step(todo.pop()):
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+@functools.lru_cache(maxsize=None)
 def communication_classes(auto: WordAutomaton) -> tuple[frozenset, ...]:
-    """Strongly connected components that contain a cycle, in sorted order."""
-    g = auto.graph()
+    """Strongly connected components that contain a cycle, in sorted order.
+
+    Kosaraju's two passes: components are the predecessor closures taken
+    in reverse finishing order, each restricted to states not yet placed.
+    """
+    placed: set[int] = set()
     out = []
-    for comp in nx.strongly_connected_components(g):
-        if len(comp) > 1 or any(g.has_edge(v, v) for v in comp):
+    for root in reversed(_postorder(auto, range(len(auto.states)))):
+        if root in placed:
+            continue
+        comp = _closure([root], lambda v: (
+            u for u, _ in auto._preds[v] if u not in placed))
+        placed |= comp
+        if len(comp) > 1 or any(w == root for _, w in auto.edges[root]):
             out.append(frozenset(comp))
-    out.sort(key=lambda c: sorted(c))
+    out.sort(key=sorted)
     return tuple(out)
 
 
@@ -165,16 +211,9 @@ def classify(auto: WordAutomaton) -> Classification:
 @functools.lru_cache(maxsize=None)
 def _live_sets(auto: WordAutomaton):
     """(reachable from a cycle, co-reachable to a cycle) as frozensets."""
-    classes = communication_classes(auto)
-    seeds = set().union(*classes) if classes else set()
-    g = auto.graph()
-    fwd = set(seeds)
-    for s in seeds:
-        fwd |= nx.descendants(g, s)
-    bwd = set(seeds)
-    rg = g.reverse()
-    for s in seeds:
-        bwd |= nx.descendants(rg, s)
+    seeds = set().union(*communication_classes(auto))
+    fwd = _closure(seeds, lambda v: (w for _, w in auto.edges[v]))
+    bwd = _closure(seeds, lambda v: (u for u, _ in auto._preds[v]))
     return frozenset(fwd), frozenset(bwd)
 
 
@@ -188,10 +227,6 @@ def coerce_word(sft: Sft, word) -> Word:
     if isinstance(word, str):
         return tuple(sft.symbol_index(ch) for ch in word)
     return tuple(int(x) for x in word)
-
-
-def format_word(sft: Sft, word: Word) -> str:
-    return "".join(sft.alphabet[s] for s in word)
 
 
 def window_states(auto: WordAutomaton, word) -> np.ndarray:
@@ -317,8 +352,14 @@ def peel_constant_C(auto: WordAutomaton, refined: bool = False) -> int:
     cls = classes[0]
     transient = [v for v in range(len(auto.states)) if v not in cls]
     if refined and transient:
-        g = auto.graph().subgraph(transient)
-        k = max((nx.dag_longest_path_length(g) + 1) if g.edges else 1, 1)
+        # with one class the transient states form a DAG, where a state
+        # finishes after all its successors: chain[v] counts the states
+        # of the longest transient path starting at v
+        chain: dict[int, int] = {}
+        for v in _postorder(auto, transient):
+            chain[v] = 1 + max((chain[w] for _, w in auto.edges[v]
+                                if w in chain), default=0)
+        k = max(chain.values())
     else:
         k = len(transient)
     return max(k, -(-auto.sft.diameter // 2))
@@ -353,17 +394,14 @@ class _ReachTable:
     """
 
     def __init__(self, auto: WordAutomaton, target: int):
-        preds: list[list[int]] = [[] for _ in auto.states]
-        for u, outs in enumerate(auto.edges):
-            for _, v in outs:
-                preds[v].append(u)
+        preds = auto._preds
         seen: dict[frozenset, int] = {}
         seq: list[frozenset] = [frozenset([target])]
         seen[seq[0]] = 0
         self.start = None
         self.period = None
         while True:
-            nxt = frozenset(u for v in seq[-1] for u in preds[v])
+            nxt = frozenset(u for v in seq[-1] for u, _ in preds[v])
             if nxt in seen:
                 self.start = seen[nxt]
                 self.period = len(seq) - self.start
@@ -453,17 +491,11 @@ def extend_from(auto: WordAutomaton, state, n: int, *, forward: bool = True) -> 
         return tuple(out)
     # backwards: choose predecessors; lex-least means minimizing earlier
     # letters first, so scan positions left to right among live paths
-    preds: list[list[tuple[int, int]]] = [[] for _ in auto.states]
-    for u, outs in enumerate(auto.edges):
-        if u not in live:
-            continue
-        for b, v in outs:
-            preds[v].append((u, b))
-    # reachable_to[t] = states that reach idx in exactly t live steps
+    # reach[t] = states that reach idx in exactly t live steps
     reach = [{idx}]
     for _ in range(n):
-        prev = reach[-1]
-        reach.append({u for v in prev for u, _ in preds[v]})
+        reach.append({u for v in reach[-1] for u, _ in auto._preds[v]
+                      if u in live})
     if not reach[n]:
         raise ValueError("state has no live history long enough")
     start = min(reach[n], key=lambda u: auto.states[u])

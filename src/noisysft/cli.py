@@ -236,7 +236,7 @@ def _cmd_sample(args) -> int:
         name, sft = hn.resolve_sft_1d(args.sft)
         if len(args.box) != 1:
             raise ValueError("--sft sampling is 1D; give a 1D box")
-        auto = hn._auto_cached(sft)
+        auto = a1d.build_automaton(sft)
         word = hn.sample_admissible_word(auto, args.box[0], args.seed)
         noisy = hn.corrupt(word, mask.data.astype(bool), len(sft.alphabet),
                            args.seed + 1)

@@ -267,11 +267,6 @@ def parse_sft(text: str, *, extra: dict | None = None) -> Sft:
     return Sft(dim=dim, alphabet=alphabet, forbidden=frozenset(patterns))
 
 
-def load_sft(path) -> Sft:
-    with open(path) as fh:
-        return parse_sft(fh.read())
-
-
 def word_sft(alphabet: Sequence[str], words: Iterable[str]) -> Sft:
     """Convenience constructor for 1D SFTs with forbidden words.
 

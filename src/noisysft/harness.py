@@ -39,6 +39,7 @@ from .noise import (
 from .percolation import exclusion_bound, origin_exclusion_estimates
 from .repair import (
     PeriodicSft,
+    _coerce_automaton,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -80,6 +81,8 @@ base a a a b b b c c c
 
 NAMED_1D = {"golden-mean": GOLDEN_MEAN, "alternating": ALTERNATING}
 NAMED_PERIODIC = {"checkerboard": CHECKERBOARD_TEXT, "stripes": STRIPES_TEXT}
+# the names each sweep kind that takes a target accepts besides a file
+_SWEEP_TARGETS = {"repair1d": NAMED_1D, "repair2d": NAMED_PERIODIC}
 
 
 def resolve_sft_1d(spec: str) -> tuple[str, Sft]:
@@ -134,10 +137,12 @@ class ExperimentSpec:
             raise ValueError("box sides must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
-        if self.kind == "repair1d" and self.sft not in NAMED_1D \
-                and self.sft not in NAMED_PERIODIC \
+        names = _SWEEP_TARGETS.get(self.kind)
+        if names is not None and self.sft not in names \
                 and not os.path.exists(self.sft):
-            raise ValueError(f"SFT file {self.sft!r} does not exist")
+            raise ValueError(
+                f"SFT file {self.sft!r} does not exist and is no {self.kind} "
+                f"target name ({', '.join(sorted(names))})")
 
 
 def _box_str(box) -> str:
@@ -318,7 +323,7 @@ def _corrupted(clean: np.ndarray, mask: NoiseMask, nsym: int,
 
 def _trial_repair1d(args):
     (sft, length), epsilons, tseed = args
-    auto = _auto_cached(sft)
+    auto = a1d.build_automaton(sft)
     word = sample_admissible_word(auto, length, derive_seed(tseed, "clean"))
     return [_repair1d_cell(auto, word, mask, tseed)
             for mask in _masks(word.shape, epsilons, tseed)]
@@ -357,17 +362,12 @@ def _locality_flags(pos: np.ndarray, obscured: np.ndarray,
     return near_noise | near_edge
 
 
-@functools.lru_cache(maxsize=32)
-def _auto_cached(sft: Sft) -> a1d.WordAutomaton:
-    return a1d.build_automaton(sft)
-
-
 def run_repair1d_sweep(spec: ExperimentSpec):
     """One row group per epsilon: mean changed fraction on the interior,
     admissible fraction, locality fraction, and the theorem envelope."""
     spec.validate()
     name, sft = resolve_sft_1d(spec.sft)
-    auto = _auto_cached(sft)
+    auto = a1d.build_automaton(sft)
     if a1d.classify(auto).kind != "irreducible_aperiodic":
         raise ValueError("repair sweep needs an irreducible aperiodic target")
     envelope = 3.0 * (2 * a1d.repair_constants(auto).E + 1)
@@ -593,7 +593,9 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
     cells copy the untranslated point.  Distances are taken to the whole
     translate orbit and the minimum lands at (p-1)/(pd) - ((p-1)/p) eps.
     """
-    auto = _coerce_auto(sft_or_auto)
+    if isinstance(sft_or_auto, str):
+        sft_or_auto = resolve_sft_1d(sft_or_auto)[1]
+    auto = _coerce_automaton(sft_or_auto)
     cls = a1d.classify(auto)
     if cls.kind != "irreducible_periodic":
         raise ValueError(
@@ -623,14 +625,6 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
         certificate=lower_certificate("bern1d", p=period, d=d, epsilon=epsilon),
         model=f"bernoulli:{_fmt(epsilon)}", sft=_sft_label(auto.sft),
         epsilon=epsilon)
-
-
-def _coerce_auto(sft_or_auto) -> a1d.WordAutomaton:
-    if isinstance(sft_or_auto, a1d.WordAutomaton):
-        return sft_or_auto
-    if isinstance(sft_or_auto, str):
-        return _auto_cached(resolve_sft_1d(sft_or_auto)[1])
-    return _auto_cached(sft_or_auto)
 
 
 def _sft_label(sft: Sft) -> str:

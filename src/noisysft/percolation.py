@@ -245,10 +245,6 @@ class ExclusionEstimate:
     bound: float
     proxy: str
 
-    @property
-    def within_bound(self) -> bool:
-        return self.value + 3 * self.ci95 <= self.bound
-
 
 def _trial_exclusions(payload) -> list[bool]:
     """One trial's exclusion flag per epsilon, all read off one field."""

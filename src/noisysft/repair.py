@@ -17,7 +17,7 @@ import numpy as np
 
 from . import automaton1d as a1d
 from . import core
-from .core import Grid, NoiseMask, Pattern, Sft, thicken
+from .core import Grid, NoiseMask, Sft, thicken
 from .percolation import OpenComponents, open_components
 
 
@@ -330,11 +330,6 @@ def parse_periodic(text: str) -> PeriodicSft:
     return p
 
 
-def load_periodic(path) -> PeriodicSft:
-    with open(path) as fh:
-        return parse_periodic(fh.read())
-
-
 def local_global_constant(p: PeriodicSft, cap: int = 4, *,
                           budget: int = 2_000_000) -> int:
     """Radius c such that a clear window of radius c pins the orbit locally:
@@ -356,27 +351,6 @@ def local_global_constant(p: PeriodicSft, cap: int = 4, *,
     k = core.reconstruction_phi(p.sft, window, cap, global_oracle=oracle,
                                 budget=budget)
     return max(k, r)
-
-
-def infer_offset(p: PeriodicSft, grid: Grid, cell, c: int):
-    """The canonical orbit offset whose translate matches the grid on the
-    window cell + B_c, or None unless the match is unique.  The window must
-    lie inside the box."""
-    cell = tuple(int(x) for x in cell)
-    lo = tuple(cell[i] - c - grid.origin[i] for i in range(p.dim))
-    hi = tuple(cell[i] + c + 1 - grid.origin[i] for i in range(p.dim))
-    if any(l < 0 for l in lo) or any(h > s for h, s in zip(hi, grid.shape)):
-        raise ValueError("window exceeds the box")
-    window = grid.data[tuple(slice(l, h) for l, h in zip(lo, hi))]
-    w_origin = tuple(cell[i] - c for i in range(p.dim))
-    matches = []
-    for t in p.orbit():
-        ref = p.tiling(t, w_origin, window.shape).data
-        if np.array_equal(window, ref):
-            matches.append(t)
-    if len(matches) == 1:
-        return matches[0]
-    return None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import BudgetExceeded, Grid, NoiseMask, SftParseError
+from .core import BudgetExceeded, Grid, NoiseMask
 from .noise import derive_seed
 from .percolation import OpenComponents, open_components
 
@@ -423,27 +423,6 @@ def write_text(grid) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_text(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise SftParseError("empty tiling file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "robinson-v1":
-        raise SftParseError("expected header 'robinson-v1 W H'")
-    w, h = int(head[1]), int(head[2])
-    if len(lines) - 1 != h:
-        raise SftParseError(f"expected {h} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        vals = [int(tok) for tok in ln.split()]
-        if len(vals) != w:
-            raise SftParseError(f"expected {w} columns, found {len(vals)}")
-        if any(v < 0 or v >= NTILES for v in vals):
-            raise SftParseError("tile id out of range")
-        rows.append(vals)
-    return np.array(rows, dtype=np.int8)
-
-
 _SVG_COLOURS = {BLUE: "#3a6ea5", RED: "#b5413a"}
 
 
@@ -829,11 +808,6 @@ def peel_verify(n: int = 9, mode: str = "exhaustive",
         and report["witness_three_peel_defects"] == 0
         and report["macro_windows_clean"]) else None
     return report
-
-
-def peel_constant(N: int) -> int:
-    """Layers sufficient to expose the aligned macro grid at scale N."""
-    return 2 ** N - 1
 
 
 # ---------------------------------------------------------------------------

@@ -416,6 +416,11 @@ class TestExtend:
         w = a1d.extend_from(auto, zero_zero, 6)
         assert w == (0,) * 6
 
+    def test_backward_stays_live(self):
+        # 'a' leads into 'b' but has no history of its own
+        auto = a1d.build_automaton(TRANSIENT)
+        assert a1d.extend_from(auto, "b", 3, forward=False) == (1, 1, 1)
+
     def test_lex_least_word(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
         assert a1d.lex_least_admissible_word(golden, 4) == (0, 0, 0, 0)
@@ -432,3 +437,96 @@ class TestRepairConstantsCache:
                 assert a1d.repair_constants(auto, refined=refined) is first
                 assert first == a1d.repair_constants.__wrapped__(
                     auto, refined=refined)
+
+
+def _networkx_reference(auto):
+    """Classes, live states and the refined transient chain (None unless
+    there is one class) as networkx computes them."""
+    nx = pytest.importorskip("networkx")
+    g = nx.DiGraph()
+    g.add_nodes_from(range(len(auto.states)))
+    for i, outs in enumerate(auto.edges):
+        for _, j in outs:
+            g.add_edge(i, j)
+    classes = [frozenset(c) for c in nx.strongly_connected_components(g)
+               if len(c) > 1 or any(g.has_edge(v, v) for v in c)]
+    classes.sort(key=sorted)
+    seeds = set().union(*classes)
+    fwd, bwd, rg = set(), set(), g.reverse()
+    for s in seeds:
+        # a seed already reached adds nothing new
+        if s not in fwd:
+            fwd |= {s} | nx.descendants(g, s)
+        if s not in bwd:
+            bwd |= {s} | nx.descendants(rg, s)
+    chain = None
+    if len(classes) == 1:
+        sub = g.subgraph(v for v in g if v not in classes[0])
+        chain = nx.dag_longest_path_length(sub) + 1 if sub.edges else 1
+    return tuple(classes), frozenset(fwd & bwd), chain
+
+
+class TestGraphLayer:
+    # fixed SFTs with transient and dead states; the last has a transient
+    # chain of 4 states against ceil(d/2) = 2
+    sfts = st.one_of(small_sfts, st.sampled_from([
+        ("01", ["11", "010"]), ("ab", ["aa", "ba"]),
+        ("abc", ["ab", "ba", "cc", "aca"]), ("ab", ["bbbb", "bab", "aab"])]))
+
+    def check(self, auto, constants=True):
+        classes, live, chain = _networkx_reference(auto)
+        assert a1d.communication_classes(auto) == classes
+        assert a1d.live_states(auto) == live
+        cls = a1d.classify(auto)
+        assert cls.classes == classes
+        if not classes:
+            assert (cls.kind, cls.period) == ("empty", None)
+        elif len(classes) > 1:
+            assert (cls.kind, cls.period) == ("reducible", None)
+        else:
+            p = a1d._class_period(auto, classes[0])
+            kind = "irreducible_aperiodic" if p == 1 else "irreducible_periodic"
+            assert (cls.kind, cls.period) == (kind, p)
+        if chain is None:
+            with pytest.raises(ValueError, match="exactly one"):
+                a1d.peel_constant_C(auto)
+            return
+        half_d = -(-auto.sft.diameter // 2)
+        transient = len(auto.states) - len(classes[0])
+        basic = max(transient, half_d)
+        refined = max(chain if transient else 0, half_d)
+        assert a1d.peel_constant_C(auto) == basic
+        assert a1d.peel_constant_C(auto, refined=True) == refined
+        if constants and cls.kind == "irreducible_aperiodic":
+            n0 = a1d.sticking_constant_n0(auto)
+            for flag, c in ((False, basic), (True, refined)):
+                d = max(c, -(-n0 // 2))
+                assert a1d.repair_constants(auto, refined=flag) == \
+                    a1d.RepairConstants(word_len=auto.word_len, n0=n0, C=c,
+                                        D=d, E=d + half_d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sfts)
+    def test_matches_networkx(self, sft):
+        self.check(a1d.build_automaton(word_sft(*sft)))
+
+    def test_4096_states_without_recursion(self):
+        auto = a1d.build_automaton(word_sft("01", ["1" * 13, "0" * 13]))
+        assert len(auto.states) == 4096
+        # n0 takes matrix powers of the class; at this size they are slow
+        self.check(auto, constants=False)
+        assert a1d.classify(auto).kind == "irreducible_aperiodic"
+
+    def test_cli_import_leaves_networkx_out(self):
+        import os
+        import subprocess
+        import sys
+
+        import noisysft
+        src = os.path.dirname(os.path.dirname(noisysft.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, noisysft.cli; print('networkx' in sys.modules)"],
+            capture_output=True, text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,25 @@ class TestExperimentSpec:
     def test_named_sft_ok(self):
         H.ExperimentSpec(kind="repair1d", sft="golden-mean",
                          epsilons=(0.01,)).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--kind", "repair1d", "--sft", "checkerboard"],
+        ["sweep", "--kind", "repair2d", "--sft", "nosuch"],
+        ["sweep", "--kind", "repair1d", "--sft", "nosuch"],
+        ["repair1d", "--sft", "checkerboard"],
+    ])
+    def test_unknown_target_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(argv + ["--epsilons", "0.01", "--trials", "1",
+                                "--out", str(out)]) == 2
+        assert "does not exist and is no" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repair2d_target_ok(self, tmp_path):
+        path = tmp_path / "checker.txt"
+        path.write_text(H.CHECKERBOARD_TEXT)
+        for target in ("stripes", str(path)):
+            H.ExperimentSpec(kind="repair2d", sft=target).validate()
 
 
 class TestCsv:
@@ -523,6 +543,18 @@ class TestCli:
         out = capsys.readouterr().out
         assert "irreducible_aperiodic" in out and "E: 2" in out
 
+    def test_analyze_readme_sft_file(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("Golden mean (no two adjacent 1s) as a file:"
+                               "\n\n```\n")[1].split("```")[0]
+        path = tmp_path / "golden.sft"
+        path.write_text(example)
+        assert cli.main(["analyze", "--sft", str(path)]) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert cli.main(["analyze", "--sft", "golden-mean"]) == 0
+        want = capsys.readouterr().out.splitlines()
+        assert got[0] == "sft: golden" and got[1:] == want[1:]
+
     def test_analyze_periodic(self, capsys):
         assert cli.main(["analyze", "--sft", "alternating"]) == 0
         assert "period: 2" in capsys.readouterr().out
@@ -561,9 +593,10 @@ class TestCli:
         path = tmp_path / "m.txt"
         assert cli.main(["robinson", "gen", "--scale", "2", "--orient", "se",
                          "--path", str(path)]) == 0
-        from noisysft.robinson import build_macro, parse_text
-        grid = parse_text(path.read_text())
-        assert np.array_equal(grid.data, build_macro(2, 0))
+        from noisysft.robinson import build_macro
+        assert path.read_text().splitlines()[0] == "robinson-v1 3 3"
+        body = np.loadtxt(path, dtype=np.int8, skiprows=1)
+        assert np.array_equal(body, build_macro(2, 0))
 
     def test_robinson_gen_svg(self, capsys):
         assert cli.main(["robinson", "gen", "--scale", "1", "--out",

@@ -125,7 +125,7 @@ class TestEstimate:
                                           seed=9)
         assert est.value == 0.0
         assert est.trials == 40
-        # the CI floor keeps within_bound honest even at zero noise
+        # the CI floor stays positive even at zero noise
         assert est.bound == 0.0
         assert est.ci95 > 0
 

@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import noisysft.automaton1d as a1d
 from noisysft.core import GOLDEN_MEAN, Grid, NoiseMask, SftParseError, word_sft
 from noisysft.noise import Bernoulli, sample_mask
 from noisysft.repair import (
     PeriodicSft,
-    infer_offset,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -241,41 +239,6 @@ class TestPeriodicSft:
     def test_local_global_constants(self):
         assert local_global_constant(parse_periodic(CHECKER_TEXT)) == 1
         assert local_global_constant(parse_periodic(STRIPES_TEXT)) == 2
-
-
-class TestInferOffset:
-    def setup_method(self):
-        self.p = parse_periodic(CHECKER_TEXT)
-        self.c = local_global_constant(self.p)
-
-    def test_exact_window(self):
-        g = self.p.tiling((0, 0), (0, 0), (9, 9))
-        assert infer_offset(self.p, g, (4, 4), self.c) == (0, 0)
-        g1 = self.p.tiling((1, 0), (0, 0), (9, 9))
-        assert infer_offset(self.p, g1, (4, 4), self.c) == (0, 1)
-
-    def test_garbage_window_is_ambiguous(self):
-        data = np.zeros((9, 9), dtype=np.int64)  # constant 'a' matches nothing
-        assert infer_offset(self.p, Grid((0, 0), data), (4, 4), self.c) is None
-
-    def test_window_outside_box(self):
-        g = self.p.tiling((0, 0), (0, 0), (9, 9))
-        with pytest.raises(ValueError, match="exceeds"):
-            infer_offset(self.p, g, (0, 0), self.c)
-
-    @settings(max_examples=40, deadline=None)
-    @given(off=st.tuples(st.integers(0, 1), st.integers(0, 1)),
-           cell=st.tuples(st.integers(1, 10), st.integers(1, 10)))
-    def test_equivariance(self, off, cell):
-        g = self.p.tiling(off, (0, 0), (12, 12))
-        got = infer_offset(self.p, g, cell, self.c)
-        assert got == self.p.canonical_offset(off)
-
-    def test_stripes_needs_wider_window(self):
-        p = parse_periodic(STRIPES_TEXT)
-        c = local_global_constant(p)
-        g = p.tiling((1, 0), (0, 0), (11, 11))
-        assert infer_offset(p, g, (5, 5), c) == (1, 0)
 
 
 class TestRepairPeriodic:

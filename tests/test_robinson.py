@@ -1,10 +1,12 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from noisysft import robinson as rb
-from noisysft.core import Grid, NoiseMask, SftParseError
+from noisysft.core import Grid, NoiseMask
 from noisysft.noise import parse_model, sample_mask
 
 
@@ -240,9 +242,6 @@ class TestForcing:
 
 
 class TestPeel:
-    def test_constants(self):
-        assert [rb.peel_constant(n) for n in (1, 2, 3, 4)] == [1, 3, 7, 15]
-
     def test_witness_is_certified(self):
         w = rb._PEEL_WITNESS_9
         assert rb.is_admissible(w)
@@ -284,20 +283,10 @@ class TestPeel:
 class TestTextFormat:
     def test_round_trip(self):
         g = rb.build_macro(3, 2)
-        again = rb.parse_text(rb.write_text(g))
+        text = rb.write_text(g)
+        assert text.splitlines()[0] == "robinson-v1 7 7"
+        again = np.loadtxt(io.StringIO(text), dtype=np.int8, skiprows=1)
         assert np.array_equal(again, g)
-
-    def test_header_and_shape_errors(self):
-        with pytest.raises(SftParseError):
-            rb.parse_text("")
-        with pytest.raises(SftParseError):
-            rb.parse_text("tiles 3 3\n0 0 0\n0 0 0\n0 0 0\n")
-        with pytest.raises(SftParseError):
-            rb.parse_text("robinson-v1 3 2\n0 0 0\n")
-        with pytest.raises(SftParseError):
-            rb.parse_text("robinson-v1 2 1\n0 0 0\n")
-        with pytest.raises(SftParseError):
-            rb.parse_text("robinson-v1 2 1\n0 77\n")
 
     def test_grid_input(self):
         text = rb.write_text(Grid((5, 5), rb.build_macro(2, 1)))
