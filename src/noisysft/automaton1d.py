@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -324,16 +325,16 @@ def sticking_constant_n0(auto: WordAutomaton) -> int:
     nodes = sorted(cls.classes[0])
     pos = {v: i for i, v in enumerate(nodes)}
     k = len(nodes)
-    a = np.zeros((k, k), dtype=np.uint8)
-    for u in nodes:
-        for _, v in auto.edges[u]:
-            if v in pos:
-                a[pos[u], pos[v]] = 1
-    power = a.copy()
+    succ = [{pos[v] for _, v in auto.edges[u] if v in pos} for u in nodes]
+    # row i of A^m as a k-bit integer; row i of A^{m+1} = A A^m is the OR
+    # of the rows of A^m over the out-edges i -> j
+    full = (1 << k) - 1
+    power = [sum(1 << j for j in s) for s in succ]
     for m in range(1, _wielandt_cap(k) + 1):
-        if power.all():
+        if all(row == full for row in power):
             return max(1, m - auto.word_len)
-        power = np.minimum(power @ a, 1)
+        power = [functools.reduce(operator.or_, (power[j] for j in s), 0)
+                 for s in succ]
     raise ValueError("class matrix is not primitive despite aperiodicity")
 
 

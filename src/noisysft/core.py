@@ -476,16 +476,22 @@ def thicken(mask: NoiseMask, n: int) -> NoiseMask:
         return mask
     if any(s <= 2 * n for s in mask.shape):
         raise ValueError("box too small to thicken")
-    # per axis: OR windows of doubling width k, then two overlapping k-windows
-    fat, w = mask.data, 2 * n + 1
-    for axis in range(fat.ndim):
-        a, k = np.moveaxis(fat, axis, 0), 1
+    return NoiseMask(tuple(o + n for o in mask.origin),
+                     _or_windows(mask.data, n), meta=dict(mask.meta))
+
+
+def _or_windows(arr: np.ndarray, n: int) -> np.ndarray:
+    """Bitwise OR of `arr` over every (2n+1)-cube window, which shrinks
+    each axis by 2n.  Per axis: OR windows of doubling width k, then two
+    overlapping k-windows."""
+    w = 2 * n + 1
+    for axis in range(arr.ndim):
+        a, k = np.moveaxis(arr, axis, 0), 1
         while 2 * k <= w:
             a = a[:-k] | a[k:]
             k *= 2
-        fat = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
-    return NoiseMask(tuple(o + n for o in mask.origin), fat,
-                     meta=dict(mask.meta))
+        arr = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
+    return arr
 
 
 GOLDEN_MEAN = word_sft("01", ["11"])

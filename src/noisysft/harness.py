@@ -137,6 +137,9 @@ class ExperimentSpec:
             raise ValueError("box sides must be positive")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
+            raise ValueError(f"Robinson scales must be at least 1, got "
+                             f"{min(self.scales)}")
         names = _SWEEP_TARGETS.get(self.kind)
         if names is not None and self.sft not in names \
                 and not os.path.exists(self.sft):

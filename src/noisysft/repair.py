@@ -10,6 +10,7 @@ clear percolation component and rewrites everything from it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -275,28 +276,43 @@ class PeriodicSft:
         return self.sft.dim
 
     def tiling(self, offset, origin, shape) -> Grid:
-        """The translate by `offset` of the base tiling, on the given box."""
-        sel = np.ix_(*(np.mod(np.arange(shape[i]) + origin[i] - offset[i],
-                              self.period) for i in range(self.dim)))
-        return Grid(tuple(origin), self.base[sel])
+        """The translate by `offset` of the base tiling, on the given box:
+        one period cell in the phase of the box corner, tiled over it."""
+        n = self.period
+        cell = self.base[np.ix_(*(np.mod(np.arange(n) + origin[i] - offset[i],
+                                         n) for i in range(self.dim)))]
+        whole = np.tile(cell, [-(-s // n) for s in shape])
+        return Grid(tuple(origin), whole[tuple(slice(0, s) for s in shape)])
 
     def orbit(self):
         """Distinct translates as canonical (lex-least) offsets."""
+        return list(self._orbit)
+
+    @functools.cached_property
+    def _orbit(self) -> tuple:
         n = self.period
         seen = {}
         for t in itertools.product(range(n), repeat=self.dim):
             key = self.tiling(t, (0,) * self.dim, (n,) * self.dim).data.tobytes()
             seen.setdefault(key, t)
-        return sorted(seen.values())
+        return tuple(sorted(seen.values()))
 
-    def canonical_offset(self, t):
-        n = self.period
-        key = self.tiling(t, (0,) * self.dim, (n,) * self.dim).data.tobytes()
-        for s in self.orbit():
-            skey = self.tiling(s, (0,) * self.dim, (n,) * self.dim).data.tobytes()
-            if skey == key:
-                return s
-        raise AssertionError("offset missing from its own orbit")
+    @functools.cached_property
+    def _match(self) -> np.ndarray:
+        """MATCH[w][residue..., symbol]: bit i of word w is set when orbit
+        translate 64 w + i has that symbol at that residue mod the period.
+        Words are the narrowest unsigned type that holds the orbit, and
+        uint64 words for orbits over 64 translates."""
+        n, nsym = len(self._orbit), len(self.sft.alphabet)
+        dtype = np.min_scalar_type((1 << min(n, 64)) - 1)
+        box = (self.period,) * self.dim
+        table = np.zeros((-(-n // 64),) + box + (nsym,), dtype=dtype)
+        for i, t in enumerate(self._orbit):
+            ref = self.tiling(t, (0,) * self.dim, box).data
+            hit = (ref[..., None] == np.arange(nsym)).astype(dtype)
+            table[i // 64] |= hit << dtype.type(i % 64)
+        table.setflags(write=False)
+        return table
 
     def validate(self):
         """Check the base tiling is locally admissible on a 3-period box."""
@@ -364,29 +380,63 @@ class RepairPeriodicReport:
     components: OpenComponents
 
 
+def _residue_gather(table: np.ndarray, origin, data: np.ndarray) -> np.ndarray:
+    """table[x mod period..., data[x]] for every cell x of the box: one
+    flat gather per residue class of the first axis."""
+    period, nsym = table.shape[0], table.shape[-1]
+    offs = 0  # flat table offset of the residues on the other axes
+    for axis in range(1, data.ndim):
+        res = (origin[axis] + np.arange(data.shape[axis])) % period
+        stride = period ** (data.ndim - 1 - axis) * nsym
+        offs = offs + (res * stride).reshape(
+            (-1,) + (1,) * (data.ndim - 1 - axis))
+    out = np.empty(data.shape, dtype=table.dtype)
+    for a in range(period):
+        rows = slice((a - origin[0]) % period, None, period)
+        out[rows] = np.take(table[a].ravel(), data[rows] + offs)
+    return out
+
+
+def _top_bit(x: np.ndarray) -> np.ndarray:
+    """Index of the highest set bit of each unsigned word, -1 where it is
+    0.  frexp is exact here: words of up to 16 bits convert to float32
+    exactly and 32-bit words to float64; uint64 words split into halves."""
+    if x.dtype.itemsize == 8:
+        hi = _top_bit((x >> np.uint64(32)).astype(np.uint32))
+        return np.where(hi >= 0, hi + 32, _top_bit(x.astype(np.uint32)))
+    exact = np.float32 if x.dtype.itemsize <= 2 else np.float64
+    return np.frexp(x.astype(exact))[1] - 1
+
+
 def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
                     c: int | None = None) -> RepairPeriodicReport:
     """Majority-vote repair: infer the translate on the largest open
     component of the c-thickened clear cells, then rewrite the whole
     interior as that translate.
 
-    Per-cell votes take the lexicographically greatest consistent offset,
-    and vote ties pick the lexicographically greatest offset, matching the
+    A cell votes for the lexicographically greatest orbit translate the
+    grid matches on its c-box.  Each cell's match bits (bit i: the cell
+    agrees with translate i) come from one gather in the MATCH table of
+    the periodic SFT; OR-ing their complements over the (2c+1) box leaves
+    the translates broken somewhere in it, so the consistent translates
+    are the complement of that, and the vote is its highest set bit.
+    Vote ties pick the lexicographically greatest offset, matching the
     maximal-configuration convention.
     """
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
+    nsym = len(p.sft.alphabet)
+    if grid.data.size and (grid.data.min() < 0 or grid.data.max() >= nsym):
+        raise ValueError(f"grid symbols must lie in [0, {nsym})")
     if c is None:
         c = local_global_constant(p)
     comps = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
-    # consistency[e] per offset: the grid matches the translate on e + B_c
-    vote = np.full(comps.labels.shape, -1, dtype=np.int32)
-    for i, t in enumerate(orbit):  # lex order; later overwrites win
-        ref = p.tiling(t, grid.origin, grid.shape).data
-        mismatch = NoiseMask(grid.origin, grid.data != ref)
-        vote[thicken(mismatch, c).data == 0] = i
+    for w, table in enumerate(p._match):  # one word per 64 translates
+        bits = _residue_gather(table, grid.origin, grid.data)
+        top = _top_bit(~core._or_windows(~bits, c))
+        vote = top if w == 0 else np.where(top >= 0, top + 64 * w, vote)
     on_comp = comps.largest_mask() & (vote >= 0)
     counts = np.bincount(vote[on_comp], minlength=len(orbit)) if on_comp.any() \
         else np.zeros(len(orbit), dtype=int)

@@ -853,35 +853,72 @@ def robinson_bound(epsilon: float, N: int) -> float:
     return 96.0 * (2 ** (N + 2) + 1) ** 2 * epsilon + 2.0 ** (1 - N)
 
 
+# per tile: 0..3 the orientation of a bumpy cross, 4 a dented cross, 5
+# anything else; a cell that does not vote reads tile id + NTILES, class 6
+_VOTE_CLASS = np.concatenate([
+    np.where(BUMPY_ORIENT >= 0, BUMPY_ORIENT, np.where(IS_DENTED_CROSS, 4, 5)),
+    np.full(NTILES, 6)])
+
+
 def infer_translate(grid, mask, N: int, votes_ok=None):
-    """The macro-grid translate mod 2^{N+1} read off the clear cells.
+    """The macro-grid translate mod P = 2^{N+1} read off the clear cells.
 
     Stage one: every bumpy cross votes for a translate mod 4 through its
     orientation class.  Stage k: the scale-k cross lattice sits on one of
     four refinements of the known class mod 2^k; the one actually occupied
     by dented crosses wins.  Returns (translate, no_votes).
+
+    Every vote and count is a sum over one histogram of the voting cells
+    by (tile class, row bin, column bin).  A cell's bin on an axis is its
+    box index mod Q with Q = min(P, side), so bin q stands for absolute
+    coordinates origin + q mod Q: when Q = P, the moduli 4 and 2^k divide
+    P, and when Q is the side, each bin is one row or column.
     """
+    if N < 1:
+        raise ValueError(f"Robinson scale must be at least 1, got {N}")
     g, origin = _as_ids(grid)
     clear = _as_clear(mask, g.shape)
-    if votes_ok is None:
-        votes_ok = clear
-    else:
-        votes_ok = votes_ok & clear
+    if votes_ok is not None:
+        clear &= np.asarray(votes_ok, dtype=bool)
+    if g.size and (g.min() < 0 or g.max() >= NTILES):
+        raise ValueError(f"tile ids must lie in [0, {NTILES})")
     h, w = g.shape
-    pr = np.arange(h).reshape(-1, 1) + origin[0]
-    pc = np.arange(w).reshape(1, -1) + origin[1]
+    P = 2 ** (N + 1)
+    qr, qc = min(P, h), min(P, w)
+    nbins = 7 * qr * qc
+    key_t = np.min_scalar_type(nbins - 1).type
+    lut = (_VOTE_CLASS * (qr * qc)).astype(key_t)
+    row_key = (np.arange(h) % qr * qc).astype(key_t)[:, None]
+    col_key = (np.arange(w) % qc).astype(key_t)
+    # blocks of rows keep the index and bincount temporaries small
+    hist = np.zeros(nbins, dtype=np.int64)
+    step = max(2 ** 16, nbins) // max(w, 1) + 1
+    for r0 in range(0, h, step):
+        band = slice(r0, r0 + step)
+        idx = (~clear[band]).view(np.int8) * np.int8(NTILES)
+        idx += g[band].astype(np.int8, copy=False)
+        key = np.take(lut, idx)
+        key += row_key[band]
+        key += col_key
+        hist += np.bincount(key.ravel(), minlength=nbins)
+    hist = hist.reshape(7, qr, qc)
+    rows = np.arange(qr) + origin[0]  # an absolute row of each row bin
+    cols = np.arange(qc) + origin[1]
 
-    sel = votes_ok & (BUMPY_ORIENT[g] >= 0)
-    no_votes = not sel.any()
+    no_votes = not hist[:4].any()
     if no_votes:
         tr = tc = 0
     else:
-        vr = (np.broadcast_to(pr, g.shape)[sel] - CLASS_R[g[sel]]) % 4
-        vc = (np.broadcast_to(pc, g.shape)[sel] - CLASS_C[g[sel]]) % 4
-        votes = np.bincount(vr * 4 + vc, minlength=16)
+        votes = np.zeros(16, dtype=np.int64)
+        for o in range(4):
+            cr, cc = CROSS_CLASS[o]
+            flat = ((rows - cr) % 4 * 4)[:, None] + (cols - cc) % 4
+            votes += np.bincount(flat.ravel(), weights=hist[o].ravel(),
+                                 minlength=16).astype(np.int64)
         best = int(np.argmax(votes))
         tr, tc = best // 4, best % 4
 
+    total_hist, dented_hist = hist[:6].sum(axis=0), hist[4]
     for m in range(3, N + 2):
         period = 2 ** m
         half = period // 2
@@ -890,12 +927,9 @@ def infer_translate(grid, mask, N: int, votes_ok=None):
             for ac in (0, 1):
                 cr = (tr + ar * half + half - 1) % period
                 cc = (tc + ac * half + half - 1) % period
-                # the cells at absolute (cr, cc) mod period
-                cells = (slice((cr - origin[0]) % period, None, period),
-                         slice((cc - origin[1]) % period, None, period))
-                on = votes_ok[cells]
-                total = int(on.sum())
-                dented = int((on & IS_DENTED_CROSS[g[cells]]).sum())
+                cells = np.ix_(rows % period == cr, cols % period == cc)
+                total = int(total_hist[cells].sum())
+                dented = int(dented_hist[cells].sum())
                 score = dented / total if total else 0.0
                 if score > best_score:
                     best_score, best_ext = score, (ar, ac)
@@ -929,15 +963,17 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
         mask = NoiseMask(grid.origin, np.asarray(mask, dtype=np.uint8))
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
+    if N < 1:
+        raise ValueError(f"Robinson scale must be at least 1, got {N}")
     c = 2 ** (N + 1)
     if any(s < 2 * c + 1 for s in grid.shape):
         raise ValueError("box too small for the thickening radius")
     comps = open_components(mask, c)
-    comp_full = np.zeros(grid.shape, dtype=bool)
     inner = tuple(slice(c, s - c) for s in grid.shape)
-    comp_full[inner] = comps.largest_mask()
-
-    translate, no_votes = infer_translate(grid, mask, N, votes_ok=comp_full)
+    # only the interior can vote, so the inference reads the interior alone
+    translate, no_votes = infer_translate(
+        Grid(comps.origin, grid.data[inner]), mask.data[inner], N,
+        votes_ok=comps.largest_mask())
 
     period = 2 ** (N + 1)
     rng = np.random.default_rng(

@@ -513,8 +513,7 @@ class TestGraphLayer:
     def test_4096_states_without_recursion(self):
         auto = a1d.build_automaton(word_sft("01", ["1" * 13, "0" * 13]))
         assert len(auto.states) == 4096
-        # n0 takes matrix powers of the class; at this size they are slow
-        self.check(auto, constants=False)
+        self.check(auto)
         assert a1d.classify(auto).kind == "irreducible_aperiodic"
 
     def test_cli_import_leaves_networkx_out(self):
@@ -530,3 +529,38 @@ class TestGraphLayer:
              "import sys, noisysft.cli; print('networkx' in sys.modules)"],
             capture_output=True, text=True, check=True, env=env)
         assert out.stdout.strip() == "False"
+
+
+def _sticking_matmul(auto):
+    """sticking_constant_n0 as it was: uint8 matrix powers of the class."""
+    nodes = sorted(a1d.classify(auto).classes[0])
+    pos = {v: i for i, v in enumerate(nodes)}
+    k = len(nodes)
+    a = np.zeros((k, k), dtype=np.uint8)
+    for u in nodes:
+        for _, v in auto.edges[u]:
+            if v in pos:
+                a[pos[u], pos[v]] = 1
+    power = a.copy()
+    for m in range(1, a1d._wielandt_cap(k) + 1):
+        if power.all():
+            return max(1, m - auto.word_len)
+        power = np.minimum(power @ a, 1)
+    raise AssertionError("class matrix is not primitive")
+
+
+class TestStickingBitsetRows:
+    @settings(max_examples=300, deadline=None)
+    @given(small_sfts)
+    def test_matches_matrix_powers(self, sft):
+        auto = a1d.build_automaton(word_sft(*sft))
+        if a1d.classify(auto).kind != "irreducible_aperiodic":
+            with pytest.raises(ValueError, match="irreducible aperiodic"):
+                a1d.sticking_constant_n0(auto)
+            return
+        assert a1d.sticking_constant_n0(auto) == _sticking_matmul(auto)
+
+    def test_512_states(self):
+        auto = a1d.build_automaton(word_sft("01", ["1" * 10, "0" * 10]))
+        assert len(auto.states) == 512
+        assert a1d.sticking_constant_n0(auto) == _sticking_matmul(auto) == 2

@@ -34,6 +34,21 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="trial"):
             H.ExperimentSpec(kind="perc", trials=0).validate()
 
+    @pytest.mark.parametrize("scales", [(0,), (-1,), (2, 0)])
+    def test_robinson_scales_at_least_one(self, scales):
+        with pytest.raises(ValueError, match="scales must be at least 1"):
+            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
+                             scales=scales).validate()
+
+    @pytest.mark.parametrize("scale", ["0", "-1", "2,0"])
+    def test_robinson_scale_below_one_exit_2(self, scale, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["robinson", "repair", "--scale", scale, "--box", "64",
+                         "--epsilon", "1e-3", "--trials", "1", "--out", "csv",
+                         "--path", str(out)]) == 2
+        assert "Robinson scales must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_sft_file(self):
         with pytest.raises(ValueError, match="does not exist"):
             H.ExperimentSpec(kind="repair1d", sft="/nope/missing.sft").validate()

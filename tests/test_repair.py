@@ -2,10 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisysft.automaton1d as a1d
-from noisysft.core import GOLDEN_MEAN, Grid, NoiseMask, SftParseError, word_sft
+from noisysft.core import (
+    GOLDEN_MEAN,
+    Grid,
+    NoiseMask,
+    Pattern,
+    Sft,
+    SftParseError,
+    thicken,
+    word_sft,
+)
 from noisysft.noise import Bernoulli, sample_mask
+from noisysft.percolation import open_components
 from noisysft.repair import (
     PeriodicSft,
     local_global_constant,
@@ -191,8 +203,10 @@ class TestPeriodicSft:
     def test_orbit_and_canonical(self):
         p = parse_periodic(CHECKER_TEXT)
         assert p.orbit() == [(0, 0), (0, 1)]
-        assert p.canonical_offset((1, 0)) == (0, 1)
-        assert p.canonical_offset((1, 1)) == (0, 0)
+        # the orbit lists each translate by its lex-least offset
+        for t, canon in (((1, 0), (0, 1)), ((1, 1), (0, 0))):
+            assert np.array_equal(p.tiling(t, (0, 0), (2, 2)).data,
+                                  p.tiling(canon, (0, 0), (2, 2)).data)
 
     def test_tiling_values(self):
         p = parse_periodic(CHECKER_TEXT)
@@ -325,3 +339,118 @@ class TestRepairPeriodic:
                                                    dtype=np.uint8)))
         assert again.offset == rep.offset
         assert again.changed_fraction == 0.0
+
+    def test_symbols_outside_alphabet_raise(self):
+        g = self.p.tiling((0, 0), (0, 0), (16, 16)).data
+        for bad in (-1, 2):
+            noisy = np.array(g)
+            noisy[3, 4] = bad
+            with pytest.raises(ValueError, match=r"symbols must lie in \[0, 2\)"):
+                repair_periodic(self.p, Grid((0, 0), noisy),
+                                self.empty_mask((16, 16)), c=1)
+
+
+def _domino_periodic(base: np.ndarray, nsym: int) -> PeriodicSft:
+    """The periodic SFT of `base` whose forbidden patterns are the
+    horizontal and vertical dominoes absent from the base tiling."""
+    p = base.shape[0]
+    seen = {((0, 1), base[i, j], base[i, (j + 1) % p]) for i in range(p)
+            for j in range(p)}
+    seen |= {((1, 0), base[i, j], base[(i + 1) % p, j]) for i in range(p)
+             for j in range(p)}
+    forbidden = frozenset(
+        Pattern.from_cells([((0, 0), a), (d, b)])
+        for d in ((0, 1), (1, 0)) for a in range(nsym) for b in range(nsym)
+        if (d, a, b) not in seen)
+    sft = Sft(dim=2, alphabet=tuple("abcd"[:nsym]), forbidden=forbidden)
+    return PeriodicSft(sft=sft, period=p, base=base)
+
+
+def _repair_periodic_reference(p, grid, mask, c):
+    """repair_periodic as it was: one full-box tiling and thickening per
+    orbit translate, later translates overwriting earlier votes."""
+    comps = open_components(mask, c)
+    inner = tuple(slice(c, s - c) for s in grid.shape)
+    orbit = p.orbit()
+    vote = np.full(comps.labels.shape, -1, dtype=np.int32)
+    for i, t in enumerate(orbit):
+        ref = p.tiling(t, grid.origin, grid.shape).data
+        mismatch = NoiseMask(grid.origin, grid.data != ref)
+        vote[thicken(mismatch, c).data == 0] = i
+    on_comp = comps.largest_mask() & (vote >= 0)
+    counts = np.bincount(vote[on_comp], minlength=len(orbit)) \
+        if on_comp.any() else np.zeros(len(orbit), dtype=int)
+    no_votes = not on_comp.any()
+    if no_votes:
+        best = len(orbit) - 1
+    else:
+        top = counts.max()
+        best = max(i for i, n in enumerate(counts) if n == top)
+    offset = orbit[best]
+    repaired = p.tiling(offset, comps.origin, comps.labels.shape)
+    changed = float(np.mean(grid.data[inner] != repaired.data))
+    return (offset, {orbit[i]: int(n) for i, n in enumerate(counts)},
+            no_votes, changed, repaired)
+
+
+def _assert_same_as_reference(p, grid, mask, c):
+    rep = repair_periodic(p, grid, mask, c=c)
+    offset, counts, no_votes, changed, repaired = \
+        _repair_periodic_reference(p, grid, mask, c)
+    assert rep.offset == offset
+    assert rep.vote_counts == counts
+    assert rep.no_votes == no_votes
+    assert rep.changed_fraction == changed
+    assert rep.grid.origin == repaired.origin
+    assert np.array_equal(rep.grid.data, repaired.data)
+    return rep
+
+
+class TestRandomPeriodic:
+    """Random bases of period 2-4 (orbits up to 16 translates) against the
+    per-translate body repair_periodic replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(2, 4),
+           st.integers(0, 3), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    def test_matches_per_translate_votes(self, seed, period, nsym, c, eps):
+        rng = np.random.default_rng(seed)
+        p = _domino_periodic(rng.integers(0, nsym, size=(period, period)),
+                             nsym)
+        orbit = p.orbit()
+        shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 24,
+                                                   size=2))
+        origin = tuple(int(o) for o in rng.integers(-50, 50, size=2))
+        t = orbit[int(rng.integers(len(orbit)))]
+        clean = p.tiling(t, origin, shape).data
+        hit = rng.random(shape) < eps
+        noisy = np.where(hit, rng.integers(0, nsym, size=shape), clean)
+        rep = _assert_same_as_reference(p, Grid(origin, noisy),
+                                        NoiseMask(origin, hit), c)
+        assert rep.offset in orbit
+        assert np.array_equal(
+            rep.grid.data,
+            p.tiling(rep.offset, rep.grid.origin, rep.grid.shape).data)
+        # a c-box that holds a full period tells distinct translates apart
+        if 2 * c + 1 >= period:
+            clear = NoiseMask(origin, np.zeros(shape, dtype=np.uint8))
+            got = repair_periodic(p, Grid(origin, clean), clear, c=c)
+            assert got.offset == t
+            assert got.changed_fraction == 0.0
+
+    def test_orbit_over_64_translates(self):
+        # period 9 gives up to 81 translates: two 64-bit words of votes
+        rng = np.random.default_rng(11)
+        p = _domino_periodic(rng.integers(0, 3, size=(9, 9)), 3)
+        assert len(p.orbit()) > 64
+        assert p._match.shape[0] == 2
+        for c, eps in ((0, 0.2), (1, 0.05), (4, 0.0), (4, 0.01)):
+            shape = (40, 37)
+            t = p.orbit()[int(rng.integers(len(p.orbit())))]
+            clean = p.tiling(t, (3, -5), shape).data
+            hit = rng.random(shape) < eps
+            noisy = np.where(hit, rng.integers(0, 3, size=shape), clean)
+            rep = _assert_same_as_reference(p, Grid((3, -5), noisy),
+                                            NoiseMask((3, -5), hit), c)
+            if c == 4:
+                assert rep.offset == t

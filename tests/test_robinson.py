@@ -354,6 +354,19 @@ class TestInferTranslate:
         assert no_votes
         assert got == (0, 0)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_scale_below_one_raises(self, n):
+        win = rb.reference_window((0, 0), (32, 32), (0, 0))
+        with pytest.raises(ValueError, match="scale must be at least 1"):
+            rb.infer_translate(win, None, n)
+
+    @pytest.mark.parametrize("bad", [-1, rb.NTILES])
+    def test_tile_ids_outside_tileset_raise(self, bad):
+        win = np.array(rb.reference_window((0, 0), (32, 32), (0, 0)))
+        win[5, 7] = bad
+        with pytest.raises(ValueError, match="tile ids must lie"):
+            rb.infer_translate(win, None, 2)
+
 
 class TestRepair:
     def _noisy_instance(self, n, eps, shape, seed):
@@ -413,6 +426,13 @@ class TestRepair:
         g2 = Grid((0, 0), np.zeros((24, 24), dtype=np.int8))
         with pytest.raises(ValueError):
             rb.robinson_repair(g2, m2, 1)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_scale_below_one_raises(self, n):
+        g = Grid((0, 0), rb.reference_window((0, 0), (64, 64), (0, 0)))
+        m = NoiseMask((0, 0), np.zeros((64, 64), dtype=np.uint8))
+        with pytest.raises(ValueError, match="scale must be at least 1"):
+            rb.robinson_repair(g, m, n)
 
     def test_slack_shrinks_with_box(self):
         assert rb.robinson_slack(3, 20) > 0.0
@@ -482,5 +502,20 @@ class TestInferTranslateStrided:
         grid = Grid((o0, o1), ids)
         mask = NoiseMask((o0, o1), (rng.random((h, w)) < eps).astype(np.uint8))
         votes_ok = rng.random((h, w)) < 0.8 if with_votes else None
+        assert rb.infer_translate(grid, mask, n, votes_ok) == \
+            _infer_translate_full_box(grid, mask, n, votes_ok)
+
+
+class TestInferTranslateWideKeys:
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_uint32_histogram_keys(self, n):
+        # 7 x 2^{N+1} x 2^{N+1} bins exceed 2^16 here
+        rng = np.random.default_rng(n)
+        t = tuple(int(v) for v in rng.integers(0, 512, size=2))
+        ids = rb.reference_window((300, 200), (300, 280), t)
+        grid = Grid((300, 200), ids)
+        mask = NoiseMask((300, 200),
+                         (rng.random(ids.shape) < 0.02).astype(np.uint8))
+        votes_ok = rng.random(ids.shape) < 0.9
         assert rb.infer_translate(grid, mask, n, votes_ok) == \
             _infer_translate_full_box(grid, mask, n, votes_ok)
