@@ -299,18 +299,16 @@ class PeriodicSft:
 
     @functools.cached_property
     def _match(self) -> np.ndarray:
-        """MATCH[w][residue..., symbol]: bit i of word w is set when orbit
-        translate 64 w + i has that symbol at that residue mod the period.
-        Words are the narrowest unsigned type that holds the orbit, and
-        uint64 words for orbits over 64 translates."""
+        """MATCH[w][residue..., symbol]: bit i of the uint8 word w is set
+        when orbit translate 8 w + i has that symbol at that residue mod
+        the period."""
         n, nsym = len(self._orbit), len(self.sft.alphabet)
-        dtype = np.min_scalar_type((1 << min(n, 64)) - 1)
         box = (self.period,) * self.dim
-        table = np.zeros((-(-n // 64),) + box + (nsym,), dtype=dtype)
+        table = np.zeros((-(-n // 8),) + box + (nsym,), dtype=np.uint8)
         for i, t in enumerate(self._orbit):
             ref = self.tiling(t, (0,) * self.dim, box).data
-            hit = (ref[..., None] == np.arange(nsym)).astype(dtype)
-            table[i // 64] |= hit << dtype.type(i % 64)
+            hit = (ref[..., None] == np.arange(nsym)).astype(np.uint8)
+            table[i // 8] |= hit << np.uint8(i % 8)
         table.setflags(write=False)
         return table
 
@@ -380,32 +378,9 @@ class RepairPeriodicReport:
     components: OpenComponents
 
 
-def _residue_gather(table: np.ndarray, origin, data: np.ndarray) -> np.ndarray:
-    """table[x mod period..., data[x]] for every cell x of the box: one
-    flat gather per residue class of the first axis."""
-    period, nsym = table.shape[0], table.shape[-1]
-    offs = 0  # flat table offset of the residues on the other axes
-    for axis in range(1, data.ndim):
-        res = (origin[axis] + np.arange(data.shape[axis])) % period
-        stride = period ** (data.ndim - 1 - axis) * nsym
-        offs = offs + (res * stride).reshape(
-            (-1,) + (1,) * (data.ndim - 1 - axis))
-    out = np.empty(data.shape, dtype=table.dtype)
-    for a in range(period):
-        rows = slice((a - origin[0]) % period, None, period)
-        out[rows] = np.take(table[a].ravel(), data[rows] + offs)
-    return out
-
-
 def _top_bit(x: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each unsigned word, -1 where it is
-    0.  frexp is exact here: words of up to 16 bits convert to float32
-    exactly and 32-bit words to float64; uint64 words split into halves."""
-    if x.dtype.itemsize == 8:
-        hi = _top_bit((x >> np.uint64(32)).astype(np.uint32))
-        return np.where(hi >= 0, hi + 32, _top_bit(x.astype(np.uint32)))
-    exact = np.float32 if x.dtype.itemsize <= 2 else np.float64
-    return np.frexp(x.astype(exact))[1] - 1
+    """Index of the highest set bit of each uint8 word, -1 where it is 0."""
+    return np.frexp(x.astype(np.float32))[1] - 1
 
 
 def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
@@ -420,6 +395,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     the periodic SFT; OR-ing their complements over the (2c+1) box leaves
     the translates broken somewhere in it, so the consistent translates
     are the complement of that, and the vote is its highest set bit.
+    Bits are held in uint8 words of 8 translates, one pass per word.
     Vote ties pick the lexicographically greatest offset, matching the
     maximal-configuration convention.
     """
@@ -433,10 +409,15 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     comps = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
-    for w, table in enumerate(p._match):  # one word per 64 translates
-        bits = _residue_gather(table, grid.origin, grid.data)
+    # flat index of (x mod period..., grid[x]) in a MATCH word, per cell x
+    res = np.ix_(*((o + np.arange(s)) % p.period
+                   for o, s in zip(grid.origin, grid.shape)))
+    key = grid.data + sum(r * (nsym * p.period ** k)
+                          for k, r in enumerate(res[::-1]))
+    for w, table in enumerate(p._match):  # one word per 8 translates
+        bits = np.take(table, key)
         top = _top_bit(~core._or_windows(~bits, c))
-        vote = top if w == 0 else np.where(top >= 0, top + 64 * w, vote)
+        vote = top if w == 0 else np.where(top >= 0, top + 8 * w, vote)
     on_comp = comps.largest_mask() & (vote >= 0)
     counts = np.bincount(vote[on_comp], minlength=len(orbit)) if on_comp.any() \
         else np.zeros(len(orbit), dtype=int)

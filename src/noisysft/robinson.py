@@ -886,10 +886,9 @@ def infer_translate(grid, mask, N: int, votes_ok=None):
     P = 2 ** (N + 1)
     qr, qc = min(P, h), min(P, w)
     nbins = 7 * qr * qc
-    key_t = np.min_scalar_type(nbins - 1).type
-    lut = (_VOTE_CLASS * (qr * qc)).astype(key_t)
-    row_key = (np.arange(h) % qr * qc).astype(key_t)[:, None]
-    col_key = (np.arange(w) % qc).astype(key_t)
+    lut = (_VOTE_CLASS * (qr * qc)).astype(np.uint32)
+    row_key = (np.arange(h) % qr * qc).astype(np.uint32)[:, None]
+    col_key = (np.arange(w) % qc).astype(np.uint32)
     # blocks of rows keep the index and bincount temporaries small
     hist = np.zeros(nbins, dtype=np.int64)
     step = max(2 ** 16, nbins) // max(w, 1) + 1

@@ -473,7 +473,7 @@ class TestGraphLayer:
         ("01", ["11", "010"]), ("ab", ["aa", "ba"]),
         ("abc", ["ab", "ba", "cc", "aca"]), ("ab", ["bbbb", "bab", "aab"])]))
 
-    def check(self, auto, constants=True):
+    def check(self, auto):
         classes, live, chain = _networkx_reference(auto)
         assert a1d.communication_classes(auto) == classes
         assert a1d.live_states(auto) == live
@@ -497,7 +497,7 @@ class TestGraphLayer:
         refined = max(chain if transient else 0, half_d)
         assert a1d.peel_constant_C(auto) == basic
         assert a1d.peel_constant_C(auto, refined=True) == refined
-        if constants and cls.kind == "irreducible_aperiodic":
+        if cls.kind == "irreducible_aperiodic":
             n0 = a1d.sticking_constant_n0(auto)
             for flag, c in ((False, basic), (True, refined)):
                 d = max(c, -(-n0 // 2))

@@ -2,7 +2,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from noisysft import robinson as rb
@@ -486,6 +486,9 @@ def _infer_translate_full_box(grid, mask, N, votes_ok=None):
 
 
 class TestInferTranslateStrided:
+    # scales above the drawn range: up to 7 x 256 x 256 histogram bins
+    @example(6, 6, 300, 200, 300, 280, 0.05, False, True)
+    @example(7, 7, 300, 200, 300, 280, 0.05, False, True)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
            st.integers(-300, 300), st.integers(-300, 300),
            st.integers(1, 70), st.integers(1, 70),
@@ -502,20 +505,5 @@ class TestInferTranslateStrided:
         grid = Grid((o0, o1), ids)
         mask = NoiseMask((o0, o1), (rng.random((h, w)) < eps).astype(np.uint8))
         votes_ok = rng.random((h, w)) < 0.8 if with_votes else None
-        assert rb.infer_translate(grid, mask, n, votes_ok) == \
-            _infer_translate_full_box(grid, mask, n, votes_ok)
-
-
-class TestInferTranslateWideKeys:
-    @pytest.mark.parametrize("n", [6, 7])
-    def test_uint32_histogram_keys(self, n):
-        # 7 x 2^{N+1} x 2^{N+1} bins exceed 2^16 here
-        rng = np.random.default_rng(n)
-        t = tuple(int(v) for v in rng.integers(0, 512, size=2))
-        ids = rb.reference_window((300, 200), (300, 280), t)
-        grid = Grid((300, 200), ids)
-        mask = NoiseMask((300, 200),
-                         (rng.random(ids.shape) < 0.02).astype(np.uint8))
-        votes_ok = rng.random(ids.shape) < 0.9
         assert rb.infer_translate(grid, mask, n, votes_ok) == \
             _infer_translate_full_box(grid, mask, n, votes_ok)
