@@ -420,9 +420,6 @@ class _ReachTable:
 def _state_index(auto: WordAutomaton, state) -> int:
     if isinstance(state, int) and not isinstance(state, bool):
         if 0 <= state < len(auto.states):
-            # bare ints name single-letter states when word_len is 1
-            if auto.word_len == 1 and (state,) in auto.index:
-                return auto.index[(state,)]
             return state
         raise ValueError(f"no state {state}")
     w = coerce_word(auto.sft, state)

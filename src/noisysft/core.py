@@ -148,10 +148,6 @@ class Grid:
     def shape(self) -> Offset:
         return tuple(self.data.shape)
 
-    def translate(self, vec) -> "Grid":
-        v = _as_offset(vec, self.dim)
-        return Grid(tuple(o + dv for o, dv in zip(self.origin, v)), self.data)
-
 
 @dataclass(frozen=True)
 class NoiseMask:

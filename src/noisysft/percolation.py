@@ -71,7 +71,6 @@ class OpenComponents:
     origin: tuple
     labels: np.ndarray  # 0 on obscured cells
     count: int  # open components, labelled 1..count
-    thicken_radius: int
 
     @functools.cached_property
     def sizes(self) -> np.ndarray:
@@ -112,8 +111,7 @@ def open_components(mask: NoiseMask, c: int) -> OpenComponents:
     struct = _CROSS if tm.data.ndim == 2 else ndimage.generate_binary_structure(
         tm.data.ndim, 1)
     labels, count = ndimage.label(tm.data == 0, structure=struct)
-    return OpenComponents(origin=tm.origin, labels=labels, count=count,
-                          thicken_radius=c)
+    return OpenComponents(origin=tm.origin, labels=labels, count=count)
 
 
 def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,

@@ -19,7 +19,7 @@ import numpy as np
 from . import automaton1d as a1d
 from . import core
 from .core import Grid, NoiseMask, Sft, thicken
-from .percolation import OpenComponents, open_components
+from .percolation import open_components
 
 
 def _runs(flags: np.ndarray):
@@ -41,11 +41,6 @@ class Repair1DReport:
     end_rewrites: int  # interior cells rewritten only because of box-end peeling
     constants: a1d.RepairConstants
 
-    def interior_word(self):
-        lo = self.interior[0] - self.grid.origin[0]
-        hi = self.interior[1] - self.grid.origin[0]
-        return tuple(int(v) for v in self.grid.data[lo:hi])
-
 
 def _coerce_automaton(sft_or_auto) -> a1d.WordAutomaton:
     if isinstance(sft_or_auto, a1d.WordAutomaton):
@@ -53,8 +48,7 @@ def _coerce_automaton(sft_or_auto) -> a1d.WordAutomaton:
     return a1d.build_automaton(sft_or_auto)
 
 
-def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
-              refined: bool = False) -> Repair1DReport:
+def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     """Repair a noisy 1D configuration.
 
     The obscured set is thickened by E; each thickened window is refilled
@@ -64,191 +58,144 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask, *,
     at each physical end and the guarantees hold on the interior between
     them.  Cells changed on the interior lie within E of an obscured cell
     except for at most a few end rewrites next to the peel margins, which
-    are counted separately.
+    are counted separately.  When some window cannot be anchored the whole
+    box becomes the lex-least admissible word and `boundary_gap` is set.
     """
     auto = _coerce_automaton(sft_or_auto)
-    rc = a1d.repair_constants(auto, refined=refined)
-    wl, e_const, c_const, n0 = rc.word_len, rc.E, rc.C, rc.n0
-    h = -(-auto.sft.diameter // 2)
+    rc = a1d.repair_constants(auto)
     if grid.dim != 1 or mask.dim != 1:
         raise ValueError("repair_1d needs 1D boxes")
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
     length = grid.shape[0]
-    if length < 2 * (c_const + e_const + wl) + n0 + 2:
+    if length < 2 * (rc.C + rc.E + rc.word_len) + rc.n0 + 2:
         raise ValueError("box too small to repair")
 
-    padded = NoiseMask((0,), np.pad(mask.data, e_const))
-    fat = thicken(padded, e_const).data.astype(bool)
+    padded = NoiseMask((0,), np.pad(mask.data, rc.E))
+    fat = thicken(padded, rc.E).data.astype(bool)
     out = np.array(grid.data, copy=True)
-    origin = grid.origin[0]
-    interior = (origin + c_const, origin + length - c_const)
-    boundary_gap = False
-    end_rewrites = 0
     live = a1d.live_states(auto)
-
-    def window_start(pos: int, side: str) -> int | None:
-        """Start of out[pos-wl:pos] (left) or out[pos:pos+wl] (right), None
-        when that window leaves the box."""
-        lo = pos - wl if side == "left" else pos
-        return lo if 0 <= lo <= length - wl else None
-
     # out is not written until every window is filled, so the anchors
     # read their states from one pass over the noisy word
-    states_at = a1d.window_states(auto, out)
-
-    def anchor_state(pos: int, side: str) -> int | None:
-        lo = window_start(pos, side)
-        if lo is None or states_at[lo] < 0:
-            return None
-        return int(states_at[lo])
-
-    def peel_state(pos: int, side: str) -> int | None:
-        """As anchor_state, read from out after the fills."""
-        lo = window_start(pos, side)
-        if lo is None:
-            return None
-        return auto.index.get(tuple(int(v) for v in out[lo:lo + wl]))
-
-    windows = _runs(fat)
-    # windows reaching into the peel margins count as boundary windows
-    margin_lo, margin_hi = c_const, length - c_const
-    fills: list[tuple[int, int, tuple]] = []
-
-    kept_any = any(b - a > 0 for a, b in _runs(~fat[margin_lo:margin_hi]))
-    if not kept_any:
-        boundary_gap = True
-        word = a1d.lex_least_admissible_word(auto, length)
-        if word is None:
-            raise ValueError("the SFT admits no bi-infinite configuration")
-        fills.append((0, length, word))
-        windows = []
-
-    for a, b in windows:
-        touches_lo = a < margin_lo + 1
-        touches_hi = b > margin_hi - 1
-        if touches_lo and touches_hi:
-            boundary_gap = True
-            word = a1d.lex_least_admissible_word(auto, length)
-            fills = [(0, length, word)]
-            break
-        if touches_lo:
-            # one-sided: anchored on the right only, filled to the box end
-            stop = b - h
-            right = anchor_state(stop, "right")
-            widen = 0
-            while right is None or right not in live:
-                stop += 1
-                widen += 1
-                if stop + wl > length or widen > c_const + wl + 1:
-                    right = None
-                    break
-                right = anchor_state(stop, "right")
-            if right is None:
-                boundary_gap = True
-                word = a1d.lex_least_admissible_word(auto, length)
-                fills = [(0, length, word)]
-                break
-            fills.append((0, stop, a1d.extend_from(auto, right, stop,
-                                                   forward=False)))
-            continue
-        if touches_hi:
-            start = a + h
-            left = anchor_state(start, "left")
-            widen = 0
-            while left is None or left not in live:
-                start -= 1
-                widen += 1
-                if start - wl < 0 or widen > c_const + wl + 1:
-                    left = None
-                    break
-                left = anchor_state(start, "left")
-            if left is None:
-                boundary_gap = True
-                word = a1d.lex_least_admissible_word(auto, length)
-                fills = [(0, length, word)]
-                break
-            fills.append((start, length,
-                          a1d.extend_from(auto, left, length - start,
-                                          forward=True)))
-            continue
-        # interior window: anchors straddle the window edges by h, which
-        # keeps them on genuinely clear cells
-        start, stop = a + h, b - h
-        widen_total = 0
-        while True:
-            left = anchor_state(start, "left")
-            right = anchor_state(stop, "right")
-            filler = None
-            if left is not None and right is not None:
-                filler = a1d.fill_gap(auto, left, right, stop - start)
-            if filler is not None:
-                fills.append((start, stop, filler))
-                break
-            widen_total += 1
-            if left is None or left not in live:
-                start -= 1
-            elif right is None or right not in live:
-                stop += 1
-            else:
-                start -= 1
-                stop += 1
-            if start - wl < 0 or stop + wl > length or \
-                    widen_total > 2 * (c_const + wl + n0) + 4:
-                boundary_gap = True
-                word = a1d.lex_least_admissible_word(auto, length)
-                fills = [(0, length, word)]
-                break
-        if boundary_gap and fills and fills[-1][0] == 0 and fills[-1][1] == length:
-            break
-
-    for start, stop, word in fills:
-        out[start:stop] = word
-
-    # peel the box ends: if the word entering the interior is not anchored
-    # in a live state, rewrite the shortest prefix (suffix) that fixes it
-    if not boundary_gap and wl <= length:
-        for side in ("lo", "hi"):
-            for j in range(c_const + 1):
-                if side == "lo":
-                    st = peel_state(margin_lo + j + wl, "left")
-                else:
-                    st = peel_state(margin_hi - j - wl, "right")
-                if st is not None and st in live:
-                    if j > 0:
-                        if side == "lo":
-                            seg = a1d.extend_from(auto, st, margin_lo + j,
-                                                  forward=False)
-                            if not np.array_equal(out[:margin_lo + j], seg):
-                                end_rewrites += max(
-                                    0, int(np.sum(out[margin_lo:margin_lo + j]
-                                                  != seg[margin_lo:])))
-                                out[:margin_lo + j] = seg
-                        else:
-                            seg = a1d.extend_from(auto, st,
-                                                  length - margin_hi + j,
-                                                  forward=True)
-                            old = out[margin_hi - j:]
-                            if not np.array_equal(old, seg):
-                                end_rewrites += int(
-                                    np.sum(out[margin_hi - j:margin_hi]
-                                           != seg[:j]))
-                                out[margin_hi - j:] = seg
-                    break
+    fills = _window_fills(auto, rc, fat, a1d.window_states(auto, out), live)
+    boundary_gap = fills is None
+    if boundary_gap:
+        out[:] = a1d.lex_least_admissible_word(auto, length)
+        end_rewrites = 0
+    else:
+        for start, stop, word in fills:
+            out[start:stop] = word
+        end_rewrites = _peel_ends(auto, out, rc.C, live)
 
     changed = out != grid.data
-    inside = slice(c_const, length - c_const)
-    denom = max(length - 2 * c_const, 1)
-    report = Repair1DReport(
+    origin, c_const = grid.origin[0], rc.C
+    return Repair1DReport(
         grid=Grid(grid.origin, out),
-        interior=interior,
+        interior=(origin + c_const, origin + length - c_const),
         changed=changed,
-        changed_fraction=float(changed[inside].sum()) / denom,
+        changed_fraction=float(changed[c_const:length - c_const].sum())
+        / (length - 2 * c_const),
         boundary_gap=boundary_gap,
         end_rewrites=end_rewrites,
         constants=rc,
     )
-    return report
+
+
+def _window_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
+                  fat: np.ndarray, states_at: np.ndarray, live: frozenset):
+    """(start, stop, letters) refills of the runs of `fat`, in run order, or
+    None when some run cannot be anchored.
+
+    `states_at[p]` is the state spelled by the noisy word at p.  A run
+    reaching into a C-cell peel margin is anchored on its inner side only
+    and filled to the box end; a run reaching into both is unanchorable.
+    """
+    wl, c_const, length = rc.word_len, rc.C, len(fat)
+    h = -(-auto.sft.diameter // 2)
+
+    def anchor(pos: int, left: bool) -> int | None:
+        """State of word[pos-wl:pos] (left) or word[pos:pos+wl] (right),
+        None when that window leaves the box or is no state."""
+        lo = pos - wl if left else pos
+        if 0 <= lo <= length - wl and states_at[lo] >= 0:
+            return int(states_at[lo])
+        return None
+
+    def widen(pos: int, step: int, left: bool):
+        """(position, state) of the first live anchor among the C + wl + 2
+        positions pos, pos + step, ...; None when there is none."""
+        for p in range(pos, pos + step * (c_const + wl + 2), step):
+            state = anchor(p, left)
+            if state in live:
+                return p, state
+        return None
+
+    fills = []
+    for a, b in _runs(fat):
+        touches_lo, touches_hi = a <= c_const, b >= length - c_const
+        if touches_lo and touches_hi:
+            return None
+        if touches_lo or touches_hi:
+            # one-sided: anchored on the inner side, filled to the box end
+            hit = (widen(b - h, 1, False) if touches_lo
+                   else widen(a + h, -1, True))
+            if hit is None:
+                return None
+            p, state = hit
+            n = p if touches_lo else length - p
+            word = a1d.extend_from(auto, state, n, forward=touches_hi)
+            fills.append((0, p, word) if touches_lo else (p, length, word))
+            continue
+        # interior run: anchors straddle the run edges by h, which keeps
+        # them on genuinely clear cells; widen the side whose anchor is not
+        # live, or both when fill_gap finds no word between live anchors
+        start, stop, moves = a + h, b - h, 0
+        while True:
+            left, right = anchor(start, True), anchor(stop, False)
+            if left is not None and right is not None:
+                filler = a1d.fill_gap(auto, left, right, stop - start)
+                if filler is not None:
+                    fills.append((start, stop, filler))
+                    break
+            moves += 1
+            if left not in live:
+                start -= 1
+            elif right not in live:
+                stop += 1
+            else:
+                start, stop = start - 1, stop + 1
+            if start < wl or stop + wl > length or \
+                    moves > 2 * (c_const + wl + rc.n0) + 4:
+                return None
+    return fills
+
+
+def _peel_ends(auto: a1d.WordAutomaton, out: np.ndarray, c_const: int,
+               live: frozenset) -> int:
+    """Peel the box ends of the filled word in place: where the word
+    entering the interior is not a live state, rewrite the shortest prefix
+    (suffix) reaching j <= C cells into the interior that ends (starts) in
+    one.  Returns the interior cells so rewritten."""
+    wl, length = auto.word_len, len(out)
+    rewrites = 0
+    for left in (True, False):
+        for j in range(c_const + 1):
+            lo = c_const + j if left else length - c_const - j - wl
+            state = auto.index.get(tuple(out[lo:lo + wl].tolist()))
+            if state in live:
+                break
+        if state not in live or j == 0:
+            continue
+        seg = np.array(a1d.extend_from(auto, state, c_const + j,
+                                       forward=not left))
+        if left:
+            rewrites += int(np.sum(out[c_const:c_const + j] != seg[c_const:]))
+            out[:c_const + j] = seg
+        else:
+            rewrites += int(np.sum(out[length - c_const - j:length - c_const]
+                                   != seg[:j]))
+            out[length - c_const - j:] = seg
+    return rewrites
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +322,6 @@ class RepairPeriodicReport:
     changed_fraction: float
     vote_counts: dict
     no_votes: bool
-    components: OpenComponents
 
 
 def _top_bit(x: np.ndarray) -> np.ndarray:
@@ -436,4 +382,4 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     return RepairPeriodicReport(
         grid=repaired, offset=offset, c=c, changed_fraction=changed,
         vote_counts={orbit[i]: int(n) for i, n in enumerate(counts)},
-        no_votes=no_votes, components=comps)
+        no_votes=no_votes)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import BudgetExceeded, Grid, NoiseMask
 from .noise import derive_seed
-from .percolation import OpenComponents, open_components
+from .percolation import open_components
 
 U, R, D, L = 0, 1, 2, 3
 NONE, OUT, IN = 0, 1, 2
@@ -946,7 +946,6 @@ class RobinsonRepairReport:
     changed_fraction: float
     no_votes: bool
     slack: float
-    components: OpenComponents
 
 
 def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
@@ -990,8 +989,7 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     slack = robinson_slack(N, min(interior_shape))
     return RobinsonRepairReport(
         grid=Grid(interior_origin, ref), scale=N, c=c, translate=translate,
-        changed_fraction=changed, no_votes=no_votes, slack=slack,
-        components=comps)
+        changed_fraction=changed, no_votes=no_votes, slack=slack)
 
 
 # ---------------------------------------------------------------------------

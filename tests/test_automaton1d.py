@@ -428,6 +428,29 @@ class TestExtend:
         assert a1d.lex_least_admissible_word(alt, 4) == (0, 1, 0, 1)
 
 
+class TestStateIndex:
+    """With word_len 1 and a letter forbidden, state index i need not spell
+    letter i; a bare int is always read as a state index."""
+
+    def test_index_is_not_a_letter(self):
+        auto = a1d.build_automaton(word_sft("0123", ["1", "12", "30"]))
+        assert auto.states == ((0,), (2,), (3,))
+        assert a1d._state_index(auto, 2) == 2
+        # state 2 is (3,), which 0 may not follow
+        assert a1d.extend_from(auto, 2, 3) == (2, 0, 0)
+        assert a1d.fill_gap(auto, 2, 0, 1) == (2,)
+
+    def test_live_state_by_index(self):
+        # letters 1 and 2, 1 only ever followed by 2: (2,), index 1, is the
+        # one live state
+        auto = a1d.build_automaton(word_sft("012", ["0", "01", "21", "11"]))
+        assert auto.states == ((1,), (2,))
+        assert a1d.live_states(auto) == {1}
+        assert a1d.extend_from(auto, 1, 3) == (2, 2, 2)
+        assert a1d.extend_from(auto, 1, 3, forward=False) == (2, 2, 2)
+        assert a1d.fill_gap(auto, 1, 1, 2) == (2, 2)
+
+
 class TestRepairConstantsCache:
     def test_built_once_and_equal_to_fresh(self):
         for sft in (GOLDEN_MEAN, FULL_SHIFT_2, word_sft("01", ["11", "010"])):

@@ -20,6 +20,17 @@ forbid (0)=2 (1)=0 (2)=2
 forbid (0)=0 (1)=2 (2)=2 (3)=0
 """
 
+# a forbidden letter, so automaton state i is not letter i; recorded after
+# bare-int states stopped being read as letters
+FORBID_ONE = """dim 1
+alphabet 0 1 2 3
+forbid (0)=1
+forbid (0)=3 (1)=0
+"""
+
+SFT_FILES = {"SFT3": ("sft3.txt", SFT3),
+             "FORBID_ONE": ("forbid_one.txt", FORBID_ONE)}
+
 
 def _digest(rows) -> str:
     return hashlib.sha256(H.format_csv(rows).encode()).hexdigest()
@@ -32,6 +43,9 @@ SWEEPS = {
     "repair1d-sft3": (H.run_repair1d_sweep, dict(
         kind="repair1d", sft="SFT3", epsilons=(0.005, 0.02), box=(3000,),
         trials=3, seed=4)),
+    "repair1d-forbid-one": (H.run_repair1d_sweep, dict(
+        kind="repair1d", sft="FORBID_ONE", epsilons=(0.005, 0.02),
+        box=(3000,), trials=3, seed=11)),
     "repair2d-checkerboard": (H.run_repair2d_sweep, dict(
         kind="repair2d", sft="checkerboard", epsilons=(0.003, 0.01),
         box=(48,), trials=3, seed=5)),
@@ -57,6 +71,8 @@ DIGESTS = {
         "7f61c077ccb6b18b48c7efc89d1f9bf7bc874b12f1e498a95d70ab0b4bfa4ff4",
     "repair1d-sft3":
         "7aaffd01be044d60c50280a8228d53bdcf2b9b46690edacbc18f4050da2b4229",
+    "repair1d-forbid-one":
+        "81b22067633efddd8d54dba697f0fcd3905333344d37a2ebb65759862fa1ddcb",
     "repair2d-checkerboard":
         "d97eb048417a686fdf7d9170532fc11ab38796802896b50b3cf5208fc56eaec9",
     "repair2d-stripes":
@@ -76,9 +92,10 @@ DIGESTS = {
 
 def _run(name, tmp_path, **extra) -> str:
     driver, kw = SWEEPS[name]
-    if kw.get("sft") == "SFT3":
-        path = tmp_path / "sft3.txt"
-        path.write_text(SFT3)
+    if kw.get("sft") in SFT_FILES:
+        fname, text = SFT_FILES[kw["sft"]]
+        path = tmp_path / fname
+        path.write_text(text)
         kw = dict(kw, sft=str(path))
     return _digest(driver(H.ExperimentSpec(**kw, **extra)))
 

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import noisysft.automaton1d as a1d
+from noisysft import harness as H
 from noisysft.core import (
     GOLDEN_MEAN,
     Grid,
@@ -20,6 +21,8 @@ from noisysft.noise import Bernoulli, sample_mask
 from noisysft.percolation import open_components
 from noisysft.repair import (
     PeriodicSft,
+    Repair1DReport,
+    _runs,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -28,6 +31,8 @@ from noisysft.repair import (
 
 LONELY_ONE = word_sft("01", ["11", "010"])
 TWO_THREE = word_sft("012", ["00", "02", "11", "21", "22"])
+# a only before b, b only before b: (a,) is transient
+A_THEN_B = word_sft("ab", ["aa", "ba"])
 
 CHECKER_TEXT = """
 dim 2
@@ -113,7 +118,8 @@ class TestRepair1D:
         mask = np.zeros(60, dtype=np.uint8)
         mask[30] = 1
         rep = repair_1d(auto, Grid((0,), data), NoiseMask((0,), mask))
-        assert a1d.is_globally_admissible(auto, rep.interior_word())
+        lo, hi = rep.interior
+        assert a1d.is_globally_admissible(auto, rep.grid.data[lo:hi])
         changed = np.flatnonzero(rep.changed)
         assert len(changed) > 0
         e = rep.constants.E
@@ -124,7 +130,8 @@ class TestRepair1D:
         mask = np.ones(50, dtype=np.uint8)
         rep = repair_1d(GOLDEN_MEAN, Grid((0,), data), NoiseMask((0,), mask))
         assert rep.boundary_gap
-        assert rep.interior_word() == (0,) * 48
+        lo, hi = rep.interior
+        assert rep.grid.data[lo:hi].tolist() == [0] * 48
 
     def test_box_too_small(self):
         data = np.zeros(5, dtype=np.int64)
@@ -154,7 +161,8 @@ class TestRepair1D:
             data = noisy_copy(word, mask.data, nsym, rng)
             rep = repair_1d(auto, Grid((0,), data), NoiseMask((0,), mask.data))
             assert not rep.boundary_gap
-            assert a1d.is_globally_admissible(auto, rep.interior_word())
+            lo, hi = rep.interior
+            assert a1d.is_globally_admissible(auto, rep.grid.data[lo:hi])
             # locality: interior changes happen within E of an obscured cell
             # or within C of the interior edge (end peeling)
             obscured = np.flatnonzero(mask.data)
@@ -165,6 +173,34 @@ class TestRepair1D:
                 near_end = i < rc.C + rc.C or i >= length - 2 * rc.C
                 assert near_noise or near_end, f"far rewrite at {i}"
             assert rep.end_rewrites <= 2 * rc.C
+
+    @pytest.mark.parametrize("bad, gap", [(3, False), (4, True)])
+    def test_one_sided_anchor_widens_c_wl_plus_one(self, bad, gap):
+        # (b,) is the only live state; C = wl = h = 1, E = 2.  The run [0, 3)
+        # touches the low margin, so its anchor is looked for at 2..5
+        auto = a1d.build_automaton(A_THEN_B)
+        data = np.ones(40, dtype=np.int64)
+        data[2:2 + bad] = 0
+        mask = np.zeros(40, dtype=np.uint8)
+        mask[0] = 1
+        rep = repair_1d(auto, Grid((0,), data), NoiseMask((0,), mask))
+        assert rep.boundary_gap == gap
+        assert (rep.grid.data == 1).all()
+
+    @pytest.mark.parametrize("bad, gap", [(10, False), (11, True)])
+    def test_two_sided_window_moves_at_most_10(self, bad, gap):
+        # 2 (C + wl + n0) + 4 = 10 moves; the run [48, 53) has its right
+        # anchor at 52, and each a from there on, which no gap word can
+        # enter, costs a move
+        auto = a1d.build_automaton(A_THEN_B)
+        data = np.ones(100, dtype=np.int64)
+        data[52:52 + bad] = 0
+        mask = np.zeros(100, dtype=np.uint8)
+        mask[50] = 1
+        rep = repair_1d(auto, Grid((0,), data), NoiseMask((0,), mask))
+        assert rep.constants.n0 == 1
+        assert rep.boundary_gap == gap
+        assert (rep.grid.data == 1).all()
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
@@ -178,18 +214,244 @@ class TestRepair1D:
         assert reps[0].interior == reps[1].interior
         assert reps[0].end_rewrites == reps[1].end_rewrites
 
-    def test_refined_constant_still_repairs(self):
-        auto = a1d.build_automaton(LONELY_ONE)
-        basic = a1d.repair_constants(auto)
-        refined = a1d.repair_constants(auto, refined=True)
-        assert refined.C <= basic.C
-        rng = np.random.default_rng(2)
-        word = random_admissible_word(auto, 300, rng)
-        mask = sample_mask(Bernoulli(0.04), (300,), seed=11)
-        data = noisy_copy(word, mask.data, 2, rng)
-        rep = repair_1d(auto, Grid((0,), data), NoiseMask((0,), mask.data),
-                        refined=True)
-        assert a1d.is_globally_admissible(auto, rep.interior_word())
+
+def _repair_1d_reference(auto, grid, mask):
+    """The window loop repair_1d had before its anchor helpers were merged,
+    kept to check that the merge moved no output."""
+    rc = a1d.repair_constants(auto)
+    wl, e_const, c_const, n0 = rc.word_len, rc.E, rc.C, rc.n0
+    h = -(-auto.sft.diameter // 2)
+    length = grid.shape[0]
+    padded = NoiseMask((0,), np.pad(mask.data, e_const))
+    fat = thicken(padded, e_const).data.astype(bool)
+    out = np.array(grid.data, copy=True)
+    origin = grid.origin[0]
+    interior = (origin + c_const, origin + length - c_const)
+    boundary_gap = False
+    end_rewrites = 0
+    live = a1d.live_states(auto)
+
+    def window_start(pos, side):
+        lo = pos - wl if side == "left" else pos
+        return lo if 0 <= lo <= length - wl else None
+
+    states_at = a1d.window_states(auto, out)
+
+    def anchor_state(pos, side):
+        lo = window_start(pos, side)
+        if lo is None or states_at[lo] < 0:
+            return None
+        return int(states_at[lo])
+
+    def peel_state(pos, side):
+        lo = window_start(pos, side)
+        if lo is None:
+            return None
+        return auto.index.get(tuple(int(v) for v in out[lo:lo + wl]))
+
+    windows = _runs(fat)
+    margin_lo, margin_hi = c_const, length - c_const
+    fills = []
+
+    kept_any = any(b - a > 0 for a, b in _runs(~fat[margin_lo:margin_hi]))
+    if not kept_any:
+        boundary_gap = True
+        word = a1d.lex_least_admissible_word(auto, length)
+        fills.append((0, length, word))
+        windows = []
+
+    for a, b in windows:
+        touches_lo = a < margin_lo + 1
+        touches_hi = b > margin_hi - 1
+        if touches_lo and touches_hi:
+            boundary_gap = True
+            fills = [(0, length, a1d.lex_least_admissible_word(auto, length))]
+            break
+        if touches_lo:
+            stop = b - h
+            right = anchor_state(stop, "right")
+            widen = 0
+            while right is None or right not in live:
+                stop += 1
+                widen += 1
+                if stop + wl > length or widen > c_const + wl + 1:
+                    right = None
+                    break
+                right = anchor_state(stop, "right")
+            if right is None:
+                boundary_gap = True
+                fills = [(0, length,
+                          a1d.lex_least_admissible_word(auto, length))]
+                break
+            fills.append((0, stop, a1d.extend_from(auto, right, stop,
+                                                   forward=False)))
+            continue
+        if touches_hi:
+            start = a + h
+            left = anchor_state(start, "left")
+            widen = 0
+            while left is None or left not in live:
+                start -= 1
+                widen += 1
+                if start - wl < 0 or widen > c_const + wl + 1:
+                    left = None
+                    break
+                left = anchor_state(start, "left")
+            if left is None:
+                boundary_gap = True
+                fills = [(0, length,
+                          a1d.lex_least_admissible_word(auto, length))]
+                break
+            fills.append((start, length,
+                          a1d.extend_from(auto, left, length - start,
+                                          forward=True)))
+            continue
+        start, stop = a + h, b - h
+        widen_total = 0
+        while True:
+            left = anchor_state(start, "left")
+            right = anchor_state(stop, "right")
+            filler = None
+            if left is not None and right is not None:
+                filler = a1d.fill_gap(auto, left, right, stop - start)
+            if filler is not None:
+                fills.append((start, stop, filler))
+                break
+            widen_total += 1
+            if left is None or left not in live:
+                start -= 1
+            elif right is None or right not in live:
+                stop += 1
+            else:
+                start -= 1
+                stop += 1
+            if start - wl < 0 or stop + wl > length or \
+                    widen_total > 2 * (c_const + wl + n0) + 4:
+                boundary_gap = True
+                fills = [(0, length,
+                          a1d.lex_least_admissible_word(auto, length))]
+                break
+        if boundary_gap and fills and fills[-1][0] == 0 and \
+                fills[-1][1] == length:
+            break
+
+    for start, stop, word in fills:
+        out[start:stop] = word
+
+    if not boundary_gap and wl <= length:
+        for side in ("lo", "hi"):
+            for j in range(c_const + 1):
+                if side == "lo":
+                    st_ = peel_state(margin_lo + j + wl, "left")
+                else:
+                    st_ = peel_state(margin_hi - j - wl, "right")
+                if st_ is not None and st_ in live:
+                    if j > 0:
+                        if side == "lo":
+                            seg = a1d.extend_from(auto, st_, margin_lo + j,
+                                                  forward=False)
+                            if not np.array_equal(out[:margin_lo + j], seg):
+                                end_rewrites += max(
+                                    0, int(np.sum(out[margin_lo:margin_lo + j]
+                                                  != seg[margin_lo:])))
+                                out[:margin_lo + j] = seg
+                        else:
+                            seg = a1d.extend_from(auto, st_,
+                                                  length - margin_hi + j,
+                                                  forward=True)
+                            old = out[margin_hi - j:]
+                            if not np.array_equal(old, seg):
+                                end_rewrites += int(
+                                    np.sum(out[margin_hi - j:margin_hi]
+                                           != seg[:j]))
+                                out[margin_hi - j:] = seg
+                    break
+
+    changed = out != grid.data
+    inside = slice(c_const, length - c_const)
+    denom = max(length - 2 * c_const, 1)
+    return Repair1DReport(
+        grid=Grid(grid.origin, out), interior=interior, changed=changed,
+        changed_fraction=float(changed[inside].sum()) / denom,
+        boundary_gap=boundary_gap, end_rewrites=end_rewrites, constants=rc)
+
+
+@st.composite
+def irreducible_aperiodic_automata(draw):
+    """Word automata of random SFTs: 2-3 letters, 1-4 forbidden words of
+    length 1-4, kept when irreducible aperiodic."""
+    alphabet = "012"[:draw(st.integers(2, 3))]
+    words = draw(st.lists(st.text(alphabet, min_size=1, max_size=4),
+                          min_size=1, max_size=4, unique=True))
+    auto = a1d.build_automaton(word_sft(alphabet, words))
+    assume(a1d.classify(auto).kind == "irreducible_aperiodic")
+    return auto
+
+
+# forbidden letters, so state index i does not spell letter i
+FORBID_ONE = word_sft("0123", ["1", "12", "30"])
+ONE_LIVE_LETTER = word_sft("012", ["0", "01", "21", "11"])
+
+
+class TestRandomSft1D:
+    """repair_1d over random small SFTs, forbidden single letters included,
+    against its guarantees and the body it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(a1d.build_automaton(FORBID_ONE), 0.01, 0, 60)
+    @example(a1d.build_automaton(ONE_LIVE_LETTER), 0.05, 0, 0)
+    @given(irreducible_aperiodic_automata(),
+           st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 120))
+    def test_guarantees_and_reference(self, auto, eps, seed, extra):
+        rc = a1d.repair_constants(auto)
+        length = 2 * (rc.C + rc.E + rc.word_len) + rc.n0 + 2 + extra
+        clean = H.sample_admissible_word(auto, length, seed)
+        mask = sample_mask(Bernoulli(eps), (length,), seed=seed)
+        noisy = Grid((0,), H.corrupt(clean, mask.data.astype(bool),
+                                     len(auto.sft.alphabet), seed))
+        rep = repair_1d(auto, noisy, mask)
+        lo, hi = rep.interior
+        assert a1d.is_globally_admissible(auto, rep.grid.data[lo:hi])
+        pos = np.flatnonzero(rep.changed)
+        pos = pos[(pos >= lo) & (pos < hi)]
+        assert H._locality_flags(pos, np.flatnonzero(mask.data), rc,
+                                 lo, hi).all()
+        assert rep.end_rewrites <= 2 * rc.C
+        again = repair_1d(auto, Grid((0,), noisy.data.copy()),
+                          NoiseMask((0,), mask.data.copy()))
+        for other in (again, _repair_1d_reference(auto, noisy, mask)):
+            _assert_same_1d(rep, other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(irreducible_aperiodic_automata(),
+           st.sampled_from([0.0, 0.01, 0.05, 0.2]),
+           st.sampled_from([0.01, 0.05]),
+           st.integers(0, 2 ** 32 - 1), st.integers(0, 120))
+    def test_unmasked_errors_match_reference(self, auto, eps, hidden, seed,
+                                             extra):
+        """Errors outside the mask put non-live states under the anchors,
+        so windows widen; the guarantees need not hold, but the output is
+        still that of the replaced body."""
+        rc = a1d.repair_constants(auto)
+        length = 2 * (rc.C + rc.E + rc.word_len) + rc.n0 + 2 + extra
+        rng = np.random.default_rng(seed)
+        clean = H.sample_admissible_word(auto, length, seed)
+        mask = NoiseMask((0,), rng.random(length) < eps)
+        hit = mask.data.astype(bool) | (rng.random(length) < hidden)
+        noisy = Grid((0,), H.corrupt(clean, hit, len(auto.sft.alphabet),
+                                     seed))
+        _assert_same_1d(repair_1d(auto, noisy, mask),
+                        _repair_1d_reference(auto, noisy, mask))
+
+
+def _assert_same_1d(rep, other):
+    assert np.array_equal(rep.grid.data, other.grid.data)
+    assert rep.interior == other.interior
+    assert np.array_equal(rep.changed, other.changed)
+    assert rep.boundary_gap == other.boundary_gap
+    assert rep.end_rewrites == other.end_rewrites
+    assert rep.changed_fraction == other.changed_fraction
 
 
 class TestPeriodicSft:
