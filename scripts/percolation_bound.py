@@ -30,8 +30,7 @@ def main() -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_csv(rows))
     write_plot(os.path.join(args.out_dir, "percolation.svg"), rows,
-               metric="origin_excluded", bound_metric="exclusion_bound",
-               title="origin exclusion vs union bound")
+               "origin exclusion vs union bound")
     for row in rows:
         if row["metric"] == "origin_excluded":
             print(f"{row['sft']} eps={row['epsilon']:<7} "

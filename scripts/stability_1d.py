@@ -5,7 +5,7 @@ changed fraction against the linear envelope."""
 import argparse
 import os
 
-from noisysft.harness import ExperimentSpec, run_sweep
+from noisysft.harness import ExperimentSpec, format_csv, run_sweep, write_plot
 
 
 def main() -> None:
@@ -23,15 +23,18 @@ def main() -> None:
     eps = tuple(float(t) for t in args.epsilons.split(","))
     spec = ExperimentSpec(
         kind="repair1d", sft=args.sft, epsilons=eps, box=(args.box,),
-        trials=args.trials, seed=args.seed, threads=args.threads,
-        out=os.path.join(args.out_dir, f"stability_{args.sft}.csv"),
-        plot=os.path.join(args.out_dir, f"stability_{args.sft}.svg"))
+        trials=args.trials, seed=args.seed, threads=args.threads)
     rows = run_sweep(spec)
+    path = os.path.join(args.out_dir, f"stability_{args.sft}.csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_csv(rows))
+    plot = os.path.join(args.out_dir, f"stability_{args.sft}.svg")
+    write_plot(plot, rows)
     for row in rows:
         if row["metric"] == "changed_fraction":
             print(f"eps={row['epsilon']:<8} changed={row['value']:.6f} "
                   f"+-{row['ci95']:.6f}")
-    print(f"wrote {spec.out} and {spec.plot}")
+    print(f"wrote {path} and {plot}")
 
 
 if __name__ == "__main__":

@@ -121,14 +121,13 @@ def build_automaton(sft: Sft) -> WordAutomaton:
                          edges=tuple(edges))
 
 
-def _postorder(auto: WordAutomaton, nodes) -> list[int]:
-    """The states of `nodes` in depth-first finishing order, following only
-    edges between them.  The search keeps its own stack, so automata with
-    thousands of states do not reach the recursion limit."""
-    inside = set(nodes)
+def _postorder(auto: WordAutomaton) -> list[int]:
+    """Every state in depth-first finishing order.  The search keeps its
+    own stack, so automata with thousands of states do not reach the
+    recursion limit."""
     seen: set[int] = set()
     order = []
-    for root in nodes:
+    for root in range(len(auto.states)):
         if root in seen:
             continue
         seen.add(root)
@@ -136,7 +135,7 @@ def _postorder(auto: WordAutomaton, nodes) -> list[int]:
         while stack:
             v, outs = stack[-1]
             for _, w in outs:
-                if w in inside and w not in seen:
+                if w not in seen:
                     seen.add(w)
                     stack.append((w, iter(auto.edges[w])))
                     break
@@ -167,7 +166,7 @@ def communication_classes(auto: WordAutomaton) -> tuple[frozenset, ...]:
     """
     placed: set[int] = set()
     out = []
-    for root in reversed(_postorder(auto, range(len(auto.states)))):
+    for root in reversed(_postorder(auto)):
         if root in placed:
             continue
         comp = _closure([root], lambda v: (
@@ -338,32 +337,17 @@ def sticking_constant_n0(auto: WordAutomaton) -> int:
     raise ValueError("class matrix is not primitive despite aperiodicity")
 
 
-def peel_constant_C(auto: WordAutomaton, refined: bool = False) -> int:
+def peel_constant_C(auto: WordAutomaton) -> int:
     """Letters to strip from each end of a locally admissible word so the
-    rest is globally admissible.
-
-    The basic bound counts every state outside the communication class;
-    the refined variant replaces that count by the longest chain of
-    transient states, which can be much smaller.  Requires exactly one
-    communication class.
+    rest is globally admissible: every state outside the communication
+    class, and at least ceil(d/2).  Requires exactly one communication
+    class.
     """
     classes = communication_classes(auto)
     if len(classes) != 1:
         raise ValueError("peel constant needs exactly one communication class")
-    cls = classes[0]
-    transient = [v for v in range(len(auto.states)) if v not in cls]
-    if refined and transient:
-        # with one class the transient states form a DAG, where a state
-        # finishes after all its successors: chain[v] counts the states
-        # of the longest transient path starting at v
-        chain: dict[int, int] = {}
-        for v in _postorder(auto, transient):
-            chain[v] = 1 + max((chain[w] for _, w in auto.edges[v]
-                                if w in chain), default=0)
-        k = max(chain.values())
-    else:
-        k = len(transient)
-    return max(k, -(-auto.sft.diameter // 2))
+    transient = len(auto.states) - len(classes[0])
+    return max(transient, -(-auto.sft.diameter // 2))
 
 
 @dataclass(frozen=True)
@@ -376,11 +360,11 @@ class RepairConstants:
 
 
 @functools.lru_cache(maxsize=None)
-def repair_constants(auto: WordAutomaton, refined: bool = False) -> RepairConstants:
-    """The constants of `repair.repair_1d`, built once per (automaton,
-    refined) and shared: `RepairConstants` is frozen."""
+def repair_constants(auto: WordAutomaton) -> RepairConstants:
+    """The constants of `repair.repair_1d`, built once per automaton and
+    shared: `RepairConstants` is frozen."""
     n0 = sticking_constant_n0(auto)
-    c = peel_constant_C(auto, refined=refined)
+    c = peel_constant_C(auto)
     half_d = -(-auto.sft.diameter // 2)
     d_const = max(c, -(-n0 // 2))
     return RepairConstants(word_len=auto.word_len, n0=n0, C=c,
@@ -418,9 +402,9 @@ class _ReachTable:
 
 
 def _state_index(auto: WordAutomaton, state) -> int:
-    if isinstance(state, int) and not isinstance(state, bool):
+    if isinstance(state, (int, np.integer)) and not isinstance(state, bool):
         if 0 <= state < len(auto.states):
-            return state
+            return int(state)
         raise ValueError(f"no state {state}")
     w = coerce_word(auto.sft, state)
     try:

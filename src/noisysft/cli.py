@@ -40,11 +40,6 @@ def _box(text: str) -> tuple[int, ...]:
     return sides
 
 
-# default box of each sweep kind, shared by its own subcommand and `sweep`
-SWEEP_BOX = {"repair1d": (100_000,), "perc": (1024,), "repair2d": (512, 512),
-             "robinson_repair": (1024, 1024)}
-
-
 def _apply_config(argv: list[str]) -> list[str]:
     """Pull --config out of argv and splice the file's pairs in as flags
     right after the subcommand, so later (explicit) flags win."""
@@ -77,9 +72,16 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None, help="output file (default stdout)")
     seeded = argparse.ArgumentParser(add_help=False, parents=[out])
     seeded.add_argument("--seed", type=int, default=0)
-    common = argparse.ArgumentParser(add_help=False, parents=[seeded])
-    common.add_argument("--threads", type=int, default=1)
-    common.add_argument("--plot", default=None, help="write a log-log SVG here")
+    # the flags of every sweep subcommand.  Each dest that names an
+    # ExperimentSpec field goes into the spec, `driver` names the harness
+    # function that runs it, and a box left out is the kind's default
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--box", type=_box, help="default: the kind's own box")
+    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--threads", type=int, default=1)
+    sweep.add_argument("--plot", default=None, help="write a log-log SVG here")
+    common = argparse.ArgumentParser(add_help=False, parents=[out, sweep])
+    common.add_argument("--epsilons", type=_floats, required=True)
 
     top = argparse.ArgumentParser(
         prog="noisysft",
@@ -90,8 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", parents=[out],
                        help="classify a 1D SFT and report repair constants")
     p.add_argument("--sft", required=True, help="registered name or file")
-    p.add_argument("--refined", action="store_true",
-                   help="use the refined peel constant")
 
     p = sub.add_parser("sample", parents=[seeded],
                        help="sample a noise mask, optionally over a clean word")
@@ -102,25 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perc", parents=[common],
                        help="origin exclusion probability vs the union bound")
-    p.add_argument("--epsilons", type=_floats, required=True)
+    p.set_defaults(kind="perc", driver="run_perc_sweep")
     p.add_argument("--c", type=int, default=1)
-    p.add_argument("--box", type=_box, default=SWEEP_BOX["perc"])
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--proxy", choices=("largest", "sides"), default="largest")
 
     p = sub.add_parser("repair1d", parents=[common],
                        help="changed-fraction sweep for 1D repair")
+    p.set_defaults(kind="repair1d", driver="run_repair1d_sweep")
     p.add_argument("--sft", default="golden-mean")
-    p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=SWEEP_BOX["repair1d"])
     p.add_argument("--trials", type=int, default=50)
 
     p = sub.add_parser("repair2d", parents=[common],
                        help="changed-fraction sweep for 2D periodic repair")
-    p.add_argument("--periodic", required=True,
+    p.set_defaults(kind="repair2d", driver="run_repair2d_sweep")
+    p.add_argument("--periodic", dest="sft", metavar="PERIODIC", required=True,
                    help="registered name (checkerboard, stripes) or file")
-    p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=SWEEP_BOX["repair2d"])
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--c", type=int, default=None)
 
@@ -135,22 +132,22 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--path", default=None, help="output file (default stdout)")
 
     g = rsub.add_parser("verify", help="structural self-checks")
-    g.add_argument("--check", default="tileset,edges,align,peel",
-                   help="comma list from tileset,edges,align,peel")
+    g.add_argument("--check", default=",".join(rb.VERIFY_GROUPS),
+                   help="comma list from %(default)s")
     g.add_argument("--sampled", action="store_true",
                    help="re-derive the peel witness instead of the frozen one")
 
-    g = rsub.add_parser("repair", help="scale-N repair sweep")
-    g.add_argument("--epsilon", type=_floats, required=True)
-    g.add_argument("--scale", type=_ints, default=(2,))
-    g.add_argument("--box", type=_box, default=SWEEP_BOX["robinson_repair"])
+    g = rsub.add_parser("repair", parents=[sweep], help="scale-N repair sweep")
+    g.set_defaults(kind="robinson_repair", driver="run_robinson_repair")
+    g.add_argument("--epsilon", dest="epsilons", metavar="EPSILON",
+                   type=_floats, required=True)
+    g.add_argument("--scale", dest="scales", metavar="SCALE", type=_ints,
+                   default=(2,))
     g.add_argument("--trials", type=int, default=10)
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--threads", type=int, default=1)
-    g.add_argument("--out", choices=("csv",), default="csv",
+    g.add_argument("--out", dest="format", choices=("csv",), default="csv",
                    help="output format")
-    g.add_argument("--path", default=None, help="output file (default stdout)")
-    g.add_argument("--plot", default=None)
+    g.add_argument("--path", dest="out", metavar="PATH", default=None,
+                   help="output file (default stdout)")
 
     p = sub.add_parser("instability", help="adversarial lower-bound constructions")
     isub = p.add_subparsers(dest="icmd", required=True)
@@ -178,12 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="cross-product sweep to CSV")
+    p.set_defaults(driver="run_sweep")
     p.add_argument("--kind", required=True,
                    choices=sorted(hn._SWEEP_DRIVERS))
     p.add_argument("--sft", default="golden-mean")
-    p.add_argument("--epsilons", type=_floats, required=True)
-    p.add_argument("--box", type=_box, default=None,
-                   help="default: the box of the kind's own subcommand")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--c", type=int, default=None)
     p.add_argument("--scales", type=_ints, default=(2,))
@@ -199,10 +194,16 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(rows, args) -> None:
+def _cmd_sweep(args) -> int:
+    """Every sweep subcommand: the spec from the namespace, the driver
+    looked up by name on `harness` at call time, then CSV and plot."""
+    spec = hn.ExperimentSpec(**{k: v for k, v in vars(args).items()
+                                if k in hn.ExperimentSpec.__dataclass_fields__})
+    rows = getattr(hn, args.driver)(spec)
     _emit(hn.format_csv(rows), args.out)
     if args.plot:
         hn.write_plot(args.plot, rows)
+    return 0
 
 
 def _cmd_analyze(args) -> int:
@@ -219,7 +220,7 @@ def _cmd_analyze(args) -> int:
     if cls.kind == "reducible":
         lines.append(f"classes: {cls.class_count}")
     if cls.kind == "irreducible_aperiodic":
-        consts = a1d.repair_constants(auto, refined=args.refined)
+        consts = a1d.repair_constants(auto)
         lines += [f"n0: {consts.n0}", f"C: {consts.C}", f"D: {consts.D}",
                   f"E: {consts.E}",
                   f"envelope: changed_fraction <= {3 * (2 * consts.E + 1)}*eps"]
@@ -269,16 +270,6 @@ def _cmd_robinson(args) -> int:
             print(f"{failed} check(s) failed", file=sys.stderr)
             return 3
         return 0
-    if args.rcmd == "repair":
-        spec = hn.ExperimentSpec(kind="robinson_repair", epsilons=args.epsilon,
-                                 box=args.box, trials=args.trials,
-                                 seed=args.seed, scales=args.scale,
-                                 threads=args.threads)
-        rows = hn.run_robinson_repair(spec)
-        _emit(hn.format_csv(rows), args.path)
-        if args.plot:
-            hn.write_plot(args.plot, rows)
-        return 0
     raise ValueError(f"unknown robinson command {args.rcmd!r}")
 
 
@@ -301,52 +292,21 @@ def _cmd_instability(args) -> int:
         print(f"finite-size gap: {rep.finite_size_gap:.6f} "
               f"(estimate under certificate; grow the box or trials)")
     if args.out:
-        hn.write_csv(args.out, rep.rows())
+        _emit(hn.format_csv(rep.rows()), args.out)
     return 0
 
 
 def _dispatch(args) -> int:
+    if getattr(args, "driver", None):
+        return _cmd_sweep(args)
     if args.cmd == "analyze":
         return _cmd_analyze(args)
     if args.cmd == "sample":
         return _cmd_sample(args)
-    if args.cmd == "perc":
-        spec = hn.ExperimentSpec(kind="perc", epsilons=args.epsilons,
-                                 box=args.box, trials=args.trials,
-                                 seed=args.seed, c=args.c, proxy=args.proxy,
-                                 threads=args.threads)
-        _emit_rows(hn.run_perc_sweep(spec), args)
-        return 0
-    if args.cmd == "repair1d":
-        spec = hn.ExperimentSpec(kind="repair1d", sft=args.sft,
-                                 epsilons=args.epsilons, box=args.box,
-                                 trials=args.trials, seed=args.seed,
-                                 threads=args.threads)
-        _emit_rows(hn.run_repair1d_sweep(spec), args)
-        return 0
-    if args.cmd == "repair2d":
-        spec = hn.ExperimentSpec(kind="repair2d", sft=args.periodic,
-                                 epsilons=args.epsilons, box=args.box,
-                                 trials=args.trials, seed=args.seed,
-                                 c=args.c, threads=args.threads)
-        _emit_rows(hn.run_repair2d_sweep(spec), args)
-        return 0
     if args.cmd == "robinson":
         return _cmd_robinson(args)
     if args.cmd == "instability":
         return _cmd_instability(args)
-    if args.cmd == "sweep":
-        spec = hn.ExperimentSpec(kind=args.kind, sft=args.sft,
-                                 epsilons=args.epsilons,
-                                 box=args.box or SWEEP_BOX[args.kind],
-                                 trials=args.trials, seed=args.seed,
-                                 c=args.c, scales=args.scales,
-                                 proxy=args.proxy, threads=args.threads,
-                                 out=args.out, plot=args.plot)
-        rows = hn.run_sweep(spec)
-        if not args.out:
-            sys.stdout.write(hn.format_csv(rows))
-        return 0
     raise ValueError(f"unknown command {args.cmd!r}")
 
 

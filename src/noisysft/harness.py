@@ -109,20 +109,27 @@ def resolve_periodic(spec: str) -> tuple[str, PeriodicSft]:
 # experiment description
 
 
+# the box of each sweep kind when a spec gives none
+SWEEP_BOX = {"repair1d": (100_000,), "perc": (1024,), "repair2d": (512, 512),
+             "robinson_repair": (1024, 1024)}
+
+
 @dataclass
 class ExperimentSpec:
     kind: str
     sft: str = "golden-mean"
     epsilons: tuple[float, ...] = ()
-    box: tuple[int, ...] = (100_000,)
+    box: tuple[int, ...] | None = None  # None: SWEEP_BOX[kind]
     trials: int = 10
     seed: int = 0
     scales: tuple[int, ...] = (2,)  # robinson only
     c: int | None = None
     proxy: str = "largest"
     threads: int = 1
-    out: str | None = None
-    plot: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.box is None:
+            self.box = SWEEP_BOX.get(self.kind, ())
 
     def validate(self) -> None:
         if self.kind not in _SWEEP_DRIVERS:
@@ -135,6 +142,17 @@ class ExperimentSpec:
             raise ValueError("need at least one trial")
         if any(side < 1 for side in self.box):
             raise ValueError("box sides must be positive")
+        # the sides each driver runs as given; perc squares its one side
+        if self.kind == "repair1d":
+            ok, sides = len(self.box) == 1, "one side"
+        elif self.kind == "perc":
+            ok, sides = (len(self.box) in (1, 2) and len(set(self.box)) == 1,
+                         "one side or two equal sides")
+        else:
+            ok, sides = len(self.box) in (1, 2), "one or two sides"
+        if not ok:
+            raise ValueError(f"a {self.kind} box takes {sides}, got "
+                             f"{_box_str(self.box)!r}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
@@ -168,11 +186,6 @@ def format_csv(rows) -> str:
     for row in rows:
         buf.write(",".join(_fmt(row.get(col, "")) for col in SCHEMA) + "\n")
     return buf.getvalue()
-
-
-def write_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_csv(rows))
 
 
 def mean_ci(vals) -> tuple[float, float]:
@@ -724,10 +737,6 @@ def run_sweep(spec: ExperimentSpec):
                          model=type(exc).__name__, metric="error",
                          value=float("nan"), ci95=float("nan"))
                     for eps in spec.epsilons]
-    if spec.out:
-        write_csv(spec.out, rows)
-    if spec.plot:
-        write_plot(spec.plot, rows)
     return rows
 
 
@@ -741,18 +750,18 @@ def _log_ticks(lo: float, hi: float):
     return [10.0 ** e for e in range(first, last + 1)]
 
 
-def write_plot(path: str, rows, *, metric: str = "changed_fraction",
-               bound_metric: str = "bound", title: str = "") -> None:
+def _is_bound(metric: str) -> bool:
+    return metric == "bound" or metric.endswith("_bound")
+
+
+def write_plot(path: str, rows, title: str = "noise level vs distance") -> None:
     """Minimal self-contained log-log SVG: one polyline per sft label for
-    the chosen metric, the theoretical bound dashed."""
+    the first metric that is not a bound, `error` or `slack`, and the
+    bounds (`bound` and every `*_bound` metric) dashed."""
     series: dict[str, list[tuple[float, float]]] = {}
     bounds: dict[str, list[tuple[float, float]]] = {}
-    present = {r.get("metric") for r in rows}
-    if metric not in present:
-        for row in rows:
-            if row.get("metric") not in (bound_metric, "error", "slack"):
-                metric = row.get("metric")
-                break
+    metric = next((r["metric"] for r in rows if not _is_bound(r["metric"])
+                   and r["metric"] not in ("error", "slack")), None)
     for row in rows:
         eps, val = float(row.get("epsilon", 0)), row.get("value")
         if not isinstance(val, (int, float)):
@@ -760,9 +769,9 @@ def write_plot(path: str, rows, *, metric: str = "changed_fraction",
         if eps <= 0 or val <= 0 or math.isnan(val):
             continue
         key = str(row.get("sft", ""))
-        if row.get("metric") == metric:
+        if row["metric"] == metric:
             series.setdefault(key, []).append((eps, val))
-        elif row.get("metric") == bound_metric:
+        elif _is_bound(row["metric"]):
             bounds.setdefault(key, []).append((eps, val))
     width, height, pad = 560, 400, 56
     pts = [p for ps in series.values() for p in ps]
@@ -822,9 +831,8 @@ def write_plot(path: str, rows, *, metric: str = "changed_fraction",
         line = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in ps)
         svg.append(f'<polyline points="{line}" fill="none" stroke="{col}" '
                    f'stroke-width="1.2" stroke-dasharray="5,4" opacity="0.7"/>')
-    label = title or "noise level vs distance"
     svg.append(f'<text x="{width // 2}" y="{pad - 10}" '
-               f'text-anchor="middle">{label}</text>')
+               f'text-anchor="middle">{title}</text>')
     svg.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(svg))

@@ -1099,8 +1099,13 @@ def verify_peel(mode: str = "exhaustive") -> list:
     return checks
 
 
-def verify_suite(groups=("tileset", "edges", "align", "peel"),
-                 peel_mode: str = "exhaustive") -> list:
+VERIFY_GROUPS = ("tileset", "edges", "align", "peel")
+
+
+def verify_suite(groups=VERIFY_GROUPS, peel_mode: str = "exhaustive") -> list:
+    if not groups or any(g not in VERIFY_GROUPS for g in groups):
+        raise ValueError(f"check groups are a comma list from "
+                         f"{','.join(VERIFY_GROUPS)}, got {','.join(groups)!r}")
     out = []
     if "tileset" in groups or "edges" in groups:
         out += verify_tileset()

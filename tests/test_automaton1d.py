@@ -202,11 +202,6 @@ class TestPeel:
                 peeled = w[c:len(w) - c]
                 assert a1d.is_globally_admissible(auto, peeled), (sft, w)
 
-    def test_refined_not_larger(self):
-        for sft in (GOLDEN_MEAN, TRANSIENT, word_sft("01", ["11", "010"])):
-            auto = a1d.build_automaton(sft)
-            assert a1d.peel_constant_C(auto, refined=True) <= a1d.peel_constant_C(auto)
-
 
 class TestRepairConstants:
     def test_golden_mean(self):
@@ -450,20 +445,28 @@ class TestStateIndex:
         assert a1d.extend_from(auto, 1, 3, forward=False) == (2, 2, 2)
         assert a1d.fill_gap(auto, 1, 1, 2) == (2, 2)
 
+    def test_numpy_integer_index(self):
+        golden = a1d.build_automaton(GOLDEN_MEAN)
+        assert a1d.fill_gap(golden, np.int64(0), 0, 2) == \
+            a1d.fill_gap(golden, 0, 0, 2)
+        assert a1d.extend_from(golden, np.int32(1), 2) == \
+            a1d.extend_from(golden, 1, 2)
+        for flag in (True, np.bool_(True)):
+            with pytest.raises(TypeError):
+                a1d.fill_gap(golden, flag, 0, 2)
+
 
 class TestRepairConstantsCache:
     def test_built_once_and_equal_to_fresh(self):
         for sft in (GOLDEN_MEAN, FULL_SHIFT_2, word_sft("01", ["11", "010"])):
             auto = a1d.build_automaton(sft)
-            for refined in (False, True):
-                first = a1d.repair_constants(auto, refined=refined)
-                assert a1d.repair_constants(auto, refined=refined) is first
-                assert first == a1d.repair_constants.__wrapped__(
-                    auto, refined=refined)
+            first = a1d.repair_constants(auto)
+            assert a1d.repair_constants(auto) is first
+            assert first == a1d.repair_constants.__wrapped__(auto)
 
 
 def _networkx_reference(auto):
-    """Classes, live states and the refined transient chain (None unless
+    """Classes, live states and the longest transient chain (None unless
     there is one class) as networkx computes them."""
     nx = pytest.importorskip("networkx")
     g = nx.DiGraph()
@@ -516,17 +519,14 @@ class TestGraphLayer:
             return
         half_d = -(-auto.sft.diameter // 2)
         transient = len(auto.states) - len(classes[0])
-        basic = max(transient, half_d)
-        refined = max(chain if transient else 0, half_d)
-        assert a1d.peel_constant_C(auto) == basic
-        assert a1d.peel_constant_C(auto, refined=True) == refined
+        c = max(transient, half_d)
+        assert a1d.peel_constant_C(auto) == c
         if cls.kind == "irreducible_aperiodic":
             n0 = a1d.sticking_constant_n0(auto)
-            for flag, c in ((False, basic), (True, refined)):
-                d = max(c, -(-n0 // 2))
-                assert a1d.repair_constants(auto, refined=flag) == \
-                    a1d.RepairConstants(word_len=auto.word_len, n0=n0, C=c,
-                                        D=d, E=d + half_d)
+            d = max(c, -(-n0 // 2))
+            assert a1d.repair_constants(auto) == \
+                a1d.RepairConstants(word_len=auto.word_len, n0=n0, C=c,
+                                    D=d, E=d + half_d)
 
     @settings(max_examples=300, deadline=None)
     @given(sfts)

@@ -76,6 +76,48 @@ class TestExperimentSpec:
         for target in ("stripes", str(path)):
             H.ExperimentSpec(kind="repair2d", sft=target).validate()
 
+    @pytest.mark.parametrize("kind", sorted(H.SWEEP_BOX))
+    def test_box_defaults_to_the_kinds_own(self, kind):
+        assert H.ExperimentSpec(kind=kind).box == H.SWEEP_BOX[kind]
+        assert H.ExperimentSpec(kind=kind, box=(64,)).box == (64,)
+
+    @pytest.mark.parametrize("kind, box", [
+        ("repair1d", (3000, 5)), ("repair1d", (40, 40)), ("repair1d", ()),
+        ("perc", (64, 200)), ("perc", (8, 8, 8)), ("perc", ()),
+        ("repair2d", (8, 8, 8)), ("robinson_repair", (8, 8, 8)),
+        ("robinson_repair", ()),
+    ])
+    def test_box_the_driver_would_not_run(self, kind, box):
+        sft = "checkerboard" if kind == "repair2d" else "golden-mean"
+        with pytest.raises(ValueError, match=f"a {kind} box takes"):
+            H.ExperimentSpec(kind=kind, sft=sft, box=box).validate()
+
+    @pytest.mark.parametrize("kind, box", [
+        ("repair1d", (3000,)), ("perc", (64,)), ("perc", (64, 64)),
+        ("repair2d", (45,)), ("repair2d", (45, 54)),
+        ("robinson_repair", (64, 96)),
+    ])
+    def test_box_the_driver_runs(self, kind, box):
+        sft = "checkerboard" if kind == "repair2d" else "golden-mean"
+        H.ExperimentSpec(kind=kind, sft=sft, box=box).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["repair1d", "--box", "3000x5", "--epsilons", "0.01"],
+        ["perc", "--box", "64x200", "--epsilons", "0.01"],
+        ["repair2d", "--periodic", "stripes", "--box", "9x9x9",
+         "--epsilons", "0.01"],
+        ["robinson", "repair", "--box", "9x9x9", "--epsilon", "0.01"],
+        ["sweep", "--kind", "repair1d", "--box", "3000x5", "--epsilons",
+         "0.01"],
+        ["sweep", "--kind", "perc", "--box", "64x200", "--epsilons", "0.01"],
+    ])
+    def test_box_the_driver_would_not_run_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        flag = "--path" if argv[0] == "robinson" else "--out"
+        assert cli.main(argv + ["--trials", "1", flag, str(out)]) == 2
+        assert "box takes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCsv:
     def test_schema_header(self):
@@ -92,7 +134,7 @@ class TestCsv:
     def test_write_and_reread(self, tmp_path):
         rows = [dict.fromkeys(H.SCHEMA, 1)]
         path = tmp_path / "t.csv"
-        H.write_csv(str(path), rows)
+        cli._emit(H.format_csv(rows), str(path))
         lines = path.read_text().splitlines()
         assert lines[0].split(",") == list(H.SCHEMA)
         assert len(lines) == 2
@@ -326,15 +368,16 @@ class TestRobinsonSweep:
 class TestSweepRunner:
     def test_empty_epsilons_header_only(self, tmp_path):
         out = tmp_path / "empty.csv"
-        H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(),
-                                     out=str(out)))
+        assert cli.main(["sweep", "--kind", "perc", "--epsilons", "",
+                         "--out", str(out)]) == 0
         assert out.read_text() == ",".join(H.SCHEMA) + "\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         def once(path):
-            H.run_sweep(H.ExperimentSpec(
-                kind="repair1d", sft="golden-mean", epsilons=(0.01,),
-                box=(4000,), trials=5, seed=3, out=path))
+            assert cli.main(["sweep", "--kind", "repair1d", "--sft",
+                             "golden-mean", "--epsilons", "0.01", "--box",
+                             "4000", "--trials", "5", "--seed", "3",
+                             "--out", path]) == 0
             with open(path, "rb") as fh:
                 return fh.read()
         a = once(str(tmp_path / "a.csv"))
@@ -517,6 +560,17 @@ class TestPlotAndConfig:
         import xml.etree.ElementTree as ET
         ET.fromstring(text)
 
+    @pytest.mark.parametrize("argv", [
+        ["perc"], ["sweep", "--kind", "perc"]])
+    def test_perc_plot_dashes_the_union_bound(self, argv, tmp_path):
+        path = tmp_path / "p.svg"
+        assert cli.main(argv + ["--epsilons", "0.01,0.05", "--box", "32",
+                                "--trials", "2", "--out", str(tmp_path / "p.csv"),
+                                "--plot", str(path)]) == 0
+        dashed = [line for line in path.read_text().splitlines()
+                  if line.startswith("<polyline") and "stroke-dasharray" in line]
+        assert len(dashed) == 1
+
     def test_plot_no_data(self, tmp_path):
         path = tmp_path / "p.svg"
         H.write_plot(str(path), [])
@@ -622,6 +676,13 @@ class TestCli:
         assert cli.main(["robinson", "verify", "--check", "tileset"]) == 0
         assert "[ok] tile count 56" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("check", ["tilset", "", " , ", "tileset,warp"])
+    def test_robinson_verify_unknown_group_exit_2(self, check, capsys):
+        assert cli.main(["robinson", "verify", "--check", check]) == 2
+        captured = capsys.readouterr()
+        assert "tileset,edges,align,peel" in captured.err
+        assert not captured.out
+
     def test_instability_cli(self, capsys):
         code = cli.main(["instability", "phase1d", "--p", "2", "--box",
                          "4000", "--trials", "3"])
@@ -654,3 +715,41 @@ class TestCli:
 
     def test_config_needs_path(self, capsys):
         assert cli.main(["sweep", "--config"]) == 2
+
+
+# each sweep subcommand, the driver it runs and the spec it should build
+CLI_SWEEPS = {
+    "perc": (["perc", "--epsilons", "0.01,0.05", "--box", "48", "--c", "2",
+              "--trials", "3", "--seed", "8", "--out"], "run_perc_sweep",
+             dict(kind="perc", epsilons=(0.01, 0.05), box=(48,), c=2,
+                  trials=3, seed=8)),
+    "repair1d": (["repair1d", "--epsilons", "0.005,0.02", "--box", "3000",
+                  "--trials", "2", "--seed", "3", "--out"],
+                 "run_repair1d_sweep",
+                 dict(kind="repair1d", sft="golden-mean",
+                      epsilons=(0.005, 0.02), box=(3000,), trials=2, seed=3)),
+    "repair2d": (["repair2d", "--periodic", "stripes", "--epsilons", "0.003",
+                  "--box", "45x54", "--trials", "2", "--seed", "6", "--out"],
+                 "run_repair2d_sweep",
+                 dict(kind="repair2d", sft="stripes", epsilons=(0.003,),
+                      box=(45, 54), trials=2, seed=6)),
+    "robinson repair": (["robinson", "repair", "--epsilon", "1e-4,1e-3",
+                         "--scale", "3,2", "--box", "113", "--trials", "2",
+                         "--seed", "7", "--out", "csv", "--path"],
+                        "run_robinson_repair",
+                        dict(kind="robinson_repair", epsilons=(1e-4, 1e-3),
+                             scales=(3, 2), box=(113,), trials=2, seed=7)),
+    "sweep": (["sweep", "--kind", "perc", "--epsilons", "0.01,0.05", "--box",
+               "48x48", "--trials", "3", "--seed", "8", "--out"], "run_sweep",
+              dict(kind="perc", epsilons=(0.01, 0.05), box=(48, 48),
+                   trials=3, seed=8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_SWEEPS))
+def test_cli_out_is_format_csv_of_driver_rows(name, tmp_path):
+    argv, driver, kw = CLI_SWEEPS[name]
+    out = tmp_path / "o.csv"
+    assert cli.main(argv + [str(out)]) == 0
+    rows = getattr(H, driver)(H.ExperimentSpec(**kw))
+    assert out.read_bytes() == H.format_csv(rows).encode()
