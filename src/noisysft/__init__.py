@@ -46,7 +46,7 @@ from .harness import (
 )
 from .noise import (
     Bernoulli,
-    cell_uniform,
+    bernoulli_masks,
     derive_seed,
     marginal_rate,
     parse_model,

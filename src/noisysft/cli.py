@@ -239,8 +239,7 @@ def _cmd_sample(args) -> int:
             raise ValueError("--sft sampling is 1D; give a 1D box")
         auto = a1d.build_automaton(sft)
         word = hn.sample_admissible_word(auto, args.box[0], args.seed)
-        noisy = hn.corrupt(word, mask.data.astype(bool), len(sft.alphabet),
-                           args.seed + 1)
+        noisy = hn.corrupt(word, mask.data, len(sft.alphabet), args.seed + 1)
         lines.append("".join(sft.alphabet[v] for v in noisy))
         lines.append("".join("1" if m else "0" for m in mask.data))
     else:
@@ -274,15 +273,21 @@ def _cmd_robinson(args) -> int:
 
 
 def _cmd_instability(args) -> int:
+    # each construction runs one side: phase1d, bern1d as given, grid2d squared
+    box, square = args.box, args.icmd == "grid2d"
+    if len(box) > 1 and not (square and box == (box[0],) * 2):
+        sides = "one side or two equal sides" if square else "one side"
+        raise ValueError(f"an instability {args.icmd} box takes {sides}, "
+                         f"got {hn._box_str(box)!r}")
     if args.icmd == "phase1d":
-        rep = hn.run_instability_phase1d(args.p, args.box[0], args.trials,
+        rep = hn.run_instability_phase1d(args.p, box[0], args.trials,
                                          args.seed)
     elif args.icmd == "bern1d":
-        rep = hn.run_instability_bern1d(args.sft, args.epsilon, args.box[0],
+        rep = hn.run_instability_bern1d(args.sft, args.epsilon, box[0],
                                         args.trials, args.seed)
     else:
         _, p = hn.resolve_periodic(args.periodic)
-        rep = hn.run_instability_grid2d(p, args.k, args.n, args.box[0],
+        rep = hn.run_instability_grid2d(p, args.k, args.n, box[0],
                                         args.trials, args.seed)
     print(f"estimate: {rep.estimate.value:.6f} +- {rep.estimate.ci95:.6f}")
     print(f"certificate: {rep.certificate:.6f}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -151,14 +151,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class NoiseMask:
-    """Boolean obscured-cell indicator on a finite box (1 = obscured)."""
+    """Obscured-cell indicator on a finite box; any nonzero value is True."""
 
     origin: Offset
     data: np.ndarray
-    meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.uint8)
+        arr = np.asarray(self.data, dtype=bool).view()  # not the caller's array
         if arr.ndim != len(self.origin):
             raise ValueError("origin dimension does not match data")
         arr.setflags(write=False)
@@ -171,10 +170,6 @@ class NoiseMask:
     @property
     def shape(self) -> Offset:
         return tuple(self.data.shape)
-
-    @property
-    def density(self) -> float:
-        return float(self.data.mean()) if self.data.size else 0.0
 
 
 _DIRECTIVE_RE = re.compile(r"^(\w+)\s*(.*)$")
@@ -283,10 +278,10 @@ def _clear_array(grid: Grid, mask: NoiseMask | None) -> np.ndarray | None:
         return None
     if mask.shape != grid.shape or mask.origin != grid.origin:
         raise ValueError("mask box does not match grid box")
-    return mask.data == 0
+    return ~mask.data
 
 
-def pattern_hits(sft: Sft, grid: Grid, pattern: Pattern,
+def pattern_hits(grid: Grid, pattern: Pattern,
                  clear: np.ndarray | None = None) -> np.ndarray:
     """Boolean array over anchor positions where the pattern occurs.
 
@@ -316,7 +311,7 @@ def violations(sft: Sft, grid: Grid, mask: NoiseMask | None = None):
     for p in sorted(sft.forbidden, key=lambda q: q.cells):
         if not p.cells:
             continue
-        hits = pattern_hits(sft, grid, p, clear)
+        hits = pattern_hits(grid, p, clear)
         for idx in np.argwhere(hits):
             anchor = tuple(int(i) + o for i, o in zip(idx, grid.origin))
             out.append((p, anchor))
@@ -331,7 +326,7 @@ def is_locally_admissible(sft: Sft, grid: Grid, mask: NoiseMask | None = None) -
     for p in sft.forbidden:
         if not p.cells:
             return False
-        if pattern_hits(sft, grid, p, clear).any():
+        if pattern_hits(grid, p, clear).any():
             return False
     return True
 
@@ -473,7 +468,7 @@ def thicken(mask: NoiseMask, n: int) -> NoiseMask:
     if any(s <= 2 * n for s in mask.shape):
         raise ValueError("box too small to thicken")
     return NoiseMask(tuple(o + n for o in mask.origin),
-                     _or_windows(mask.data, n), meta=dict(mask.meta))
+                     _or_windows(mask.data, n))
 
 
 def _or_windows(arr: np.ndarray, n: int) -> np.ndarray:

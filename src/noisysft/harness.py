@@ -30,7 +30,7 @@ from .core import (
     parse_sft,
 )
 from .noise import (
-    cell_uniform,
+    bernoulli_masks,
     derive_seed,
     marginal_rate,
     parse_model,
@@ -155,6 +155,8 @@ class ExperimentSpec:
                              f"{_box_str(self.box)!r}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.kind == "robinson_repair" and not self.scales:
+            raise ValueError("need at least one Robinson scale")
         if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
             raise ValueError(f"Robinson scales must be at least 1, got "
                              f"{min(self.scales)}")
@@ -320,20 +322,10 @@ def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
     return rows
 
 
-def _masks(shape, epsilons, tseed: int) -> list[NoiseMask]:
-    """Bernoulli(eps) masks for every epsilon from one keyed field per
-    trial: the mask seed ignores epsilon, so thresholding one field gives
-    the masks `sample_mask` would draw for each epsilon."""
-    origin = (0,) * len(shape)
-    u = cell_uniform(derive_seed(tseed, "mask"), origin, shape)
-    return [NoiseMask(origin, u < eps) for eps in epsilons]
-
-
 def _corrupted(clean: np.ndarray, mask: NoiseMask, nsym: int,
                tseed: int) -> Grid:
     """The clean sample with the masked cells resampled, seeded per trial."""
-    noisy = corrupt(clean, mask.data.astype(bool), nsym,
-                    derive_seed(tseed, "corrupt"))
+    noisy = corrupt(clean, mask.data, nsym, derive_seed(tseed, "corrupt"))
     return Grid((0,) * clean.ndim, noisy)
 
 
@@ -342,7 +334,8 @@ def _trial_repair1d(args):
     auto = a1d.build_automaton(sft)
     word = sample_admissible_word(auto, length, derive_seed(tseed, "clean"))
     return [_repair1d_cell(auto, word, mask, tseed)
-            for mask in _masks(word.shape, epsilons, tseed)]
+            for mask in bernoulli_masks(derive_seed(tseed, "mask"), word.shape,
+                                         epsilons)]
 
 
 def _repair1d_cell(auto: a1d.WordAutomaton, word: np.ndarray,
@@ -421,7 +414,8 @@ def _trial_repair2d(args):
     offset = orbit[int(rng.integers(len(orbit)))]
     clean = p.tiling(offset, (0, 0), shape).data
     return [_repair2d_cell(p, clean, offset, c, mask, tseed)
-            for mask in _masks(shape, epsilons, tseed)]
+            for mask in bernoulli_masks(derive_seed(tseed, "mask"), shape,
+                                         epsilons)]
 
 
 def _repair2d_cell(p: PeriodicSft, clean: np.ndarray, offset, c: int,
@@ -450,7 +444,8 @@ def _trial_robinson(args):
     period = 2 ** (n_scale + 1)
     t_mod = (t_in[0] % period, t_in[1] % period)
     return [_robinson_cell(clean, n_scale, t_mod, mask, tseed)
-            for mask in _masks(shape, epsilons, tseed)]
+            for mask in bernoulli_masks(derive_seed(tseed, "mask"), shape,
+                                         epsilons)]
 
 
 def _robinson_cell(clean: np.ndarray, n_scale: int, t_mod, mask: NoiseMask,
@@ -571,8 +566,7 @@ def run_instability_phase1d(p: int, box: int, trials: int,
     ref0 = idx % 2
 
     def draw(t):
-        m = sample_mask(model, (box,), derive_seed(seed, "phase1d", t))
-        m = m.data.astype(bool)
+        m = sample_mask(model, (box,), derive_seed(seed, "phase1d", t)).data
         phase = int(np.flatnonzero(m)[0]) % p
         seg = (idx - phase + p) // p
         return np.where(m, ref0, (idx + seg) % 2), m
@@ -627,8 +621,7 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
 
     def draw(t):
         tseed = derive_seed(seed, "bern1d", t)
-        mask = sample_mask(model, (box,), derive_seed(tseed, "mask"))
-        mask = mask.data.astype(bool)
+        mask = sample_mask(model, (box,), derive_seed(tseed, "mask")).data
         run_id, nruns = _mask_runs(mask, d)
         rng = np.random.default_rng(derive_seed(tseed, "translate"))
         shifts = rng.integers(0, period, size=nruns + 1)
@@ -712,11 +705,12 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
 # generic sweep
 
 
+# driver names, looked up at call time so a rebound module attribute runs
 _SWEEP_DRIVERS = {
-    "repair1d": run_repair1d_sweep,
-    "perc": run_perc_sweep,
-    "repair2d": run_repair2d_sweep,
-    "robinson_repair": run_robinson_repair,
+    "repair1d": "run_repair1d_sweep",
+    "perc": "run_perc_sweep",
+    "repair2d": "run_repair2d_sweep",
+    "robinson_repair": "run_robinson_repair",
 }
 
 
@@ -731,7 +725,7 @@ def run_sweep(spec: ExperimentSpec):
     rows = []
     if spec.epsilons:
         try:
-            rows = _SWEEP_DRIVERS[spec.kind](spec)
+            rows = globals()[_SWEEP_DRIVERS[spec.kind]](spec)
         except Exception as exc:  # noqa: BLE001 - error rows are the contract
             rows = [dict(_base_row(spec, spec.kind, spec.sft, eps, spec.box),
                          model=type(exc).__name__, metric="error",

@@ -89,9 +89,6 @@ class Bernoulli:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
 
-    def describe(self) -> str:
-        return f"bernoulli:{self.epsilon:g}"
-
 
 @dataclass(frozen=True)
 class GridNoise:
@@ -110,9 +107,6 @@ class GridNoise:
     def period(self) -> int:
         return self.k + self.n
 
-    def describe(self) -> str:
-        return f"grid:{self.k},{self.n}"
-
 
 @dataclass(frozen=True)
 class PhaseGrid:
@@ -123,9 +117,6 @@ class PhaseGrid:
     def __post_init__(self):
         if self.p < 2:
             raise ValueError("phase grid needs p >= 2")
-
-    def describe(self) -> str:
-        return f"phase:{self.p}"
 
 
 @dataclass(frozen=True)
@@ -142,9 +133,6 @@ class Thickened:
         if isinstance(self.base, Thickened):
             object.__setattr__(self, "n", self.n + self.base.n)
             object.__setattr__(self, "base", self.base.base)
-
-    def describe(self) -> str:
-        return f"thick:{self.n}:{self.base.describe()}"
 
 
 def parse_model(spec: str):
@@ -172,18 +160,23 @@ def _grid_phases(model, seed: int, dim: int) -> tuple[int, ...]:
                  for i in range(dim))
 
 
+def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
+    """Bernoulli(eps) masks for every epsilon from one keyed field: a cell
+    is obscured at eps when its uniform is below eps, so the masks of one
+    seed nest as eps grows (threshold coupling)."""
+    origin = (0,) * len(shape) if origin is None else tuple(origin)
+    u = cell_uniform(seed, origin, shape)
+    return [NoiseMask(origin, u < eps) for eps in epsilons]
+
+
 def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:
     """Sample a mask for the model on the given box."""
     shape = tuple(int(s) for s in shape)
     dim = len(shape)
-    if origin is None:
-        origin = (0,) * dim
-    origin = tuple(int(o) for o in origin)
-    meta = {"model": model.describe(), "seed": seed}
+    origin = tuple(int(o) for o in ((0,) * dim if origin is None else origin))
 
     if isinstance(model, Bernoulli):
-        u = cell_uniform(seed, origin, shape)
-        return NoiseMask(origin, u < model.epsilon, meta=meta)
+        return bernoulli_masks(seed, shape, (model.epsilon,), origin)[0]
 
     if isinstance(model, GridNoise):
         t = _grid_phases(model, seed, dim)
@@ -192,7 +185,7 @@ def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:
         for i in range(dim):
             cls = np.mod(coords[i] + origin[i] - t[i], model.period)
             hit |= cls < model.k
-        return NoiseMask(origin, hit, meta=meta)
+        return NoiseMask(origin, hit)
 
     if isinstance(model, PhaseGrid):
         if dim != 1:
@@ -200,13 +193,13 @@ def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:
         (t,) = _grid_phases(model, seed, 1)
         xs = np.arange(origin[0], origin[0] + shape[0], dtype=np.int64)
         hit = np.mod(xs - t, model.p) == model.p - 1
-        return NoiseMask(origin, hit, meta=meta)
+        return NoiseMask(origin, hit)
 
     if isinstance(model, Thickened):
         grown_origin = tuple(o - model.n for o in origin)
         grown_shape = tuple(s + 2 * model.n for s in shape)
         inner = sample_mask(model.base, grown_shape, seed, grown_origin)
-        return NoiseMask(origin, thicken(inner, model.n).data, meta=meta)
+        return thicken(inner, model.n)
 
     raise TypeError(f"unknown noise model {model!r}")
 

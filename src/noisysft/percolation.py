@@ -58,7 +58,7 @@ import numpy as np
 from scipy import ndimage
 
 from .core import NoiseMask, thicken
-from .noise import cell_uniform, derive_seed
+from .noise import bernoulli_masks, derive_seed
 
 # 4-adjacency
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
@@ -110,7 +110,7 @@ def open_components(mask: NoiseMask, c: int) -> OpenComponents:
     tm = thicken(mask, c)
     struct = _CROSS if tm.data.ndim == 2 else ndimage.generate_binary_structure(
         tm.data.ndim, 1)
-    labels, count = ndimage.label(tm.data == 0, structure=struct)
+    labels, count = ndimage.label(~tm.data, structure=struct)
     return OpenComponents(origin=tm.origin, labels=labels, count=count)
 
 
@@ -163,7 +163,7 @@ def _sparse_excluded(data: np.ndarray, c: int):
     # the point at mask cell (r, q) obscures rows r-2c..r, cols q-2c..q of T
     if data[ch:ch + 2 * c + 1, cw:cw + 2 * c + 1].any():
         return True
-    keys = np.flatnonzero(data != 0)  # nonzero on bool is several times faster
+    keys = np.flatnonzero(data)
     n, d = len(keys), 2 * c + 1
     if n == 0:
         return False
@@ -196,7 +196,7 @@ def _sparse_excluded(data: np.ndarray, c: int):
         t, b, l, r = int(top[i]), int(bottom[i]), int(left[i]), int(right[i])
         window = data[t:b + 2 * c + 1, l:r + 2 * c + 1]
         fat = thicken(NoiseMask((t, l), window), c).data
-        labels, _ = ndimage.label(fat == 0, structure=_CROSS)
+        labels, _ = ndimage.label(~fat, structure=_CROSS)
         own = labels[ch - t, cw - l]
         sides = ((t > 0, labels[0]), (b < th - 1, labels[-1]),
                  (l > 0, labels[:, 0]), (r < tw - 1, labels[:, -1]))
@@ -247,9 +247,8 @@ class ExclusionEstimate:
 def _trial_exclusions(payload) -> list[bool]:
     """One trial's exclusion flag per epsilon, all read off one field."""
     epsilons, c, box, tseed, proxy = payload
-    u = cell_uniform(tseed, (0, 0), (box, box))
-    return [origin_excluded(NoiseMask((0, 0), u < eps), c, proxy=proxy)
-            for eps in epsilons]
+    return [origin_excluded(mask, c, proxy=proxy)
+            for mask in bernoulli_masks(tseed, (box, box), epsilons)]
 
 
 def origin_exclusion_estimates(epsilons, c: int, box: int, trials: int,

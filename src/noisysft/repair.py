@@ -72,7 +72,7 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
         raise ValueError("box too small to repair")
 
     padded = NoiseMask((0,), np.pad(mask.data, rc.E))
-    fat = thicken(padded, rc.E).data.astype(bool)
+    fat = thicken(padded, rc.E).data
     out = np.array(grid.data, copy=True)
     live = a1d.live_states(auto)
     # out is not written until every window is filled, so the anchors

@@ -319,10 +319,10 @@ def _as_ids(grid):
 def _as_clear(mask, shape):
     if mask is None:
         return np.ones(shape, dtype=bool)
-    data = mask.data if isinstance(mask, NoiseMask) else np.asarray(mask)
+    data = mask.data if isinstance(mask, NoiseMask) else np.asarray(mask, bool)
     if data.shape != shape:
         raise ValueError("mask box does not match grid box")
-    return data == 0
+    return ~data
 
 
 def violations(grid, mask=None, limit: int | None = None) -> list:
@@ -958,7 +958,7 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     if not isinstance(grid, Grid):
         grid = Grid((0, 0), np.asarray(grid))
     if not isinstance(mask, NoiseMask):
-        mask = NoiseMask(grid.origin, np.asarray(mask, dtype=np.uint8))
+        mask = NoiseMask(grid.origin, mask)
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
     if N < 1:

@@ -45,7 +45,7 @@ def grid1(values, origin=0):
 
 
 def mask1(values, origin=0):
-    return NoiseMask((origin,), np.array(values, dtype=np.uint8))
+    return NoiseMask((origin,), np.array(values, dtype=bool))
 
 
 class TestParse:
@@ -96,6 +96,22 @@ class TestAdmissibility:
         assert not is_locally_admissible(GOLDEN_MEAN, g, mask1([0, 0, 0, 0]))
         assert is_locally_admissible(GOLDEN_MEAN, g, mask1([0, 1, 0, 0]))
         assert is_locally_admissible(GOLDEN_MEAN, g, mask1([0, 0, 1, 0]))
+
+    def test_any_nonzero_mask_value_is_obscured(self):
+        # a uint8 copy once wrapped 256 to 0, a clear cell
+        m = NoiseMask((0,), np.array([0, 256, -1, 0]))
+        assert m.data.dtype == bool
+        assert m.data.tolist() == [False, True, True, False]
+        g = grid1([0, 1, 1, 0])
+        assert core.violations(GOLDEN_MEAN, g, mask1([0, 0, 0, 0]))
+        assert core.violations(
+            GOLDEN_MEAN, g, NoiseMask((0,), np.array([0, 256, 0, 0]))) == []
+
+    def test_bool_input_stays_writable(self):
+        a = np.zeros(4, dtype=bool)
+        m = NoiseMask((0,), a)
+        assert not m.data.flags.writeable
+        a[1] = True  # the caller's array is not frozen with the mask's view
 
     def test_free_boundary(self):
         # a forbidden pattern hanging off the edge does not count

@@ -16,7 +16,6 @@ from noisysft.automaton1d import (
     live_states,
 )
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft, word_sft
-from noisysft.noise import derive_seed, parse_model, sample_mask
 from noisysft.percolation import exclusion_bound
 from noisysft.repair import PeriodicSft
 
@@ -47,6 +46,23 @@ class TestExperimentSpec:
                          "--epsilon", "1e-3", "--trials", "1", "--out", "csv",
                          "--path", str(out)]) == 2
         assert "Robinson scales must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_robinson_scales_empty(self):
+        with pytest.raises(ValueError, match="at least one Robinson scale"):
+            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
+                             scales=()).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["robinson", "repair", "--scale", ",", "--epsilon", "1e-3",
+         "--path"],
+        ["sweep", "--kind", "robinson_repair", "--scales", ",",
+         "--epsilons", "1e-3", "--out"],
+    ])
+    def test_robinson_scales_empty_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(argv + [str(out), "--box", "32", "--trials", "1"]) == 2
+        assert "at least one Robinson scale" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_sft_file(self):
@@ -247,18 +263,6 @@ class TestBlockedWalk:
                                   _walk_reference(auto, length, seed))
 
 
-class TestMasks:
-    @pytest.mark.parametrize("shape", [(1000,), (40, 30)])
-    def test_one_field_gives_each_epsilons_mask(self, shape):
-        eps = (0.0, 0.002, 0.01, 0.3, 1.0)
-        masks = H._masks(shape, eps, 77)
-        for e, mask in zip(eps, masks):
-            want = sample_mask(parse_model(f"bernoulli:{e}"), shape,
-                               derive_seed(77, "mask"))
-            assert mask.origin == want.origin
-            assert np.array_equal(mask.data, want.data)
-
-
 class TestLocalityFlags:
     CONSTS = type("C", (), {"E": 2, "C": 1})()
 
@@ -406,7 +410,7 @@ class TestSweepRunner:
             calls.append(spec.epsilons)
             return []
 
-        monkeypatch.setitem(H._SWEEP_DRIVERS, "perc", driver)
+        monkeypatch.setattr(H, "run_perc_sweep", driver)
         H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2)))
         H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=()))
         assert calls == [(0.1, 0.2)]
@@ -415,7 +419,7 @@ class TestSweepRunner:
         def driver(spec):
             raise KeyError("boom")
 
-        monkeypatch.setitem(H._SWEEP_DRIVERS, "perc", driver)
+        monkeypatch.setattr(H, "run_perc_sweep", driver)
         rows = H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2),
                                             box=(64,)))
         assert [(r["epsilon"], r["model"], r["box"]) for r in rows] == \
@@ -689,6 +693,26 @@ class TestCli:
         assert code == 0
         out = capsys.readouterr().out
         assert "certificate: 0.250000" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["phase1d", "--p", "4", "--box", "400x7"],
+        ["bern1d", "--epsilon", "0.01", "--box", "400x400"],
+        ["grid2d", "--box", "64x32"],
+        ["grid2d", "--box", "64x64x64"],
+    ])
+    def test_instability_box_it_would_not_run_exit_2(self, argv, tmp_path,
+                                                       capsys):
+        out = tmp_path / "i.csv"
+        assert cli.main(["instability"] + argv
+                        + ["--trials", "1", "--out", str(out)]) == 2
+        assert f"an instability {argv[0]} box takes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_instability_grid2d_square_box(self, tmp_path):
+        out = tmp_path / "i.csv"
+        assert cli.main(["instability", "grid2d", "--box", "32x32",
+                         "--trials", "1", "--out", str(out)]) == 0
+        assert ",32x32," in out.read_text()
 
     def test_sweep_config_override(self, tmp_path):
         cfg = tmp_path / "s.cfg"

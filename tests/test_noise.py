@@ -1,15 +1,19 @@
 """Noise models: determinism, marginals, structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisysft.core import thicken
 from noisysft.noise import (
     Bernoulli,
     GridNoise,
     PhaseGrid,
     Thickened,
+    bernoulli_masks,
     cell_uniform,
     derive_seed,
     marginal_rate,
@@ -20,11 +24,12 @@ from noisysft.noise import (
 
 class TestParse:
     def test_round_trip(self):
-        for spec, typ in [("bernoulli:0.01", Bernoulli), ("grid:1,3", GridNoise),
-                          ("phase:5", PhaseGrid), ("thick:2:bernoulli:0.1", Thickened)]:
+        for spec, want in [("bernoulli:0.01", Bernoulli(0.01)),
+                           ("grid:1,3", GridNoise(1, 3)),
+                           ("phase:5", PhaseGrid(5)),
+                           ("thick:2:bernoulli:0.1", Thickened(Bernoulli(0.1), 2))]:
             m = parse_model(spec)
-            assert isinstance(m, typ)
-            assert parse_model(m.describe()) == m
+            assert type(m) is type(want) and m == want
 
     def test_nested_thickening_flattens(self):
         m = Thickened(Thickened(Bernoulli(0.1), 2), 3)
@@ -75,7 +80,7 @@ class TestBernoulli:
         m = sample_mask(Bernoulli(0.2), (600, 600), seed=11)
         n = m.data.size
         sd = (0.2 * 0.8 / n) ** 0.5
-        assert abs(m.density - 0.2) < 4 * sd
+        assert abs(m.data.mean() - 0.2) < 4 * sd
 
     def test_uniforms_in_range(self):
         u = cell_uniform(9, (0, 0), (64, 64))
@@ -171,7 +176,6 @@ class TestPhaseGrid:
 
 class TestThickened:
     def test_equals_thickening_of_base(self):
-        from noisysft.core import thicken
 
         base = sample_mask(Bernoulli(0.05), (84,), seed=13, origin=(-2,))
         fat = thicken(base, 2)
@@ -195,7 +199,7 @@ class TestThickened:
         # clear 3 of 6, i.e. 1 - (3/6)^2
         assert rate == pytest.approx(1 - 0.25)
         got = sample_mask(m, (60, 60), seed=3)
-        assert got.density == pytest.approx(rate, abs=0.05)
+        assert got.data.mean() == pytest.approx(rate, abs=0.05)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 400))
@@ -207,11 +211,38 @@ class TestThickened:
         assert np.array_equal(ma.data, mb.data)
 
 
-class TestMeta:
-    def test_mask_meta(self):
-        m = sample_mask(Bernoulli(0.1), (10,), seed=42)
-        assert m.meta["model"] == "bernoulli:0.1"
-        assert m.meta["seed"] == 42
+class TestBernoulliMasks:
+    @pytest.mark.parametrize("shape", [(1000,), (40, 30)])
+    def test_equals_sample_mask_per_epsilon(self, shape):
+        eps = (0.0, 0.002, 0.01, 0.3, 1.0)
+        masks = bernoulli_masks(derive_seed(77, "mask"), shape, eps)
+        for e, mask in zip(eps, masks):
+            want = sample_mask(Bernoulli(e), shape, derive_seed(77, "mask"))
+            assert mask.origin == want.origin
+            assert np.array_equal(mask.data, want.data)
+
+    def test_origin_and_nesting(self):
+        eps = (0.01, 0.05, 0.05, 0.2, 0.7)
+        masks = bernoulli_masks(5, (30, 40), eps, origin=(-3, 8))
+        want = sample_mask(Bernoulli(0.2), (30, 40), 5, origin=(-3, 8))
+        assert np.array_equal(masks[3].data, want.data)
+        for lo, hi in zip(masks, masks[1:]):
+            assert lo.origin == (-3, 8)
+            assert not (lo.data & ~hi.data).any()  # lo is a subset of hi
+        assert 0 < masks[0].data.sum() < masks[-1].data.sum()
+
+
+class TestBoolMasks:
+    @pytest.mark.parametrize("model, shape", [
+        (Bernoulli(0.3), (40, 30)), (GridNoise(2, 3), (20, 20)),
+        (PhaseGrid(4), (50,)), (Thickened(Bernoulli(0.05), 2), (30, 30)),
+        (Thickened(PhaseGrid(7), 1), (60,)),
+    ])
+    def test_every_model_samples_bool(self, model, shape):
+        m = sample_mask(model, shape, seed=3)
+        assert m.data.dtype == bool and m.shape == shape
+        assert [f.name for f in dataclasses.fields(m)] == ["origin", "data"]
+        assert thicken(m, 1).data.dtype == bool
 
 
 class TestCellUniformBlocks:

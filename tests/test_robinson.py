@@ -156,6 +156,15 @@ class TestAdmissibility:
         mask[0, 0] = 1
         assert rb.is_admissible(g, mask)
 
+    def test_mask_value_256_is_obscured(self):
+        # a NoiseMask once held a uint8 copy, where 256 wrapped to 0
+        g = np.array(rb.build_macro(3, 0))
+        g[0, 0] = rb.make_cross(1, rb.BUMPY)
+        mask = np.zeros(g.shape, dtype=np.int64)
+        mask[0, 0] = 256
+        assert rb.violations(g, mask) == []
+        assert rb.violations(Grid((0, 0), g), NoiseMask((0, 0), mask)) == []
+
     def test_limit_short_circuits(self):
         g = np.zeros((6, 6), dtype=np.int8)
         assert len(rb.violations(g, limit=3)) == 3
