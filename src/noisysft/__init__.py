@@ -16,7 +16,7 @@ from .automaton1d import (
     is_globally_admissible,
     repair_constants,
 )
-from .besicovitch import DistanceEstimate, hamming_density, lower_certificate
+from .besicovitch import DistanceEstimate, lower_certificate
 from .core import (
     ALTERNATING,
     GOLDEN_MEAN,

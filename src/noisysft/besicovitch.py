@@ -11,19 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .core import Grid
-
-
-def hamming_density(a: Grid, b: Grid) -> float:
-    """Fraction of cells where the two grids differ; boxes must coincide."""
-    if a.origin != b.origin or a.shape != b.shape:
-        raise ValueError("grids live on different boxes")
-    if a.data.size == 0:
-        return 0.0
-    return float(np.mean(a.data != b.data))
-
 
 @dataclass(frozen=True)
 class DistanceEstimate:

@@ -134,7 +134,7 @@ class Grid:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.data)
+        arr = np.asarray(self.data).view()  # not the caller's array
         if arr.ndim != len(self.origin):
             raise ValueError("origin dimension does not match data")
         arr.setflags(write=False)

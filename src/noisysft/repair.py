@@ -22,15 +22,6 @@ from .core import Grid, NoiseMask, Sft, thicken
 from .percolation import open_components
 
 
-def _runs(flags: np.ndarray):
-    """Maximal [start, stop) runs of True in a 1D boolean array."""
-    if flags.size == 0:
-        return []
-    padded = np.concatenate(([False], flags, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return list(zip(edges[::2], edges[1::2]))
-
-
 @dataclass(frozen=True)
 class Repair1DReport:
     grid: Grid
@@ -53,13 +44,19 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
 
     The obscured set is thickened by E; each thickened window is refilled
     through the automaton between anchor states read off the clear cells
-    just inside the window edges, which are always genuinely clear.  The
-    box ends are treated as admissible-word boundaries: C cells are peeled
-    at each physical end and the guarantees hold on the interior between
-    them.  Cells changed on the interior lie within E of an obscured cell
-    except for at most a few end rewrites next to the peel margins, which
-    are counted separately.  When some window cannot be anchored the whole
-    box becomes the lex-least admissible word and `boundary_gap` is set.
+    just inside the window edges, which are always genuinely clear.  An
+    anchor pair is accepted when both anchors are states and `fill_gap`
+    finds a word between them; otherwise the window widens, moving the
+    side whose anchor is no live state, or both sides.  Windows accepted
+    at once are filled in one batch, one `fill_gap` call per distinct
+    (left, right, length) gap; the others go through the widening loop.
+    The box ends are treated as admissible-word boundaries: C cells are
+    peeled at each physical end and the guarantees hold on the interior
+    between them.  Cells changed on the interior lie within E of an
+    obscured cell except for at most a few end rewrites next to the peel
+    margins, which are counted separately.  When some window cannot be
+    anchored the whole box becomes the lex-least admissible word and
+    `boundary_gap` is set.
     """
     auto = _coerce_automaton(sft_or_auto)
     rc = a1d.repair_constants(auto)
@@ -75,16 +72,14 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     fat = thicken(padded, rc.E).data
     out = np.array(grid.data, copy=True)
     live = a1d.live_states(auto)
-    # out is not written until every window is filled, so the anchors
-    # read their states from one pass over the noisy word
-    fills = _window_fills(auto, rc, fat, a1d.window_states(auto, out), live)
-    boundary_gap = fills is None
+    # every anchor is read from one pass over the noisy word, taken before
+    # any window is written
+    boundary_gap = not _fill_windows(auto, rc, fat,
+                                     a1d.window_states(auto, out), live, out)
     if boundary_gap:
         out[:] = a1d.lex_least_admissible_word(auto, length)
         end_rewrites = 0
     else:
-        for start, stop, word in fills:
-            out[start:stop] = word
         end_rewrites = _peel_ends(auto, out, rc.C, live)
 
     changed = out != grid.data
@@ -101,16 +96,93 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     )
 
 
-def _window_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
-                  fat: np.ndarray, states_at: np.ndarray, live: frozenset):
-    """(start, stop, letters) refills of the runs of `fat`, in run order, or
-    None when some run cannot be anchored.
+def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
+                  fat: np.ndarray, states_at: np.ndarray, live: frozenset,
+                  out: np.ndarray) -> bool:
+    """Refill every run of `fat` in `out` as if the runs were written one
+    by one in run order; False, with `out` untouched, when some run cannot
+    be anchored.
 
-    `states_at[p]` is the state spelled by the noisy word at p.  A run
-    reaching into a C-cell peel margin is anchored on its inner side only
-    and filled to the box end; a run reaching into both is unanchorable.
+    `states_at[p]` is the state spelled by the noisy word at p.  An
+    interior run [a, b) is anchored on the states ending at a + h and
+    starting at b - h.  When both are states and `fill_gap` has a word
+    between them, which is what the first step of the widening loop
+    accepts, the run takes the batched path; every other run goes through
+    `_widened_fills`.
     """
-    wl, c_const, length = rc.word_len, rc.C, len(fat)
+    wl, length = rc.word_len, len(fat)
+    h = -(-auto.sft.diameter // 2)
+    edges = np.flatnonzero(np.diff(fat, prepend=False, append=False))
+    a, b = edges[::2], edges[1::2]
+    touches_lo, touches_hi = a <= rc.C, b >= length - rc.C
+    if np.any(touches_lo & touches_hi):
+        return False
+    start, stop = a + h, b - h
+    left, right = _anchors(states_at, start - wl), _anchors(states_at, stop)
+    fast = np.flatnonzero(~touches_lo & ~touches_hi & (left >= 0)
+                          & (right >= 0))
+    nstates = len(auto.states)
+    if nstates ** 2 * (length + 1) >= 2 ** 63:
+        fast = fast[:0]  # the packed gap key would overflow int64
+    # one fill_gap call per distinct (left, right, n), packed in one int64
+    n = stop[fast] - start[fast]
+    keys, which = np.unique(
+        (left[fast].astype(np.int64) * nstates + right[fast]) * (length + 1)
+        + n, return_inverse=True)
+    words = [a1d.fill_gap(auto, *divmod(k // (length + 1), nstates),
+                          k % (length + 1)) for k in keys.tolist()]
+    found = np.array([w is not None for w in words], dtype=bool)
+    fast, n, which = fast[found[which]], n[found[which]], which[found[which]]
+    slow = np.setdiff1d(np.arange(len(a)), fast)
+    widened = _widened_fills(auto, rc, zip(a[slow].tolist(), b[slow].tolist()),
+                             states_at, live)
+    if widened is None:
+        return False
+
+    # word letters of every distinct gap back to back; a fast run's fill is
+    # the slice of its key's word, scattered with one index array
+    lens = np.array([len(w) if w is not None else 0 for w in words],
+                    dtype=np.int64)
+    word_at = np.cumsum(lens) - lens
+    flat = np.fromiter(itertools.chain.from_iterable(
+        w for w in words if w is not None), dtype=np.int64, count=lens.sum())
+    ends = np.cumsum(n)
+    steps = np.arange(ends[-1] if len(ends) else 0)
+    first = start[fast]
+    out[np.repeat(first - ends + n, n) + steps] = \
+        flat[np.repeat(word_at[which] - ends + n, n) + steps]
+    # Fast fills lie inside their disjoint runs, so they never overlap one
+    # another, but a widened fill can reach into a neighbouring run.  After
+    # each widened fill, in run order, rewrite the fast fills of later runs
+    # that it overlaps: every cell then holds the fill of the last run that
+    # covers it.
+    last = first + n
+    for run, (lo, hi, word) in zip(slow.tolist(), widened):
+        out[lo:hi] = word
+        for j in range(np.searchsorted(last, lo, side="right"),
+                       np.searchsorted(first, hi)):
+            if fast[j] > run:
+                out[first[j]:last[j]] = flat[word_at[which[j]]:][:n[j]]
+    return True
+
+
+def _anchors(states_at: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """states_at[lo] where lo is a window start inside the box, else -1."""
+    inside = (lo >= 0) & (lo < len(states_at))
+    return np.where(inside, states_at[np.where(inside, lo, 0)], -1)
+
+
+def _widened_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
+                   runs, states_at: np.ndarray, live: frozenset):
+    """(start, stop, letters) refills of the given [a, b) runs of the
+    thickened mask, in the order given, or None when some run cannot be
+    anchored.
+
+    A run reaching into one C-cell peel margin is anchored on its inner
+    side only and filled to the box end; runs reaching into both are
+    rejected before this is called.
+    """
+    wl, c_const, length = rc.word_len, rc.C, len(states_at) + rc.word_len - 1
     h = -(-auto.sft.diameter // 2)
 
     def anchor(pos: int, left: bool) -> int | None:
@@ -131,10 +203,8 @@ def _window_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
         return None
 
     fills = []
-    for a, b in _runs(fat):
+    for a, b in runs:
         touches_lo, touches_hi = a <= c_const, b >= length - c_const
-        if touches_lo and touches_hi:
-            return None
         if touches_lo or touches_hi:
             # one-sided: anchored on the inner side, filled to the box end
             hit = (widen(b - h, 1, False) if touches_lo

@@ -830,9 +830,12 @@ def reference_window(origin, shape, translate) -> np.ndarray:
         lo = origin[i] - translate[i] + _REFERENCE_ANCHOR
         hi = lo + shape[i]
         if lo < 0 or hi > big.shape[i]:
-            raise ValueError("window exceeds the reference configuration; "
-                             "keep origin+shape below 1024 and the "
-                             "translate in [0, 512)")
+            raise ValueError(
+                f"window exceeds the reference configuration on axis {i}: "
+                f"it needs 0 <= origin - translate + {_REFERENCE_ANCHOR} and "
+                f"origin - translate + {_REFERENCE_ANCHOR} + shape <= "
+                f"{big.shape[i]}, but origin {origin[i]}, translate "
+                f"{translate[i]} and shape {shape[i]} give {lo} and {hi}")
         sls.append(slice(lo, hi))
     return big[tuple(sls)]
 

@@ -14,7 +14,6 @@ import numpy as np
 from noisysft import harness as H
 from noisysft import robinson as rb
 from noisysft.automaton1d import build_automaton, classify, repair_constants
-from noisysft.besicovitch import hamming_density
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Grid, NoiseMask, thicken
 from noisysft.noise import sample_mask, parse_model
 from noisysft.percolation import exclusion_bound, origin_exclusion_estimates
@@ -153,6 +152,12 @@ def test_criterion_7_robinson_repair():
     _report(7, ok, "; ".join(parts)
             + f"; min bound {min_bound:.3f} <= 48*cbrt(6e-4)={anchor:.3f}",
             elapsed)
+
+
+def hamming_density(a: Grid, b: Grid) -> float:
+    """Fraction of cells where two grids on one box differ, as
+    `harness._instability_report` takes it per reference."""
+    return float(np.mean(a.data != b.data))
 
 
 def test_criterion_8_property_suites():

@@ -113,6 +113,13 @@ class TestAdmissibility:
         assert not m.data.flags.writeable
         a[1] = True  # the caller's array is not frozen with the mask's view
 
+    def test_grid_input_stays_writable(self):
+        b = np.zeros(5, dtype=np.int64)
+        g = Grid((0,), b)
+        assert not g.data.flags.writeable
+        b[0] = 1  # the caller's array is not frozen with the grid's view
+        assert g.data[0] == 1
+
     def test_free_boundary(self):
         # a forbidden pattern hanging off the edge does not count
         s = word_sft("01", ["111"])

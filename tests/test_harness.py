@@ -48,6 +48,17 @@ class TestExperimentSpec:
         assert "Robinson scales must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_robinson_window_beyond_reference_exit_2(self, tmp_path, capsys):
+        # box 1536 runs or not by the drawn translate; seed 284 draws
+        # (195, 0), so axis 1 ends at 0 - 0 + 512 + 1536 = 2048 > 2047
+        out = tmp_path / "r.csv"
+        assert cli.main(["robinson", "repair", "--box", "1536", "--epsilon",
+                         "1e-3", "--scale", "2", "--trials", "1", "--seed",
+                         "284", "--out", "csv", "--path", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "origin - translate + 512 + shape <= 2047" in err
+        assert "translate 0 and shape 1536 give 512 and 2048" in err
+
     def test_robinson_scales_empty(self):
         with pytest.raises(ValueError, match="at least one Robinson scale"):
             H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),

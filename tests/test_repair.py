@@ -22,7 +22,6 @@ from noisysft.percolation import open_components
 from noisysft.repair import (
     PeriodicSft,
     Repair1DReport,
-    _runs,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -63,6 +62,15 @@ forbid (0,0)=c (1,0)=c
 period 3
 base a a a b b b c c c
 """
+
+
+def _runs(flags: np.ndarray):
+    """Maximal [start, stop) runs of True in a 1D boolean array."""
+    if flags.size == 0:
+        return []
+    padded = np.concatenate(([False], flags, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return list(zip(edges[::2], edges[1::2]))
 
 
 def random_admissible_word(auto, length, rng):
@@ -215,9 +223,11 @@ class TestRepair1D:
         assert reps[0].end_rewrites == reps[1].end_rewrites
 
 
-def _repair_1d_reference(auto, grid, mask):
+def _repair_1d_reference(auto, grid, mask, spans=None):
     """The window loop repair_1d had before its anchor helpers were merged,
-    kept to check that the merge moved no output."""
+    kept to check that the merge moved no output.  When a list is given as
+    `spans`, the (start, stop) of every fill is appended to it, in the
+    order the fills are written."""
     rc = a1d.repair_constants(auto)
     wl, e_const, c_const, n0 = rc.word_len, rc.E, rc.C, rc.n0
     h = -(-auto.sft.diameter // 2)
@@ -337,6 +347,8 @@ def _repair_1d_reference(auto, grid, mask):
 
     for start, stop, word in fills:
         out[start:stop] = word
+    if spans is not None:
+        spans.extend((start, stop) for start, stop, _ in fills)
 
     if not boundary_gap and wl <= length:
         for side in ("lo", "hi"):
@@ -391,6 +403,9 @@ def irreducible_aperiodic_automata(draw):
 # forbidden letters, so state index i does not spell letter i
 FORBID_ONE = word_sft("0123", ["1", "12", "30"])
 ONE_LIVE_LETTER = word_sft("012", ["0", "01", "21", "11"])
+# golden mean on 0 1, and 2, which nothing precedes, only before 1: the
+# state (2,) is no live state, but a gap word leaves it
+TRANSIENT_TWO = word_sft("012", ["11", "02", "12", "22", "20"])
 
 
 class TestRandomSft1D:
@@ -424,6 +439,7 @@ class TestRandomSft1D:
             _assert_same_1d(rep, other)
 
     @settings(max_examples=300, deadline=None)
+    @example(a1d.build_automaton(TRANSIENT_TWO), 0.05, 0.7, 641, 20)
     @given(irreducible_aperiodic_automata(),
            st.sampled_from([0.0, 0.01, 0.05, 0.2]),
            st.sampled_from([0.01, 0.05]),
@@ -443,6 +459,25 @@ class TestRandomSft1D:
                                      seed))
         _assert_same_1d(repair_1d(auto, noisy, mask),
                         _repair_1d_reference(auto, noisy, mask))
+
+
+    def test_widened_fill_overlaps_next_batched_fill(self):
+        """Unmasked 2s right of the first window push its right anchor onto
+        the second window, whose left anchor is a 2: the widened fill
+        [9, 16) and the batched fill [15, 18) share cell 15, where the
+        later window's letter 1 must win over the widened fill's 0."""
+        auto = a1d.build_automaton(TRANSIENT_TWO)
+        data = np.zeros(40, dtype=np.int64)
+        data[12:16] = 2
+        mask = np.zeros(40, dtype=bool)
+        mask[[10, 16]] = True
+        noisy, mask = Grid((0,), data), NoiseMask((0,), mask)
+        spans = []
+        ref = _repair_1d_reference(auto, noisy, mask, spans)
+        assert spans == [(9, 16), (15, 18)]
+        assert a1d.fill_gap(auto, 0, 0, 7)[15 - 9] == 0
+        assert ref.grid.data[15] == 1
+        _assert_same_1d(repair_1d(auto, noisy, mask), ref)
 
 
 def _assert_same_1d(rep, other):
