@@ -53,11 +53,9 @@ from .noise import (
     sample_mask,
 )
 from .percolation import (
-    ExclusionEstimate,
     OpenComponents,
     exclusion_bound,
     open_components,
-    origin_exclusion_estimates,
 )
 from .repair import (
     PeriodicSft,

@@ -20,16 +20,10 @@ from .noise import marginal_rate, parse_model, sample_mask
 
 
 def _floats(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 

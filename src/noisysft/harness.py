@@ -1,16 +1,15 @@
 """Seeded experiment drivers with CSV, SVG and config plumbing.
 
-Every driver derives one seed per trial from (master seed, experiment
-label, trial index), never from the noise level, so sweeps over epsilon
-are threshold-coupled: the same trial index sees nested noise masks as
-epsilon grows.  Results are reduced in trial order, which keeps the
+Every driver derives one seed per trial from the master seed, the
+experiment's labels and the trial index, never from the noise level, so
+sweeps over epsilon are threshold-coupled: the same trial index sees
+nested noise masks as epsilon grows.  Results are reduced in trial order, which keeps the
 output byte-identical across runs and across worker counts.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 import io
 import math
 import os
@@ -36,7 +35,7 @@ from .noise import (
     parse_model,
     sample_mask,
 )
-from .percolation import exclusion_bound, origin_exclusion_estimates
+from .percolation import exclusion_bound, origin_excluded
 from .repair import (
     PeriodicSft,
     _coerce_automaton,
@@ -155,6 +154,16 @@ class ExperimentSpec:
                              f"{_box_str(self.box)!r}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
+        if self.c is not None and self.c < 0:
+            raise ValueError(f"c must be non-negative, got {self.c}")
+        if self.kind == "robinson_repair" and max(self.box) > rb.MAX_BOX:
+            a, s = rb._REFERENCE_ANCHOR, max(self.box)
+            raise ValueError(
+                f"a robinson_repair box side is at most {rb.MAX_BOX}: a trial "
+                f"window needs origin - translate + {a} + shape <= "
+                f"{rb._REFERENCE_SIDE} at every translate in [0, "
+                f"{rb.TRANSLATES}), and translate 0 and shape {s} give {a} and "
+                f"{a + s}")
         if self.kind == "robinson_repair" and not self.scales:
             raise ValueError("need at least one Robinson scale")
         if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
@@ -190,11 +199,15 @@ def format_csv(rows) -> str:
     return buf.getvalue()
 
 
-def mean_ci(vals) -> tuple[float, float]:
+def mean_ci(vals, *, floored: bool = False) -> tuple[float, float]:
+    """Trial mean and ci95: Wald from the sample std or, `floored` for 0/1
+    trials, 1.96 sqrt(max(p(1 - p), 1/n) / n), which never drops to 0."""
     arr = np.asarray(vals, dtype=np.float64)
-    mean = float(arr.mean())
-    if arr.size > 1:
-        ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(arr.size)
+    mean, n = float(arr.mean()), arr.size
+    if floored:
+        ci = 1.96 * math.sqrt(max(mean * (1 - mean), 1.0 / n) / n)
+    elif n > 1:
+        ci = 1.96 * float(arr.std(ddof=1)) / math.sqrt(n)
     else:
         ci = 0.0
     return mean, ci
@@ -286,9 +299,9 @@ def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
 
 
 # ---------------------------------------------------------------------------
-# repair sweeps
+# sweeps
 #
-# Every repair driver runs the same Monte Carlo loop.  A trial takes
+# Every sweep driver runs the same Monte Carlo loop.  A trial takes
 # (payload, epsilons, trial seed), draws its clean sample once, and
 # returns one {metric: value} dict per epsilon; `_sweep_rows` pools the
 # trials and turns them into rows.
@@ -301,20 +314,22 @@ def _base_row(spec: ExperimentSpec, experiment: str, sft: str, eps: float,
             "box": _box_str(box), "trials": spec.trials, "seed": spec.seed}
 
 
+_FLOORED = frozenset({"origin_excluded"})  # ci95 by `mean_ci`'s floored rule
+
+
 def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
-                trial, payload, closed, *scale) -> list[dict]:
+                trial, payload, closed, key) -> list[dict]:
     """Rows per epsilon: the trial mean and ci95 of every metric, then the
     closed-form metrics `closed(eps, per_trial)`, which replace an averaged
-    metric of the same name.  Trial seeds are derived from the master
-    seed, the experiment label, the scale if any and the trial index."""
-    tseeds = [derive_seed(spec.seed, experiment, *scale, t)
-              for t in range(spec.trials)]
+    metric of the same name.  Trial t is seeded `derive_seed(*key, t)`."""
+    tseeds = [derive_seed(*key, t) for t in range(spec.trials)]
     results = _pool_map(trial, [(payload, spec.epsilons, s) for s in tseeds],
                         spec.threads)
     rows = []
     for i, eps in enumerate(spec.epsilons):
         per_trial = [res[i] for res in results]
-        cells = {m: mean_ci([r[m] for r in per_trial]) for m in per_trial[0]}
+        cells = {m: mean_ci([r[m] for r in per_trial], floored=m in _FLOORED)
+                 for m in per_trial[0]}
         cells.update((m, (v, 0.0)) for m, v in closed(eps, per_trial).items())
         base = _base_row(spec, experiment, sft, eps, box)
         rows += [dict(base, metric=m, value=v, ci95=ci)
@@ -382,25 +397,31 @@ def run_repair1d_sweep(spec: ExperimentSpec):
     envelope = 3.0 * (2 * a1d.repair_constants(auto).E + 1)
     return _sweep_rows(spec, "repair1d", name, spec.box, _trial_repair1d,
                        (sft, spec.box[0]),
-                       lambda eps, _: {"bound": envelope * eps})
+                       lambda eps, _: {"bound": envelope * eps},
+                       (spec.seed, "repair1d"))
+
+
+def _trial_perc(args):
+    """One trial's exclusion flag per epsilon.  The epsilons are
+    threshold-coupled: the trial hashes one uniform field and reads every
+    epsilon from it as `u < eps`, so its masks nest as epsilon grows and
+    the field is built once per trial."""
+    (c, box, proxy), epsilons, tseed = args
+    return [{"origin_excluded": float(origin_excluded(mask, c, proxy=proxy))}
+            for mask in bernoulli_masks(tseed, (box, box), epsilons)]
 
 
 def run_perc_sweep(spec: ExperimentSpec):
+    """Per epsilon: the rate at which the centre of the c-thickened box
+    lies outside the giant open component, and the union bound."""
     spec.validate()
     c = 1 if spec.c is None else spec.c
     box = spec.box[0]
-    ests = origin_exclusion_estimates(
-        spec.epsilons, c, box, spec.trials,
-        derive_seed(spec.seed, "perc-sweep", c), proxy=spec.proxy,
-        mapper=functools.partial(_pool_map, threads=spec.threads))
-    rows = []
-    for eps, est in zip(spec.epsilons, ests):
-        base = _base_row(spec, "perc", f"free-c{c}", eps, (box, box))
-        rows.append(dict(base, metric="origin_excluded",
-                         value=est.value, ci95=est.ci95))
-        rows.append(dict(base, metric="exclusion_bound",
-                         value=est.bound, ci95=0.0))
-    return rows
+    return _sweep_rows(spec, "perc", f"free-c{c}", (box, box), _trial_perc,
+                       (c, box, spec.proxy),
+                       lambda eps, _: {"exclusion_bound":
+                                       exclusion_bound(eps, c)},
+                       (derive_seed(spec.seed, "perc-sweep", c), "perc"))
 
 
 def _square(box) -> tuple[int, int]:
@@ -433,13 +454,14 @@ def run_repair2d_sweep(spec: ExperimentSpec):
     shape = _square(spec.box)
     return _sweep_rows(spec, "repair2d", name, shape, _trial_repair2d,
                        (p, shape, c),
-                       lambda eps, _: {"bound": 2.0 * exclusion_bound(eps, c)})
+                       lambda eps, _: {"bound": 2.0 * exclusion_bound(eps, c)},
+                       (spec.seed, "repair2d"))
 
 
 def _trial_robinson(args):
     (n_scale, shape), epsilons, tseed = args
     rng = np.random.default_rng(derive_seed(tseed, "translate"))
-    t_in = tuple(int(v) for v in rng.integers(0, 512, size=2))
+    t_in = tuple(int(v) for v in rng.integers(0, rb.TRANSLATES, size=2))
     clean = rb.reference_window((0, 0), shape, t_in)
     period = 2 ** (n_scale + 1)
     t_mod = (t_in[0] % period, t_in[1] % period)
@@ -467,7 +489,8 @@ def run_robinson_repair(spec: ExperimentSpec):
             return {"slack": slack,
                     "bound": rb.robinson_bound(eps, n_scale) + slack}
         rows += _sweep_rows(spec, "robinson", f"robinson-{n_scale}", shape,
-                            _trial_robinson, (n_scale, shape), closed, n_scale)
+                            _trial_robinson, (n_scale, shape), closed,
+                            (spec.seed, "robinson", n_scale))
     return rows
 
 
@@ -535,6 +558,8 @@ def _instability_report(kind: str, refs, draw, trials: int, seed: int,
     """The loop shared by the constructions: `draw(t)` returns trial t's
     configuration and mask; the report holds the distance to the nearest
     reference and the mean obscured fraction."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     per_ref = np.empty((len(refs), trials))
     obscured = 0.0
     for t in range(trials):

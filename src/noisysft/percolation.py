@@ -6,10 +6,6 @@ to the dominant open component with high probability.  On a finite box
 the infinite cluster is read through a proxy: the largest open component
 by default, or the component touching all box sides behind a flag.
 
-Estimates over several epsilons are threshold-coupled: a trial hashes
-one uniform field and reads every epsilon from it as `u < eps`, so its
-masks nest as epsilon grows and the field is built once per trial.
-
 With the largest proxy on a 2D mask and c >= 1, `origin_excluded` reads
 the answer off the obscured points P instead of labelling the thickened
 box T.  Two points within Chebyshev distance 2c + 1 have touching or
@@ -51,14 +47,12 @@ and the clusters percolate, so the certificate would fail anyway).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .core import NoiseMask, thicken
-from .noise import bernoulli_masks, derive_seed
 
 # 4-adjacency
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
@@ -230,47 +224,3 @@ def origin_excluded(mask: NoiseMask, c: int, *, proxy: str = "largest") -> bool:
 def exclusion_bound(epsilon: float, c: int) -> float:
     """The union bound on P(centre outside the giant component)."""
     return 48.0 * (2 * c + 1) ** 2 * epsilon
-
-
-@dataclass(frozen=True)
-class ExclusionEstimate:
-    epsilon: float
-    c: int
-    box: int
-    trials: int
-    value: float  # empirical P(centre not in the giant component)
-    ci95: float
-    bound: float
-    proxy: str
-
-
-def _trial_exclusions(payload) -> list[bool]:
-    """One trial's exclusion flag per epsilon, all read off one field."""
-    epsilons, c, box, tseed, proxy = payload
-    return [origin_excluded(mask, c, proxy=proxy)
-            for mask in bernoulli_masks(tseed, (box, box), epsilons)]
-
-
-def origin_exclusion_estimates(epsilons, c: int, box: int, trials: int,
-                               seed: int, *, proxy: str = "largest",
-                               mapper=map) -> list[ExclusionEstimate]:
-    """Monte Carlo estimates of P(centre outside the giant open component)
-    for Bernoulli noise thickened by c on a box of the given side, one per
-    epsilon, all read off shared trial fields.  `mapper(fn, payloads)` runs
-    the trials and returns results in order."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not all(0.0 <= eps <= 1.0 for eps in epsilons):
-        raise ValueError("epsilon must lie in [0, 1]")
-    payloads = [(tuple(epsilons), c, box, derive_seed(seed, "perc", t), proxy)
-                for t in range(trials)]
-    hits = np.sum(list(mapper(_trial_exclusions, payloads)), axis=0)
-    out = []
-    for eps, h in zip(epsilons, hits):
-        p = int(h) / trials
-        ci = 1.96 * math.sqrt(max(p * (1 - p), 1.0 / trials) / trials)
-        out.append(ExclusionEstimate(
-            epsilon=eps, c=c, box=box, trials=trials, value=p, ci95=ci,
-            bound=exclusion_bound(eps, c), proxy=proxy))
-    return out
-

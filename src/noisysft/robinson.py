@@ -814,7 +814,12 @@ def peel_verify(n: int = 9, mode: str = "exhaustive",
 # reference configuration and repair
 
 _REFERENCE_LEVEL = 11
+_REFERENCE_SIDE = 2 ** _REFERENCE_LEVEL - 1
 _REFERENCE_ANCHOR = 512  # 2^9; translates below keep every lattice k <= 9
+# repair trials draw translates in [0, TRANSLATES); a box at origin 0 reaches
+# furthest at translate 0, to anchor + its side, so sides <= MAX_BOX fit
+TRANSLATES = _REFERENCE_ANCHOR
+MAX_BOX = _REFERENCE_SIDE - _REFERENCE_ANCHOR
 
 
 def reference_window(origin, shape, translate) -> np.ndarray:
@@ -979,7 +984,7 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     period = 2 ** (N + 1)
     rng = np.random.default_rng(
         derive_seed(seed, "robinson-high-bits", N))
-    span = _REFERENCE_ANCHOR // period
+    span = TRANSLATES // period
     high = rng.integers(0, span, size=2)
     t_full = (translate[0] + int(high[0]) * period,
               translate[1] + int(high[1]) * period)

@@ -15,8 +15,8 @@ from noisysft import harness as H
 from noisysft import robinson as rb
 from noisysft.automaton1d import build_automaton, classify, repair_constants
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, Grid, NoiseMask, thicken
-from noisysft.noise import sample_mask, parse_model
-from noisysft.percolation import exclusion_bound, origin_exclusion_estimates
+from noisysft.noise import derive_seed, sample_mask, parse_model
+from noisysft.percolation import exclusion_bound
 
 LINES: list[str] = []
 
@@ -80,14 +80,18 @@ def test_criterion_4_percolation_bound():
     t0 = time.perf_counter()
     parts = []
     ok = True
+    epsilons = (1e-3, 3e-3)
     for c in (1, 2):
-        for est in origin_exclusion_estimates([1e-3, 3e-3], c, 1024, 500,
-                                              seed=404):
-            eps = est.epsilon
+        trials = [H._trial_perc(((c, 1024, "largest"), epsilons,
+                                 derive_seed(404, "perc", t)))
+                  for t in range(500)]
+        for i, eps in enumerate(epsilons):
+            value, ci95 = H.mean_ci([tr[i]["origin_excluded"] for tr in trials],
+                                    floored=True)
             bound = exclusion_bound(eps, c)
-            good = est.value + 3 * est.ci95 <= bound
+            good = value + 3 * ci95 <= bound
             ok = ok and good
-            parts.append(f"c={c},eps={eps:g}: {est.value:.4f}+3ci"
+            parts.append(f"c={c},eps={eps:g}: {value:.4f}+3ci"
                          f"{'<=' if good else '>'}{bound:.3f}")
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 300

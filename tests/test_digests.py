@@ -117,7 +117,7 @@ def test_instability_digest():
 
 
 @pytest.mark.parametrize("name", ["repair1d-sft3", "repair2d-checkerboard",
-                                  "robinson"])
+                                  "robinson", "perc"])
 def test_worker_processes_keep_digest(name, tmp_path):
     """Payloads (automata, periodic systems) survive the trip to worker
     processes and the pooled rows keep their bytes."""

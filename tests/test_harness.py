@@ -49,8 +49,8 @@ class TestExperimentSpec:
         assert not out.exists()
 
     def test_robinson_window_beyond_reference_exit_2(self, tmp_path, capsys):
-        # box 1536 runs or not by the drawn translate; seed 284 draws
-        # (195, 0), so axis 1 ends at 0 - 0 + 512 + 1536 = 2048 > 2047
+        # at translate 0 a 1536 window ends at 0 - 0 + 512 + 1536 = 2048 >
+        # 2047, so validation refuses the box whatever the seed draws
         out = tmp_path / "r.csv"
         assert cli.main(["robinson", "repair", "--box", "1536", "--epsilon",
                          "1e-3", "--scale", "2", "--trials", "1", "--seed",
@@ -58,6 +58,32 @@ class TestExperimentSpec:
         err = capsys.readouterr().err
         assert "origin - translate + 512 + shape <= 2047" in err
         assert "translate 0 and shape 1536 give 512 and 2048" in err
+
+    def test_robinson_box_past_the_limit_exit_2(self, tmp_path, capsys):
+        # seed 285 draws translates at which a 1536 window would fit
+        out = tmp_path / "r.csv"
+        assert cli.main(["robinson", "repair", "--box", "1536", "--epsilon",
+                         "1e-3", "--scale", "2", "--trials", "1", "--seed",
+                         "285", "--out", "csv", "--path", str(out)]) == 2
+        assert "box side is at most 1535" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_robinson_box_limit(self):
+        H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
+                         box=(1535,)).validate()
+        with pytest.raises(ValueError, match="at most 1535"):
+            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
+                             box=(64, 1536)).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["--kind", "perc"], ["--kind", "repair2d", "--sft", "checkerboard"]])
+    def test_sweep_negative_c_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", *argv, "--c", "-1", "--epsilons", "0.01",
+                         "--box", "32", "--trials", "1", "--out",
+                         str(out)]) == 2
+        assert "c must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_robinson_scales_empty(self):
         with pytest.raises(ValueError, match="at least one Robinson scale"):
@@ -717,6 +743,20 @@ class TestCli:
         assert cli.main(["instability"] + argv
                         + ["--trials", "1", "--out", str(out)]) == 2
         assert f"an instability {argv[0]} box takes" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    @pytest.mark.parametrize("argv", [
+        ["phase1d", "--p", "2", "--box", "400"],
+        ["bern1d", "--epsilon", "0.01", "--box", "400"],
+        ["grid2d", "--box", "32"],
+    ])
+    def test_instability_needs_a_trial_exit_2(self, argv, trials, tmp_path,
+                                              capsys):
+        out = tmp_path / "i.csv"
+        assert cli.main(["instability"] + argv
+                        + ["--trials", trials, "--out", str(out)]) == 2
+        assert "need at least one trial" in capsys.readouterr().err
         assert not out.exists()
 
     def test_instability_grid2d_square_box(self, tmp_path):

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from noisysft import harness as H
 from noisysft import percolation
 from noisysft.core import NoiseMask, thicken
 from noisysft.noise import Bernoulli, derive_seed, sample_mask
 from noisysft.percolation import (
-    ExclusionEstimate,
     exclusion_bound,
     open_components,
-    origin_exclusion_estimates,
     origin_excluded,
 )
 
@@ -119,38 +118,51 @@ class TestOriginExcluded:
                 assert origin_excluded(hi, c=1, proxy=proxy)
 
 
+def _sweep(epsilons, c, box, trials, seed, proxy="largest"):
+    """{metric: (value, ci95)} per epsilon from `run_perc_sweep`."""
+    rows = H.run_perc_sweep(H.ExperimentSpec(
+        kind="perc", epsilons=tuple(epsilons), box=(box,), trials=trials,
+        seed=seed, c=c, proxy=proxy))
+    out = [{} for _ in epsilons]
+    for k, row in enumerate(rows):
+        out[k // 2][row["metric"]] = (row["value"], row["ci95"])
+    return out
+
+
+def _estimate(eps, c, box, trials, seed):
+    """(value, ci95) over trials seeded derive_seed(seed, "perc", t)."""
+    flags = [H._trial_perc(((c, box, "largest"), (eps,),
+                            derive_seed(seed, "perc", t)))[0]["origin_excluded"]
+             for t in range(trials)]
+    return H.mean_ci(flags, floored=True)
+
+
 class TestEstimate:
     def test_zero_noise_never_excludes(self):
-        est, = origin_exclusion_estimates([0.0], c=1, box=65, trials=40,
-                                          seed=9)
-        assert est.value == 0.0
-        assert est.trials == 40
+        est, = _sweep([0.0], c=1, box=65, trials=40, seed=9)
+        assert est["origin_excluded"][0] == 0.0
         # the CI floor stays positive even at zero noise
-        assert est.bound == 0.0
-        assert est.ci95 > 0
+        assert est["exclusion_bound"] == (0.0, 0.0)
+        assert est["origin_excluded"][1] > 0
 
     def test_bound_formula(self):
         assert exclusion_bound(1e-4, 1) == pytest.approx(48 * 9 * 1e-4)
         assert exclusion_bound(2e-3, 2) == pytest.approx(48 * 25 * 2e-3)
 
     def test_estimate_is_deterministic(self):
-        a, = origin_exclusion_estimates([0.02], c=1, box=33, trials=30,
-                                        seed=4)
-        b, = origin_exclusion_estimates([0.02], c=1, box=33, trials=30,
-                                        seed=4)
-        assert a == b
+        assert _sweep([0.02], 1, 33, 30, 4) == _sweep([0.02], 1, 33, 30, 4)
+        assert _estimate(0.02, 1, 33, 30, 4) == _estimate(0.02, 1, 33, 30, 4)
 
     def test_estimate_tracks_rate(self):
         # at eps=0.2 with c=1 the 33x33 thickened box is mostly holes
-        est, = origin_exclusion_estimates([0.2], c=1, box=33, trials=60,
-                                          seed=1)
-        assert est.value > 0.5
+        value, _ = _estimate(0.2, c=1, box=33, trials=60, seed=1)
+        assert value > 0.5
 
     def test_ci_floor(self):
-        est, = origin_exclusion_estimates([0.0], c=1, box=33, trials=100,
-                                          seed=2)
+        est, = _sweep([0.0], c=1, box=33, trials=100, seed=2)
         # zero variance still reports the 1/T resolution floor
-        assert est.ci95 == pytest.approx(1.96 * np.sqrt(1.0 / 100 / 100))
+        assert est["origin_excluded"][1] == pytest.approx(
+            1.96 * np.sqrt(1.0 / 100 / 100))
 
 
 class TestSharedField:
@@ -161,20 +173,21 @@ class TestSharedField:
            st.integers(0, 2 ** 64 - 1), st.sampled_from(["largest", "sides"]))
     def test_equals_per_epsilon_estimates(self, epsilons, c, box, trials,
                                           seed, proxy):
-        shared = origin_exclusion_estimates(epsilons, c, box, trials, seed,
-                                            proxy=proxy)
-        assert shared == [origin_exclusion_estimates([e], c, box, trials,
-                                                     seed, proxy=proxy)[0]
+        shared = _sweep(epsilons, c, box, trials, seed, proxy)
+        assert shared == [_sweep([e], c, box, trials, seed, proxy)[0]
                           for e in epsilons]
-        # reference: a fresh Bernoulli mask per (epsilon, trial)
+        # reference: a fresh Bernoulli mask per (epsilon, trial) on the
+        # sweep's seed chain
+        key = derive_seed(seed, "perc-sweep", c)
         hits = [sum(origin_excluded(
-            sample_mask(Bernoulli(e), (box, box), derive_seed(seed, "perc", t)),
+            sample_mask(Bernoulli(e), (box, box), derive_seed(key, "perc", t)),
             c, proxy=proxy) for t in range(trials)) for e in epsilons]
-        assert [est.value for est in shared] == [h / trials for h in hits]
+        assert [est["origin_excluded"][0] for est in shared] \
+            == [h / trials for h in hits]
 
     def test_epsilon_range(self):
         with pytest.raises(ValueError, match="epsilon"):
-            origin_exclusion_estimates([0.1, 1.5], 1, 17, 2, 0)
+            _sweep([0.1, 1.5], 1, 17, 2, 0)
 
 
 def _dense_excluded(mask, c, proxy="largest"):
