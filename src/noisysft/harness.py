@@ -403,9 +403,9 @@ def run_repair1d_sweep(spec: ExperimentSpec):
 
 def _trial_perc(args):
     """One trial's exclusion flag per epsilon.  The epsilons are
-    threshold-coupled: the trial hashes one uniform field and reads every
-    epsilon from it as `u < eps`, so its masks nest as epsilon grows and
-    the field is built once per trial."""
+    threshold-coupled: the trial hashes its box once and reads every
+    epsilon off the same hashes (`bernoulli_masks`), so its masks nest as
+    epsilon grows."""
     (c, box, proxy), epsilons, tseed = args
     return [{"origin_excluded": float(origin_excluded(mask, c, proxy=proxy))}
             for mask in bernoulli_masks(tseed, (box, box), epsilons)]
@@ -773,10 +773,10 @@ def _is_bound(metric: str) -> bool:
     return metric == "bound" or metric.endswith("_bound")
 
 
-def write_plot(path: str, rows, title: str = "noise level vs distance") -> None:
-    """Minimal self-contained log-log SVG: one polyline per sft label for
-    the first metric that is not a bound, `error` or `slack`, and the
-    bounds (`bound` and every `*_bound` metric) dashed."""
+def write_plot(path: str, rows) -> None:
+    """Minimal self-contained log-log SVG titled "<metric> vs epsilon": one
+    polyline per sft label for the first metric that is not a bound, `error`
+    or `slack`, and the bounds (`bound` and every `*_bound` metric) dashed."""
     series: dict[str, list[tuple[float, float]]] = {}
     bounds: dict[str, list[tuple[float, float]]] = {}
     metric = next((r["metric"] for r in rows if not _is_bound(r["metric"])
@@ -851,7 +851,7 @@ def write_plot(path: str, rows, title: str = "noise level vs distance") -> None:
         svg.append(f'<polyline points="{line}" fill="none" stroke="{col}" '
                    f'stroke-width="1.2" stroke-dasharray="5,4" opacity="0.7"/>')
     svg.append(f'<text x="{width // 2}" y="{pad - 10}" '
-               f'text-anchor="middle">{title}</text>')
+               f'text-anchor="middle">{metric or "bound"} vs epsilon</text>')
     svg.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(svg))

@@ -3,7 +3,9 @@
 All sampling is keyed: the obscured bit of a cell is a hash of the seed
 and the absolute cell coordinates, so masks are reproducible, independent
 of box origin, and two boxes sampled with the same seed agree on their
-overlap.  The hash is a splitmix64-style mixer applied coordinatewise.
+overlap.  The hash is a splitmix64-style mixer applied coordinatewise; a
+cell is obscured at Bernoulli(eps) iff the top 53 bits of its hash are below
+ceil(eps 2^53), an integer test that builds no float field.
 """
 
 from __future__ import annotations
@@ -19,17 +21,23 @@ from .core import NoiseMask, thicken
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_BLOCK_CELLS = 2 ** 15  # 32 rows of 1024: 256 KB of uint64 per temporary
+_BLOCK_CELLS = 2 ** 15  # 32 rows of 1024: 256 KB of uint64 per hash buffer
 
 
-def _mix(z):
-    z = np.uint64(z) if np.isscalar(z) else z  # arrays are mixed in place
-    with np.errstate(over="ignore"):  # uint64 arithmetic wraps by design
-        z ^= z >> np.uint64(30)
-        z *= _M1
-        z ^= z >> np.uint64(27)
-        z *= _M2
-        z ^= z >> np.uint64(31)
+# splitmix64's finaliser as (multiplier, xorshift) steps: a head, then a
+# tail.  The head is linear over xor, head(h ^ m) = head(h) ^ head(m), so a
+# value that a later mix takes as a xor operand is stored with it applied.
+_HEAD = ((None, 30),)
+_TAIL = ((_M1, 27), (_M2, 31))
+
+
+def _mix(z, steps=_HEAD + _TAIL, tmp=None):
+    """The steps on a uint64 scalar, or in place on a uint64 array given
+    scratch tmp of its shape.  Scalars warn when they wrap; arrays do not."""
+    for mult, shift in steps:
+        if mult is not None:
+            z *= mult
+        z ^= np.right_shift(z, shift, out=tmp)
     return z
 
 
@@ -47,37 +55,40 @@ def derive_seed(*parts) -> int:
     return int(h)
 
 
-def _finish_hash(h, axes, out):
-    """Mix the hashes h of the leading coordinates with each mixed trailing
-    axis in turn, then write the top 53 bits of each cell as a float."""
-    with np.errstate(over="ignore"):
-        for m in axes:
-            h = _mix(h[..., None] ^ m)
-    h >>= np.uint64(11)
-    return np.multiply(h, 2.0 ** -53, out=out)
+def _hash_blocks(seed: int, origin, shape):
+    """Yield (rows, h): the final uint64 hashes h of leading-axis `rows`,
+    about _BLOCK_CELLS cells at a time, in a buffer the next block reuses.
+    Cell x hashes to h_d, h_0 = seed, h_{i+1} = mix(h_i ^ mix(x_i + GOLDEN
+    (i+1))); the inner mix runs on each axis's coordinates, then broadcasts."""
+    with np.errstate(over="ignore"):  # scalar uint64 arithmetic wraps
+        axes = [np.arange(o, o + s, dtype=np.int64).view(np.uint64)
+                + _GOLDEN * np.uint64(i + 1)
+                for i, (o, s) in enumerate(zip(origin, shape))]
+        for axis in axes:
+            _mix(axis, _HEAD + _TAIL + _HEAD, np.empty_like(axis))
+        lead = axes[0] ^ _mix(np.uint64(seed), _HEAD)  # axes[0] is now scratch
+        _mix(lead, _TAIL + (_HEAD if len(axes) > 1 else ()), axes[0])
+        inner = max(1, math.prod(shape[1:]))
+        rows = max(1, _BLOCK_CELLS // inner)
+        bufs = np.empty((2, min(rows, shape[0]) * inner), dtype=np.uint64)
+        for a in range(0, shape[0], rows):
+            h = lead[a:a + rows]
+            for k, m in enumerate(axes[1:], 2):
+                cur = h.shape + m.shape
+                z, tmp = (b[:math.prod(cur)].reshape(cur) for b in bufs)
+                np.bitwise_xor(h[..., None], m, out=z)
+                _mix(z, _TAIL + (_HEAD if k < len(axes) else ()), tmp)
+                h, bufs = z, bufs[::-1]
+            yield slice(a, a + rows), h
 
 
 def cell_uniform(seed: int, origin, shape) -> np.ndarray:
-    """Per-cell uniforms in [0, 1) keyed by absolute coordinates: cell x
-    hashes to h_d, h_0 = seed, h_{i+1} = mix(h_i ^ mix(x_i + GOLDEN (i+1))).
-    The inner mix runs on each axis's coordinates, then broadcasts.  Fields
-    of two or more axes are hashed in blocks of about _BLOCK_CELLS cells
-    along the leading axis, so the uint64 temporaries stay in cache."""
-    axes = []
-    with np.errstate(over="ignore"):
-        for i, (o, s) in enumerate(zip(origin, shape)):
-            axis = np.arange(o, o + s, dtype=np.int64).view(np.uint64)
-            axis += _GOLDEN * np.uint64(i + 1)
-            axes.append(_mix(axis))
-    h = np.full((), seed, dtype=np.uint64)
+    """Per-cell uniforms in [0, 1) keyed by absolute coordinates: the top
+    53 bits of each cell's `_hash_blocks` hash as a float.  The reference
+    field of `bernoulli_masks`, which reads the same bits without it."""
     out = np.empty(tuple(shape), dtype=np.float64)
-    if len(axes) < 2:  # one row is already a block; blocking measured slower
-        return _finish_hash(h, axes, out)
-    with np.errstate(over="ignore"):
-        lead = _mix(h[..., None] ^ axes[0])
-    rows = max(1, _BLOCK_CELLS // max(1, math.prod(out.shape[1:])))
-    for a in range(0, len(lead), rows):
-        _finish_hash(lead[a:a + rows], axes[1:], out[a:a + rows])
+    for rows, h in _hash_blocks(seed, origin, shape):
+        np.multiply(h >> np.uint64(11), 2.0 ** -53, out=out[rows])
     return out
 
 
@@ -156,17 +167,25 @@ def parse_model(spec: str):
 
 def _grid_phases(model, seed: int, dim: int) -> tuple[int, ...]:
     period = model.period if isinstance(model, GridNoise) else model.p
-    return tuple(int(_mix(np.uint64(derive_seed(seed, "phase", i)))) % period
-                 for i in range(dim))
+    with np.errstate(over="ignore"):  # scalar uint64 arithmetic wraps
+        return tuple(int(_mix(np.uint64(derive_seed(seed, "phase", i))))
+                     % period for i in range(dim))
 
 
 def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
-    """Bernoulli(eps) masks for every epsilon from one keyed field: a cell
-    is obscured at eps when its uniform is below eps, so the masks of one
-    seed nest as eps grows (threshold coupling)."""
+    """Bernoulli(eps) masks for every epsilon from one keyed hash: a cell is
+    obscured at eps iff the top 53 bits of its hash are below ceil(eps 2^53),
+    exactly `cell_uniform(...) < eps` with no float field built, so the
+    masks of one seed nest as eps grows (threshold coupling)."""
     origin = (0,) * len(shape) if origin is None else tuple(origin)
-    u = cell_uniform(seed, origin, shape)
-    return [NoiseMask(origin, u < eps) for eps in epsilons]
+    eps = [float(e) for e in epsilons]
+    masks = [np.full(shape, e >= 1.0) for e in eps]  # NaN and eps <= 0: clear
+    live = [(m, np.uint64(math.ceil(e * 2.0 ** 53) << 11))
+            for m, e in zip(masks, eps) if 0.0 < e < 1.0]
+    for rows, h in _hash_blocks(seed, origin, shape):
+        for mask, limit in live:
+            np.less(h, limit, out=mask[rows])
+    return [NoiseMask(origin, m) for m in masks]
 
 
 def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:

@@ -611,6 +611,7 @@ class TestPlotAndConfig:
         dashed = [line for line in path.read_text().splitlines()
                   if line.startswith("<polyline") and "stroke-dasharray" in line]
         assert len(dashed) == 1
+        assert ">origin_excluded vs epsilon</text>" in path.read_text()
 
     def test_plot_no_data(self, tmp_path):
         path = tmp_path / "p.svg"

@@ -1,6 +1,8 @@
 """Noise models: determinism, marginals, structure."""
 
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,3 +272,47 @@ class TestCellUniformBlocks:
         for idx in cells:
             cell = [o + i for o, i in zip(origin, idx)]
             assert u[idx] == _ref_uniform(seed, cell), idx
+
+
+# eps at and past the ends of (0, 1): signed zero, the smallest subnormal,
+# the largest double below 1, and values no uniform can reach
+_EDGE_EPS = (0.0, -0.0, 5e-324, 1e-300, 1 - 2 ** -53, 1.0, 1.5, -0.1,
+             math.nan, math.inf)
+_UNEVEN_BOXES = [((-35, 17), (70, 1024)), ((5, -20, -350), (3, 40, 700)),
+                 ((0, 0), (1, 40000)), ((7, 3), (65, 512))]
+
+
+class TestIntegerThresholds:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.one_of(st.sampled_from(_UNEVEN_BOXES),
+                     st.integers(1, 3).flatmap(lambda d: st.tuples(
+                         st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                  min_size=d, max_size=d),
+                         st.lists(st.integers(1, 40), min_size=d,
+                                  max_size=d)))),
+           st.data())
+    def test_masks_equal_uniform_below_eps(self, seed, box, data):
+        origin, shape = tuple(box[0]), tuple(box[1])
+        u = cell_uniform(seed, origin, shape)
+        cell = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        own = float(u[cell])
+        eps = _EDGE_EPS + (0.01, own, float(np.nextafter(own, 1.0)))
+        masks = bernoulli_masks(seed, shape, eps, origin)
+        for e, mask in zip(eps, masks):
+            assert mask.origin == origin and mask.data.dtype == bool
+            assert np.array_equal(mask.data, u < e), e
+        # a cell reads clear at its own uniform and obscured one float above
+        assert not masks[-2].data[cell] and masks[-1].data[cell]
+
+    def test_traced_peak_holds_masks_and_block_buffers_only(self):
+        # two 1 MiB bool masks plus two 256 KiB hash buffers; a float64
+        # field of the box alone would be 8 MiB
+        seed = derive_seed(13, "mask")
+        tracemalloc.start()
+        try:
+            bernoulli_masks(seed, (1024, 1024), (0.001, 0.003))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
