@@ -41,7 +41,6 @@ from .harness import (
     run_repair1d_sweep,
     run_repair2d_sweep,
     run_robinson_repair,
-    run_sweep,
     write_plot,
 )
 from .noise import (

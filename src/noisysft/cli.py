@@ -3,9 +3,6 @@
 Exit codes: 0 on success, 2 for validation problems (bad flags, malformed
 files, impossible parameters), 3 for runtime failures (budget blowups,
 failed verification checks, unexpected errors).
-
-A flat key=value config file can seed any subcommand's flags; explicit
-command-line flags override the file.
 """
 
 from __future__ import annotations
@@ -32,32 +29,6 @@ def _box(text: str) -> tuple[int, ...]:
     if not sides or any(s < 1 for s in sides):
         raise argparse.ArgumentTypeError(f"bad box {text!r}")
     return sides
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Pull --config out of argv and splice the file's pairs in as flags
-    right after the subcommand, so later (explicit) flags win."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config needs a file path")
-    cfg = hn.read_config(argv[i + 1])
-    rest = argv[:i] + argv[i + 2:]
-    flags: list[str] = []
-    for key, val in cfg.items():
-        name = "--" + key.strip().replace("_", "-")
-        if val.lower() == "true":
-            flags.append(name)
-        elif val.lower() == "false":
-            continue
-        else:
-            flags.extend([name, val])
-    # insert after the subcommand tokens (everything before the first flag)
-    head = 0
-    while head < len(rest) and not rest[head].startswith("-"):
-        head += 1
-    return rest[:head] + flags + rest[head:]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -167,16 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--box", type=_box, default=(256, 256))
     g.add_argument("--trials", type=int, default=20)
 
-    p = sub.add_parser("sweep", parents=[common],
-                       help="cross-product sweep to CSV")
-    p.set_defaults(driver="run_sweep")
-    p.add_argument("--kind", required=True,
-                   choices=sorted(hn._SWEEP_DRIVERS))
-    p.add_argument("--sft", default="golden-mean")
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--scales", type=_ints, default=(2,))
-    p.add_argument("--proxy", choices=("largest", "sides"), default="largest")
     return top
 
 
@@ -310,15 +271,12 @@ def _dispatch(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        parser = build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
-            return 0 if code == 0 else 2
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else 2
+        return 0 if code == 0 else 2
+    try:
         return _dispatch(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Seeded experiment drivers with CSV, SVG and config plumbing.
+"""Seeded experiment drivers with CSV and SVG output.
 
 Every driver derives one seed per trial from the master seed, the
 experiment's labels and the trial index, never from the noise level, so
@@ -108,7 +108,7 @@ def resolve_periodic(spec: str) -> tuple[str, PeriodicSft]:
 # experiment description
 
 
-# the box of each sweep kind when a spec gives none
+# the sweep kinds, each with the box it runs when a spec gives none
 SWEEP_BOX = {"repair1d": (100_000,), "perc": (1024,), "repair2d": (512, 512),
              "robinson_repair": (1024, 1024)}
 
@@ -131,9 +131,11 @@ class ExperimentSpec:
             self.box = SWEEP_BOX.get(self.kind, ())
 
     def validate(self) -> None:
-        if self.kind not in _SWEEP_DRIVERS:
+        if self.kind not in SWEEP_BOX:
             raise ValueError(f"kind {self.kind!r} is not sweepable; choose "
-                             f"from {', '.join(sorted(_SWEEP_DRIVERS))}")
+                             f"from {', '.join(sorted(SWEEP_BOX))}")
+        if not self.epsilons:
+            raise ValueError("need at least one epsilon")
         for e in self.epsilons:
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"epsilon {e} outside [0, 1]")
@@ -169,6 +171,14 @@ class ExperimentSpec:
         if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
             raise ValueError(f"Robinson scales must be at least 1, got "
                              f"{min(self.scales)}")
+        if self.kind == "robinson_repair":
+            # scale n thickens by 2^(n+1) and must leave a nonempty interior
+            n = max(self.scales)
+            if min(self.box) < 2 ** (n + 2) + 1:
+                raise ValueError(
+                    f"Robinson scale {n} needs every box side at least "
+                    f"2^{n + 2} + 1 = {2 ** (n + 2) + 1}, got "
+                    f"{_box_str(self.box)!r}")
         names = _SWEEP_TARGETS.get(self.kind)
         if names is not None and self.sft not in names \
                 and not os.path.exists(self.sft):
@@ -727,40 +737,7 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
 
 
 # ---------------------------------------------------------------------------
-# generic sweep
-
-
-# driver names, looked up at call time so a rebound module attribute runs
-_SWEEP_DRIVERS = {
-    "repair1d": "run_repair1d_sweep",
-    "perc": "run_perc_sweep",
-    "repair2d": "run_repair2d_sweep",
-    "robinson_repair": "run_robinson_repair",
-}
-
-
-def run_sweep(spec: ExperimentSpec):
-    """One driver call over every epsilon, with error capture.
-
-    If the driver fails, each epsilon gets one `error` row naming the
-    exception type and nothing else is emitted.  An empty epsilon list runs
-    no trials and yields a header-only CSV.
-    """
-    spec.validate()
-    rows = []
-    if spec.epsilons:
-        try:
-            rows = globals()[_SWEEP_DRIVERS[spec.kind]](spec)
-        except Exception as exc:  # noqa: BLE001 - error rows are the contract
-            rows = [dict(_base_row(spec, spec.kind, spec.sft, eps, spec.box),
-                         model=type(exc).__name__, metric="error",
-                         value=float("nan"), ci95=float("nan"))
-                    for eps in spec.epsilons]
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# plotting and config files
+# plotting
 
 
 def _log_ticks(lo: float, hi: float):
@@ -775,12 +752,12 @@ def _is_bound(metric: str) -> bool:
 
 def write_plot(path: str, rows) -> None:
     """Minimal self-contained log-log SVG titled "<metric> vs epsilon": one
-    polyline per sft label for the first metric that is not a bound, `error`
-    or `slack`, and the bounds (`bound` and every `*_bound` metric) dashed."""
+    polyline per sft label for the first metric that is not a bound or
+    `slack`, and the bounds (`bound` and every `*_bound` metric) dashed."""
     series: dict[str, list[tuple[float, float]]] = {}
     bounds: dict[str, list[tuple[float, float]]] = {}
     metric = next((r["metric"] for r in rows if not _is_bound(r["metric"])
-                   and r["metric"] not in ("error", "slack")), None)
+                   and r["metric"] != "slack"), None)
     for row in rows:
         eps, val = float(row.get("epsilon", 0)), row.get("value")
         if not isinstance(val, (int, float)):
@@ -855,18 +832,3 @@ def write_plot(path: str, rows) -> None:
     svg.append("</svg>")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(svg))
-
-
-def read_config(path: str) -> dict[str, str]:
-    """Flat key=value pairs, one per line, # comments allowed."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, val = line.split("=", 1)
-            out[key.strip()] = val.strip()
-    return out

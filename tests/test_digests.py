@@ -58,12 +58,9 @@ SWEEPS = {
     "perc": (H.run_perc_sweep, dict(
         kind="perc", epsilons=(0.01, 0.05), box=(48,), trials=6, seed=8,
         c=1)),
-    "sweep-repair1d": (H.run_sweep, dict(
+    "sweep-repair1d": (H.run_repair1d_sweep, dict(
         kind="repair1d", sft="golden-mean", epsilons=(0.01, 0.03),
         box=(2000,), trials=2, seed=9)),
-    "sweep-errors": (H.run_sweep, dict(
-        kind="repair1d", sft="alternating", epsilons=(0.01, 0.02),
-        box=(1000,), trials=2, seed=10)),
 }
 
 DIGESTS = {
@@ -83,8 +80,6 @@ DIGESTS = {
         "445f39c03cc7a7dd78c778861a61964d68b0e366f478f6cac332cbe54c4b28a8",
     "sweep-repair1d":
         "ecd63d4e3be8af6e034a3a8c0aee39282a8454019cf039bf01604ac327ae64a4",
-    "sweep-errors":
-        "4743857e688d742085b2f531bd8425e950a9d9be215c0c1c8b3f97d277901a2c",
     "instability":
         "a9c5b3a32031cd400eb3844f2f25434e18a9148441133b90c75d4b6b81409a4d",
 }

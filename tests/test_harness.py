@@ -31,7 +31,25 @@ class TestExperimentSpec:
 
     def test_trials_positive(self):
         with pytest.raises(ValueError, match="trial"):
-            H.ExperimentSpec(kind="perc", trials=0).validate()
+            H.ExperimentSpec(kind="perc", epsilons=(0.1,), trials=0).validate()
+
+    @pytest.mark.parametrize("argv", [
+        ["perc", "--epsilons", ""],
+        ["repair1d", "--epsilons", ""],
+        ["repair2d", "--periodic", "checkerboard", "--epsilons", ""],
+        ["robinson", "repair", "--epsilon", ""],
+    ])
+    def test_empty_epsilons_exit_2_before_any_trial(self, argv, tmp_path,
+                                                     capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr(H, "_pool_map",
+                            lambda fn, payloads, threads: ran.append(fn))
+        out = tmp_path / "e.csv"
+        flag = "--path" if argv[0] == "robinson" else "--out"
+        assert cli.main(argv + ["--trials", "2", flag, str(out)]) == 2
+        assert "need at least one epsilon" in capsys.readouterr().err
+        assert not out.exists()
+        assert ran == []
 
     @pytest.mark.parametrize("scales", [(0,), (-1,), (2, 0)])
     def test_robinson_scales_at_least_one(self, scales):
@@ -76,10 +94,10 @@ class TestExperimentSpec:
                              box=(64, 1536)).validate()
 
     @pytest.mark.parametrize("argv", [
-        ["--kind", "perc"], ["--kind", "repair2d", "--sft", "checkerboard"]])
+        ["perc"], ["repair2d", "--periodic", "checkerboard"]])
     def test_sweep_negative_c_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "s.csv"
-        assert cli.main(["sweep", *argv, "--c", "-1", "--epsilons", "0.01",
+        assert cli.main([*argv, "--c", "-1", "--epsilons", "0.01",
                          "--box", "32", "--trials", "1", "--out",
                          str(out)]) == 2
         assert "c must be non-negative" in capsys.readouterr().err
@@ -93,8 +111,8 @@ class TestExperimentSpec:
     @pytest.mark.parametrize("argv", [
         ["robinson", "repair", "--scale", ",", "--epsilon", "1e-3",
          "--path"],
-        ["sweep", "--kind", "robinson_repair", "--scales", ",",
-         "--epsilons", "1e-3", "--out"],
+        ["robinson", "repair", "--scale", "", "--epsilon", "1e-3",
+         "--path"],
     ])
     def test_robinson_scales_empty_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -104,17 +122,18 @@ class TestExperimentSpec:
 
     def test_missing_sft_file(self):
         with pytest.raises(ValueError, match="does not exist"):
-            H.ExperimentSpec(kind="repair1d", sft="/nope/missing.sft").validate()
+            H.ExperimentSpec(kind="repair1d", sft="/nope/missing.sft",
+                             epsilons=(0.01,)).validate()
 
     def test_named_sft_ok(self):
         H.ExperimentSpec(kind="repair1d", sft="golden-mean",
                          epsilons=(0.01,)).validate()
 
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--kind", "repair1d", "--sft", "checkerboard"],
-        ["sweep", "--kind", "repair2d", "--sft", "nosuch"],
-        ["sweep", "--kind", "repair1d", "--sft", "nosuch"],
         ["repair1d", "--sft", "checkerboard"],
+        ["repair2d", "--periodic", "nosuch"],
+        ["repair1d", "--sft", "nosuch"],
+        ["repair2d", "--periodic", "golden-mean"],
     ])
     def test_unknown_target_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -127,7 +146,8 @@ class TestExperimentSpec:
         path = tmp_path / "checker.txt"
         path.write_text(H.CHECKERBOARD_TEXT)
         for target in ("stripes", str(path)):
-            H.ExperimentSpec(kind="repair2d", sft=target).validate()
+            H.ExperimentSpec(kind="repair2d", sft=target,
+                             epsilons=(0.01,)).validate()
 
     @pytest.mark.parametrize("kind", sorted(H.SWEEP_BOX))
     def test_box_defaults_to_the_kinds_own(self, kind):
@@ -143,16 +163,32 @@ class TestExperimentSpec:
     def test_box_the_driver_would_not_run(self, kind, box):
         sft = "checkerboard" if kind == "repair2d" else "golden-mean"
         with pytest.raises(ValueError, match=f"a {kind} box takes"):
-            H.ExperimentSpec(kind=kind, sft=sft, box=box).validate()
+            H.ExperimentSpec(kind=kind, sft=sft, box=box,
+                             epsilons=(0.01,)).validate()
 
     @pytest.mark.parametrize("kind, box", [
         ("repair1d", (3000,)), ("perc", (64,)), ("perc", (64, 64)),
         ("repair2d", (45,)), ("repair2d", (45, 54)),
-        ("robinson_repair", (64, 96)),
+        ("robinson_repair", (64, 96)), ("robinson_repair", (17, 40)),
     ])
     def test_box_the_driver_runs(self, kind, box):
         sft = "checkerboard" if kind == "repair2d" else "golden-mean"
-        H.ExperimentSpec(kind=kind, sft=sft, box=box).validate()
+        H.ExperimentSpec(kind=kind, sft=sft, box=box,
+                         epsilons=(0.01,)).validate()
+
+    @pytest.mark.parametrize("scale, box, need", [
+        ("3", "20", 33), ("9", "1535", 2049), ("2,3", "32x64", 33)])
+    def test_robinson_box_below_the_scale_exit_2(self, scale, box, need,
+                                                  tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        assert cli.main(["robinson", "repair", "--scale", scale, "--box", box,
+                         "--epsilon", "1e-3", "--trials", "1", "--path",
+                         str(out)]) == 2
+        err = capsys.readouterr().err
+        n = max(int(tok) for tok in scale.split(","))
+        assert f"Robinson scale {n} needs every box side at least " \
+            f"2^{n + 2} + 1 = {need}, got '{box}'" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["repair1d", "--box", "3000x5", "--epsilons", "0.01"],
@@ -160,9 +196,8 @@ class TestExperimentSpec:
         ["repair2d", "--periodic", "stripes", "--box", "9x9x9",
          "--epsilons", "0.01"],
         ["robinson", "repair", "--box", "9x9x9", "--epsilon", "0.01"],
-        ["sweep", "--kind", "repair1d", "--box", "3000x5", "--epsilons",
-         "0.01"],
-        ["sweep", "--kind", "perc", "--box", "64x200", "--epsilons", "0.01"],
+        ["repair1d", "--box", "40x40", "--epsilons", "0.01"],
+        ["perc", "--box", "8x8x8", "--epsilons", "0.01"],
     ])
     def test_box_the_driver_would_not_run_exit_2(self, argv, tmp_path, capsys):
         out = tmp_path / "s.csv"
@@ -407,18 +442,11 @@ class TestRobinsonSweep:
 
 
 class TestSweepRunner:
-    def test_empty_epsilons_header_only(self, tmp_path):
-        out = tmp_path / "empty.csv"
-        assert cli.main(["sweep", "--kind", "perc", "--epsilons", "",
-                         "--out", str(out)]) == 0
-        assert out.read_text() == ",".join(H.SCHEMA) + "\n"
-
     def test_byte_identical_reruns(self, tmp_path):
         def once(path):
-            assert cli.main(["sweep", "--kind", "repair1d", "--sft",
-                             "golden-mean", "--epsilons", "0.01", "--box",
-                             "4000", "--trials", "5", "--seed", "3",
-                             "--out", path]) == 0
+            assert cli.main(["repair1d", "--sft", "golden-mean", "--epsilons",
+                             "0.01", "--box", "4000", "--trials", "5",
+                             "--seed", "3", "--out", path]) == 0
             with open(path, "rb") as fh:
                 return fh.read()
         a = once(str(tmp_path / "a.csv"))
@@ -428,43 +456,23 @@ class TestSweepRunner:
     def test_worker_count_invariance(self):
         base = dict(kind="repair1d", sft="golden-mean", epsilons=(0.01,),
                     box=(3000,), trials=6, seed=5)
-        serial = H.format_csv(H.run_sweep(H.ExperimentSpec(**base, threads=1)))
-        pooled = H.format_csv(H.run_sweep(H.ExperimentSpec(**base, threads=3)))
+        serial = H.format_csv(H.run_repair1d_sweep(
+            H.ExperimentSpec(**base, threads=1)))
+        pooled = H.format_csv(H.run_repair1d_sweep(
+            H.ExperimentSpec(**base, threads=3)))
         assert serial == pooled
 
-    def test_error_rows_continue(self):
-        # alternating is periodic, so every repair1d cell errors out
-        rows = H.run_sweep(H.ExperimentSpec(
-            kind="repair1d", sft="alternating", epsilons=(0.01, 0.02),
-            box=(1000,), trials=2))
-        assert [r["metric"] for r in rows] == ["error", "error"]
-        assert all(math.isnan(r["value"]) for r in rows)
-
-    def test_one_driver_call_over_all_epsilons(self, monkeypatch):
-        calls = []
-
-        def driver(spec):
-            calls.append(spec.epsilons)
-            return []
-
-        monkeypatch.setattr(H, "run_perc_sweep", driver)
-        H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2)))
-        H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=()))
-        assert calls == [(0.1, 0.2)]
-
-    def test_error_rows_name_the_exception(self, monkeypatch):
-        def driver(spec):
-            raise KeyError("boom")
-
-        monkeypatch.setattr(H, "run_perc_sweep", driver)
-        rows = H.run_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1, 0.2),
-                                            box=(64,)))
-        assert [(r["epsilon"], r["model"], r["box"]) for r in rows] == \
-            [(0.1, "KeyError", "64"), (0.2, "KeyError", "64")]
+    def test_sweep_and_config_are_unknown(self, tmp_path, capsys):
+        assert cli.main(["sweep", "--kind", "perc", "--epsilons", "0.01"]) == 2
+        assert cli.main(["perc", "--epsilons", "0.01", "--config",
+                         str(tmp_path / "s.cfg")]) == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
 
     def test_unsweepable_kind(self):
-        with pytest.raises(ValueError, match="sweepable"):
-            H.run_sweep(H.ExperimentSpec(kind="analyze", epsilons=(0.1,)))
+        with pytest.raises(ValueError, match="kind 'analyze' is not sweepable; "
+                           "choose from perc, repair1d, repair2d, "
+                           "robinson_repair"):
+            H.run_perc_sweep(H.ExperimentSpec(kind="analyze", epsilons=(0.1,)))
 
 
 class TestInstabilityPhase1d:
@@ -601,8 +609,7 @@ class TestPlotAndConfig:
         import xml.etree.ElementTree as ET
         ET.fromstring(text)
 
-    @pytest.mark.parametrize("argv", [
-        ["perc"], ["sweep", "--kind", "perc"]])
+    @pytest.mark.parametrize("argv", [["perc"], ["perc", "--c", "2"]])
     def test_perc_plot_dashes_the_union_bound(self, argv, tmp_path):
         path = tmp_path / "p.svg"
         assert cli.main(argv + ["--epsilons", "0.01,0.05", "--box", "32",
@@ -617,17 +624,6 @@ class TestPlotAndConfig:
         path = tmp_path / "p.svg"
         H.write_plot(str(path), [])
         assert "no data" in path.read_text()
-
-    def test_read_config(self, tmp_path):
-        path = tmp_path / "a.cfg"
-        path.write_text("# comment\nkind = perc\n\ntrials=7 # tail\n")
-        assert H.read_config(str(path)) == {"kind": "perc", "trials": "7"}
-
-    def test_read_config_bad_line(self, tmp_path):
-        path = tmp_path / "b.cfg"
-        path.write_text("just words\n")
-        with pytest.raises(ValueError, match="key=value"):
-            H.read_config(str(path))
 
 
 class TestCli:
@@ -718,6 +714,14 @@ class TestCli:
         assert cli.main(["robinson", "verify", "--check", "tileset"]) == 0
         assert "[ok] tile count 56" in capsys.readouterr().out
 
+    def test_robinson_verify_edges_runs_only_the_edge_checks(self, capsys):
+        assert cli.main(["robinson", "verify", "--check", "edges"]) == 0
+        names = [line.split(":")[0] for line in
+                 capsys.readouterr().out.splitlines()]
+        assert names == ["[ok] l3=1100100", "[ok] t3=1101100",
+                         "[ok] edge word algebra to N=20",
+                         "[ok] read-off words match to N=6"]
+
     @pytest.mark.parametrize("check", ["tilset", "", " , ", "tileset,warp"])
     def test_robinson_verify_unknown_group_exit_2(self, check, capsys):
         assert cli.main(["robinson", "verify", "--check", check]) == 2
@@ -766,31 +770,16 @@ class TestCli:
                          "--trials", "1", "--out", str(out)]) == 0
         assert ",32x32," in out.read_text()
 
-    def test_sweep_config_override(self, tmp_path):
-        cfg = tmp_path / "s.cfg"
-        cfg.write_text("kind = repair1d\nepsilons = 0.01\nbox = 2000\n"
-                       "trials = 2\nseed = 4\n")
-        out = tmp_path / "s.csv"
-        code = cli.main(["sweep", "--config", str(cfg), "--trials", "3",
-                         "--out", str(out)])
-        assert code == 0
-        assert ",3,4," in out.read_text().splitlines()[1]
-
     def test_sweep_default_box_is_the_kinds_own(self, tmp_path):
         out = tmp_path / "s.csv"
-        code = cli.main(["sweep", "--kind", "repair2d", "--sft",
-                         "checkerboard", "--epsilons", "0.01", "--trials",
-                         "1", "--out", str(out)])
+        code = cli.main(["repair2d", "--periodic", "checkerboard",
+                         "--epsilons", "0.01", "--trials", "1", "--out",
+                         str(out)])
         assert code == 0
         rows = out.read_text().splitlines()
         box = list(H.SCHEMA).index("box")
-        metric = list(H.SCHEMA).index("metric")
         assert len(rows) > 1
         assert {r.split(",")[box] for r in rows[1:]} == {"512x512"}
-        assert "error" not in {r.split(",")[metric] for r in rows[1:]}
-
-    def test_config_needs_path(self, capsys):
-        assert cli.main(["sweep", "--config"]) == 2
 
 
 # each sweep subcommand, the driver it runs and the spec it should build
@@ -815,10 +804,6 @@ CLI_SWEEPS = {
                         "run_robinson_repair",
                         dict(kind="robinson_repair", epsilons=(1e-4, 1e-3),
                              scales=(3, 2), box=(113,), trials=2, seed=7)),
-    "sweep": (["sweep", "--kind", "perc", "--epsilons", "0.01,0.05", "--box",
-               "48x48", "--trials", "3", "--seed", "8", "--out"], "run_sweep",
-              dict(kind="perc", epsilons=(0.01, 0.05), box=(48, 48),
-                   trials=3, seed=8)),
 }
 
 
