@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(kind="perc", driver="run_perc_sweep")
     p.add_argument("--c", type=int, default=1)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--proxy", choices=("largest", "sides"), default="largest")
 
     p = sub.add_parser("repair1d", parents=[common],
                        help="changed-fraction sweep for 1D repair")
@@ -99,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = rsub.add_parser("verify", help="structural self-checks")
     g.add_argument("--check", default=",".join(rb.VERIFY_GROUPS),
                    help="comma list from %(default)s")
-    g.add_argument("--sampled", action="store_true",
-                   help="re-derive the peel witness instead of the frozen one")
 
     g = rsub.add_parser("repair", parents=[sweep], help="scale-N repair sweep")
     g.set_defaults(kind="robinson_repair", driver="run_robinson_repair")
@@ -215,8 +212,7 @@ def _cmd_robinson(args) -> int:
         return 0
     if args.rcmd == "verify":
         groups = tuple(tok.strip() for tok in args.check.split(",") if tok.strip())
-        mode = "sampled" if args.sampled else "exhaustive"
-        results = rb.verify_suite(groups=groups, peel_mode=mode)
+        results = rb.verify_suite(groups=groups)
         for name, ok, detail in results:
             print(f"[{'ok' if ok else 'FAIL'}] {name}: {detail}")
         failed = sum(1 for _, ok, _ in results if not ok)

@@ -123,7 +123,6 @@ class ExperimentSpec:
     seed: int = 0
     scales: tuple[int, ...] = (2,)  # robinson only
     c: int | None = None
-    proxy: str = "largest"
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -158,6 +157,10 @@ class ExperimentSpec:
             raise ValueError("threads must be positive")
         if self.c is not None and self.c < 0:
             raise ValueError(f"c must be non-negative, got {self.c}")
+        c = 1 if self.c is None else self.c  # run_perc_sweep's default
+        if self.kind == "perc" and self.box[0] <= 2 * c:
+            raise ValueError(f"perc with c={c} needs a box side of at least "
+                             f"2c + 1 = {2 * c + 1}, got {_box_str(self.box)!r}")
         if self.kind == "robinson_repair" and max(self.box) > rb.MAX_BOX:
             a, s = rb._REFERENCE_ANCHOR, max(self.box)
             raise ValueError(
@@ -416,8 +419,8 @@ def _trial_perc(args):
     threshold-coupled: the trial hashes its box once and reads every
     epsilon off the same hashes (`bernoulli_masks`), so its masks nest as
     epsilon grows."""
-    (c, box, proxy), epsilons, tseed = args
-    return [{"origin_excluded": float(origin_excluded(mask, c, proxy=proxy))}
+    (c, box), epsilons, tseed = args
+    return [{"origin_excluded": float(origin_excluded(mask, c))}
             for mask in bernoulli_masks(tseed, (box, box), epsilons)]
 
 
@@ -428,7 +431,7 @@ def run_perc_sweep(spec: ExperimentSpec):
     c = 1 if spec.c is None else spec.c
     box = spec.box[0]
     return _sweep_rows(spec, "perc", f"free-c{c}", (box, box), _trial_perc,
-                       (c, box, spec.proxy),
+                       (c, box),
                        lambda eps, _: {"exclusion_bound":
                                        exclusion_bound(eps, c)},
                        (derive_seed(spec.seed, "perc-sweep", c), "perc"))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NoiseMask, thicken
+from .core import NoiseMask
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
@@ -119,35 +119,8 @@ class GridNoise:
         return self.k + self.n
 
 
-@dataclass(frozen=True)
-class PhaseGrid:
-    """One obscured cell every p cells, uniform phase; one-dimensional."""
-
-    p: int
-
-    def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("phase grid needs p >= 2")
-
-
-@dataclass(frozen=True)
-class Thickened:
-    """The base model's mask, thickened by n.  Nested thickenings flatten:
-    thickening by a then by b equals thickening by a + b."""
-
-    base: object
-    n: int
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("thickening radius must be nonnegative")
-        if isinstance(self.base, Thickened):
-            object.__setattr__(self, "n", self.n + self.base.n)
-            object.__setattr__(self, "base", self.base.base)
-
-
 def parse_model(spec: str):
-    """Parse model specs: bernoulli:eps, grid:k,n, phase:p, thick:n:<spec>."""
+    """Parse model specs: bernoulli:eps, grid:k,n."""
     kind, _, rest = spec.partition(":")
     try:
         if kind == "bernoulli":
@@ -155,21 +128,15 @@ def parse_model(spec: str):
         if kind == "grid":
             k, n = rest.split(",")
             return GridNoise(int(k), int(n))
-        if kind == "phase":
-            return PhaseGrid(int(rest))
-        if kind == "thick":
-            n, _, inner = rest.partition(":")
-            return Thickened(parse_model(inner), int(n))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad noise model spec {spec!r}: {exc}") from None
     raise ValueError(f"unknown noise model {kind!r}")
 
 
 def _grid_phases(model, seed: int, dim: int) -> tuple[int, ...]:
-    period = model.period if isinstance(model, GridNoise) else model.p
     with np.errstate(over="ignore"):  # scalar uint64 arithmetic wraps
         return tuple(int(_mix(np.uint64(derive_seed(seed, "phase", i))))
-                     % period for i in range(dim))
+                     % model.period for i in range(dim))
 
 
 def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
@@ -206,20 +173,6 @@ def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:
             hit |= cls < model.k
         return NoiseMask(origin, hit)
 
-    if isinstance(model, PhaseGrid):
-        if dim != 1:
-            raise ValueError("phase grid noise is one-dimensional")
-        (t,) = _grid_phases(model, seed, 1)
-        xs = np.arange(origin[0], origin[0] + shape[0], dtype=np.int64)
-        hit = np.mod(xs - t, model.p) == model.p - 1
-        return NoiseMask(origin, hit)
-
-    if isinstance(model, Thickened):
-        grown_origin = tuple(o - model.n for o in origin)
-        grown_shape = tuple(s + 2 * model.n for s in shape)
-        inner = sample_mask(model.base, grown_shape, seed, grown_origin)
-        return thicken(inner, model.n)
-
     raise TypeError(f"unknown noise model {model!r}")
 
 
@@ -229,28 +182,4 @@ def marginal_rate(model, dim: int) -> float:
         return model.epsilon
     if isinstance(model, GridNoise):
         return 1.0 - (model.n / model.period) ** dim
-    if isinstance(model, PhaseGrid):
-        if dim != 1:
-            raise ValueError("phase grid noise is one-dimensional")
-        return 1.0 / model.p
-    if isinstance(model, Thickened):
-        base, n = model.base, model.n
-        if isinstance(base, Bernoulli):
-            return 1.0 - (1.0 - base.epsilon) ** ((2 * n + 1) ** dim)
-        if isinstance(base, PhaseGrid):
-            if dim != 1:
-                raise ValueError("phase grid noise is one-dimensional")
-            return min(1.0, (2 * n + 1) / base.p)
-        if isinstance(base, GridNoise):
-            # count the thickened base pattern exactly over one period;
-            # tile enough copies that the thickened interior spans a period
-            period = base.period
-            reps = 2 * (n // period + 1) + 1
-            side = period * reps
-            coords = np.indices((side,) * dim)
-            hit = np.zeros((side,) * dim, dtype=bool)
-            for i in range(dim):
-                hit |= np.mod(coords[i], period) < base.k
-            fat = thicken(NoiseMask((0,) * dim, hit), n).data
-            return float(fat[(slice(period),) * dim].mean())
     raise TypeError(f"unknown noise model {model!r}")

@@ -3,17 +3,16 @@
 Thickening by c turns a low-density mask into scattered fat islands; the
 clear cells of the thickened mask percolate and the centre cell belongs
 to the dominant open component with high probability.  On a finite box
-the infinite cluster is read through a proxy: the largest open component
-by default, or the component touching all box sides behind a flag.
+the infinite cluster is read through a proxy: the largest open component.
 
-With the largest proxy on a 2D mask and c >= 1, `origin_excluded` reads
-the answer off the obscured points P instead of labelling the thickened
-box T.  Two points within Chebyshev distance 2c + 1 have touching or
-overlapping c-squares, so the linked clusters of P are exactly the
-8-connected components C_i of the thickened obscured set.  Let B_i be the
-bounding box of C_i in T and W_i the window B_i grown by one cell,
-clipped to T.  The certificate is: no B_i spans the full height or the
-full width of T, and |T| - sum |W_i| > max |W_i|.  Why it is exact:
+On a 2D mask with c >= 1, `origin_excluded` reads the answer off the
+obscured points P instead of labelling the thickened box T.  Two points
+within Chebyshev distance 2c + 1 have touching or overlapping c-squares,
+so the linked clusters of P are exactly the 8-connected components C_i
+of the thickened obscured set.  Let B_i be the bounding box of C_i in T
+and W_i the window B_i grown by one cell, clipped to T.  The certificate
+is: no B_i spans the full height or the full width of T, and
+|T| - sum |W_i| > max |W_i|.  Why it is exact:
 
 - T minus a box that spans neither its height nor its width is
   4-connected, so the cells of T outside B_i lie in one 4-component O_i
@@ -37,8 +36,8 @@ full width of T, and |T| - sum |W_i| > max |W_i|.  Why it is exact:
   cells as thickening the whole box.
 
 An obscured centre is excluded whatever else the box holds, so it is
-answered before any clustering.  Any other case labels T whole: the sides
-proxy, other dimensions, c = 0, a failed certificate, or points so dense
+answered before any clustering.  Any other case labels T whole: other
+dimensions, c = 0, a failed certificate, or points so dense
 that the neighbour scan, (2c + 2)(4c + 3) cells per point, would cover
 more than the box (its cost and memory would then exceed the labelling's,
 and the clusters percolate, so the certificate would fail anyway).
@@ -84,19 +83,6 @@ class OpenComponents:
         if lab == 0:
             return np.zeros_like(self.labels, dtype=bool)
         return self.labels == lab
-
-    def side_spanning_label(self) -> int:
-        """Smallest label whose component touches all sides of the box,
-        0 when there is none."""
-        d = self.labels.ndim
-        candidates = None
-        for axis in range(d):
-            for edge in (0, -1):
-                sl = [slice(None)] * d
-                sl[axis] = edge
-                touch = set(np.unique(self.labels[tuple(sl)])) - {0}
-                candidates = touch if candidates is None else candidates & touch
-        return min(candidates) if candidates else 0
 
 
 def open_components(mask: NoiseMask, c: int) -> OpenComponents:
@@ -148,7 +134,7 @@ def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _sparse_excluded(data: np.ndarray, c: int):
-    """The largest-proxy answer for a 2D mask read from its obscured
+    """The `origin_excluded` answer for a 2D mask read from its obscured
     points, or None when the certificate fails (see the module docstring).
     Needs c >= 1 and every side of the box longer than 2c."""
     h, w = data.shape
@@ -199,25 +185,19 @@ def _sparse_excluded(data: np.ndarray, c: int):
     return False
 
 
-def origin_excluded(mask: NoiseMask, c: int, *, proxy: str = "largest") -> bool:
-    """Is the centre cell of the thickened box outside the giant component?
+def origin_excluded(mask: NoiseMask, c: int) -> bool:
+    """Is the centre cell of the thickened box outside the largest open
+    component?
 
-    The largest proxy on a 2D mask with c >= 1 is decided from the obscured
-    points when the certificate holds; otherwise the thickened box is
-    labelled whole."""
-    if (proxy == "largest" and mask.data.ndim == 2 and c >= 1
-            and min(mask.shape) > 2 * c):
+    A 2D mask with c >= 1 is decided from the obscured points when the
+    certificate holds; otherwise the thickened box is labelled whole."""
+    if mask.data.ndim == 2 and c >= 1 and min(mask.shape) > 2 * c:
         excluded = _sparse_excluded(mask.data, c)
         if excluded is not None:
             return excluded
     comps = open_components(mask, c)
     centre = tuple(s // 2 for s in comps.labels.shape)
-    if proxy == "largest":
-        lab = comps.largest_label
-    elif proxy == "sides":
-        lab = comps.side_spanning_label()
-    else:
-        raise ValueError(f"unknown proxy {proxy!r}")
+    lab = comps.largest_label
     return lab == 0 or comps.labels[centre] != lab
 
 

@@ -346,7 +346,13 @@ def parse_periodic(text: str) -> PeriodicSft:
         raise core.SftParseError(f"unknown directive {sorted(unknown)[0]!r}")
     if "period" not in extra or "base" not in extra:
         raise core.SftParseError("periodic SFT needs period and base directives")
+    for key in ("period", "base"):
+        if len(extra[key]) > 1:
+            raise core.SftParseError(f"line {extra[key][1][0]}: duplicate {key}")
     (lineno, rest), = extra["period"]
+    if not rest.isdecimal() or int(rest) < 1:
+        raise core.SftParseError(
+            f"line {lineno}: period must be a positive integer, got {rest!r}")
     period = int(rest)
     (lineno_b, rest_b), = extra["base"]
     toks = rest_b.split()

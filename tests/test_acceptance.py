@@ -82,7 +82,7 @@ def test_criterion_4_percolation_bound():
     ok = True
     epsilons = (1e-3, 3e-3)
     for c in (1, 2):
-        trials = [H._trial_perc(((c, 1024, "largest"), epsilons,
+        trials = [H._trial_perc(((c, 1024), epsilons,
                                  derive_seed(404, "perc", t)))
                   for t in range(500)]
         for i, eps in enumerate(epsilons):

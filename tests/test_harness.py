@@ -770,6 +770,64 @@ class TestCli:
                          "--trials", "1", "--out", str(out)]) == 0
         assert ",32x32," in out.read_text()
 
+    @pytest.mark.parametrize("argv, err", [
+        (["perc", "--proxy", "largest", "--epsilons", "0.01", "--box", "32",
+          "--trials", "1"], "unrecognized arguments: --proxy"),
+        (["robinson", "verify", "--sampled"],
+         "unrecognized arguments: --sampled"),
+        (["sample", "--model", "phase:5", "--box", "8"],
+         "unknown noise model 'phase'"),
+        (["sample", "--model", "thick:1:bernoulli:0.1", "--box", "8"],
+         "unknown noise model 'thick'"),
+    ], ids=["perc-proxy", "verify-sampled", "phase", "thick"])
+    def test_removed_options_exit_2(self, argv, err, capsys):
+        assert cli.main(argv) == 2
+        assert err in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tail, line, what", [
+        ("period 0\nbase a b b a\n", 7, "period must be a positive integer"),
+        ("period -1\nbase a b b a\n", 7, "period must be a positive integer"),
+        ("period x\nbase a b b a\n", 7, "period must be a positive integer"),
+        ("period 2\nperiod 2\nbase a b b a\n", 8, "duplicate period"),
+        ("period 2\nbase a b b a\nbase b a a b\n", 9, "duplicate base"),
+    ], ids=["zero", "negative", "word", "two-periods", "two-bases"])
+    def test_malformed_periodic_file_exit_2(self, tail, line, what, tmp_path,
+                                            capsys):
+        # the checkerboard's dim, alphabet and four forbid lines: lines 1-6
+        rules = H.CHECKERBOARD_TEXT.strip().split("\nperiod")[0]
+        path = tmp_path / "bad.txt"
+        path.write_text(rules + "\n" + tail)
+        out = tmp_path / "r.csv"
+        assert cli.main(["repair2d", "--periodic", str(path), "--box", "16",
+                         "--epsilons", "0.01", "--trials", "1", "--out",
+                         str(out)]) == 2
+        assert f"error: line {line}: {what}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("box, c, threads", [
+        ("2", "1", "1"), ("2", "1", "2"), ("4x4", "2", "1"), ("1", "1", "1")])
+    def test_perc_box_too_small_to_thicken_exit_2(self, box, c, threads,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        ran = []
+        monkeypatch.setattr(H, "_pool_map",
+                            lambda fn, payloads, threads: ran.append(fn))
+        out = tmp_path / "p.csv"
+        assert cli.main(["perc", "--box", box, "--c", c, "--epsilons", "0.1",
+                         "--trials", "3", "--threads", threads, "--out",
+                         str(out)]) == 2
+        need = 2 * int(c) + 1
+        assert f"perc with c={c} needs a box side of at least 2c + 1 = " \
+            f"{need}, got '{box}'" in capsys.readouterr().err
+        assert not out.exists()
+        assert ran == []
+
+    def test_perc_smallest_box_runs(self, tmp_path):
+        out = tmp_path / "p.csv"
+        assert cli.main(["perc", "--box", "3", "--c", "1", "--epsilons", "0.1",
+                         "--trials", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
+
     def test_sweep_default_box_is_the_kinds_own(self, tmp_path):
         out = tmp_path / "s.csv"
         code = cli.main(["repair2d", "--periodic", "checkerboard",

@@ -13,8 +13,6 @@ from noisysft.core import thicken
 from noisysft.noise import (
     Bernoulli,
     GridNoise,
-    PhaseGrid,
-    Thickened,
     bernoulli_masks,
     cell_uniform,
     derive_seed,
@@ -27,17 +25,9 @@ from noisysft.noise import (
 class TestParse:
     def test_round_trip(self):
         for spec, want in [("bernoulli:0.01", Bernoulli(0.01)),
-                           ("grid:1,3", GridNoise(1, 3)),
-                           ("phase:5", PhaseGrid(5)),
-                           ("thick:2:bernoulli:0.1", Thickened(Bernoulli(0.1), 2))]:
+                           ("grid:1,3", GridNoise(1, 3))]:
             m = parse_model(spec)
             assert type(m) is type(want) and m == want
-
-    def test_nested_thickening_flattens(self):
-        m = Thickened(Thickened(Bernoulli(0.1), 2), 3)
-        assert m.n == 5
-        assert m.base == Bernoulli(0.1)
-        assert parse_model("thick:3:thick:2:bernoulli:0.1") == m
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -159,60 +149,6 @@ class TestGridNoise:
         assert col_all.sum() == 10
 
 
-class TestPhaseGrid:
-    def test_structure(self):
-        m = sample_mask(PhaseGrid(5), (50,), seed=6)
-        idx = np.flatnonzero(m.data)
-        assert len(idx) == 10
-        assert (np.diff(idx) == 5).all()
-
-    def test_marginal(self):
-        assert marginal_rate(PhaseGrid(5), 1) == pytest.approx(0.2)
-        with pytest.raises(ValueError):
-            marginal_rate(PhaseGrid(5), 2)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            sample_mask(PhaseGrid(3), (4, 4), seed=0)
-
-
-class TestThickened:
-    def test_equals_thickening_of_base(self):
-
-        base = sample_mask(Bernoulli(0.05), (84,), seed=13, origin=(-2,))
-        fat = thicken(base, 2)
-        direct = sample_mask(Thickened(Bernoulli(0.05), 2), (80,), seed=13)
-        assert fat.origin == direct.origin == (0,)
-        assert np.array_equal(fat.data, direct.data)
-
-    def test_marginal_bernoulli(self):
-        m = Thickened(Bernoulli(0.01), 1)
-        assert marginal_rate(m, 2) == pytest.approx(1 - 0.99 ** 9)
-
-    def test_marginal_phase(self):
-        assert marginal_rate(Thickened(PhaseGrid(7), 1), 1) == pytest.approx(3 / 7)
-        assert marginal_rate(Thickened(PhaseGrid(3), 5), 1) == 1.0
-
-    def test_marginal_grid_empirical(self):
-        m = Thickened(GridNoise(1, 5), 1)
-        rate = marginal_rate(m, 2)
-        # oracle: thickening the 6-periodic slab pattern by 1 gives slabs
-        # of width 3 every 6: obscured unless both residues fall in the
-        # clear 3 of 6, i.e. 1 - (3/6)^2
-        assert rate == pytest.approx(1 - 0.25)
-        got = sample_mask(m, (60, 60), seed=3)
-        assert got.data.mean() == pytest.approx(rate, abs=0.05)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 400))
-    def test_flattening_matches_composition(self, a, b, seed):
-        east = Thickened(Thickened(Bernoulli(0.08), a), b)
-        west = Thickened(Bernoulli(0.08), a + b)
-        ma = sample_mask(east, (70,), seed=seed)
-        mb = sample_mask(west, (70,), seed=seed)
-        assert np.array_equal(ma.data, mb.data)
-
-
 class TestBernoulliMasks:
     @pytest.mark.parametrize("shape", [(1000,), (40, 30)])
     def test_equals_sample_mask_per_epsilon(self, shape):
@@ -237,8 +173,8 @@ class TestBernoulliMasks:
 class TestBoolMasks:
     @pytest.mark.parametrize("model, shape", [
         (Bernoulli(0.3), (40, 30)), (GridNoise(2, 3), (20, 20)),
-        (PhaseGrid(4), (50,)), (Thickened(Bernoulli(0.05), 2), (30, 30)),
-        (Thickened(PhaseGrid(7), 1), (60,)),
+        (GridNoise(1, 3), (50,)), (Bernoulli(0.05), (60,)),
+        (GridNoise(1, 2), (6, 7, 8)),
     ])
     def test_every_model_samples_bool(self, model, shape):
         m = sample_mask(model, shape, seed=3)

@@ -71,22 +71,10 @@ class TestOpenComponents:
         # the two clear corners touch only diagonally
         assert comp.labels[0, 0] != comp.labels[1, 1]
 
-    def test_side_spanning_label(self):
-        rows = np.zeros((6, 6), dtype=np.uint8)
-        comp = open_components(mask_from(rows), c=0)
-        assert comp.side_spanning_label() == comp.largest_label
-
-        rows = np.ones((6, 6), dtype=np.uint8)
-        rows[2, :] = 0  # horizontal corridor: spans x but not y
-        comp = open_components(mask_from(rows), c=0)
-        assert comp.side_spanning_label() == 0
-
-
 class TestOriginExcluded:
     def test_clear_box_includes_origin(self):
         mask = mask_from(np.zeros((33, 33), dtype=np.uint8))
         assert not origin_excluded(mask, c=1)
-        assert not origin_excluded(mask, c=1, proxy="sides")
 
     def test_blocked_centre_is_excluded(self):
         rows = np.zeros((33, 33), dtype=np.uint8)
@@ -101,7 +89,6 @@ class TestOriginExcluded:
         mask = mask_from(rows)
         # centre survives thickening but sits in a small enclosed pocket
         assert origin_excluded(mask, c=1)
-        assert origin_excluded(mask, c=1, proxy="sides")
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -113,16 +100,15 @@ class TestOriginExcluded:
         u = cell_uniform(np.uint64(seed), (0, 0), shape)
         lo = NoiseMask((0, 0), (u < 0.01).astype(np.uint8))
         hi = NoiseMask((0, 0), (u < 0.05).astype(np.uint8))
-        for proxy in ("largest", "sides"):
-            if origin_excluded(lo, c=1, proxy=proxy):
-                assert origin_excluded(hi, c=1, proxy=proxy)
+        if origin_excluded(lo, c=1):
+            assert origin_excluded(hi, c=1)
 
 
-def _sweep(epsilons, c, box, trials, seed, proxy="largest"):
+def _sweep(epsilons, c, box, trials, seed):
     """{metric: (value, ci95)} per epsilon from `run_perc_sweep`."""
     rows = H.run_perc_sweep(H.ExperimentSpec(
         kind="perc", epsilons=tuple(epsilons), box=(box,), trials=trials,
-        seed=seed, c=c, proxy=proxy))
+        seed=seed, c=c))
     out = [{} for _ in epsilons]
     for k, row in enumerate(rows):
         out[k // 2][row["metric"]] = (row["value"], row["ci95"])
@@ -131,7 +117,7 @@ def _sweep(epsilons, c, box, trials, seed, proxy="largest"):
 
 def _estimate(eps, c, box, trials, seed):
     """(value, ci95) over trials seeded derive_seed(seed, "perc", t)."""
-    flags = [H._trial_perc(((c, box, "largest"), (eps,),
+    flags = [H._trial_perc(((c, box), (eps,),
                             derive_seed(seed, "perc", t)))[0]["origin_excluded"]
              for t in range(trials)]
     return H.mean_ci(flags, floored=True)
@@ -170,18 +156,18 @@ class TestSharedField:
     @given(st.lists(st.sampled_from([0.0, 0.01, 0.05, 0.2, 1.0]), min_size=1,
                     max_size=4),
            st.integers(0, 2), st.integers(9, 25), st.integers(1, 4),
-           st.integers(0, 2 ** 64 - 1), st.sampled_from(["largest", "sides"]))
+           st.integers(0, 2 ** 64 - 1))
     def test_equals_per_epsilon_estimates(self, epsilons, c, box, trials,
-                                          seed, proxy):
-        shared = _sweep(epsilons, c, box, trials, seed, proxy)
-        assert shared == [_sweep([e], c, box, trials, seed, proxy)[0]
+                                          seed):
+        shared = _sweep(epsilons, c, box, trials, seed)
+        assert shared == [_sweep([e], c, box, trials, seed)[0]
                           for e in epsilons]
         # reference: a fresh Bernoulli mask per (epsilon, trial) on the
         # sweep's seed chain
         key = derive_seed(seed, "perc-sweep", c)
         hits = [sum(origin_excluded(
             sample_mask(Bernoulli(e), (box, box), derive_seed(key, "perc", t)),
-            c, proxy=proxy) for t in range(trials)) for e in epsilons]
+            c) for t in range(trials)) for e in epsilons]
         assert [est["origin_excluded"][0] for est in shared] \
             == [h / trials for h in hits]
 
@@ -190,24 +176,14 @@ class TestSharedField:
             _sweep([0.1, 1.5], 1, 17, 2, 0)
 
 
-def _dense_excluded(mask, c, proxy="largest"):
+def _dense_excluded(mask, c):
     """origin_excluded as it was: label the whole thickened box."""
     tm = thicken(mask, c)
     struct = ndimage.generate_binary_structure(tm.data.ndim, 1)
     labels, count = ndimage.label(tm.data == 0, structure=struct)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     centre = tuple(s // 2 for s in labels.shape)
-    if proxy == "largest":
-        lab = 0 if len(sizes) == 1 else int(np.argmax(sizes[1:])) + 1
-    elif proxy == "sides":
-        candidates = None
-        for axis in range(labels.ndim):
-            for edge in (0, -1):
-                touch = set(np.unique(np.take(labels, edge, axis=axis))) - {0}
-                candidates = touch if candidates is None else candidates & touch
-        lab = min(candidates) if candidates else 0
-    else:
-        raise ValueError(f"unknown proxy {proxy!r}")
+    lab = 0 if len(sizes) == 1 else int(np.argmax(sizes[1:])) + 1
     return lab == 0 or labels[centre] != lab
 
 
@@ -245,20 +221,18 @@ class TestSparseDecision:
     @settings(max_examples=400, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 90), st.integers(3, 90),
            st.integers(-100, 100), st.integers(-100, 100), st.integers(1, 3),
-           st.floats(0.002, 0.2), st.sampled_from(["largest", "sides"]))
-    def test_matches_dense_reference(self, seed, h, w, o0, o1, c, density,
-                                     proxy):
+           st.floats(0.002, 0.2))
+    def test_matches_dense_reference(self, seed, h, w, o0, o1, c, density):
         rng = np.random.default_rng(seed)
         data = (rng.random((h, w)) < density).astype(np.uint8)
         mask = NoiseMask((o0, o1), data)
         if min(h, w) <= 2 * c:
             with pytest.raises(ValueError, match="too small"):
-                _dense_excluded(mask, c, proxy)
+                _dense_excluded(mask, c)
             with pytest.raises(ValueError, match="too small"):
-                origin_excluded(mask, c, proxy=proxy)
+                origin_excluded(mask, c)
             return
-        assert origin_excluded(mask, c, proxy=proxy) == \
-            _dense_excluded(mask, c, proxy)
+        assert origin_excluded(mask, c) == _dense_excluded(mask, c)
 
     def test_certified_answers_match_on_random_fields(self):
         rng = np.random.default_rng(5)
@@ -329,34 +303,26 @@ class TestSparseFallback:
     """Every case the certificate does not cover labels the box whole once
     and gives the dense answer."""
 
-    @pytest.mark.parametrize("mask, c, proxy", [
+    @pytest.mark.parametrize("mask, c", [
         # a wall across the whole width: a cluster spans the box
-        (_points((31, 31), [(20, q) for q in range(0, 31, 3)]), 1, "largest"),
+        (_points((31, 31), [(20, q) for q in range(0, 31, 3)]), 1),
         # a ring whose window covers most of the box: the pocket it closes
         # is the largest component, so the area test must fail
-        (_points((41, 41), _ring((41, 41), (20, 20), 15, 3)), 1, "largest"),
+        (_points((41, 41), _ring((41, 41), (20, 20), 15, 3)), 1),
         # a clear centre in a mask too dense for the neighbour scan
         (_points((29, 29), [(r, q) for r in range(29) for q in range(29)
-                            if not (12 <= r < 17 and 12 <= q < 17)]),
-         1, "largest"),
-        (_points((33, 33), [(5, 5)]), 1, "sides"),
-        (_points((33, 33), [(16, 16)]), 0, "largest"),
-        (NoiseMask((0, 0, 0), np.zeros((9, 9, 9), dtype=np.uint8)), 1,
-         "largest"),
-    ], ids=["spanning", "area", "dense-scan", "sides", "c0", "3d"])
-    def test_falls_back_to_dense(self, dense_calls, mask, c, proxy):
-        assert origin_excluded(mask, c, proxy=proxy) == \
-            _dense_excluded(mask, c, proxy)
+                            if not (12 <= r < 17 and 12 <= q < 17)]), 1),
+        (_points((33, 33), [(16, 16)]), 0),
+        (NoiseMask((0, 0, 0), np.zeros((9, 9, 9), dtype=np.uint8)), 1),
+    ], ids=["spanning", "area", "dense-scan", "c0", "3d"])
+    def test_falls_back_to_dense(self, dense_calls, mask, c):
+        assert origin_excluded(mask, c) == _dense_excluded(mask, c)
         assert len(dense_calls) == 1
 
     def test_box_too_small(self):
         mask = _points((4, 40), [(1, 1)])
         with pytest.raises(ValueError, match="box too small to thicken"):
             origin_excluded(mask, 2)
-
-    def test_unknown_proxy(self):
-        with pytest.raises(ValueError, match="unknown proxy"):
-            origin_excluded(_points((9, 9), []), 1, proxy="biggest")
 
 
 class TestLazySizes:
