@@ -358,6 +358,11 @@ class RepairConstants:
     D: int
     E: int
 
+    @property
+    def min_length(self) -> int:
+        """The shortest box `repair.repair_1d` accepts."""
+        return 2 * (self.C + self.E + self.word_len) + self.n0 + 2
+
 
 @functools.lru_cache(maxsize=None)
 def repair_constants(auto: WordAutomaton) -> RepairConstants:

@@ -181,14 +181,15 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    # the mask prints as rows of a 2D box; a clean word is 1D
+    hn.check_sides(args.box, "a sample --sft" if args.sft else "a sample",
+                   "one side" if args.sft else "one or two sides")
     model = parse_model(args.model)
     mask = sample_mask(model, args.box, args.seed)
     lines = [f"# model {args.model} marginal "
              f"{marginal_rate(model, len(args.box)):.6g}"]
     if args.sft is not None:
         name, sft = hn.resolve_sft_1d(args.sft)
-        if len(args.box) != 1:
-            raise ValueError("--sft sampling is 1D; give a 1D box")
         auto = a1d.build_automaton(sft)
         word = hn.sample_admissible_word(auto, args.box[0], args.seed)
         noisy = hn.corrupt(word, mask.data, len(sft.alphabet), args.seed + 1)
@@ -225,11 +226,10 @@ def _cmd_robinson(args) -> int:
 
 def _cmd_instability(args) -> int:
     # each construction runs one side: phase1d, bern1d as given, grid2d squared
-    box, square = args.box, args.icmd == "grid2d"
-    if len(box) > 1 and not (square and box == (box[0],) * 2):
-        sides = "one side or two equal sides" if square else "one side"
-        raise ValueError(f"an instability {args.icmd} box takes {sides}, "
-                         f"got {hn._box_str(box)!r}")
+    box = args.box
+    hn.check_sides(box, f"an instability {args.icmd}",
+                   "one side or two equal sides" if args.icmd == "grid2d"
+                   else "one side")
     if args.icmd == "phase1d":
         rep = hn.run_instability_phase1d(args.p, box[0], args.trials,
                                          args.seed)

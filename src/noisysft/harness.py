@@ -80,28 +80,30 @@ base a a a b b b c c c
 
 NAMED_1D = {"golden-mean": GOLDEN_MEAN, "alternating": ALTERNATING}
 NAMED_PERIODIC = {"checkerboard": CHECKERBOARD_TEXT, "stripes": STRIPES_TEXT}
-# the names each sweep kind that takes a target accepts besides a file
-_SWEEP_TARGETS = {"repair1d": NAMED_1D, "repair2d": NAMED_PERIODIC}
+
+
+def _resolve(spec: str, names: dict, what: str, parse):
+    """(label, target) for a key of `names` or a file path; text, a file's
+    or a name's, is read by `parse`."""
+    if spec in names:
+        name, target = spec, names[spec]
+    elif os.path.exists(spec):
+        with open(spec, encoding="utf-8") as fh:
+            target = fh.read()
+        name = os.path.splitext(os.path.basename(spec))[0]
+    else:
+        raise ValueError(f"SFT file {spec!r} does not exist and is no {what} "
+                         f"target name ({', '.join(sorted(names))})")
+    return name, parse(target) if isinstance(target, str) else target
 
 
 def resolve_sft_1d(spec: str) -> tuple[str, Sft]:
     """A named 1D system or a description-file path."""
-    if spec in NAMED_1D:
-        return spec, NAMED_1D[spec]
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return os.path.splitext(os.path.basename(spec))[0], parse_sft(fh.read())
-    raise ValueError(f"unknown SFT {spec!r}: not a registered name or a file")
+    return _resolve(spec, NAMED_1D, "1D", parse_sft)
 
 
 def resolve_periodic(spec: str) -> tuple[str, PeriodicSft]:
-    if spec in NAMED_PERIODIC:
-        return spec, parse_periodic(NAMED_PERIODIC[spec])
-    if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return (os.path.splitext(os.path.basename(spec))[0],
-                    parse_periodic(fh.read()))
-    raise ValueError(f"unknown periodic SFT {spec!r}")
+    return _resolve(spec, NAMED_PERIODIC, "periodic", parse_periodic)
 
 
 # ---------------------------------------------------------------------------
@@ -142,52 +144,21 @@ class ExperimentSpec:
             raise ValueError("need at least one trial")
         if any(side < 1 for side in self.box):
             raise ValueError("box sides must be positive")
-        # the sides each driver runs as given; perc squares its one side
-        if self.kind == "repair1d":
-            ok, sides = len(self.box) == 1, "one side"
-        elif self.kind == "perc":
-            ok, sides = (len(self.box) in (1, 2) and len(set(self.box)) == 1,
-                         "one side or two equal sides")
-        else:
-            ok, sides = len(self.box) in (1, 2), "one or two sides"
-        if not ok:
-            raise ValueError(f"a {self.kind} box takes {sides}, got "
-                             f"{_box_str(self.box)!r}")
         if self.threads < 1:
             raise ValueError("threads must be positive")
         if self.c is not None and self.c < 0:
             raise ValueError(f"c must be non-negative, got {self.c}")
-        c = 1 if self.c is None else self.c  # run_perc_sweep's default
-        if self.kind == "perc" and self.box[0] <= 2 * c:
-            raise ValueError(f"perc with c={c} needs a box side of at least "
-                             f"2c + 1 = {2 * c + 1}, got {_box_str(self.box)!r}")
-        if self.kind == "robinson_repair" and max(self.box) > rb.MAX_BOX:
-            a, s = rb._REFERENCE_ANCHOR, max(self.box)
-            raise ValueError(
-                f"a robinson_repair box side is at most {rb.MAX_BOX}: a trial "
-                f"window needs origin - translate + {a} + shape <= "
-                f"{rb._REFERENCE_SIDE} at every translate in [0, "
-                f"{rb.TRANSLATES}), and translate 0 and shape {s} give {a} and "
-                f"{a + s}")
-        if self.kind == "robinson_repair" and not self.scales:
-            raise ValueError("need at least one Robinson scale")
-        if self.kind == "robinson_repair" and any(n < 1 for n in self.scales):
-            raise ValueError(f"Robinson scales must be at least 1, got "
-                             f"{min(self.scales)}")
-        if self.kind == "robinson_repair":
-            # scale n thickens by 2^(n+1) and must leave a nonempty interior
-            n = max(self.scales)
-            if min(self.box) < 2 ** (n + 2) + 1:
-                raise ValueError(
-                    f"Robinson scale {n} needs every box side at least "
-                    f"2^{n + 2} + 1 = {2 ** (n + 2) + 1}, got "
-                    f"{_box_str(self.box)!r}")
-        names = _SWEEP_TARGETS.get(self.kind)
-        if names is not None and self.sft not in names \
-                and not os.path.exists(self.sft):
-            raise ValueError(
-                f"SFT file {self.sft!r} does not exist and is no {self.kind} "
-                f"target name ({', '.join(sorted(names))})")
+
+
+def check_sides(box, who: str, sides: str) -> None:
+    """Refuse a box whose number of sides is not `sides`: "one side", "one
+    side or two equal sides" or "one or two sides"."""
+    ok = {"one side": len(box) == 1,
+          "one side or two equal sides": len(box) in (1, 2)
+          and len(set(box)) == 1,
+          "one or two sides": len(box) in (1, 2)}[sides]
+    if not ok:
+        raise ValueError(f"{who} box takes {sides}, got {_box_str(box)!r}")
 
 
 def _box_str(box) -> str:
@@ -320,21 +291,28 @@ def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
 # trials and turns them into rows.
 
 
-def _base_row(spec: ExperimentSpec, experiment: str, sft: str, eps: float,
-              box) -> dict:
-    return {"experiment": experiment, "sft": sft,
-            "model": f"bernoulli:{_fmt(eps)}", "epsilon": eps,
-            "box": _box_str(box), "trials": spec.trials, "seed": spec.seed}
+def _metric_rows(experiment: str, sft: str, model: str, epsilon: float, box,
+                 trials: int, seed: int, cells: dict) -> list[dict]:
+    """One CSV row per metric of `cells`, {metric: (value, ci95)}."""
+    base = {"experiment": experiment, "sft": sft, "model": model,
+            "epsilon": epsilon, "box": _box_str(box), "trials": trials,
+            "seed": seed}
+    return [dict(base, metric=m, value=v, ci95=ci)
+            for m, (v, ci) in cells.items()]
 
 
 _FLOORED = frozenset({"origin_excluded"})  # ci95 by `mean_ci`'s floored rule
 
 
 def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
-                trial, payload, closed, key) -> list[dict]:
+                trial, payload, closed, key, min_side: int) -> list[dict]:
     """Rows per epsilon: the trial mean and ci95 of every metric, then the
     closed-form metrics `closed(eps, per_trial)`, which replace an averaged
-    metric of the same name.  Trial t is seeded `derive_seed(*key, t)`."""
+    metric of the same name.  Trial t is seeded `derive_seed(*key, t)`.
+    A box side below `min_side`, the least the kernel takes, is refused."""
+    if min(box) < min_side:
+        raise ValueError(f"{experiment} needs every box side at least "
+                         f"{min_side}, got {_box_str(spec.box)!r}")
     tseeds = [derive_seed(*key, t) for t in range(spec.trials)]
     results = _pool_map(trial, [(payload, spec.epsilons, s) for s in tseeds],
                         spec.threads)
@@ -344,9 +322,8 @@ def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
         cells = {m: mean_ci([r[m] for r in per_trial], floored=m in _FLOORED)
                  for m in per_trial[0]}
         cells.update((m, (v, 0.0)) for m, v in closed(eps, per_trial).items())
-        base = _base_row(spec, experiment, sft, eps, box)
-        rows += [dict(base, metric=m, value=v, ci95=ci)
-                 for m, (v, ci) in cells.items()]
+        rows += _metric_rows(experiment, sft, f"bernoulli:{_fmt(eps)}", eps,
+                             box, spec.trials, spec.seed, cells)
     return rows
 
 
@@ -403,15 +380,16 @@ def run_repair1d_sweep(spec: ExperimentSpec):
     """One row group per epsilon: mean changed fraction on the interior,
     admissible fraction, locality fraction, and the theorem envelope."""
     spec.validate()
+    check_sides(spec.box, "a repair1d", "one side")
     name, sft = resolve_sft_1d(spec.sft)
     auto = a1d.build_automaton(sft)
     if a1d.classify(auto).kind != "irreducible_aperiodic":
         raise ValueError("repair sweep needs an irreducible aperiodic target")
-    envelope = 3.0 * (2 * a1d.repair_constants(auto).E + 1)
+    consts = a1d.repair_constants(auto)
     return _sweep_rows(spec, "repair1d", name, spec.box, _trial_repair1d,
                        (sft, spec.box[0]),
-                       lambda eps, _: {"bound": envelope * eps},
-                       (spec.seed, "repair1d"))
+                       lambda eps, _: {"bound": 3.0 * (2 * consts.E + 1) * eps},
+                       (spec.seed, "repair1d"), consts.min_length)
 
 
 def _trial_perc(args):
@@ -428,13 +406,15 @@ def run_perc_sweep(spec: ExperimentSpec):
     """Per epsilon: the rate at which the centre of the c-thickened box
     lies outside the giant open component, and the union bound."""
     spec.validate()
+    check_sides(spec.box, "a perc", "one side or two equal sides")
     c = 1 if spec.c is None else spec.c
     box = spec.box[0]
     return _sweep_rows(spec, "perc", f"free-c{c}", (box, box), _trial_perc,
                        (c, box),
                        lambda eps, _: {"exclusion_bound":
                                        exclusion_bound(eps, c)},
-                       (derive_seed(spec.seed, "perc-sweep", c), "perc"))
+                       (derive_seed(spec.seed, "perc-sweep", c), "perc"),
+                       2 * c + 1)
 
 
 def _square(box) -> tuple[int, int]:
@@ -462,13 +442,14 @@ def _repair2d_cell(p: PeriodicSft, clean: np.ndarray, offset, c: int,
 
 def run_repair2d_sweep(spec: ExperimentSpec):
     spec.validate()
+    check_sides(spec.box, "a repair2d", "one or two sides")
     name, p = resolve_periodic(spec.sft)
     c = local_global_constant(p) if spec.c is None else spec.c
     shape = _square(spec.box)
     return _sweep_rows(spec, "repair2d", name, shape, _trial_repair2d,
                        (p, shape, c),
                        lambda eps, _: {"bound": 2.0 * exclusion_bound(eps, c)},
-                       (spec.seed, "repair2d"))
+                       (spec.seed, "repair2d"), 2 * c + 1)
 
 
 def _trial_robinson(args):
@@ -494,7 +475,24 @@ def _robinson_cell(clean: np.ndarray, n_scale: int, t_mod, mask: NoiseMask,
 
 def run_robinson_repair(spec: ExperimentSpec):
     spec.validate()
+    check_sides(spec.box, "a robinson_repair", "one or two sides")
+    if not spec.scales:
+        raise ValueError("need at least one Robinson scale")
+    if min(spec.scales) < 1:
+        raise ValueError(f"Robinson scales must be at least 1, got "
+                         f"{min(spec.scales)}")
+    if max(spec.box) > rb.MAX_BOX:
+        a, s = rb._REFERENCE_ANCHOR, max(spec.box)
+        raise ValueError(
+            f"a robinson_repair box side is at most {rb.MAX_BOX}: a trial "
+            f"window needs origin - translate + {a} + shape <= "
+            f"{rb._REFERENCE_SIDE} at every translate in [0, "
+            f"{rb.TRANSLATES}), and translate 0 and shape {s} give {a} and "
+            f"{a + s}")
     shape = _square(spec.box)
+    # scale N thickens by 2^(N+1); every call takes the largest scale's
+    # limit, so the first refuses a box before any scale runs
+    min_side = 2 ** (max(spec.scales) + 2) + 1
     rows = []
     for n_scale in spec.scales:
         def closed(eps, per_trial, n_scale=n_scale):
@@ -503,7 +501,7 @@ def run_robinson_repair(spec: ExperimentSpec):
                     "bound": rb.robinson_bound(eps, n_scale) + slack}
         rows += _sweep_rows(spec, "robinson", f"robinson-{n_scale}", shape,
                             _trial_robinson, (n_scale, shape), closed,
-                            (spec.seed, "robinson", n_scale))
+                            (spec.seed, "robinson", n_scale), min_side)
     return rows
 
 
@@ -553,17 +551,13 @@ class InstabilityReport:
         return self.estimate.value < self.certificate - self.slack
 
     def rows(self):
-        base = {"experiment": self.kind, "sft": self.sft, "model": self.model,
-                "epsilon": self.epsilon, "box": _box_str(self.box),
-                "trials": self.trials, "seed": self.seed}
-        return [
-            dict(base, metric="min_density", value=self.estimate.value,
-                 ci95=self.estimate.ci95),
-            dict(base, metric="certificate", value=self.certificate, ci95=0.0),
-            dict(base, metric="obscured_rate", value=self.obscured_rate,
-                 ci95=0.0),
-            dict(base, metric="slack", value=self.slack, ci95=0.0),
-        ]
+        return _metric_rows(
+            self.kind, self.sft, self.model, self.epsilon, self.box,
+            self.trials, self.seed,
+            {"min_density": (self.estimate.value, self.estimate.ci95),
+             "certificate": (self.certificate, 0.0),
+             "obscured_rate": (self.obscured_rate, 0.0),
+             "slack": (self.slack, 0.0)})
 
 
 def _instability_report(kind: str, refs, draw, trials: int, seed: int,

@@ -65,7 +65,7 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
     length = grid.shape[0]
-    if length < 2 * (rc.C + rc.E + rc.word_len) + rc.n0 + 2:
+    if length < rc.min_length:
         raise ValueError("box too small to repair")
 
     padded = NoiseMask((0,), np.pad(mask.data, rc.E))

@@ -19,6 +19,22 @@ from noisysft.core import ALTERNATING, GOLDEN_MEAN, Sft, word_sft
 from noisysft.percolation import exclusion_bound
 from noisysft.repair import PeriodicSft
 
+DRIVERS = {"repair1d": H.run_repair1d_sweep, "perc": H.run_perc_sweep,
+           "repair2d": H.run_repair2d_sweep,
+           "robinson_repair": H.run_robinson_repair}
+
+
+class _Pooled(Exception):
+    """Raised by the `_pool_map` stand-in: the driver reached its trials."""
+
+
+@pytest.fixture
+def reach_pool(monkeypatch):
+    def stop(fn, payloads, threads):
+        raise _Pooled
+
+    monkeypatch.setattr(H, "_pool_map", stop)
+
 
 class TestExperimentSpec:
     def test_bad_kind(self):
@@ -52,10 +68,10 @@ class TestExperimentSpec:
         assert ran == []
 
     @pytest.mark.parametrize("scales", [(0,), (-1,), (2, 0)])
-    def test_robinson_scales_at_least_one(self, scales):
+    def test_robinson_scales_at_least_one(self, scales, reach_pool):
         with pytest.raises(ValueError, match="scales must be at least 1"):
-            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
-                             scales=scales).validate()
+            H.run_robinson_repair(H.ExperimentSpec(
+                kind="robinson_repair", epsilons=(1e-3,), scales=scales))
 
     @pytest.mark.parametrize("scale", ["0", "-1", "2,0"])
     def test_robinson_scale_below_one_exit_2(self, scale, tmp_path, capsys):
@@ -86,12 +102,13 @@ class TestExperimentSpec:
         assert "box side is at most 1535" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_robinson_box_limit(self):
-        H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
-                         box=(1535,)).validate()
+    def test_robinson_box_limit(self, reach_pool):
+        with pytest.raises(_Pooled):
+            H.run_robinson_repair(H.ExperimentSpec(
+                kind="robinson_repair", epsilons=(1e-3,), box=(1535,)))
         with pytest.raises(ValueError, match="at most 1535"):
-            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
-                             box=(64, 1536)).validate()
+            H.run_robinson_repair(H.ExperimentSpec(
+                kind="robinson_repair", epsilons=(1e-3,), box=(64, 1536)))
 
     @pytest.mark.parametrize("argv", [
         ["perc"], ["repair2d", "--periodic", "checkerboard"]])
@@ -103,10 +120,10 @@ class TestExperimentSpec:
         assert "c must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_robinson_scales_empty(self):
+    def test_robinson_scales_empty(self, reach_pool):
         with pytest.raises(ValueError, match="at least one Robinson scale"):
-            H.ExperimentSpec(kind="robinson_repair", epsilons=(1e-3,),
-                             scales=()).validate()
+            H.run_robinson_repair(H.ExperimentSpec(
+                kind="robinson_repair", epsilons=(1e-3,), scales=()))
 
     @pytest.mark.parametrize("argv", [
         ["robinson", "repair", "--scale", ",", "--epsilon", "1e-3",
@@ -120,14 +137,15 @@ class TestExperimentSpec:
         assert "at least one Robinson scale" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_missing_sft_file(self):
+    def test_missing_sft_file(self, reach_pool):
         with pytest.raises(ValueError, match="does not exist"):
-            H.ExperimentSpec(kind="repair1d", sft="/nope/missing.sft",
-                             epsilons=(0.01,)).validate()
+            H.run_repair1d_sweep(H.ExperimentSpec(
+                kind="repair1d", sft="/nope/missing.sft", epsilons=(0.01,)))
 
-    def test_named_sft_ok(self):
-        H.ExperimentSpec(kind="repair1d", sft="golden-mean",
-                         epsilons=(0.01,)).validate()
+    def test_named_sft_ok(self, reach_pool):
+        with pytest.raises(_Pooled):
+            H.run_repair1d_sweep(H.ExperimentSpec(
+                kind="repair1d", sft="golden-mean", epsilons=(0.01,)))
 
     @pytest.mark.parametrize("argv", [
         ["repair1d", "--sft", "checkerboard"],
@@ -142,12 +160,13 @@ class TestExperimentSpec:
         assert "does not exist and is no" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_repair2d_target_ok(self, tmp_path):
+    def test_repair2d_target_ok(self, tmp_path, reach_pool):
         path = tmp_path / "checker.txt"
         path.write_text(H.CHECKERBOARD_TEXT)
         for target in ("stripes", str(path)):
-            H.ExperimentSpec(kind="repair2d", sft=target,
-                             epsilons=(0.01,)).validate()
+            with pytest.raises(_Pooled):
+                H.run_repair2d_sweep(H.ExperimentSpec(
+                    kind="repair2d", sft=target, epsilons=(0.01,)))
 
     @pytest.mark.parametrize("kind", sorted(H.SWEEP_BOX))
     def test_box_defaults_to_the_kinds_own(self, kind):
@@ -160,21 +179,22 @@ class TestExperimentSpec:
         ("repair2d", (8, 8, 8)), ("robinson_repair", (8, 8, 8)),
         ("robinson_repair", ()),
     ])
-    def test_box_the_driver_would_not_run(self, kind, box):
+    def test_box_the_driver_would_not_run(self, kind, box, reach_pool):
         sft = "checkerboard" if kind == "repair2d" else "golden-mean"
         with pytest.raises(ValueError, match=f"a {kind} box takes"):
-            H.ExperimentSpec(kind=kind, sft=sft, box=box,
-                             epsilons=(0.01,)).validate()
+            DRIVERS[kind](H.ExperimentSpec(kind=kind, sft=sft, box=box,
+                                           epsilons=(0.01,)))
 
     @pytest.mark.parametrize("kind, box", [
         ("repair1d", (3000,)), ("perc", (64,)), ("perc", (64, 64)),
         ("repair2d", (45,)), ("repair2d", (45, 54)),
         ("robinson_repair", (64, 96)), ("robinson_repair", (17, 40)),
     ])
-    def test_box_the_driver_runs(self, kind, box):
+    def test_box_the_driver_runs(self, kind, box, reach_pool):
         sft = "checkerboard" if kind == "repair2d" else "golden-mean"
-        H.ExperimentSpec(kind=kind, sft=sft, box=box,
-                         epsilons=(0.01,)).validate()
+        with pytest.raises(_Pooled):
+            DRIVERS[kind](H.ExperimentSpec(kind=kind, sft=sft, box=box,
+                                           epsilons=(0.01,)))
 
     @pytest.mark.parametrize("scale, box, need", [
         ("3", "20", 33), ("9", "1535", 2049), ("2,3", "32x64", 33)])
@@ -185,9 +205,8 @@ class TestExperimentSpec:
                          "--epsilon", "1e-3", "--trials", "1", "--path",
                          str(out)]) == 2
         err = capsys.readouterr().err
-        n = max(int(tok) for tok in scale.split(","))
-        assert f"Robinson scale {n} needs every box side at least " \
-            f"2^{n + 2} + 1 = {need}, got '{box}'" in err
+        assert f"robinson needs every box side at least {need}, " \
+            f"got '{box}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -205,6 +224,68 @@ class TestExperimentSpec:
         assert cli.main(argv + ["--trials", "1", flag, str(out)]) == 2
         assert "box takes" in capsys.readouterr().err
         assert not out.exists()
+
+
+# a 1D SFT file that forbids a letter, as pinned in tests/test_digests.py
+FORBID_ONE = """dim 1
+alphabet 0 1 2 3
+forbid (0)=1
+forbid (0)=3 (1)=0
+"""
+SFT3 = str(Path(__file__).resolve().parents[1] / "perfbench" / "sft3.txt")
+
+
+class TestMinSide:
+    """Each sweep refuses a box side below the least its trial's kernel
+    takes before any trial runs, and runs a box of exactly that side."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("argv, least", [
+        (["repair1d", "--sft", "golden-mean"], 11),
+        (["repair1d", "--sft", SFT3], 21),
+        (["repair1d", "--sft", "FORBID_ONE"], 11),
+        (["repair2d", "--periodic", "checkerboard", "--c", "0"], 1),
+        (["repair2d", "--periodic", "checkerboard", "--c", "3"], 7),
+        (["repair2d", "--periodic", "checkerboard"], 3),
+        (["repair2d", "--periodic", "stripes"], 5),
+        (["perc", "--c", "1"], 3),
+        (["perc", "--c", "2"], 5),
+        (["robinson", "repair", "--scale", "3"], 33),
+        (["robinson", "repair", "--scale", "2,3"], 33),
+    ], ids=["golden-mean", "sft3", "forbid-one", "checkerboard-c0",
+            "checkerboard-c3", "checkerboard", "stripes", "perc-c1",
+            "perc-c2", "robinson-3", "robinson-2,3"])
+    def test_boundary(self, argv, least, threads, tmp_path, capsys,
+                      monkeypatch):
+        pool_map, ran = H._pool_map, []
+
+        def spy(fn, payloads, threads):
+            ran.append(threads)
+            return pool_map(fn, payloads, threads)
+
+        monkeypatch.setattr(H, "_pool_map", spy)
+        forbid_one = tmp_path / "forbid_one.txt"
+        forbid_one.write_text(FORBID_ONE)
+        argv = [str(forbid_one) if a == "FORBID_ONE" else a for a in argv]
+        robinson = argv[0] == "robinson"
+        tail = ["--epsilon" if robinson else "--epsilons", "0.01,0.2",
+                "--trials", "2", "--threads", threads,
+                "--path" if robinson else "--out"]
+        below = tmp_path / "below.csv"
+        assert cli.main(argv + ["--box", str(least - 1), *tail,
+                                str(below)]) == 2
+        if least > 1:  # a side of 0 is no box at all
+            assert f"needs every box side at least {least}, got " \
+                f"'{least - 1}'" in capsys.readouterr().err
+        assert not below.exists()
+        assert ran == []
+        at = tmp_path / "at.csv"
+        assert cli.main(argv + ["--box", str(least), *tail, str(at)]) == 0
+        box = list(H.SCHEMA).index("box")
+        rows = at.read_text().splitlines()[1:]
+        assert rows and {r.split(",")[box] for r in rows} <= \
+            {str(least), f"{least}x{least}"}
+        assert ran and set(ran) == {int(threads)}
 
 
 class TestCsv:
@@ -696,6 +777,20 @@ class TestCli:
         out = capsys.readouterr().out.splitlines()
         assert len(out) == 9 and set(out[1]) <= {"0", "1"}
 
+    @pytest.mark.parametrize("argv, err", [
+        (["--box", "2x2x2"], "a sample box takes one or two sides, got "
+         "'2x2x2'"),
+        (["--box", "8x8", "--sft", "golden-mean"],
+         "a sample --sft box takes one side, got '8x8'"),
+    ])
+    def test_sample_box_it_cannot_print_exit_2(self, argv, err, tmp_path,
+                                               capsys):
+        out = tmp_path / "s.txt"
+        assert cli.main(["sample", "--model", "bernoulli:0.5", *argv,
+                         "--out", str(out)]) == 2
+        assert err in capsys.readouterr().err
+        assert not out.exists()
+
     def test_robinson_gen_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         assert cli.main(["robinson", "gen", "--scale", "2", "--orient", "se",
@@ -817,8 +912,8 @@ class TestCli:
                          "--trials", "3", "--threads", threads, "--out",
                          str(out)]) == 2
         need = 2 * int(c) + 1
-        assert f"perc with c={c} needs a box side of at least 2c + 1 = " \
-            f"{need}, got '{box}'" in capsys.readouterr().err
+        assert f"perc needs every box side at least {need}, got '{box}'" \
+            in capsys.readouterr().err
         assert not out.exists()
         assert ran == []
 
