@@ -87,13 +87,14 @@ def _resolve(spec: str, names: dict, what: str, parse):
     or a name's, is read by `parse`."""
     if spec in names:
         name, target = spec, names[spec]
-    elif os.path.exists(spec):
+    elif os.path.isfile(spec):
         with open(spec, encoding="utf-8") as fh:
             target = fh.read()
         name = os.path.splitext(os.path.basename(spec))[0]
     else:
-        raise ValueError(f"SFT file {spec!r} does not exist and is no {what} "
-                         f"target name ({', '.join(sorted(names))})")
+        raise ValueError(f"SFT file {spec!r} does not exist or is not a file, "
+                         f"and is no {what} target name "
+                         f"({', '.join(sorted(names))})")
     return name, parse(target) if isinstance(target, str) else target
 
 

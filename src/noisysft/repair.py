@@ -285,6 +285,13 @@ class PeriodicSft:
         arr = np.asarray(self.base)
         if arr.shape != (self.period,) * self.sft.dim:
             raise ValueError("base pattern must be a full period box")
+        nsym = len(self.sft.alphabet)
+        bad = [v for v in arr.ravel().tolist()
+               if arr.dtype.kind not in "iu" or not 0 <= v < nsym]
+        if bad:
+            raise ValueError(
+                f"base symbol {bad[0]!r} is not an integer in [0, {nsym})")
+        arr = arr.astype(np.min_scalar_type(nsym - 1))  # narrowest unsigned
         arr.setflags(write=False)
         object.__setattr__(self, "base", arr)
 
@@ -400,9 +407,14 @@ class RepairPeriodicReport:
     no_votes: bool
 
 
+# int16: a vote top + 8 w is exact up to 32768 translates; numpy raises past
+_TOP_BIT = np.array([v.bit_length() - 1 for v in range(256)], dtype=np.int16)
+_TOP_BIT.setflags(write=False)
+
+
 def _top_bit(x: np.ndarray) -> np.ndarray:
     """Index of the highest set bit of each uint8 word, -1 where it is 0."""
-    return np.frexp(x.astype(np.float32))[1] - 1
+    return _TOP_BIT[x]
 
 
 def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
@@ -423,38 +435,44 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     """
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
-    nsym = len(p.sft.alphabet)
-    if grid.data.size and (grid.data.min() < 0 or grid.data.max() >= nsym):
-        raise ValueError(f"grid symbols must lie in [0, {nsym})")
+    nsym, g = len(p.sft.alphabet), grid.data
+    if g.size and not (g.dtype.kind in "biu" and 0 <= g.min()
+                       and g.max() < nsym):
+        raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
     if c is None:
         c = local_global_constant(p)
     comps = open_components(mask, c)
+    on_comp = comps.largest_mask()  # first: it bincounts an intp copy
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
-    # flat index of (x mod period..., grid[x]) in a MATCH word, per cell x
-    res = np.ix_(*((o + np.arange(s)) % p.period
-                   for o, s in zip(grid.origin, grid.shape)))
-    key = grid.data + sum(r * (nsym * p.period ** k)
-                          for k, r in enumerate(res[::-1]))
+    # flat index of (x mod period..., grid[x]) in a MATCH word, per cell x, in
+    # the narrowest dtype that holds it; np.take would copy it to intp
+    kt = np.min_scalar_type(p._match[0].size)
+    key = sum((((o + np.arange(s)) % p.period) * (nsym * p.period ** k))
+              .astype(kt).reshape((-1,) + (1,) * k)
+              for k, (o, s) in enumerate(zip(grid.origin[::-1],
+                                             grid.shape[::-1])))
+    np.add(key, g, out=key, casting="unsafe")
     for w, table in enumerate(p._match):  # one word per 8 translates
-        bits = np.take(table, key)
+        bits = table.ravel()[key]
         top = _top_bit(~core._or_windows(~bits, c))
         vote = top if w == 0 else np.where(top >= 0, top + 8 * w, vote)
-    on_comp = comps.largest_mask() & (vote >= 0)
-    counts = np.bincount(vote[on_comp], minlength=len(orbit)) if on_comp.any() \
-        else np.zeros(len(orbit), dtype=int)
-    no_votes = not on_comp.any()
+    # bands of leading-axis rows keep the index and bincount temporaries small
+    counts = np.zeros(len(orbit), dtype=np.intp)
+    step = 2 ** 16 // max(vote[:1].size, 1) + 1  # vote[:1]: one row's cells
+    for r0 in range(0, len(vote), step):
+        band = vote[r0:r0 + step]
+        counts += np.bincount(band[on_comp[r0:r0 + step] & (band >= 0)],
+                              minlength=len(orbit))
+    no_votes = not counts.any()
     if no_votes:
         best = len(orbit) - 1
     else:
         top = counts.max()
         best = max(i for i, n in enumerate(counts) if n == top)
     offset = orbit[best]
-    interior_origin = comps.origin
-    interior_shape = comps.labels.shape
-    repaired = p.tiling(offset, interior_origin, interior_shape)
-    original = grid.data[inner]
-    changed = float(np.mean(original != repaired.data))
+    repaired = p.tiling(offset, comps.origin, comps.labels.shape)
+    changed = float(np.mean(g[inner] != repaired.data))
     return RepairPeriodicReport(
         grid=repaired, offset=offset, c=c, changed_fraction=changed,
         vote_counts={orbit[i]: int(n) for i, n in enumerate(counts)},

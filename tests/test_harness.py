@@ -157,7 +157,21 @@ class TestExperimentSpec:
         out = tmp_path / "s.csv"
         assert cli.main(argv + ["--epsilons", "0.01", "--trials", "1",
                                 "--out", str(out)]) == 2
-        assert "does not exist and is no" in capsys.readouterr().err
+        assert "does not exist or is not a file, and is no" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["repair1d", "--sft", "{dir}", "--box", "100"],
+        ["repair2d", "--periodic", "{dir}", "--box", "16"],
+    ])
+    def test_directory_target_exit_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        argv = [a.format(dir=tmp_path) for a in argv]
+        assert cli.main(argv + ["--epsilons", "0.01", "--trials", "1",
+                                "--out", str(out)]) == 2
+        assert f"SFT file {str(tmp_path)!r} does not exist or is not a " \
+            "file" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repair2d_target_ok(self, tmp_path, reach_pool):

@@ -1,5 +1,7 @@
 """Window repair in 1D and majority-vote repair of periodic 2D systems."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +24,7 @@ from noisysft.percolation import open_components
 from noisysft.repair import (
     PeriodicSft,
     Repair1DReport,
+    _top_bit,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -547,6 +550,27 @@ class TestPeriodicSft:
         with pytest.raises(ValueError, match="3-period box"):
             parse_periodic(bad)
 
+    @pytest.mark.parametrize("base, bad", [
+        ([[0, 5], [5, 0]], "5"),
+        ([[0, -1], [-1, 0]], "-1"),
+        ([[0.5, 1], [1, 0]], "0.5"),
+    ])
+    def test_invalid_base_raises(self, base, bad):
+        sft = parse_periodic(CHECKER_TEXT).sft
+        with pytest.raises(ValueError, match=rf"^base symbol {bad} is not an "
+                           r"integer in \[0, 2\)$"):
+            PeriodicSft(sft=sft, period=2, base=np.array(base))
+
+    def test_base_and_tilings_narrow(self):
+        for text in (CHECKER_TEXT, STRIPES_TEXT):
+            p = parse_periodic(text)
+            assert p.base.dtype == np.uint8
+            assert p.tiling((1, 0), (-3, 2), (5, 4)).data.dtype == np.uint8
+        # the caller's array is copied, not narrowed or frozen in place
+        base = np.array([[0, 1], [1, 0]])
+        PeriodicSft(sft=parse_periodic(CHECKER_TEXT).sft, period=2, base=base)
+        assert base.dtype == np.int64 and base.flags.writeable
+
     def test_local_global_constants(self):
         assert local_global_constant(parse_periodic(CHECKER_TEXT)) == 1
         assert local_global_constant(parse_periodic(STRIPES_TEXT)) == 2
@@ -640,11 +664,39 @@ class TestRepairPeriodic:
     def test_symbols_outside_alphabet_raise(self):
         g = self.p.tiling((0, 0), (0, 0), (16, 16)).data
         for bad in (-1, 2):
-            noisy = np.array(g)
+            noisy = g.astype(np.int64)  # a uint8 tiling cannot hold -1
             noisy[3, 4] = bad
             with pytest.raises(ValueError, match=r"symbols must lie in \[0, 2\)"):
                 repair_periodic(self.p, Grid((0, 0), noisy),
                                 self.empty_mask((16, 16)), c=1)
+
+    def test_non_integer_grid_raises(self):
+        g = self.p.tiling((0, 0), (0, 0), (16, 16)).data.astype(np.float64)
+        g[3, 4] = 0.5
+        with pytest.raises(ValueError, match="as integers"):
+            repair_periodic(self.p, Grid((0, 0), g), self.empty_mask((16, 16)),
+                            c=1)
+
+    @pytest.mark.parametrize("target", ["checkerboard", "stripes"])
+    def test_traced_peak_of_a_512_box(self, target):
+        # uint8 symbols, MATCH key and words, int16 votes and an int32 label
+        # array; int64 symbols and keys alone would be 4 MiB
+        _, p = H.resolve_periodic(target)
+        c = local_global_constant(p)
+        shape = (512, 512)
+        clean = p.tiling(p.orbit()[-1], (0, 0), shape).data
+        mask = sample_mask(Bernoulli(0.01), shape, seed=17)
+        grid = Grid((0, 0), H.corrupt(clean, mask.data, len(p.sft.alphabet),
+                                      seed=17))
+        p._match  # built once per SFT, outside the call
+        tracemalloc.start()
+        try:
+            rep = repair_periodic(p, grid, mask, c=c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.offset == p.orbit()[-1]
+        assert peak < 5 * 2 ** 20
 
 
 def _domino_periodic(base: np.ndarray, nsym: int) -> PeriodicSft:
@@ -703,25 +755,37 @@ def _assert_same_as_reference(p, grid, mask, c):
     return rep
 
 
+def _random_case(seed, period, nsym, c, eps):
+    """A random domino periodic SFT, a translate t of it on a random box
+    and that tiling with a Bernoulli(eps) mask resampled."""
+    rng = np.random.default_rng(seed)
+    p = _domino_periodic(rng.integers(0, nsym, size=(period, period)), nsym)
+    orbit = p.orbit()
+    shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 24, size=2))
+    origin = tuple(int(o) for o in rng.integers(-50, 50, size=2))
+    t = orbit[int(rng.integers(len(orbit)))]
+    clean = p.tiling(t, origin, shape).data
+    hit = rng.random(shape) < eps
+    noisy = np.where(hit, rng.integers(0, nsym, size=shape), clean)
+    return p, t, origin, clean, noisy, hit
+
+
+_RANDOM_CASES = (st.integers(0, 2 ** 32 - 1), st.integers(2, 4),
+                 st.integers(2, 4), st.integers(0, 3),
+                 st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+
+
 class TestRandomPeriodic:
     """Random bases of period 2-4 (orbits up to 16 translates) against the
     per-translate body repair_periodic replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 4), st.integers(2, 4),
-           st.integers(0, 3), st.sampled_from([0.0, 0.05, 0.3, 1.0]))
+    @given(*_RANDOM_CASES)
     def test_matches_per_translate_votes(self, seed, period, nsym, c, eps):
-        rng = np.random.default_rng(seed)
-        p = _domino_periodic(rng.integers(0, nsym, size=(period, period)),
-                             nsym)
+        p, t, origin, clean, noisy, hit = _random_case(seed, period, nsym, c,
+                                                       eps)
         orbit = p.orbit()
-        shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 24,
-                                                   size=2))
-        origin = tuple(int(o) for o in rng.integers(-50, 50, size=2))
-        t = orbit[int(rng.integers(len(orbit)))]
-        clean = p.tiling(t, origin, shape).data
-        hit = rng.random(shape) < eps
-        noisy = np.where(hit, rng.integers(0, nsym, size=shape), clean)
+        shape = noisy.shape
         rep = _assert_same_as_reference(p, Grid(origin, noisy),
                                         NoiseMask(origin, hit), c)
         assert rep.offset in orbit
@@ -751,3 +815,48 @@ class TestRandomPeriodic:
                                             NoiseMask((3, -5), hit), c)
             if c == 4:
                 assert rep.offset == t
+
+    @settings(max_examples=60, deadline=None)
+    @given(*_RANDOM_CASES)
+    def test_report_independent_of_grid_dtype(self, seed, period, nsym, c,
+                                              eps):
+        p, _, origin, _, noisy, hit = _random_case(seed, period, nsym, c, eps)
+        mask = NoiseMask(origin, hit)
+        want = repair_periodic(p, Grid(origin, noisy.astype(np.int64)), mask,
+                               c=c)
+        for dtype in (np.int32, np.int8, np.uint8):
+            got = repair_periodic(p, Grid(origin, noisy.astype(dtype)), mask,
+                                  c=c)
+            assert got.grid.origin == want.grid.origin
+            assert got.grid.data.dtype == want.grid.data.dtype == np.uint8
+            assert np.array_equal(got.grid.data, want.grid.data)
+            assert (got.offset, got.c, got.changed_fraction, got.vote_counts,
+                    got.no_votes) == (want.offset, want.c,
+                                      want.changed_fraction,
+                                      want.vote_counts, want.no_votes)
+
+    def test_top_bit_is_the_frexp_rule(self):
+        words = np.arange(256, dtype=np.uint8)
+        want = np.frexp(words.astype(np.float32))[1] - 1
+        assert np.array_equal(_top_bit(words), want)
+        assert _top_bit(words[:1])[0] == -1
+
+    def test_orbit_over_128_translates(self):
+        # period 12 gives up to 144 translates: vote indices past 127, the
+        # last of int8, come from words 16 and 17
+        rng = np.random.default_rng(12)
+        p = _domino_periodic(rng.integers(0, 3, size=(12, 12)), 3)
+        orbit = p.orbit()
+        assert len(orbit) > 128
+        shape, origin = (40, 37), (-7, 5)
+        for i, c, eps in ((130, 6, 0.0), (len(orbit) - 1, 6, 0.01),
+                          (129, 0, 0.2)):
+            clean = p.tiling(orbit[i], origin, shape).data
+            hit = rng.random(shape) < eps
+            noisy = np.where(hit, rng.integers(0, 3, size=shape), clean)
+            rep = _assert_same_as_reference(p, Grid(origin, noisy),
+                                            NoiseMask(origin, hit), c)
+            assert max(j for j, t in enumerate(orbit)
+                       if rep.vote_counts[t]) >= 128
+            if c == 6:
+                assert rep.offset == orbit[i]
