@@ -16,7 +16,6 @@ from .automaton1d import (
     is_globally_admissible,
     repair_constants,
 )
-from .besicovitch import DistanceEstimate, lower_certificate
 from .core import (
     ALTERNATING,
     GOLDEN_MEAN,
@@ -31,6 +30,7 @@ from .core import (
     word_sft,
 )
 from .harness import (
+    DistanceEstimate,
     ExperimentSpec,
     InstabilityReport,
     format_csv,
@@ -52,7 +52,6 @@ from .noise import (
     sample_mask,
 )
 from .percolation import (
-    OpenComponents,
     exclusion_bound,
     open_components,
 )

@@ -19,7 +19,6 @@ import numpy as np
 
 from . import automaton1d as a1d
 from . import robinson as rb
-from .besicovitch import DistanceEstimate, lower_certificate
 from .core import (
     ALTERNATING,
     GOLDEN_MEAN,
@@ -517,6 +516,16 @@ def finite_size_slack(cells: int) -> float:
     return 4.0 / math.sqrt(cells)
 
 
+@dataclass(frozen=True)
+class DistanceEstimate:
+    """Empirical Besicovitch distance on a finite box: the mean Hamming
+    density over coupled sample pairs, with a normal 95% interval."""
+
+    value: float
+    ci95: float
+    trials: int
+
+
 def _min_over_refs(per_ref) -> DistanceEstimate:
     """Distance to the nearest reference: trial-mean per reference first,
     then the minimum.  Per-trial minima would undershoot, since segment
@@ -532,7 +541,7 @@ def _min_over_refs(per_ref) -> DistanceEstimate:
 class InstabilityReport:
     kind: str
     estimate: DistanceEstimate
-    certificate: float
+    certificate: float  # the construction's closed-form lower bound
     obscured_rate: float
     slack: float
     box: tuple[int, ...]
@@ -606,7 +615,7 @@ def run_instability_phase1d(p: int, box: int, trials: int,
 
     return _instability_report(
         "instability_phase1d", [ref0, 1 - ref0], draw, trials, seed, (box,),
-        certificate=lower_certificate("phase1d", p=p),
+        certificate=0.5 - 1.0 / (2.0 * p),
         model=f"grid:1,{p - 1}", sft="alternating", epsilon=1.0 / p)
 
 
@@ -664,7 +673,8 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
 
     return _instability_report(
         "instability_bern1d", refs, draw, trials, seed, (box,),
-        certificate=lower_certificate("bern1d", p=period, d=d, epsilon=epsilon),
+        certificate=(period - 1) / (period * d)
+        - ((period - 1) / period) * epsilon,
         model=f"bernoulli:{_fmt(epsilon)}", sft=_sft_label(auto.sft),
         epsilon=epsilon)
 
@@ -696,7 +706,9 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
 
     Slabs of width k >= diameter hide every block junction; each clear
     block of side n*period copies an independent uniform orbit element,
-    and obscured cells copy the first one.
+    and obscured cells copy the first one.  The independent choices
+    disagree with any fixed configuration on at least 1/(2 (period+1)^d)
+    of the cells, the certificate.
     """
     if isinstance(p, str):
         p = resolve_periodic(p)[1]
@@ -729,7 +741,7 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
 
     return _instability_report(
         "instability_grid2d", tilings, draw, trials, seed, shape,
-        certificate=lower_certificate("grid2d", n=period, d=p.sft.dim),
+        certificate=1.0 / (2.0 * (period + 1) ** p.sft.dim),
         model=f"grid:{k},{block}", sft=f"periodic-{period}",
         epsilon=marginal_rate(parse_model(f"grid:{k},{block}"), 2))
 

@@ -45,9 +45,6 @@ and the clusters percolate, so the certificate would fail anyway).
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -57,41 +54,21 @@ from .core import NoiseMask, thicken
 _CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 
-@dataclass(frozen=True)
-class OpenComponents:
-    """Connected components of the clear cells of a thickened mask."""
-
-    origin: tuple
-    labels: np.ndarray  # 0 on obscured cells
-    count: int  # open components, labelled 1..count
-
-    @functools.cached_property
-    def sizes(self) -> np.ndarray:
-        """sizes[i] = cells with label i; sizes[0] = obscured count."""
-        return np.bincount(self.labels.ravel(), minlength=self.count + 1)
-
-    @property
-    def largest_label(self) -> int:
-        """Label of the largest open component, 0 when everything is obscured.
-        Ties break to the smallest label."""
-        if self.count <= 1:
-            return self.count
-        return int(np.argmax(self.sizes[1:])) + 1
-
-    def largest_mask(self) -> np.ndarray:
-        lab = self.largest_label
-        if lab == 0:
-            return np.zeros_like(self.labels, dtype=bool)
-        return self.labels == lab
-
-
-def open_components(mask: NoiseMask, c: int) -> OpenComponents:
-    """Thicken the mask by c and label the clear 4-connected components."""
+def open_components(mask: NoiseMask, c: int) -> NoiseMask:
+    """Thicken the mask by c and keep its largest 4-connected clear
+    component: the result obscures every other cell of the thickened box,
+    and every cell when none is clear.  Ties go to the lowest label, the
+    component whose first cell comes first in row-major order."""
     tm = thicken(mask, c)
     struct = _CROSS if tm.data.ndim == 2 else ndimage.generate_binary_structure(
         tm.data.ndim, 1)
     labels, count = ndimage.label(~tm.data, structure=struct)
-    return OpenComponents(origin=tm.origin, labels=labels, count=count)
+    if count <= 1:
+        return tm  # its clear cells are the one component, or none
+    origin = tm.origin
+    del tm  # before the intp copy of the labels that bincount makes
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    return NoiseMask(origin, labels != int(np.argmax(sizes[1:])) + 1)
 
 
 def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -195,10 +172,8 @@ def origin_excluded(mask: NoiseMask, c: int) -> bool:
         excluded = _sparse_excluded(mask.data, c)
         if excluded is not None:
             return excluded
-    comps = open_components(mask, c)
-    centre = tuple(s // 2 for s in comps.labels.shape)
-    lab = comps.largest_label
-    return lab == 0 or comps.labels[centre] != lab
+    giant = open_components(mask, c)
+    return bool(giant.data[tuple(s // 2 for s in giant.shape)])
 
 
 def exclusion_bound(epsilon: float, c: int) -> float:

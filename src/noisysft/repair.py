@@ -418,7 +418,7 @@ def _top_bit(x: np.ndarray) -> np.ndarray:
 
 
 def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
-                    c: int | None = None) -> RepairPeriodicReport:
+                    c: int) -> RepairPeriodicReport:
     """Majority-vote repair: infer the translate on the largest open
     component of the c-thickened clear cells, then rewrite the whole
     interior as that translate.
@@ -439,10 +439,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     if g.size and not (g.dtype.kind in "biu" and 0 <= g.min()
                        and g.max() < nsym):
         raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
-    if c is None:
-        c = local_global_constant(p)
-    comps = open_components(mask, c)
-    on_comp = comps.largest_mask()  # first: it bincounts an intp copy
+    giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
     # flat index of (x mod period..., grid[x]) in a MATCH word, per cell x, in
@@ -462,7 +459,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     step = 2 ** 16 // max(vote[:1].size, 1) + 1  # vote[:1]: one row's cells
     for r0 in range(0, len(vote), step):
         band = vote[r0:r0 + step]
-        counts += np.bincount(band[on_comp[r0:r0 + step] & (band >= 0)],
+        counts += np.bincount(band[~giant.data[r0:r0 + step] & (band >= 0)],
                               minlength=len(orbit))
     no_votes = not counts.any()
     if no_votes:
@@ -471,7 +468,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
         top = counts.max()
         best = max(i for i, n in enumerate(counts) if n == top)
     offset = orbit[best]
-    repaired = p.tiling(offset, comps.origin, comps.labels.shape)
+    repaired = p.tiling(offset, giant.origin, giant.shape)
     changed = float(np.mean(g[inner] != repaired.data))
     return RepairPeriodicReport(
         grid=repaired, offset=offset, c=c, changed_fraction=changed,

@@ -816,7 +816,7 @@ _VOTE_CLASS = np.concatenate([
     np.full(NTILES, 6)])
 
 
-def infer_translate(grid, mask, N: int, votes_ok=None):
+def infer_translate(grid, mask, N: int):
     """The macro-grid translate mod P = 2^{N+1} read off the clear cells.
 
     Stage one: every bumpy cross votes for a translate mod 4 through its
@@ -834,8 +834,6 @@ def infer_translate(grid, mask, N: int, votes_ok=None):
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
     g, origin = _as_ids(grid)
     clear = _as_clear(mask, g.shape)
-    if votes_ok is not None:
-        clear &= np.asarray(votes_ok, dtype=bool)
     if g.size and (g.min() < 0 or g.max() >= NTILES):
         raise ValueError(f"tile ids must lie in [0, {NTILES})")
     h, w = g.shape
@@ -911,10 +909,6 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     reference configuration in that translate class.  Bits above 2^{N+1}
     are sampled fresh, so the hierarchy above scale N is replaced rather
     than recovered."""
-    if not isinstance(grid, Grid):
-        grid = Grid((0, 0), np.asarray(grid))
-    if not isinstance(mask, NoiseMask):
-        mask = NoiseMask(grid.origin, mask)
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
     if N < 1:
@@ -922,12 +916,12 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     c = 2 ** (N + 1)
     if any(s < 2 * c + 1 for s in grid.shape):
         raise ValueError("box too small for the thickening radius")
-    comps = open_components(mask, c)
+    giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
-    # only the interior can vote, so the inference reads the interior alone
+    # only the giant component votes; it lies in the interior, so the
+    # inference reads the interior alone
     translate, no_votes = infer_translate(
-        Grid(comps.origin, grid.data[inner]), mask.data[inner], N,
-        votes_ok=comps.largest_mask())
+        Grid(giant.origin, grid.data[inner]), giant, N)
 
     period = 2 ** (N + 1)
     rng = np.random.default_rng(
@@ -937,14 +931,12 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     t_full = (translate[0] + int(high[0]) * period,
               translate[1] + int(high[1]) * period)
 
-    interior_origin = comps.origin
-    interior_shape = comps.labels.shape
-    ref = reference_window(interior_origin, interior_shape, t_full)
+    ref = reference_window(giant.origin, giant.shape, t_full)
     original = grid.data[inner]
     changed = float(np.mean(original != ref))
-    slack = robinson_slack(N, min(interior_shape))
+    slack = robinson_slack(N, min(giant.shape))
     return RobinsonRepairReport(
-        grid=Grid(interior_origin, ref), scale=N, c=c, translate=translate,
+        grid=Grid(giant.origin, ref), scale=N, c=c, translate=translate,
         changed_fraction=changed, no_votes=no_votes, slack=slack)
 
 

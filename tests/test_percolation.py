@@ -23,53 +23,52 @@ def mask_from(rows):
 
 class TestOpenComponents:
     def test_all_clear_single_component(self):
-        comp = open_components(mask_from(np.zeros((8, 8), dtype=np.uint8)), c=0)
-        assert comp.largest_label == 1
-        assert comp.sizes[1] == 64
-        assert comp.sizes[0] == 0
-        assert np.all(comp.labels == 1)
+        giant = open_components(mask_from(np.zeros((8, 8), dtype=np.uint8)),
+                                c=0)
+        assert giant.origin == (0, 0) and giant.shape == (8, 8)
+        assert not giant.data.any()
 
     def test_all_obscured_no_component(self):
-        comp = open_components(mask_from(np.ones((6, 6), dtype=np.uint8)), c=0)
-        assert comp.largest_label == 0
-        assert comp.sizes[0] == 36
+        giant = open_components(mask_from(np.ones((6, 6), dtype=np.uint8)),
+                                c=0)
+        assert giant.data.all()
 
     def test_single_blob_carves_hole(self):
         rows = np.zeros((9, 9), dtype=np.uint8)
         rows[4, 4] = 1
-        comp = open_components(mask_from(rows), c=1)
+        giant = open_components(mask_from(rows), c=1)
         # thickening turns the point into a 3x3 hole and crops the box to 7x7
-        assert comp.origin == (1, 1)
-        assert comp.labels.shape == (7, 7)
-        assert comp.sizes[0] == 9
-        assert comp.sizes[comp.largest_label] == 49 - 9
-        assert comp.labels[3, 3] == 0  # absolute (4, 4)
-        assert comp.labels[2, 2] == 0  # absolute (3, 3)
-        assert comp.labels[1, 1] == comp.largest_label
+        assert giant.origin == (1, 1)
+        assert giant.shape == (7, 7)
+        hole = np.zeros((7, 7), dtype=bool)
+        hole[2:5, 2:5] = True  # absolute (3, 3) to (5, 5)
+        assert np.array_equal(giant.data, hole)
 
     def test_wall_splits_and_largest_wins(self):
         rows = np.zeros((7, 7), dtype=np.uint8)
         rows[:, 2] = 1  # vertical wall: 14 left cells, 28 right cells
-        comp = open_components(mask_from(rows), c=0)
-        assert len(comp.sizes) == 3
-        big = comp.largest_label
-        assert comp.sizes[big] == 28
-        assert comp.labels[0, 6] == big
-        assert comp.labels[0, 0] != big
-        assert comp.labels[0, 0] != 0
+        giant = open_components(mask_from(rows), c=0)
+        assert giant.data[:, :3].all()
+        assert not giant.data[:, 3:].any()
 
     def test_tie_breaks_to_smallest_label(self):
         rows = np.zeros((5, 7), dtype=np.uint8)
-        rows[:, 3] = 1  # two 5x3 halves
-        comp = open_components(mask_from(rows), c=0)
-        assert comp.sizes[1] == comp.sizes[2] == 15
-        assert comp.largest_label == 1
+        rows[:, 3] = 1  # two 5x3 halves; the left one holds cell (0, 0)
+        giant = open_components(mask_from(rows), c=0)
+        assert not giant.data[:, :3].any()
+        assert giant.data[:, 3:].all()
+        # transposed, the top half comes first in row-major order
+        giant = open_components(mask_from(rows.T), c=0)
+        assert not giant.data[:3].any()
+        assert giant.data[3:].all()
 
     def test_diagonal_is_not_adjacent(self):
         rows = np.array([[0, 1], [1, 0]], dtype=np.uint8)
-        comp = open_components(mask_from(rows), c=0)
-        # the two clear corners touch only diagonally
-        assert comp.labels[0, 0] != comp.labels[1, 1]
+        giant = open_components(mask_from(rows), c=0)
+        # the two clear corners touch only diagonally: one cell each, and
+        # the tie keeps the first
+        assert np.array_equal(giant.data, [[False, True], [True, True]])
+
 
 class TestOriginExcluded:
     def test_clear_box_includes_origin(self):
@@ -325,16 +324,53 @@ class TestSparseFallback:
             origin_excluded(mask, 2)
 
 
-class TestLazySizes:
-    def test_single_component_skips_histogram(self):
-        comp = open_components(_points((20, 20), [(3, 3)]), 1)
-        assert comp.count == 1 and comp.largest_label == 1
-        assert "sizes" not in vars(comp)
-        assert comp.sizes[1] == 18 * 18 - 9
+@pytest.fixture
+def bincount_calls(monkeypatch):
+    """Counts the np.bincount calls made while the test runs."""
+    calls = []
+    real = np.bincount
 
-    def test_sizes_match_bincount(self):
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return calls
+
+
+def _giant_reference(mask, c):
+    """The largest clear component labelled and counted independently:
+    True off it, ties to the lowest label."""
+    tm = thicken(mask, c)
+    struct = ndimage.generate_binary_structure(tm.data.ndim, 1)
+    labels, count = ndimage.label(tm.data == 0, structure=struct)
+    if count == 0:
+        return np.ones(labels.shape, dtype=bool)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    return labels != int(np.argmax(sizes[1:])) + 1
+
+
+class TestLazySizes:
+    def test_single_component_skips_histogram(self, bincount_calls):
+        mask = _points((20, 20), [(3, 3)])
+        giant = open_components(mask, 1)
+        assert not bincount_calls
+        assert int((~giant.data).sum()) == 18 * 18 - 9
+        assert np.array_equal(giant.data, thicken(mask, 1).data)
         rows = np.zeros((7, 7), dtype=np.uint8)
-        rows[:, 2] = 1
-        comp = open_components(mask_from(rows), c=0)
-        assert comp.count == 2
-        assert np.array_equal(comp.sizes, np.bincount(comp.labels.ravel()))
+        rows[:, 2] = 1  # two components: the spy sees the one histogram
+        open_components(mask_from(rows), c=0)
+        assert len(bincount_calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.integers(0, 2), st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    def test_giant_matches_bincount_argmax(self, seed, dim, c, eps):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 13,
+                                                   size=dim))
+        mask = NoiseMask(tuple(int(o) for o in rng.integers(-9, 9, size=dim)),
+                         rng.random(shape) < eps)
+        giant = open_components(mask, c)
+        assert giant.origin == tuple(o + c for o in mask.origin)
+        assert np.array_equal(giant.data, _giant_reference(mask, c))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 import noisysft.automaton1d as a1d
 from noisysft import harness as H
@@ -20,7 +21,6 @@ from noisysft.core import (
     word_sft,
 )
 from noisysft.noise import Bernoulli, sample_mask
-from noisysft.percolation import open_components
 from noisysft.repair import (
     PeriodicSft,
     Repair1DReport,
@@ -585,7 +585,7 @@ class TestRepairPeriodic:
 
     def test_identity_on_clean_tiling(self):
         g = self.p.tiling((0, 1), (0, 0), (20, 20))
-        rep = repair_periodic(self.p, g, self.empty_mask((20, 20)))
+        rep = repair_periodic(self.p, g, self.empty_mask((20, 20)), c=1)
         assert rep.offset == (0, 1)
         assert rep.changed_fraction == 0.0
         assert not rep.no_votes
@@ -600,7 +600,7 @@ class TestRepairPeriodic:
         mask = np.zeros(shape, dtype=np.uint8)
         mask[10, 10] = 1
         rep = repair_periodic(self.p, Grid((0, 0), noisy),
-                              NoiseMask((0, 0), mask))
+                              NoiseMask((0, 0), mask), c=1)
         assert rep.offset == (0, 0)
         ref = self.p.tiling((0, 0), rep.grid.origin, rep.grid.shape)
         assert np.array_equal(rep.grid.data, ref.data)
@@ -613,7 +613,7 @@ class TestRepairPeriodic:
         mixed = np.array(a)
         mixed[22:, :] = b[22:, :]  # minority patch of the other translate
         rep = repair_periodic(self.p, Grid((0, 0), mixed),
-                              self.empty_mask(shape))
+                              self.empty_mask(shape), c=1)
         assert rep.offset == (0, 0)
         assert rep.vote_counts[(0, 0)] > rep.vote_counts[(0, 1)] > 0
 
@@ -621,7 +621,7 @@ class TestRepairPeriodic:
         shape = (16, 16)
         g = self.p.tiling((0, 0), (0, 0), shape)
         mask = NoiseMask((0, 0), np.ones(shape, dtype=np.uint8))
-        rep = repair_periodic(self.p, g, mask)
+        rep = repair_periodic(self.p, g, mask, c=1)
         assert rep.no_votes
         assert rep.offset == (0, 1)  # lex-greatest orbit element
         ref = self.p.tiling((0, 1), rep.grid.origin, rep.grid.shape)
@@ -630,7 +630,7 @@ class TestRepairPeriodic:
     def test_mismatched_boxes_raise(self):
         g = self.p.tiling((0, 0), (0, 0), (16, 16))
         with pytest.raises(ValueError, match="mask box"):
-            repair_periodic(self.p, g, self.empty_mask((16, 17)))
+            repair_periodic(self.p, g, self.empty_mask((16, 17)), c=1)
 
     def test_noisy_recovery_stripes(self):
         p = parse_periodic(STRIPES_TEXT)
@@ -642,7 +642,7 @@ class TestRepairPeriodic:
         idx = np.argwhere(mask.data)
         for i, j in idx:
             noisy[i, j] = rng.integers(0, 3)
-        rep = repair_periodic(p, Grid((0, 0), noisy), mask)
+        rep = repair_periodic(p, Grid((0, 0), noisy), mask, c=2)
         assert rep.offset == (2, 0)
         ref = p.tiling((2, 0), rep.grid.origin, rep.grid.shape)
         assert np.array_equal(rep.grid.data, ref.data)
@@ -653,11 +653,11 @@ class TestRepairPeriodic:
         mask = sample_mask(Bernoulli(0.02), shape, seed=5)
         noisy = np.array(clean.data)
         noisy[np.nonzero(mask.data)] ^= 1
-        rep = repair_periodic(self.p, Grid((0, 0), noisy), mask)
+        rep = repair_periodic(self.p, Grid((0, 0), noisy), mask, c=1)
         again = repair_periodic(self.p, rep.grid,
                                 NoiseMask(rep.grid.origin,
                                           np.zeros(rep.grid.shape,
-                                                   dtype=np.uint8)))
+                                                   dtype=np.uint8)), c=1)
         assert again.offset == rep.offset
         assert again.changed_fraction == 0.0
 
@@ -717,16 +717,22 @@ def _domino_periodic(base: np.ndarray, nsym: int) -> PeriodicSft:
 
 def _repair_periodic_reference(p, grid, mask, c):
     """repair_periodic as it was: one full-box tiling and thickening per
-    orbit translate, later translates overwriting earlier votes."""
-    comps = open_components(mask, c)
+    orbit translate, later translates overwriting earlier votes, counted
+    on a giant component labelled here."""
+    tm = thicken(mask, c)
+    labels, count = ndimage.label(tm.data == 0)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    giant = np.zeros(labels.shape, dtype=bool)
+    if count:
+        giant = labels == int(np.argmax(sizes[1:])) + 1
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
-    vote = np.full(comps.labels.shape, -1, dtype=np.int32)
+    vote = np.full(labels.shape, -1, dtype=np.int32)
     for i, t in enumerate(orbit):
         ref = p.tiling(t, grid.origin, grid.shape).data
         mismatch = NoiseMask(grid.origin, grid.data != ref)
         vote[thicken(mismatch, c).data == 0] = i
-    on_comp = comps.largest_mask() & (vote >= 0)
+    on_comp = giant & (vote >= 0)
     counts = np.bincount(vote[on_comp], minlength=len(orbit)) \
         if on_comp.any() else np.zeros(len(orbit), dtype=int)
     no_votes = not on_comp.any()
@@ -736,7 +742,7 @@ def _repair_periodic_reference(p, grid, mask, c):
         top = counts.max()
         best = max(i for i, n in enumerate(counts) if n == top)
     offset = orbit[best]
-    repaired = p.tiling(offset, comps.origin, comps.labels.shape)
+    repaired = p.tiling(offset, tm.origin, labels.shape)
     changed = float(np.mean(grid.data[inner] != repaired.data))
     return (offset, {orbit[i]: int(n) for i, n in enumerate(counts)},
             no_votes, changed, repaired)

@@ -2,12 +2,14 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from noisysft import robinson as rb
-from noisysft.core import Grid, NoiseMask
-from noisysft.noise import parse_model, sample_mask
+from noisysft.core import Grid, NoiseMask, thicken
+from noisysft.noise import derive_seed, parse_model, sample_mask
+from noisysft.percolation import open_components
 
 
 class TestTileset:
@@ -506,5 +508,98 @@ class TestInferTranslateStrided:
         grid = Grid((o0, o1), ids)
         mask = NoiseMask((o0, o1), (rng.random((h, w)) < eps).astype(np.uint8))
         votes_ok = rng.random((h, w)) < 0.8 if with_votes else None
-        assert rb.infer_translate(grid, mask, n, votes_ok) == \
+        # infer_translate reads its voters off the mask alone
+        folded = mask if votes_ok is None else \
+            NoiseMask((o0, o1), mask.data | ~votes_ok)
+        assert rb.infer_translate(grid, folded, n) == \
             _infer_translate_full_box(grid, mask, n, votes_ok)
+
+
+def _robinson_repair_full_box(grid, mask, N, seed):
+    """robinson_repair as it was: the whole thickened box labelled here,
+    and its largest clear component passed to the inference as the
+    cells allowed to vote."""
+    c = 2 ** (N + 1)
+    tm = thicken(mask, c)
+    labels, count = ndimage.label(tm.data == 0)
+    sizes = np.bincount(labels.ravel(), minlength=count + 1)
+    votes_ok = np.zeros(labels.shape, dtype=bool)
+    if count:
+        votes_ok = labels == int(np.argmax(sizes[1:])) + 1
+    inner = tuple(slice(c, s - c) for s in grid.shape)
+    translate, no_votes = _infer_translate_full_box(
+        Grid(tm.origin, grid.data[inner]), mask.data[inner], N, votes_ok)
+    period = 2 ** (N + 1)
+    rng = np.random.default_rng(derive_seed(seed, "robinson-high-bits", N))
+    high = rng.integers(0, rb.TRANSLATES // period, size=2)
+    t_full = (translate[0] + int(high[0]) * period,
+              translate[1] + int(high[1]) * period)
+    ref = rb.reference_window(tm.origin, tm.shape, t_full)
+    return rb.RobinsonRepairReport(
+        grid=Grid(tm.origin, ref), scale=N, c=c, translate=translate,
+        changed_fraction=float(np.mean(grid.data[inner] != ref)),
+        no_votes=no_votes, slack=rb.robinson_slack(N, min(tm.shape)))
+
+
+def _assert_same_report(got, want):
+    assert got.grid.origin == want.grid.origin
+    assert np.array_equal(got.grid.data, want.grid.data)
+    assert (got.scale, got.c, got.translate, got.changed_fraction,
+            got.no_votes, got.slack) == (want.scale, want.c, want.translate,
+                                         want.changed_fraction, want.no_votes,
+                                         want.slack)
+
+
+@st.composite
+def _robinson_cases(draw):
+    """N, a box from the smallest side the repair accepts to about three
+    times it, an origin and a translate whose windows, and the repair's
+    window at every high-bit draw, lie inside the reference
+    configuration, and a seed for the noise."""
+    n = draw(st.integers(1, 3))
+    c, lo = 2 ** (n + 1), 2 ** (n + 2) + 1
+    shape = (draw(st.integers(lo, 3 * lo)), draw(st.integers(lo, 3 * lo)))
+    origin = (draw(st.integers(-c, 600)), draw(st.integers(-c, 600)))
+    t_in = tuple(draw(st.integers(0, min(rb.TRANSLATES - 1, o + 512)))
+                 for o in origin)
+    return n, shape, origin, t_in, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _noisy_window(shape, origin, t_in, eps, seed):
+    rng = np.random.default_rng(seed)
+    hit = rng.random(shape) < eps
+    noisy = np.where(hit, rng.integers(0, rb.NTILES, size=shape),
+                     rb.reference_window(origin, shape, t_in)).astype(np.int8)
+    return Grid(origin, noisy), NoiseMask(origin, hit)
+
+
+class TestRepairEquivalence:
+    """robinson_repair against the body that labelled the full box and
+    passed the giant component as a separate vote mask."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_robinson_cases(), st.sampled_from([0.0, 1e-3, 0.05, 1.0]))
+    def test_matches_full_box_labelling(self, case, eps):
+        n, shape, origin, t_in, seed = case
+        grid, mask = _noisy_window(shape, origin, t_in, eps, seed)
+        rep = rb.robinson_repair(grid, mask, n, seed=seed)
+        _assert_same_report(rep, _robinson_repair_full_box(grid, mask, n,
+                                                           seed))
+        assert rb.violations(rep.grid) == []
+
+    def test_tie_goes_to_first_component(self):
+        # an obscured middle column splits the box into two clear halves
+        # of equal size holding different translates; the left one comes
+        # first in row-major order and decides
+        n, shape, origin = 2, (40, 81), (5, -3)
+        left, right = (3, 5), (6, 1)
+        data = np.array(rb.reference_window(origin, shape, left))
+        data[:, 41:] = rb.reference_window(origin, shape, right)[:, 41:]
+        hit = np.zeros(shape, dtype=bool)
+        hit[:, 40] = True
+        grid, mask = Grid(origin, data), NoiseMask(origin, hit)
+        rep = rb.robinson_repair(grid, mask, n, seed=4)
+        _assert_same_report(rep, _robinson_repair_full_box(grid, mask, n, 4))
+        assert rep.translate == left
+        giant = ~open_components(mask, rep.c).data
+        assert giant[:, :24].all() and not giant[:, 24:].any()
