@@ -36,11 +36,24 @@ is: no B_i spans the full height or the full width of T, and
   cells as thickening the whole box.
 
 An obscured centre is excluded whatever else the box holds, so it is
-answered before any clustering.  Any other case labels T whole: other
-dimensions, c = 0, a failed certificate, or points so dense
-that the neighbour scan, (2c + 2)(4c + 3) cells per point, would cover
-more than the box (its cost and memory would then exceed the labelling's,
-and the clusters percolate, so the certificate would fail anyway).
+answered before any clustering.
+
+`open_components` counts the clear components K of T from the same
+clusters.  With a one-cell obscured frame round T, the obscured cells F'
+(closed unit squares) leave the clear components as the bounded
+components of their complement, so K = b0(F') - chi(F'), the Euler
+number by local counts (Gray, IEEE Trans. Computers C-20, 1971).
+Clusters with a cell on T's border join the frame: b0(F') is 1 plus the
+other clusters.  chi = V - E + F and the frame alone (an annulus) has
+chi 0, so chi(F') counts the obscured cells of T, minus its 4-adjacent
+pairs, plus its 2x2 blocks, that hold an obscured cell.  K <= 1 needs no
+labelling; with K >= 2 and the certificate, M is the component of any
+cell outside every window, so no component is sized.
+
+Any other case labels T whole: other dimensions, c = 0, a failed
+certificate, or points too dense for the neighbour scan, (2c + 2)(4c + 3)
+cells per point, to cover less than the box (the clusters would then
+percolate and fail the certificate anyway).
 """
 
 from __future__ import annotations
@@ -60,30 +73,40 @@ def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     and every cell when none is clear.  Ties go to the lowest label, the
     component whose first cell comes first in row-major order."""
     tm = thicken(mask, c)
-    struct = _CROSS if tm.data.ndim == 2 else ndimage.generate_binary_structure(
-        tm.data.ndim, 1)
-    labels, count = ndimage.label(~tm.data, structure=struct)
-    if count <= 1:
+    points = _clusters(mask.data, c) if tm.data.ndim == 2 and c >= 1 else None
+    if points is not None and _clear_count(tm.data, *points, c) <= 1:
         return tm  # its clear cells are the one component, or none
-    origin = tm.origin
-    del tm  # before the intp copy of the labels that bincount makes
-    sizes = np.bincount(labels.ravel(), minlength=count + 1)
-    return NoiseMask(origin, labels != int(np.argmax(sizes[1:])) + 1)
+    windows = None if points is None else _windows(*points, tm.shape, c)
+    labels, count = ndimage.label(
+        ~tm.data, structure=ndimage.generate_binary_structure(tm.data.ndim, 1))
+    if windows is not None:  # the giant holds every cell off the windows
+        return NoiseMask(tm.origin,
+                         labels != labels[_free_cell(windows, tm.shape)])
+    if count <= 1:
+        return tm
+    # bands of leading-axis rows keep bincount's intp copies small
+    sizes = np.zeros(count + 1, dtype=np.intp)
+    step = 2 ** 16 // max(labels[:1].size, 1) + 1
+    for r0 in range(0, len(labels), step):
+        sizes += np.bincount(labels[r0:r0 + step].ravel(), minlength=count + 1)
+    return NoiseMask(tm.origin, labels != int(np.argmax(sizes[1:])) + 1)
 
 
-def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-              width: int, d: int) -> np.ndarray:
-    """Cluster root per point, linking points within Chebyshev distance d.
-
-    `keys` are the sorted flat indices of the points in a box of the given
-    width.  A point's partners in row offset dr = 0..d have keys in
-    [key + dr width - d, key + dr width + d] (later keys only at dr = 0);
-    two binary searches per offset find them, and the explicit distance
-    test drops the matches that wrapped round a row end.  Roots come from
-    min-label hooking with pointer jumping, so a root is its cluster's
-    smallest point index.
-    """
+def _clusters(data: np.ndarray, c: int):
+    """(rows, cols, cluster root) per obscured point of a 2D mask, linking
+    points within Chebyshev distance d = 2c + 1; None when the neighbour
+    scan would cover more than the box.  A point's partners in row offset
+    dr = 0..d have flat indices in [key + dr width - d, key + dr width + d]
+    (later keys only at dr = 0); two binary searches per offset find them,
+    and the explicit distance test drops the matches that wrapped round a
+    row end.  Roots come from min-label hooking with pointer jumping, so a
+    root is its cluster's smallest point index."""
+    d, width = 2 * c + 1, data.shape[1]
+    if np.count_nonzero(data) * (d + 1) * (2 * d + 1) > data.size:
+        return None
+    keys = np.flatnonzero(data)
     n = len(keys)
+    rows, cols = np.divmod(keys, width)
     base = keys + (np.arange(d + 1) * width)[:, None]
     lo = np.searchsorted(keys, base - d)
     lo[0] = np.arange(1, n + 1)
@@ -99,7 +122,7 @@ def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     while True:
         la, lb = lab[a], lab[b]
         if np.array_equal(la, lb):
-            return lab
+            return rows, cols, lab
         low = np.minimum(la, lb)
         np.minimum.at(lab, la, low)  # hook each root under its least neighbour
         np.minimum.at(lab, lb, low)
@@ -110,26 +133,31 @@ def _clusters(keys: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             lab = up
 
 
-def _sparse_excluded(data: np.ndarray, c: int):
-    """The `origin_excluded` answer for a 2D mask read from its obscured
-    points, or None when the certificate fails (see the module docstring).
-    Needs c >= 1 and every side of the box longer than 2c."""
-    h, w = data.shape
-    th, tw = h - 2 * c, w - 2 * c  # the thickened box T
-    ch, cw = th // 2, tw // 2  # its centre
-    # the point at mask cell (r, q) obscures rows r-2c..r, cols q-2c..q of T
-    if data[ch:ch + 2 * c + 1, cw:cw + 2 * c + 1].any():
-        return True
-    keys = np.flatnonzero(data)
-    n, d = len(keys), 2 * c + 1
-    if n == 0:
-        return False
-    if n * (d + 1) * (2 * d + 1) > data.size:
-        return None  # the neighbour scan would outgrow the box
-    rows, cols = np.divmod(keys, w)
-    lab = _clusters(keys, rows, cols, w, d)
+def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 lab: np.ndarray, c: int) -> int:
+    """The number of clear components of the thickened box `fat`, b0 - chi,
+    from its points' cluster labels and one pass over bands of rows."""
+    th, tw = fat.shape
+    edge = (rows <= 2 * c) | (rows >= th - 1) | (cols <= 2 * c) | (cols >= tw - 1)
+    b0 = 1 + len(np.unique(lab)) - len(np.unique(lab[edge]))
+    chi, step = 0, 2 ** 16 // tw + 1
+    for r0 in range(0, th, step):
+        band = fat[r0:r0 + step + 1]  # with the next band's first row
+        pairs = band[:-1] | band[1:]
+        band = band[:step]
+        chi += np.count_nonzero(band) - np.count_nonzero(pairs) \
+            - np.count_nonzero(band[:, :-1] | band[:, 1:]) \
+            + np.count_nonzero(pairs[:, :-1] | pairs[:, 1:])
+    return b0 - chi
+
+
+def _windows(rows: np.ndarray, cols: np.ndarray, lab: np.ndarray,
+             shape: tuple, c: int):
+    """The windows W_i, as (top, bottom, left, right) arrays in the
+    thickened box of the given shape, or None when the certificate fails."""
+    (th, tw), n = shape, len(lab)
     roots = np.flatnonzero(lab == np.arange(n))
-    bottom, left, right = np.full(n, -1), np.full(n, w), np.full(n, -1)
+    bottom, left, right = np.full(n, -1), np.full(n, tw + 2 * c), np.full(n, -1)
     np.maximum.at(bottom, lab, rows)
     np.minimum.at(left, lab, cols)
     np.maximum.at(right, lab, cols)
@@ -146,8 +174,40 @@ def _sparse_excluded(data: np.ndarray, c: int):
     top, left = np.maximum(top - 1, 0), np.maximum(left - 1, 0)
     bottom, right = np.minimum(bottom + 1, th - 1), np.minimum(right + 1, tw - 1)
     areas = (bottom - top + 1) * (right - left + 1)
-    if th * tw - int(areas.sum()) <= int(areas.max()):
+    if th * tw - int(areas.sum()) <= int(areas.max(initial=0)):
         return None
+    return top, bottom, left, right
+
+
+def _free_cell(windows, shape: tuple) -> tuple:
+    """A cell outside every window when they cover less than the box: in a
+    row whose windows are narrowest in sum, the first column none covers."""
+    top, bottom, left, right = windows
+    cover = np.zeros(shape[0] + 1, dtype=np.intp)
+    np.add.at(cover, top, right - left + 1)
+    np.add.at(cover, bottom + 1, left - right - 1)
+    r = int(np.argmin(np.cumsum(cover)[:-1]))
+    on = (top <= r) & (r <= bottom)
+    cover = np.zeros(shape[1] + 1, dtype=np.intp)
+    np.add.at(cover, left[on], 1)
+    np.add.at(cover, right[on] + 1, -1)
+    return r, int(np.argmin(np.cumsum(cover)[:-1]))
+
+
+def _sparse_excluded(data: np.ndarray, c: int):
+    """The `origin_excluded` answer for a 2D mask read from its obscured
+    points, or None when the certificate fails (see the module docstring).
+    Needs c >= 1 and every side of the box longer than 2c."""
+    th, tw = (s - 2 * c for s in data.shape)  # the thickened box T
+    ch, cw = th // 2, tw // 2  # its centre
+    # the point at mask cell (r, q) obscures rows r-2c..r, cols q-2c..q of T
+    if data[ch:ch + 2 * c + 1, cw:cw + 2 * c + 1].any():
+        return True
+    points = _clusters(data, c)
+    windows = None if points is None else _windows(*points, (th, tw), c)
+    if windows is None:
+        return None
+    top, bottom, left, right = windows
     for i in np.flatnonzero((top <= ch) & (ch <= bottom)
                             & (left <= cw) & (cw <= right)):
         t, b, l, r = int(top[i]), int(bottom[i]), int(left[i]), int(right[i])

@@ -1,8 +1,12 @@
 """Open-component analysis of thickened noise masks."""
 
+import contextlib
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import ndimage
 
 from noisysft import harness as H
@@ -374,3 +378,142 @@ class TestLazySizes:
         giant = open_components(mask, c)
         assert giant.origin == tuple(o + c for o in mask.origin)
         assert np.array_equal(giant.data, _giant_reference(mask, c))
+
+
+def _canonical(lab):
+    """Each point's cluster named by its first point: equal for two
+    labellings exactly when they make the same partition."""
+    _, first, inverse = np.unique(lab, return_index=True, return_inverse=True)
+    return first[inverse]
+
+
+class TestClearCount:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.integers(0, 40), st.integers(0, 40),
+           st.sampled_from([0.0, 0.005, 0.02, 0.08, 0.3, 1.0]),
+           st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40),
+                                 st.booleans(), st.booleans()))
+    def test_count_matches_labelling(self, seed, c, dh, dw, eps, corner):
+        rng = np.random.default_rng(seed)
+        h, w = 2 * c + 1 + dh, 2 * c + 1 + dw
+        data = rng.random((h, w)) < eps
+        if corner is not None:
+            # an obscured L from the top side to the left side: in T, row
+            # a - 2c..a for cols 0..b and col b - 2c..b for rows 0..a, so
+            # the border closes a pocket in the corner; then flipped
+            a, b, flip_rows, flip_cols = corner
+            a, b = min(a, h - 1), min(b, w - 1)
+            data[a, :b + 1] = data[:a + 1, b] = True
+            data = data[::-1 if flip_rows else 1, ::-1 if flip_cols else 1]
+        fat = thicken(NoiseMask((0, 0), data), c).data
+        th, tw = fat.shape
+        rows, cols = np.nonzero(data)
+        # the clusters from the 8-connected obscured cells of T, each point
+        # read at a T cell its c-square covers; no neighbour-scan limit
+        lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
+            np.minimum(rows, th - 1), np.minimum(cols, tw - 1)]
+        points = percolation._clusters(data, c)
+        if points is not None:
+            assert np.array_equal(points[0], rows)
+            assert np.array_equal(_canonical(points[2]), _canonical(lab))
+        assert percolation._clear_count(fat, rows, cols, lab, c) \
+            == ndimage.label(~fat, structure=percolation._CROSS)[1]
+
+    @pytest.mark.parametrize("rows, expected", [
+        # one point in the middle: no component is split off
+        ([(6, 6)], 1),
+        # a ring of points 3 apart closes a pocket inside
+        (_ring((33, 33), (16, 16), 8, 3), 2),
+        # a corner wall closes a pocket against the border
+        ([(8, q) for q in range(0, 9, 3)] + [(r, 8) for r in range(0, 9, 3)],
+         2),
+    ], ids=["point", "ring", "corner"])
+    def test_known_counts(self, rows, expected):
+        data = _points((33, 33), rows).data
+        points = percolation._clusters(data, 1)
+        fat = thicken(NoiseMask((0, 0), data), 1).data
+        assert percolation._clear_count(fat, *points, 1) == expected
+
+    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.3])
+    def test_bands_meet(self, eps):
+        # T is 32 wide, so the Euler pass counts it in bands of 2049 rows;
+        # pairs and blocks that straddle a band seam count once
+        data = np.random.default_rng(11).random((2049 * 2 + 7, 34)) < eps
+        fat = thicken(NoiseMask((0, 0), data), 1).data
+        rows, cols = np.nonzero(data)
+        lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
+            np.minimum(rows, len(fat) - 1), np.minimum(cols, 31)]
+        assert percolation._clear_count(fat, rows, cols, lab, 1) \
+            == ndimage.label(~fat, structure=percolation._CROSS)[1]
+
+    def test_all_obscured(self):
+        data = np.ones((12, 9), dtype=bool)
+        fat = thicken(NoiseMask((0, 0), data), 2).data
+        rows, cols = np.nonzero(data)
+        assert percolation._clear_count(fat, rows, cols,
+                                        np.zeros(len(rows)), 2) == 0
+
+
+@contextlib.contextmanager
+def _spies():
+    """Counts the ndimage.label and np.bincount calls made inside."""
+    with mock.patch.object(ndimage, "label", wraps=ndimage.label) as lab, \
+            mock.patch.object(np, "bincount", wraps=np.bincount) as hist:
+        yield lab, hist
+
+
+class TestGiantFromPoints:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(64, 256),
+           st.integers(64, 256), st.integers(1, 3), st.floats(1e-3, 0.02))
+    @example(0, 64, 64, 1, 0.02)  # one component
+    @example(2, 64, 64, 1, 0.02)  # several, certified
+    @example(0, 256, 256, 2, 0.02)  # too dense for the neighbour scan
+    @example(2, 64, 64, 2, 0.013671875)  # too dense, one component
+    def test_giant_matches_bincount_argmax(self, seed, h, w, c, eps):
+        rng = np.random.default_rng(seed)
+        mask = NoiseMask((int(rng.integers(-9, 9)), 5), rng.random((h, w)) < eps)
+        expected = _giant_reference(mask, c)
+        tm = thicken(mask, c)
+        count = ndimage.label(~tm.data, structure=percolation._CROSS)[1]
+        points = percolation._clusters(mask.data, c)
+        certified = points is not None \
+            and percolation._windows(*points, tm.shape, c) is not None
+        with _spies() as (lab, hist):
+            giant = open_components(mask, c)
+        assert giant.origin == tm.origin
+        assert np.array_equal(giant.data, expected)
+        if points is not None and count <= 1:
+            assert lab.call_count == 0 and hist.call_count == 0
+        elif certified:
+            assert lab.call_count == 1 and hist.call_count == 0
+        else:  # the labelling's own count spares the sizes when <= 1
+            assert lab.call_count == 1
+            assert (hist.call_count >= 1) == (count >= 2)
+
+    @pytest.mark.parametrize("mask", [
+        _points((31, 31), [(20, q) for q in range(0, 31, 3)]),
+        _points((41, 41), _ring((41, 41), (20, 20), 15, 3)),
+    ], ids=["spanning", "area"])
+    def test_failed_certificate_sizes_components(self, mask):
+        expected = _giant_reference(mask, 1)
+        with _spies() as (lab, hist):
+            giant = open_components(mask, 1)
+        assert np.array_equal(giant.data, expected)
+        assert lab.call_count == 1 and hist.call_count == 1
+
+    def test_traced_peak_of_a_dense_512_box(self):
+        # the neighbour scan does not fit, so the box is labelled and its
+        # components sized; no intp copy of the whole label array is made
+        rng = np.random.default_rng(3)
+        mask = NoiseMask((0, 0), rng.random((514, 514)) < 0.3)
+        assert percolation._clusters(mask.data, 1) is None
+        tracemalloc.start()
+        try:
+            giant = open_components(mask, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(giant.data, _giant_reference(mask, 1))
+        assert peak < 2.25 * 2 ** 20
