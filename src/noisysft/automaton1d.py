@@ -224,43 +224,74 @@ def live_states(auto: WordAutomaton) -> frozenset:
 
 
 def coerce_word(sft: Sft, word) -> Word:
+    """A string read through the alphabet, or a sequence of integral
+    letters, as a tuple of ints; ValueError for a letter that is not an
+    integer."""
     if isinstance(word, str):
         return tuple(sft.symbol_index(ch) for ch in word)
-    return tuple(int(x) for x in word)
+    word = tuple(word)
+    out = tuple(int(x) for x in word)
+    if out != word:
+        raise ValueError("word letters must be integers")
+    return out
+
+
+def _letters(sft: Sft, word) -> np.ndarray:
+    """The word as an array of letters: a bool or integer array as given,
+    anything else through `coerce_word`.  Arrays of any other dtype, such
+    as floats, are refused."""
+    if isinstance(word, np.ndarray) and word.dtype.kind != "O":
+        if word.dtype.kind not in "biu":
+            raise ValueError(f"word letters must be integers, got {word.dtype}")
+        return word
+    return np.array(coerce_word(sft, word), dtype=np.int64)
 
 
 def window_states(auto: WordAutomaton, word) -> np.ndarray:
     """Index of the state spelled by word[p:p + word_len] for every start
     p, or -1 where that window is no state, in the smallest signed integer
-    type that holds every index.
-
-    Each window is read as a number in base |alphabet| + 1, accumulated
-    letter by letter over all windows at once; the extra digit stands for
-    any letter outside the alphabet, so such windows match no state.  The
-    numbers index a lookup table when it is no larger than the word;
-    otherwise a binary search over the sorted state numbers finds them.
+    type that holds every index.  An integer array is read as given, with
+    no wider copy (`_window_index`); ValueError for letters that are not
+    integers.
     """
-    w = np.asarray(word, dtype=np.int64)
-    wl, nsym = auto.word_len, len(auto.sft.alphabet)
-    count = len(w) - wl + 1
-    out_type = np.min_scalar_type(-max(len(auto.states), 1))
+    return _window_index(_letters(auto.sft, word), auto.states,
+                         auto.word_len, len(auto.sft.alphabet))
+
+
+def _window_index(w: np.ndarray, words: tuple[Word, ...], width: int,
+                  nsym: int) -> np.ndarray:
+    """Index in `words`, sorted words of `width` letters, of w[p:p + width]
+    for every start p, or -1 where that window is none of them, in the
+    smallest signed integer type that holds every index.
+
+    Each window is read as a number in base nsym + 1, accumulated letter
+    by letter over all windows at once; the extra digit stands for any
+    letter outside the alphabet, so such windows match no word.  The
+    numbers are held in the narrowest unsigned type that holds
+    base ** width (exact Python integers past int64).  They index a lookup
+    table when it is no larger than the word; otherwise a binary search
+    over the sorted word numbers finds them.
+    """
+    count = len(w) - width + 1
+    out_type = np.min_scalar_type(-max(len(words), 1))
     if count <= 0:
         return np.zeros(0, dtype=out_type)
-    if not auto.states:
+    if not words:
         return np.full(count, -1, dtype=out_type)
     base = nsym + 1
-    size = base ** wl
-    # numbers past int64 fall back to exact Python integers
-    dtype = np.int64 if size < 2 ** 63 else object
-    valid = (w >= 0) & (w < nsym)
-    digits = (w if valid.all() else np.where(valid, w, nsym)).astype(
-        dtype, copy=False)
+    size = base ** width
+    dtype = np.min_scalar_type(size) if size < 2 ** 63 else object
+    digits = w
+    if w.min() < 0 or w.max() >= nsym:
+        digits = np.where((w >= 0) & (w < nsym), w, nsym)
+    if dtype is object:
+        digits = digits.astype(object)
     codes = np.zeros(count, dtype=dtype)
-    table = np.zeros(len(auto.states), dtype=dtype)
-    letters = np.array(auto.states, dtype=dtype).reshape(len(auto.states), wl)
-    for i in range(wl):
+    table = np.zeros(len(words), dtype=dtype)
+    letters = np.array(words, dtype=dtype).reshape(len(words), width)
+    for i in range(width):
         codes *= base
-        codes += digits[i:i + count]
+        np.add(codes, digits[i:i + count], out=codes, casting="unsafe")
         table = table * base + letters[:, i]
     if size <= count:
         lut = np.full(size, -1, dtype=out_type)
@@ -270,40 +301,38 @@ def window_states(auto: WordAutomaton, word) -> np.ndarray:
     return np.where(table[idx] == codes, idx, -1).astype(out_type)
 
 
+@functools.lru_cache(maxsize=None)
+def _live_edges(auto: WordAutomaton) -> tuple[Word, ...]:
+    """The word_len + 1 letters of every edge between live states, sorted."""
+    live = live_states(auto)
+    return tuple(sorted(auto.states[u] + (b,) for u in live
+                        for b, v in auto.edges[u] if v in live))
+
+
 def is_globally_admissible(auto: WordAutomaton, word) -> bool:
     """Does the word occur in some bi-infinite admissible configuration?
 
     For words at least as long as the state length this is a path check
     where every visited state must be reachable from a cycle and
-    co-reachable to a cycle.  Shorter words only need to occur inside some
-    such state.
+    co-reachable to a cycle.  Consecutive windows overlap in word_len - 1
+    letters, so a longer word is such a path iff each of its windows of
+    word_len + 1 letters spells an edge between live states: one lookup
+    over the word, read as given when it is an integer array.  Shorter
+    words only need to occur inside some live state.  ValueError for
+    letters that are not integers.
     """
-    if not isinstance(word, np.ndarray):
-        word = coerce_word(auto.sft, word)
-    w = np.asarray(word, dtype=np.int64)
+    w = _letters(auto.sft, word)
     wl = auto.word_len
     live = live_states(auto)
-    if len(w) < wl:
+    if len(w) <= wl:
         w = tuple(int(v) for v in w)
         for i in live:
             s = auto.states[i]
             if any(s[a:a + len(w)] == w for a in range(wl - len(w) + 1)):
                 return True
         return False
-    states = window_states(auto, w)
-    # the extra last slot is False, so a window that is no state (-1) fails
-    live_at = np.zeros(len(auto.states) + 1, dtype=bool)
-    live_at[list(live)] = True
-    if not live_at[states].all():
-        return False
-    # consecutive windows overlap in word_len - 1 letters, so the step
-    # between them is the edge out of the first state labelled by the
-    # next letter
-    steps = np.zeros((len(auto.states), len(auto.sft.alphabet)), dtype=bool)
-    for u, outs in enumerate(auto.edges):
-        for b, _ in outs:
-            steps[u, b] = True
-    return bool(steps[states[:-1], w[wl:]].all())
+    edges = _window_index(w, _live_edges(auto), wl + 1, len(auto.sft.alphabet))
+    return bool((edges >= 0).all())
 
 
 def _wielandt_cap(k: int) -> int:

@@ -228,46 +228,60 @@ def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
     runs every block but the last from every live state at once, giving
     each block's map from entry to exit state; a short loop over the
     blocks chains the maps into each block's entry state; pass 2 walks
-    all blocks from their entries at once and reads off the letters."""
+    all blocks from their entries at once and reads off the letters.
+
+    The word is held in the narrowest unsigned dtype of the alphabet
+    (uint8 up to 256 letters), as `corrupt`, `repair.repair_1d` and the
+    automaton oracle keep it.  The walk holds each state multiplied by
+    the period, so a step is one add and one gather, and reads each step's
+    draws as one contiguous row, draw j of every block."""
     if length < auto.word_len:
         raise ValueError("box shorter than the automaton word length")
     live = a1d.live_states(auto)
     if not live:
         raise ValueError("automaton has no admissible configurations")
+    dtype = np.min_scalar_type(len(auto.sft.alphabet) - 1)
     starts = sorted(live)
     pos = {s: i for i, s in enumerate(starts)}
     opts = [[(b, pos[j]) for b, j in auto.edges[s] if j in live]
             for s in starts]
     period = math.lcm(*(len(o) for o in opts))
-    # (state, draw % period) -> (letter, next state), flattened per column
+    # (state, draw % period) -> letter and period * next state, flattened
+    # per column
     table = np.array([[o[r % len(o)] for r in range(period)] for o in opts],
-                     dtype=np.int64)
-    letter, nxt = table[..., 0].ravel(), table[..., 1].ravel()
+                     dtype=np.intp)
+    letter = table[..., 0].ravel().astype(dtype)
+    nxt = table[..., 1].ravel() * period
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, 1 << 32, size=length + 1)
     first = int(draws[0]) % len(starts)
     steps = length - auto.word_len
     if steps == 0:
-        return np.asarray(auto.states[starts[first]], dtype=np.int64)
+        return np.asarray(auto.states[starts[first]], dtype=dtype)
     block = max(math.isqrt(steps), len(starts))
     nblocks = -(-steps // block)
-    # row b holds the draws of block b; the last block is padded
-    cols = np.zeros((nblocks, block), dtype=np.int64)
-    np.remainder(draws[1:steps + 1], period, out=cols.reshape(-1)[:steps])
+    # cols[j, b] is draw j of block b; the last block is padded
+    cols = np.zeros((block, nblocks), dtype=np.intp)
+    full = (nblocks - 1) * block
+    np.remainder(draws[1:full + 1].reshape(nblocks - 1, block), period,
+                 out=cols.T[:-1])
+    np.remainder(draws[full + 1:steps + 1], period,
+                 out=cols[:steps - full, -1])
     del draws
-    maps = np.tile(np.arange(len(starts), dtype=np.int64), (nblocks - 1, 1))
+    maps = np.tile(np.arange(len(starts), dtype=np.intp) * period,
+                   (nblocks - 1, 1))
     for j in range(block):
-        maps = nxt[maps * period + cols[:-1, j, None]]
-    entry = np.empty(nblocks, dtype=np.int64)
-    entry[0] = first
+        maps = nxt[maps + cols[j, :-1, None]]
+    entry = np.empty(nblocks, dtype=np.intp)
+    entry[0] = first * period
     for b in range(nblocks - 1):
-        entry[b + 1] = maps[b, entry[b]]
-    word = np.empty(auto.word_len + nblocks * block, dtype=np.int64)
+        entry[b + 1] = maps[b, entry[b] // period]
+    word = np.empty(auto.word_len + nblocks * block, dtype=dtype)
     word[:auto.word_len] = auto.states[starts[first]]
     letters = word[auto.word_len:].reshape(nblocks, block)
     cur = entry
     for j in range(block):
-        at = cur * period + cols[:, j]
+        at = cur + cols[j]
         letters[:, j] = letter[at]
         cur = nxt[at]
     return word[:length]

@@ -39,6 +39,13 @@ def _coerce_automaton(sft_or_auto) -> a1d.WordAutomaton:
     return a1d.build_automaton(sft_or_auto)
 
 
+def _check_symbols(data: np.ndarray, nsym: int) -> None:
+    """ValueError unless every symbol is an integer in [0, nsym)."""
+    if data.size and not (data.dtype.kind in "biu" and 0 <= data.min()
+                          and data.max() < nsym):
+        raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
+
+
 def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     """Repair a noisy 1D configuration.
 
@@ -56,7 +63,8 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     obscured cell except for at most a few end rewrites next to the peel
     margins, which are counted separately.  When some window cannot be
     anchored the whole box becomes the lex-least admissible word and
-    `boundary_gap` is set.
+    `boundary_gap` is set.  The repaired word keeps the grid's dtype;
+    symbols that are not integers in [0, nsym) are refused.
     """
     auto = _coerce_automaton(sft_or_auto)
     rc = a1d.repair_constants(auto)
@@ -67,6 +75,7 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     length = grid.shape[0]
     if length < rc.min_length:
         raise ValueError("box too small to repair")
+    _check_symbols(grid.data, len(auto.sft.alphabet))
 
     padded = NoiseMask((0,), np.pad(mask.data, rc.E))
     fat = thicken(padded, rc.E).data
@@ -436,9 +445,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
     nsym, g = len(p.sft.alphabet), grid.data
-    if g.size and not (g.dtype.kind in "biu" and 0 <= g.min()
-                       and g.max() < nsym):
-        raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
+    _check_symbols(g, nsym)
     giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()

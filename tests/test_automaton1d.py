@@ -352,6 +352,27 @@ class TestGlobalOracle:
         assert not a1d.is_globally_admissible(auto, [0, -1, 0])
         assert list(a1d.window_states(auto, [0, 2, -1, 1])) == [0, -1, -1, 1]
 
+    def test_non_integer_letters_raise(self):
+        # truncation used to read both words as 0100, which is admissible
+        auto = a1d.build_automaton(GOLDEN_MEAN)
+        for word in (np.array([0.0, 0.5, 0.0, 1.9]), [0, 0.5, 0, 1.9],
+                     np.array([0.0, 1.0, 0.0])):
+            with pytest.raises(ValueError, match="integers"):
+                a1d.is_globally_admissible(auto, word)
+            with pytest.raises(ValueError, match="integers"):
+                a1d.window_states(auto, word)
+
+    @pytest.mark.parametrize("word", [
+        np.array([False, True, False, False]),
+        np.array([0, 1, 0, 0], dtype=np.int8),
+        np.array([0, 1, 0, 0], dtype=np.uint16),
+        np.array([0, 1, 0, 0], dtype=np.int64),
+        "0100", [0, 1, 0, 0], [0, 1.0, 0, 0]])
+    def test_integer_words_read_as_given(self, word):
+        auto = a1d.build_automaton(GOLDEN_MEAN)
+        assert a1d.is_globally_admissible(auto, word)
+        assert list(a1d.window_states(auto, word)) == [0, 1, 0, 0]
+
 
 class TestCaches:
     @settings(max_examples=60, deadline=None)

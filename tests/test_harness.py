@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -418,7 +419,7 @@ class TestBlockedWalk:
             if isinstance(want, str):
                 assert got == want
                 continue
-            assert got.dtype == np.int64 and got.shape == (length,)
+            assert got.dtype == np.uint8 and got.shape == (length,)
             assert np.array_equal(got, want), (sft, length, seed)
 
     @pytest.mark.parametrize("sft", [GOLDEN_MEAN, ALTERNATING,
@@ -428,6 +429,20 @@ class TestBlockedWalk:
         for length, seed in ((100_000, 3), (4097, 8), (12_345, 9)):
             assert np.array_equal(H.sample_admissible_word(auto, length, seed),
                                   _walk_reference(auto, length, seed))
+
+
+class TestTrialMemory:
+    def test_traced_peak_of_a_100k_trial(self):
+        # uint8 word, corrupt copy and repair; int64 words peaked at 3.5 MiB
+        args = ((GOLDEN_MEAN, 100_000), (0.01,), 5)
+        H._trial_repair1d(args)  # automaton caches built outside the trace
+        tracemalloc.start()
+        try:
+            H._trial_repair1d(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2 ** 20
 
 
 class TestLocalityFlags:

@@ -150,6 +150,37 @@ class TestRepair1D:
             repair_1d(GOLDEN_MEAN, Grid((0,), data),
                       NoiseMask((0,), np.zeros(5, dtype=np.uint8)))
 
+    def test_non_integer_symbols_raise(self):
+        # truncating 0.5 used to give a mix of 0.5 and 0 with no boundary gap
+        data = np.full(40, 0.5)
+        mask = np.zeros(40, dtype=np.uint8)
+        mask[10:12] = 1
+        with pytest.raises(ValueError,
+                           match=r"^grid symbols must lie in \[0, 2\) as integers$"):
+            repair_1d(GOLDEN_MEAN, Grid((0,), data), NoiseMask((0,), mask))
+
+    def test_clear_symbol_outside_alphabet_raises(self):
+        # a clear 7 used to pass through with changed_fraction 0
+        data = np.array([0, 1] * 20, dtype=np.uint8)
+        data[20] = 7
+        with pytest.raises(ValueError,
+                           match=r"^grid symbols must lie in \[0, 2\) as integers$"):
+            repair_1d(GOLDEN_MEAN, Grid((0,), data),
+                      NoiseMask((0,), np.zeros(40, dtype=np.uint8)))
+
+    @pytest.mark.parametrize("sft", [GOLDEN_MEAN,
+                                     word_sft("012", ["11", "202", "0220"])])
+    def test_words_stay_narrow(self, sft):
+        # sampler, corruption and repair hold the word in one byte a letter
+        auto = a1d.build_automaton(sft)
+        word = H.sample_admissible_word(auto, 2000, seed=4)
+        mask = sample_mask(Bernoulli(0.02), word.shape, seed=5)
+        noisy = H.corrupt(word, mask.data, len(sft.alphabet), seed=6)
+        rep = repair_1d(auto, Grid((0,), noisy), mask)
+        assert word.dtype == noisy.dtype == rep.grid.data.dtype == np.uint8
+        lo, hi = rep.interior
+        assert a1d.is_globally_admissible(auto, rep.grid.data[lo:hi])
+
     def test_origin_carries_through(self):
         word = tuple([0, 1] * 20)
         grid = Grid((-7,), np.array(word))
