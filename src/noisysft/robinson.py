@@ -476,123 +476,118 @@ def render_svg(grid, mask=None, cell: int = 18) -> str:
 # ---------------------------------------------------------------------------
 # exhaustive window solver (small scales only)
 
-def _lattice_pair_ok(t1, p1, t2, p2) -> bool:
-    c1r, c2r = CLASS_R[t1], CLASS_R[t2]
-    if c1r < 0 or c2r < 0:
-        return True
-    dr, dc = p2[0] - p1[0], p2[1] - p1[1]
-    if abs(dr) > 2 or abs(dc) > 2:
-        return True
-    return (int(c1r) + dr - int(c2r)) % 4 == 0 and \
-        (int(CLASS_C[t1]) + dc - int(CLASS_C[t2])) % 4 == 0
+def _bits(flags) -> int:
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(),
+                          "little")
 
 
-def _centre_ok(assign, cell, tile) -> bool:
-    r, c = cell
-    if not IS_DENTED_CROSS[tile]:
-        for (dr, dc), need in _INWARD:
-            t2 = assign.get((r + dr, c + dc))
-            if t2 is None or BUMPY_ORIENT[t2] != need:
-                break
-        else:
-            return False
-    o = int(BUMPY_ORIENT[tile])
-    if o >= 0:
-        for (dr, dc), need in _INWARD:
-            if need != o:
-                continue
-            cr, cc = r - dr, c - dc
-            tc = assign.get((cr, cc))
-            if tc is None or IS_DENTED_CROSS[tc]:
-                continue
-            for (dr2, dc2), need2 in _INWARD:
-                if (dr2, dc2) == (dr, dc):
-                    continue
-                t2 = assign.get((cr + dr2, cc + dc2))
-                if t2 is None or BUMPY_ORIENT[t2] != need2:
-                    break
-            else:
-                return False
-    return True
+_FULL = (1 << NTILES) - 1
+_NEAR = tuple((dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
+              if dr or dc)
+
+
+@lru_cache(maxsize=None)
+def _solver_tables():
+    """Tile masks for `solve_window`, built on its first call.
+
+    pair[(dr, dc)][u] has bit t set when tile t at p and tile u at
+    p + (dr, dc) break neither the edge rule nor the lattice rule; entry
+    NTILES stands for an unassigned neighbour and allows every tile.  The
+    square and centre rules are shapes of (offset, bad tiles), broken
+    when every cell of the shape holds a bad tile.  Two bumpy tiles in a
+    block already break the lattice rule, as every offset inside a block
+    has an odd component, so the square shape is four dented tiles.
+    """
+    cr, cc = CLASS_R.astype(int), CLASS_C.astype(int)
+    cross = (cr >= 0)[:, None] & (cr >= 0)
+    edge = {(0, 1): H_OK, (0, -1): H_OK.T, (1, 0): V_OK, (-1, 0): V_OK.T}
+    pair = {}
+    for dr, dc in _NEAR:
+        ok = ~cross | (((cr[:, None] + dr - cr) % 4 == 0)
+                       & ((cc[:, None] + dc - cc) % 4 == 0))
+        ok &= edge.get((dr, dc), True)
+        pair[(dr, dc)] = tuple(_bits(ok[:, u]) for u in range(NTILES)) \
+            + (_FULL,)
+    dented = _bits(PARITY == DENTED)
+    square = tuple(((dr, dc), dented) for dr in (0, 1) for dc in (0, 1))
+    centre = (((0, 0), _bits(~IS_DENTED_CROSS)),) + tuple(
+        (d, _bits(BUMPY_ORIENT == o)) for d, o in _INWARD)
+    return pair, (square, centre)
 
 
 def solve_window(cells, fixed, limit: int | None = None) -> list[dict]:
     """All assignments of tile ids to `cells` satisfying every rule.
 
-    `cells` is an iterable of (r, c); `fixed` pins some of them.  Edge,
-    square, lattice and centre constraints are generated for every pair
-    and block inside the cell set.  Exponential: meant for windows of a
-    few dozen cells.
+    `cells` is an iterable of (r, c); `fixed` pins some of them, and a pin
+    outside `cells` or not a tile id is refused.  Edge, square, lattice
+    and centre constraints are generated for every pair and block inside
+    the cell set.  The free cells are assigned in order, each to the
+    tiles, in id order, that the rule masks of its assigned neighbours
+    leave, so solutions come in lexicographic order.  Exponential: meant
+    for windows of a few dozen cells.
     """
     cells = list(dict.fromkeys(cells))
-    cellset = set(cells)
-    h_by, v_by, sq_by = {}, {}, {}
-    for (r, c) in cellset:
-        if (r, c + 1) in cellset:
-            h_by.setdefault((r, c), []).append(("R", (r, c + 1)))
-            h_by.setdefault((r, c + 1), []).append(("L", (r, c)))
-        if (r + 1, c) in cellset:
-            v_by.setdefault((r, c), []).append(("D", (r + 1, c)))
-            v_by.setdefault((r + 1, c), []).append(("U", (r, c)))
-        quad = ((r, c), (r, c + 1), (r + 1, c), (r + 1, c + 1))
-        if all(q in cellset for q in quad):
-            for q in quad:
-                sq_by.setdefault(q, []).append(quad)
+    index = {p: k for k, p in enumerate(cells)}
+    for p, t in fixed.items():
+        if p not in index:
+            raise ValueError(f"pin at {p} lies outside the cell set")
+        if not isinstance(t, (int, np.integer)) or not 0 <= t < NTILES:
+            raise ValueError(f"pin at {p} is {t!r}, not a tile id in "
+                             f"[0, {NTILES})")
+    pair, shapes = _solver_tables()
+    # per cell: (neighbour, pair table) for the cells within distance 2,
+    # and (the other cells with their bad masks, its own bad mask) for
+    # each square or centre shape inside the cell set that holds it
+    near = [[] for _ in cells]
+    patterns = [[] for _ in cells]
+    for k, (r, c) in enumerate(cells):
+        for d in _NEAR:
+            j = index.get((r + d[0], c + d[1]))
+            if j is not None:
+                near[k].append((j, pair[d]))
+        for shape in shapes:
+            pattern = [(index.get((r + dr, c + dc)), bad)
+                       for (dr, dc), bad in shape]
+            if all(j is not None for j, _ in pattern):
+                for j, bad in pattern:
+                    patterns[j].append(
+                        ([x for x in pattern if x[0] != j], bad))
 
-    assign = dict(fixed)
-    sols = []
+    val = [NTILES] * len(cells)  # NTILES marks an unassigned cell
+    for p, t in fixed.items():
+        val[index[p]] = int(t)
 
-    def ok(cell, tile):
-        for side, other in h_by.get(cell, []):
-            t2 = assign.get(other)
-            if t2 is not None:
-                if side == "R" and not H_OK[tile, t2]:
-                    return False
-                if side == "L" and not H_OK[t2, tile]:
-                    return False
-        for side, other in v_by.get(cell, []):
-            t2 = assign.get(other)
-            if t2 is not None:
-                if side == "D" and not V_OK[tile, t2]:
-                    return False
-                if side == "U" and not V_OK[t2, tile]:
-                    return False
-        for sq in sq_by.get(cell, []):
-            vals = [assign.get(q) if q != cell else tile for q in sq]
-            bumpies = sum(1 for v in vals if v is not None and PARITY[v])
-            if bumpies > 1:
-                return False
-            if bumpies != 1 and all(v is not None for v in vals):
-                return False
-        if CLASS_R[tile] >= 0:
-            for p2, t2 in assign.items():
-                if p2 != cell and not _lattice_pair_ok(tile, cell, t2, p2):
-                    return False
-        if not _centre_ok(assign, cell, tile):
-            return False
-        return True
+    def allowed(k):
+        m = _FULL
+        for j, table in near[k]:
+            m &= table[val[j]]
+        for others, bad in patterns[k]:
+            if all(b >> val[j] & 1 for j, b in others):
+                m &= ~bad
+        return m
 
-    for c in fixed:
-        saved = assign.pop(c)
-        good = ok(c, saved)
-        assign[c] = saved
+    for p, t in fixed.items():
+        val[index[p]] = NTILES
+        good = allowed(index[p]) >> int(t) & 1
+        val[index[p]] = int(t)
         if not good:
             return []
 
-    todo = [c for c in cells if c not in fixed]
+    todo = [index[p] for p in cells if p not in fixed]
+    sols = []
 
     def rec(i):
         if limit is not None and len(sols) >= limit:
             return
         if i == len(todo):
-            sols.append(dict(assign))
+            sols.append({**fixed, **{cells[k]: val[k] for k in todo}})
             return
-        cell = todo[i]
-        for t in range(NTILES):
-            if ok(cell, t):
-                assign[cell] = t
-                rec(i + 1)
-                del assign[cell]
+        k, m = todo[i], allowed(todo[i])
+        while m:
+            val[k] = (m & -m).bit_length() - 1
+            rec(i + 1)
+            m &= m - 1
+        val[k] = NTILES
 
     rec(0)
     return sols
@@ -707,7 +702,7 @@ _PEEL_WITNESS_9 = np.array([
 _PEEL_WITNESS_9.setflags(write=False)
 
 
-def peel_verify(n: int = 9) -> dict:
+def peel_verify() -> dict:
     """Base forcing fact plus the C2 = 3 peeling statement on 9-squares.
 
     Peeling 3 layers from an admissible 9-square centred on a 2-macro
@@ -716,13 +711,7 @@ def peel_verify(n: int = 9) -> dict:
     9-window of the scale-5 macro centred on a 2-macro is checked: none
     shows a defect at any peel depth.
     """
-    if n < 3:
-        raise ValueError("windows smaller than 3 carry no constraints")
-    report = {"n": n}
-    report["forcing"] = forcing_3square()
-    if n < 9:
-        return report
-
+    report = {"forcing": forcing_3square()}
     macros = [build_macro(2, o) for o in range(4)]
     g5 = build_macro(5, 0)
     # every 9-window of a valid tiling centred on a 2-macro: 3-peel core

@@ -1,4 +1,8 @@
 import io
+import itertools
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +250,104 @@ class TestForcing:
         assert not any(s in macros for s in sols)
 
 
+_G5 = rb.build_macro(5, 0)
+_G2 = rb.build_macro(2, 0)
+_STRIP = int(_G2[0, 1])  # a strip tile, standing in for the centre cross
+_CORNERS = [(0, 0), (0, 2), (2, 0), (2, 2)]
+
+
+def _pins(cells, repin=None):
+    """Pin `cells` to the 2-macro, then apply the `repin` overrides."""
+    return {**{p: int(_G2[p]) for p in cells}, **(repin or {})}
+
+
+def _brute_force(cells, fixed):
+    """Assignments of the free cells, in lexicographic order, for which
+    `violations` finds nothing with every cell outside the set masked.
+    A tile that breaks a rule while the other free cells are masked is in
+    no solution, so only the product of those survivors is checked."""
+    free = [p for p in cells if p not in fixed]
+    r0 = min(r for r, _ in cells)
+    c0 = min(c for _, c in cells)
+    shape = (max(r for r, _ in cells) - r0 + 1,
+             max(c for _, c in cells) - c0 + 1)
+    grid = np.zeros(shape, dtype=np.int8)
+    mask = np.ones(shape, dtype=bool)
+    for (r, c) in cells:
+        mask[r - r0, c - c0] = False
+    for (r, c), t in fixed.items():
+        grid[r - r0, c - c0] = t
+
+    def clean(tiles, only=None):
+        m = mask.copy()
+        for (r, c), t in zip(free, tiles):
+            grid[r - r0, c - c0] = t
+        for i, (r, c) in enumerate(free):
+            m[r - r0, c - c0] = only is not None and i != only
+        return not rb.violations(Grid((r0, c0), grid), m, limit=1)
+
+    survivors = [[t for t in range(rb.NTILES)
+                  if clean([t] * len(free), only=i)]
+                 for i in range(len(free))]
+    return [{**fixed, **dict(zip(free, tiles))}
+            for tiles in itertools.product(*survivors) if clean(tiles)]
+
+
+@st.composite
+def _windows(draw):
+    """Cells of a box up to 5x5, pinned from the 5-macro, at most two left
+    free and at most one re-pinned to any tile."""
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    box = [(r, c) for r in range(h) for c in range(w)]
+    cells = draw(st.permutations(box))[:draw(st.integers(1, h * w))]
+    r0, c0 = draw(st.integers(0, 26)), draw(st.integers(0, 26))
+    free = draw(st.permutations(cells))[:draw(st.integers(0, 2))]
+    fixed = {p: int(_G5[r0 + p[0], c0 + p[1]]) for p in cells
+             if p not in free}
+    if fixed and draw(st.booleans()):
+        fixed[draw(st.sampled_from(sorted(fixed)))] = draw(
+            st.integers(0, rb.NTILES - 1))
+    return cells, fixed
+
+
+class TestSolveWindow:
+    # one example per rule; each fails the test when the solver drops it
+    @example(([(0, 0), (0, 1)], _pins([(0, 0)])))  # edge-h
+    @example(([(0, 0), (1, 0)], _pins([(0, 0)])))  # edge-v
+    @example(([(0, 1), (1, 0), (1, 1), (0, 0)],
+              _pins([(0, 1), (1, 0), (1, 1)])))  # square
+    @example(([(0, 0), (0, 2)], _pins([(0, 0)])))  # lattice
+    @example((_CORNERS + [(1, 1)], _pins(_CORNERS)))  # centre, as centre
+    @example(([(1, 1)] + _CORNERS,
+              _pins([(1, 1)] + _CORNERS[:3], {(1, 1): _STRIP})))  # last cross
+    @example(([(0, 0), (0, 1), (1, 0), (1, 1)],  # pins alone break a rule
+              _pins([(0, 0), (0, 1), (1, 0), (1, 1)], {(0, 0): _STRIP})))
+    @settings(max_examples=40, deadline=None)
+    @given(_windows())
+    def test_matches_brute_force(self, window):
+        cells, fixed = window
+        assert rb.solve_window(cells, fixed) == _brute_force(cells, fixed)
+
+    def test_pin_outside_cells_refused(self):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            rb.solve_window([(0, 0)], {(0, 1): rb.make_cross(0, rb.BUMPY)})
+
+    @pytest.mark.parametrize("tile", [-1, rb.NTILES, 2.0, "3"])
+    def test_pin_not_a_tile_id_refused(self, tile):
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            rb.solve_window([(0, 0), (0, 1)], {(0, 0): tile})
+
+    def test_tables_are_built_lazily(self):
+        src = os.path.dirname(os.path.dirname(rb.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import noisysft.cli, noisysft.robinson as rb; "
+             "print(rb._solver_tables.cache_info().currsize)"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "0"
+
+
 class TestPeel:
     def test_witness_is_certified(self):
         w = rb._PEEL_WITNESS_9
@@ -275,12 +377,10 @@ class TestPeel:
         assert again is not rb.forcing_3square()
 
     def test_report_shape(self):
-        rep = rb.peel_verify(n=3)
+        rep = rb.peel_verify()
         assert set(rep["forcing"]) == {
             (corner, name) for corner in
             ((0, 0), (0, 2), (2, 0), (2, 2)) for name in rb.ORIENT_NAMES}
-        with pytest.raises(ValueError):
-            rb.peel_verify(n=2)
 
 
 class TestTextFormat:
