@@ -50,46 +50,116 @@ pairs, plus its 2x2 blocks, that hold an obscured cell.  K <= 1 needs no
 labelling; with K >= 2 and the certificate, M is the component of any
 cell outside every window, so no component is sized.
 
-Any other case labels T whole: other dimensions, c = 0, a failed
-certificate, or points too dense for the neighbour scan, (2c + 2)(4c + 3)
-cells per point, to cover less than the box (the clusters would then
-percolate and fail the certificate anyway).
+Where a labelling is needed, T is labelled by its clear runs along the
+last axis (Hoshen & Kopelman, Phys. Rev. B 14, 1976).  Each run is linked
+to the runs it overlaps one step along each leading axis, found by two
+binary searches per axis, and the runs are rooted by the min-label
+hooking that roots the point clusters, so a component's root is its
+first run in row-major order.  With the certificate, the giant is the
+root of the run that holds a cell outside every window.  Otherwise one
+bincount of run lengths by root sizes the components, and a tie goes to
+the first maximum: the component met first in row-major order, the one
+`scipy.ndimage.label` numbers lowest.  The cost is a few byte-wide
+passes over T's cells, to find the runs and to paint the giant back, and
+O(r log r) in the number r of runs; no label array the size of T is
+made.  This labelling serves every case the count does not settle:
+other dimensions, c = 0, a failed certificate, or points too dense for
+the neighbour scan, (2c + 2)(4c + 3) cells per point, to cover less than
+the box (the clusters would then percolate and fail the certificate
+anyway).  `_sparse_excluded` labels each window holding the centre the
+same way and reads the window's sides from the runs in its first and
+last rows and the runs that start at its first column or end at its
+last.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .core import NoiseMask, thicken
-
-# 4-adjacency
-_CROSS = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=np.uint8)
 
 
 def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     """Thicken the mask by c and keep its largest 4-connected clear
     component: the result obscures every other cell of the thickened box,
-    and every cell when none is clear.  Ties go to the lowest label, the
-    component whose first cell comes first in row-major order."""
+    and every cell when none is clear.  Ties go to the component whose
+    first cell comes first in row-major order.  A 2D mask with c >= 1 and
+    at most one clear component is answered from its obscured points;
+    any other box is labelled by its clear runs (see the module
+    docstring)."""
     tm = thicken(mask, c)
     points = _clusters(mask.data, c) if tm.data.ndim == 2 and c >= 1 else None
     if points is not None and _clear_count(tm.data, *points, c) <= 1:
         return tm  # its clear cells are the one component, or none
     windows = None if points is None else _windows(*points, tm.shape, c)
-    labels, count = ndimage.label(
-        ~tm.data, structure=ndimage.generate_binary_structure(tm.data.ndim, 1))
+    starts, ends, lab = _runs(tm.data)
     if windows is not None:  # the giant holds every cell off the windows
-        return NoiseMask(tm.origin,
-                         labels != labels[_free_cell(windows, tm.shape)])
-    if count <= 1:
+        r, q = _free_cell(windows, tm.shape)
+        giant = lab[np.searchsorted(starts, r * (tm.shape[1] + 1) + q,
+                                    side="right") - 1]
+    elif np.count_nonzero(lab == np.arange(len(lab))) <= 1:
         return tm
-    # bands of leading-axis rows keep bincount's intp copies small
-    sizes = np.zeros(count + 1, dtype=np.intp)
-    step = 2 ** 16 // max(labels[:1].size, 1) + 1
-    for r0 in range(0, len(labels), step):
-        sizes += np.bincount(labels[r0:r0 + step].ravel(), minlength=count + 1)
-    return NoiseMask(tm.origin, labels != int(np.argmax(sizes[1:])) + 1)
+    else:  # a root is its component's first run, so argmax keeps the first
+        giant = np.argmax(np.bincount(lab, weights=ends - starts))
+    # the padded box as alternating gaps (obscured) and runs (clear on the
+    # giant's), each value repeated over its segment
+    padded = tuple(s + 1 for s in tm.shape)
+    values = np.ones(2 * len(lab) + 1, dtype=bool)
+    values[1::2] = lab != giant
+    bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(),
+                             [np.prod(padded)]))
+    out = np.repeat(values, np.diff(bounds)).reshape(padded)
+    return NoiseMask(tm.origin, np.ascontiguousarray(
+        out[tuple(slice(s) for s in tm.shape)]))
+
+
+def _runs(fat: np.ndarray):
+    """The clear runs of `fat` along its last axis, labelled by
+    4-connected component: (starts, ends, roots).  Bounds are flat
+    indices, ends exclusive, into `fat` padded by one trailing index on
+    every axis, so no run wraps and a step along an axis never lands in
+    another line; runs come in row-major order, and a run's root is the
+    index of its component's first run."""
+    shape = tuple(s + 1 for s in fat.shape)
+    buf = np.zeros(shape, dtype=bool)
+    np.logical_not(fat, out=buf[tuple(slice(s) for s in fat.shape)])
+    flat = buf.reshape(-1)
+    edges = np.flatnonzero(flat[1:] != flat[:-1]) + 1
+    if flat[0]:
+        edges = np.concatenate(([0], edges))
+    starts, ends = edges[0::2], edges[1::2]
+    n = len(starts)
+    # each run meets, one step along a leading axis, the runs that start
+    # before its shifted end and end after its shifted start
+    none = np.zeros(0, dtype=np.intp)
+    src, dst, stride = [none], [none], 1
+    for side in shape[:0:-1]:
+        stride *= side
+        lo = np.searchsorted(ends, starts + stride, side="right")
+        counts = np.searchsorted(starts, ends + stride) - lo
+        src.append(np.repeat(np.arange(n), counts))
+        dst.append(np.repeat(lo - np.cumsum(counts) + counts, counts)
+                   + np.arange(counts.sum()))
+    return starts, ends, _roots(n, np.concatenate(src), np.concatenate(dst))
+
+
+def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The root of each of n nodes linked by the pairs (a, b): its
+    component's smallest node, by min-label hooking with pointer
+    jumping."""
+    lab = np.arange(n)
+    while True:
+        la, lb = lab[a], lab[b]
+        if np.array_equal(la, lb):
+            return lab
+        low = np.minimum(la, lb)
+        np.minimum.at(lab, la, low)  # hook each root under its least neighbour
+        np.minimum.at(lab, lb, low)
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
 
 
 def _clusters(data: np.ndarray, c: int):
@@ -117,20 +187,7 @@ def _clusters(data: np.ndarray, c: int):
         + np.arange(counts.sum())
     near = (np.abs(rows[dst] - rows[src]) <= d) \
         & (np.abs(cols[dst] - cols[src]) <= d)
-    a, b = src[near], dst[near]
-    lab = np.arange(n)
-    while True:
-        la, lb = lab[a], lab[b]
-        if np.array_equal(la, lb):
-            return rows, cols, lab
-        low = np.minimum(la, lb)
-        np.minimum.at(lab, la, low)  # hook each root under its least neighbour
-        np.minimum.at(lab, lb, low)
-        while True:
-            up = lab[lab]
-            if np.array_equal(up, lab):
-                break
-            lab = up
+    return rows, cols, _roots(n, src[near], dst[near])
 
 
 def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -213,11 +270,15 @@ def _sparse_excluded(data: np.ndarray, c: int):
         t, b, l, r = int(top[i]), int(bottom[i]), int(left[i]), int(right[i])
         window = data[t:b + 2 * c + 1, l:r + 2 * c + 1]
         fat = thicken(NoiseMask((t, l), window), c).data
-        labels, _ = ndimage.label(~fat, structure=_CROSS)
-        own = labels[ch - t, cw - l]
-        sides = ((t > 0, labels[0]), (b < th - 1, labels[-1]),
-                 (l > 0, labels[:, 0]), (r < tw - 1, labels[:, -1]))
-        if not any(inner and own in side for inner, side in sides):
+        fh, fw = fat.shape
+        starts, ends, lab = _runs(fat)
+        row, col = np.divmod(starts, fw + 1)
+        own = lab == lab[np.searchsorted(
+            starts, (ch - t) * (fw + 1) + cw - l, side="right") - 1]
+        if not np.any(own & (((t > 0) & (row == 0))
+                             | ((b < th - 1) & (row == fh - 1))
+                             | ((l > 0) & (col == 0))
+                             | ((r < tw - 1) & (ends % (fw + 1) == fw)))):
             return True
     return False
 
@@ -227,7 +288,8 @@ def origin_excluded(mask: NoiseMask, c: int) -> bool:
     component?
 
     A 2D mask with c >= 1 is decided from the obscured points when the
-    certificate holds; otherwise the thickened box is labelled whole."""
+    certificate holds, labelling only the windows that hold the centre;
+    otherwise the answer is read off `open_components`."""
     if mask.data.ndim == 2 and c >= 1 and min(mask.shape) > 2 * c:
         excluded = _sparse_excluded(mask.data, c)
         if excluded is not None:

@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import json
 import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -790,6 +793,42 @@ class TestCli:
         code = cli.main(["perc", "--epsilons", "0.001"])
         assert code == 3
         assert "cosmic ray" in capsys.readouterr().err
+
+    def test_sweeps_run_without_scipy(self, tmp_path):
+        # scipy is blocked, so any import of it, even one deferred to the
+        # code a sweep runs, fails the call
+        script = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from noisysft import cli\n"
+            "calls = json.loads(sys.argv[1])\n"
+            "codes = [cli.main(argv) for argv in calls]\n"
+            "print(json.dumps([codes, sorted(\n"
+            "    m for m, v in sys.modules.items()\n"
+            "    if m.startswith('scipy') and v is not None)]))\n")
+        sweep = ["--trials", "2", "--seed", "3"]
+        calls = [
+            ["perc", "--epsilons", "0.01,0.3", "--box", "64", "--c", "0",
+             "--out", str(tmp_path / "p0.csv")] + sweep,
+            ["perc", "--epsilons", "0.01,0.3", "--box", "64", "--c", "1",
+             "--out", str(tmp_path / "p1.csv")] + sweep,
+            ["repair2d", "--periodic", "checkerboard", "--epsilons",
+             "0.01,0.05", "--box", "32", "--out", str(tmp_path / "r.csv")]
+            + sweep,
+            ["robinson", "repair", "--scale", "2", "--box", "17", "--epsilon",
+             "1e-3", "--out", "csv", "--path", str(tmp_path / "b.csv")]
+            + sweep,
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        codes, loaded = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0, 0], out.stderr
+        assert loaded == []
+        for name in ("p0", "p1", "r", "b"):
+            assert (tmp_path / f"{name}.csv").read_text().count("\n") > 1
 
     def test_perc_csv(self, tmp_path):
         out = tmp_path / "p.csv"

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import ndimage
 
 from noisysft import harness as H
@@ -18,6 +18,9 @@ from noisysft.percolation import (
     open_components,
     origin_excluded,
 )
+
+# 4-adjacency, for the reference labellings
+_CROSS = ndimage.generate_binary_structure(2, 1)
 
 
 def mask_from(rows):
@@ -267,7 +270,7 @@ class TestSparseDecision:
         # cols 0-4 close a 5x4 pocket in the corner; the centre stays out
         mask = _points((31, 61), [(4, 8), (9, 4)])
         tm = thicken(mask, 2)
-        labels, _ = ndimage.label(tm.data == 0, structure=percolation._CROSS)
+        labels, _ = ndimage.label(tm.data == 0, structure=_CROSS)
         assert np.count_nonzero(labels == labels[0, 0]) == 20
         assert not origin_excluded(mask, 2)
         assert dense_calls == []
@@ -283,6 +286,29 @@ class TestSparseDecision:
         assert origin_excluded(mask, 1)
         assert dense_calls == []
         assert _dense_excluded(mask, 1)
+
+    @pytest.mark.parametrize("side", ["bottom", "top", "right", "left"])
+    def test_centre_leaves_by_one_window_side(self, dense_calls, side):
+        # c = 1 on a 100^2 T.  Cluster 1 is a bar along T rows 30-32 from
+        # the left border to col 71 and a leg down cols 69-71 to row 65;
+        # cluster 2, inside the first window, is a bar along rows 38-40 to
+        # col 59 and a leg down cols 58-60 to row 70.  The centre's component
+        # lies under bar 2 and left of leg 2, so in both windows it
+        # reaches only the bottom side, the one way out to the giant.
+        # Flips and transposes move that side to each of the four
+        # (the centre, at 49 or 50, stays inside)
+        cells = [(32, q) for q in range(2, 72, 3)] \
+            + [(r, 71) for r in range(35, 66, 3)] \
+            + [(40, q) for q in range(2, 61, 3)] \
+            + [(r, 60) for r in range(43, 71, 3)]
+        data = _points((102, 102), cells).data
+        data = {"bottom": data, "top": data[::-1], "right": data.T,
+                "left": data.T[:, ::-1]}[side]
+        mask = NoiseMask((0, 0), data)
+        assert percolation._sparse_excluded(mask.data, 1) is False
+        assert not origin_excluded(mask, 1)
+        assert dense_calls == []
+        assert not _dense_excluded(mask, 1)
 
     def test_centre_obscured(self, dense_calls):
         mask = _points((33, 47), [(17, 23)])
@@ -418,7 +444,7 @@ class TestClearCount:
             assert np.array_equal(points[0], rows)
             assert np.array_equal(_canonical(points[2]), _canonical(lab))
         assert percolation._clear_count(fat, rows, cols, lab, c) \
-            == ndimage.label(~fat, structure=percolation._CROSS)[1]
+            == ndimage.label(~fat, structure=_CROSS)[1]
 
     @pytest.mark.parametrize("rows, expected", [
         # one point in the middle: no component is split off
@@ -445,7 +471,7 @@ class TestClearCount:
         lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
             np.minimum(rows, len(fat) - 1), np.minimum(cols, 31)]
         assert percolation._clear_count(fat, rows, cols, lab, 1) \
-            == ndimage.label(~fat, structure=percolation._CROSS)[1]
+            == ndimage.label(~fat, structure=_CROSS)[1]
 
     def test_all_obscured(self):
         data = np.ones((12, 9), dtype=bool)
@@ -457,8 +483,9 @@ class TestClearCount:
 
 @contextlib.contextmanager
 def _spies():
-    """Counts the ndimage.label and np.bincount calls made inside."""
-    with mock.patch.object(ndimage, "label", wraps=ndimage.label) as lab, \
+    """Counts the run labellings and np.bincount calls made inside."""
+    with mock.patch.object(percolation, "_runs",
+                           wraps=percolation._runs) as lab, \
             mock.patch.object(np, "bincount", wraps=np.bincount) as hist:
         yield lab, hist
 
@@ -476,7 +503,7 @@ class TestGiantFromPoints:
         mask = NoiseMask((int(rng.integers(-9, 9)), 5), rng.random((h, w)) < eps)
         expected = _giant_reference(mask, c)
         tm = thicken(mask, c)
-        count = ndimage.label(~tm.data, structure=percolation._CROSS)[1]
+        count = ndimage.label(~tm.data, structure=_CROSS)[1]
         points = percolation._clusters(mask.data, c)
         certified = points is not None \
             and percolation._windows(*points, tm.shape, c) is not None
@@ -503,6 +530,26 @@ class TestGiantFromPoints:
         assert np.array_equal(giant.data, expected)
         assert lab.call_count == 1 and hist.call_count == 1
 
+    def test_traced_peak_at_robinson_scale_2(self):
+        # Robinson N = 2's shape: c = 8 thickens a 1024^2 mask to 1008^2;
+        # the points certify but leave several clear components, so the
+        # box is labelled.  The cap is the peak of the ndimage.label
+        # labelling with its int32 label array (5.895 MiB)
+        mask = NoiseMask((0, 0),
+                         np.random.default_rng(0).random((1024, 1024)) < 1e-3)
+        expected = _giant_reference(mask, 8)
+        tm = thicken(mask, 8)
+        assert tm.shape == (1008, 1008)
+        assert ndimage.label(~tm.data, structure=_CROSS)[1] >= 2
+        tracemalloc.start()
+        try:
+            giant = open_components(mask, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(giant.data, expected)
+        assert peak < 5.9 * 2 ** 20
+
     def test_traced_peak_of_a_dense_512_box(self):
         # the neighbour scan does not fit, so the box is labelled and its
         # components sized; no intp copy of the whole label array is made
@@ -517,3 +564,64 @@ class TestGiantFromPoints:
             tracemalloc.stop()
         assert np.array_equal(giant.data, _giant_reference(mask, 1))
         assert peak < 2.25 * 2 ** 20
+
+
+def _run_image(fat):
+    """The run labelling painted back: each clear cell holds its
+    component's rank among the roots, from 1, and obscured cells 0."""
+    starts, ends, lab = percolation._runs(fat)
+    padded = tuple(s + 1 for s in fat.shape)
+    values = np.zeros(2 * len(lab) + 1, dtype=np.intp)
+    values[1::2] = np.unique(lab, return_inverse=True)[1] + 1
+    bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(),
+                             [np.prod(padded)]))
+    image = np.repeat(values, np.diff(bounds)).reshape(padded)
+    return lab, image[tuple(slice(s) for s in fat.shape)]
+
+
+class TestRunLabels:
+    """The run labeller against ndimage.label as an independent reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 3),
+           st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]),
+           st.none() | st.tuples(st.integers(0, 2), st.integers(1, 5)))
+    @example(0, 2, 0, 0.0, (1, 1))  # two clear 1 x 1 halves
+    @example(0, 3, 2, 0.0, (0, 3))  # two clear halves, split along rows
+    @example(0, 1, 3, 1.0, None)  # one obscured cell
+    def test_labels_match_ndimage(self, seed, dim, c, eps, split):
+        rng = np.random.default_rng(seed)
+        # sides from 2c + 1, a thickened side of one cell
+        shape = [int(s) for s in rng.integers(2 * c + 1, 2 * c + 12, size=dim)]
+        if split is not None:
+            # an obscured wall across one axis between two mirror halves
+            # of k cells each: the mirror image of a mask cell j along an
+            # axis of side m is m - 1 - j, in the mask as in T
+            axis, k = split[0] % dim, split[1]
+            shape[axis] = 2 * k + 4 * c + 1
+        data = rng.random(shape) < eps
+        if split is not None:
+            data |= np.flip(data, axis)
+            data[(slice(None),) * axis + (k + 2 * c,)] = True
+        mask = NoiseMask((0,) * dim, data)
+        fat = thicken(mask, c).data
+        labels, count = ndimage.label(
+            ~fat, structure=ndimage.generate_binary_structure(dim, 1))
+        lab, image = _run_image(fat)
+        # the same partition, numbered in the same order; each root is its
+        # component's first run
+        assert np.array_equal(image, labels)
+        assert np.count_nonzero(lab == np.arange(len(lab))) == count
+        assert np.array_equal(lab, _canonical(lab))
+        giant = open_components(mask, c)
+        assert np.array_equal(giant.data, _giant_reference(mask, c))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(7, 90), st.integers(7, 90),
+           st.integers(1, 3), st.floats(0.002, 0.2))
+    def test_window_answer_matches_dense(self, seed, h, w, c, density):
+        rng = np.random.default_rng(seed)
+        mask = NoiseMask((0, 0), rng.random((h, w)) < density)
+        got = percolation._sparse_excluded(mask.data, c)
+        assume(got is not None)  # the certificate holds
+        assert got == _dense_excluded(mask, c)
