@@ -29,6 +29,7 @@ from .core import (
 )
 from .noise import (
     bernoulli_masks,
+    bernoulli_points,
     derive_seed,
     marginal_rate,
     parse_model,
@@ -409,11 +410,16 @@ def run_repair1d_sweep(spec: ExperimentSpec):
 def _trial_perc(args):
     """One trial's exclusion flag per epsilon.  The epsilons are
     threshold-coupled: the trial hashes its box once and reads every
-    epsilon off the same hashes (`bernoulli_masks`), so its masks nest as
-    epsilon grows."""
+    epsilon's obscured points off the same hashes (`bernoulli_points`), so
+    its point sets nest as epsilon grows; no mask is built unless the
+    certificate fails.  eps >= 1 obscures the centre, so it is excluded
+    with no index array of the box built."""
     (c, box), epsilons, tseed = args
-    return [{"origin_excluded": float(origin_excluded(mask, c))}
-            for mask in bernoulli_masks(tseed, (box, box), epsilons)]
+    shape = (box, box)
+    points = iter(bernoulli_points(tseed, shape,
+                                   [e for e in epsilons if not e >= 1.0]))
+    return [{"origin_excluded": float(e >= 1.0 or origin_excluded(
+        next(points), shape, c))} for e in epsilons]
 
 
 def run_perc_sweep(spec: ExperimentSpec):

@@ -139,6 +139,12 @@ def _grid_phases(model, seed: int, dim: int) -> tuple[int, ...]:
                      % model.period for i in range(dim))
 
 
+def _limit(eps: float) -> np.uint64:
+    """The hash bound of an eps in (0, 1): the top 53 bits of a hash are
+    below ceil(eps 2^53) iff the hash is below this."""
+    return np.uint64(math.ceil(eps * 2.0 ** 53) << 11)
+
+
 def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
     """Bernoulli(eps) masks for every epsilon from one keyed hash: a cell is
     obscured at eps iff the top 53 bits of its hash are below ceil(eps 2^53),
@@ -146,13 +152,40 @@ def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
     masks of one seed nest as eps grows (threshold coupling)."""
     origin = (0,) * len(shape) if origin is None else tuple(origin)
     eps = [float(e) for e in epsilons]
-    masks = [np.full(shape, e >= 1.0) for e in eps]  # NaN and eps <= 0: clear
-    live = [(m, np.uint64(math.ceil(e * 2.0 ** 53) << 11))
-            for m, e in zip(masks, eps) if 0.0 < e < 1.0]
+    # np.less writes every cell of a live mask; NaN and eps <= 0: clear
+    masks = [np.empty(shape, dtype=bool) if 0.0 < e < 1.0
+             else np.full(shape, e >= 1.0) for e in eps]
+    live = [(m, _limit(e)) for m, e in zip(masks, eps) if 0.0 < e < 1.0]
     for rows, h in _hash_blocks(seed, origin, shape):
         for mask, limit in live:
             np.less(h, limit, out=mask[rows])
     return [NoiseMask(origin, m) for m in masks]
+
+
+def bernoulli_points(seed: int, shape, epsilons, origin=None) -> list[np.ndarray]:
+    """The obscured cells of `bernoulli_masks`, as sorted flat indices into
+    the box, one array per epsilon, with no mask built.  Each hash block is
+    compared once with the largest live bound; the cells below it keep
+    their hashes, and each epsilon keeps those below its own bound, so the
+    arrays nest as eps grows.  eps >= 1 gives every cell, eps <= 0 and NaN
+    none."""
+    origin = (0,) * len(shape) if origin is None else tuple(origin)
+    eps = [float(e) for e in epsilons]
+    limits = [_limit(e) for e in eps if 0.0 < e < 1.0]
+    keys, hashes = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
+    if limits:
+        top, inner = max(limits), math.prod(shape[1:])
+        below = np.empty(0, dtype=bool)  # sized by the first, largest block
+        for rows, h in _hash_blocks(seed, origin, shape):
+            h = h.reshape(-1)
+            if below.size < h.size:
+                below = np.empty(h.size, dtype=bool)
+            hit = np.flatnonzero(np.less(h, top, out=below[:h.size]))
+            keys.append(hit + rows.start * inner)
+            hashes.append(h[hit])
+    keys, hashes = np.concatenate(keys), np.concatenate(hashes)
+    return [keys[hashes < _limit(e)] if 0.0 < e < 1.0
+            else np.arange(math.prod(shape) if e >= 1.0 else 0) for e in eps]
 
 
 def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:

@@ -5,14 +5,16 @@ clear cells of the thickened mask percolate and the centre cell belongs
 to the dominant open component with high probability.  On a finite box
 the infinite cluster is read through a proxy: the largest open component.
 
-On a 2D mask with c >= 1, `origin_excluded` reads the answer off the
-obscured points P instead of labelling the thickened box T.  Two points
-within Chebyshev distance 2c + 1 have touching or overlapping c-squares,
-so the linked clusters of P are exactly the 8-connected components C_i
-of the thickened obscured set.  Let B_i be the bounding box of C_i in T
-and W_i the window B_i grown by one cell, clipped to T.  The certificate
-is: no B_i spans the full height or the full width of T, and
-|T| - sum |W_i| > max |W_i|.  Why it is exact:
+`origin_excluded` takes the obscured points P of a box as sorted flat
+indices, as `noise.bernoulli_points` samples them, so a trial builds no
+mask.  In 2D with c >= 1 it reads the answer off P instead of labelling
+the thickened box T.  Two points within Chebyshev distance 2c + 1 have
+touching or overlapping c-squares, so the linked clusters of P are
+exactly the 8-connected components C_i of the thickened obscured set.
+Let B_i be the bounding box of C_i in T and W_i the window B_i grown by
+one cell, clipped to T.  The certificate is: no B_i spans the full
+height or the full width of T, and |T| - sum |W_i| > max |W_i|.  Why it
+is exact:
 
 - T minus a box that spans neither its height nor its width is
   4-connected, so the cells of T outside B_i lie in one 4-component O_i
@@ -32,11 +34,14 @@ is: no B_i spans the full height or the full width of T, and
   its 4-component touches none of the window's sides that are interior
   to T: a pocket never reaches them (they lie outside B_i), and a
   component that cannot leave its window is smaller than M.  The window
-  is thickened locally from the mask grown by c, which gives the same
-  cells as thickening the whole box.
+  is thickened locally from a small mask of the points under it, grown
+  by c, which gives the same cells as thickening the whole box.
 
 An obscured centre is excluded whatever else the box holds, so it is
-answered before any clustering.
+answered before any clustering, by binary searches for a point in the
+(2c + 1)^2 mask cells that cover it.  Only when the certificate fails,
+or the case is not covered, are the points written into one mask of the
+box for `open_components`.
 
 `open_components` counts the clear components K of T from the same
 clusters.  With a one-cell obscured frame round T, the obscured cells F'
@@ -88,7 +93,8 @@ def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     any other box is labelled by its clear runs (see the module
     docstring)."""
     tm = thicken(mask, c)
-    points = _clusters(mask.data, c) if tm.data.ndim == 2 and c >= 1 else None
+    points = _clusters(np.flatnonzero(mask.data), mask.shape, c) \
+        if tm.data.ndim == 2 and c >= 1 else None
     if points is not None and _clear_count(tm.data, *points, c) <= 1:
         return tm  # its clear cells are the one component, or none
     windows = None if points is None else _windows(*points, tm.shape, c)
@@ -162,20 +168,20 @@ def _roots(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             lab = up
 
 
-def _clusters(data: np.ndarray, c: int):
-    """(rows, cols, cluster root) per obscured point of a 2D mask, linking
-    points within Chebyshev distance d = 2c + 1; None when the neighbour
-    scan would cover more than the box.  A point's partners in row offset
-    dr = 0..d have flat indices in [key + dr width - d, key + dr width + d]
-    (later keys only at dr = 0); two binary searches per offset find them,
-    and the explicit distance test drops the matches that wrapped round a
-    row end.  Roots come from min-label hooking with pointer jumping, so a
+def _clusters(keys: np.ndarray, shape: tuple, c: int):
+    """(rows, cols, cluster root) per obscured point of a 2D box of the
+    given shape, the points given by their sorted flat indices `keys`,
+    linking points within Chebyshev distance d = 2c + 1; None when the
+    neighbour scan would cover more than the box.  A point's partners in
+    row offset dr = 0..d have flat indices in [key + dr width - d,
+    key + dr width + d] (later keys only at dr = 0); two binary searches
+    per offset find them, and the explicit distance test drops the matches
+    that wrapped round a row end.  Roots come from min-label hooking with pointer jumping, so a
     root is its cluster's smallest point index."""
-    d, width = 2 * c + 1, data.shape[1]
-    if np.count_nonzero(data) * (d + 1) * (2 * d + 1) > data.size:
-        return None
-    keys = np.flatnonzero(data)
+    d, width = 2 * c + 1, shape[1]
     n = len(keys)
+    if n * (d + 1) * (2 * d + 1) > shape[0] * width:
+        return None
     rows, cols = np.divmod(keys, width)
     base = keys + (np.arange(d + 1) * width)[:, None]
     lo = np.searchsorted(keys, base - d)
@@ -196,7 +202,7 @@ def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     from its points' cluster labels and one pass over bands of rows."""
     th, tw = fat.shape
     edge = (rows <= 2 * c) | (rows >= th - 1) | (cols <= 2 * c) | (cols >= tw - 1)
-    b0 = 1 + len(np.unique(lab)) - len(np.unique(lab[edge]))
+    b0 = 1 + _distinct(lab) - _distinct(lab[edge])
     chi, step = 0, 2 ** 16 // tw + 1
     for r0 in range(0, th, step):
         band = fat[r0:r0 + step + 1]  # with the next band's first row
@@ -206,6 +212,13 @@ def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             - np.count_nonzero(band[:, :-1] | band[:, 1:]) \
             + np.count_nonzero(pairs[:, :-1] | pairs[:, 1:])
     return b0 - chi
+
+
+def _distinct(a: np.ndarray) -> int:
+    """The number of distinct values in `a`, from one sort (plain
+    `np.unique` imports numpy.ma)."""
+    a = np.sort(a)
+    return int(np.count_nonzero(a[1:] != a[:-1])) + 1 if len(a) else 0
 
 
 def _windows(rows: np.ndarray, cols: np.ndarray, lab: np.ndarray,
@@ -251,24 +264,33 @@ def _free_cell(windows, shape: tuple) -> tuple:
     return r, int(np.argmin(np.cumsum(cover)[:-1]))
 
 
-def _sparse_excluded(data: np.ndarray, c: int):
-    """The `origin_excluded` answer for a 2D mask read from its obscured
+def _sparse_excluded(keys: np.ndarray, shape: tuple, c: int):
+    """The `origin_excluded` answer for a 2D box read from its obscured
     points, or None when the certificate fails (see the module docstring).
     Needs c >= 1 and every side of the box longer than 2c."""
-    th, tw = (s - 2 * c for s in data.shape)  # the thickened box T
+    th, tw = (s - 2 * c for s in shape)  # the thickened box T
     ch, cw = th // 2, tw // 2  # its centre
-    # the point at mask cell (r, q) obscures rows r-2c..r, cols q-2c..q of T
-    if data[ch:ch + 2 * c + 1, cw:cw + 2 * c + 1].any():
+    # the point at mask cell (r, q) obscures rows r-2c..r, cols q-2c..q of
+    # T: the centre is obscured by a point in the rows ch..ch+2c whose key
+    # lies in that row's columns cw..cw+2c
+    first = (ch + np.arange(2 * c + 1)) * shape[1] + cw
+    if np.any(np.searchsorted(keys, first + 2 * c, side="right")
+              > np.searchsorted(keys, first)):
         return True
-    points = _clusters(data, c)
+    points = _clusters(keys, shape, c)
     windows = None if points is None else _windows(*points, (th, tw), c)
     if windows is None:
         return None
+    rows, cols, _ = points
     top, bottom, left, right = windows
     for i in np.flatnonzero((top <= ch) & (ch <= bottom)
                             & (left <= cw) & (cw <= right)):
         t, b, l, r = int(top[i]), int(bottom[i]), int(left[i]), int(right[i])
-        window = data[t:b + 2 * c + 1, l:r + 2 * c + 1]
+        # the mask under the window, from the points inside it
+        window = np.zeros((b - t + 2 * c + 1, r - l + 2 * c + 1), dtype=bool)
+        inside = (t <= rows) & (rows < t + len(window)) \
+            & (l <= cols) & (cols < l + window.shape[1])
+        window[rows[inside] - t, cols[inside] - l] = True
         fat = thicken(NoiseMask((t, l), window), c).data
         fh, fw = fat.shape
         starts, ends, lab = _runs(fat)
@@ -283,18 +305,23 @@ def _sparse_excluded(data: np.ndarray, c: int):
     return False
 
 
-def origin_excluded(mask: NoiseMask, c: int) -> bool:
+def origin_excluded(keys: np.ndarray, shape, c: int) -> bool:
     """Is the centre cell of the thickened box outside the largest open
-    component?
+    component?  `keys` are the sorted flat indices of the obscured cells
+    of a box of the given shape, as `noise.bernoulli_points` gives them.
 
-    A 2D mask with c >= 1 is decided from the obscured points when the
-    certificate holds, labelling only the windows that hold the centre;
-    otherwise the answer is read off `open_components`."""
-    if mask.data.ndim == 2 and c >= 1 and min(mask.shape) > 2 * c:
-        excluded = _sparse_excluded(mask.data, c)
+    A 2D box with c >= 1 is decided from the points when the certificate
+    holds, labelling only the windows that hold the centre; otherwise the
+    points are written into one mask and the answer is read off
+    `open_components`."""
+    shape = tuple(shape)
+    if len(shape) == 2 and c >= 1 and min(shape) > 2 * c:
+        excluded = _sparse_excluded(keys, shape, c)
         if excluded is not None:
             return excluded
-    giant = open_components(mask, c)
+    data = np.zeros(shape, dtype=bool)
+    data.reshape(-1)[keys] = True
+    giant = open_components(NoiseMask((0,) * len(shape), data), c)
     return bool(giant.data[tuple(s // 2 for s in giant.shape)])
 
 

@@ -142,7 +142,9 @@ def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
                           k % (length + 1)) for k in keys.tolist()]
     found = np.array([w is not None for w in words], dtype=bool)
     fast, n, which = fast[found[which]], n[found[which]], which[found[which]]
-    slow = np.setdiff1d(np.arange(len(a)), fast)
+    slow = np.ones(len(a), dtype=bool)
+    slow[fast] = False
+    slow = np.flatnonzero(slow)
     widened = _widened_fills(auto, rc, zip(a[slow].tolist(), b[slow].tolist()),
                              states_at, live)
     if widened is None:

@@ -830,6 +830,39 @@ class TestCli:
         for name in ("p0", "p1", "r", "b"):
             assert (tmp_path / f"{name}.csv").read_text().count("\n") > 1
 
+    def test_sweeps_leave_numpy_ma_unloaded(self, tmp_path):
+        # numpy.ma takes about 10 ms to import; plain np.unique and
+        # np.setdiff1d load it through their masked-array check
+        script = (
+            "import json, sys\n"
+            "from noisysft import cli\n"
+            "loaded = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append('numpy.ma' in sys.modules)\n"
+            "print(json.dumps(loaded))\n")
+        sweep = ["--trials", "2", "--seed", "3"]
+        calls = [
+            ["repair1d", "--epsilons", "0.02", "--box", "5000",
+             "--out", str(tmp_path / "l.csv")] + sweep,
+            ["perc", "--epsilons", "0.01,0.3", "--box", "64", "--c", "0",
+             "--out", str(tmp_path / "p0.csv")] + sweep,
+            ["perc", "--epsilons", "0.01,0.3", "--box", "64", "--c", "1",
+             "--out", str(tmp_path / "p1.csv")] + sweep,
+            ["repair2d", "--periodic", "checkerboard", "--epsilons",
+             "0.01,0.05", "--box", "64", "--out", str(tmp_path / "r.csv")]
+            + sweep,
+            ["robinson", "repair", "--scale", "2", "--box", "64", "--epsilon",
+             "1e-2", "--out", "csv", "--path", str(tmp_path / "b.csv")]
+            + sweep,
+        ]
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(calls)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert json.loads(out.stdout.splitlines()[-1]) == [False] * 5
+
     def test_perc_csv(self, tmp_path):
         out = tmp_path / "p.csv"
         code = cli.main(["perc", "--epsilons", "0.002", "--box", "64",

@@ -14,6 +14,7 @@ from noisysft.noise import (
     Bernoulli,
     GridNoise,
     bernoulli_masks,
+    bernoulli_points,
     cell_uniform,
     derive_seed,
     marginal_rate,
@@ -218,16 +219,18 @@ _UNEVEN_BOXES = [((-35, 17), (70, 1024)), ((5, -20, -350), (3, 40, 700)),
                  ((0, 0), (1, 40000)), ((7, 3), (65, 512))]
 
 
+# (origin, shape): the uneven boxes, or small random ones in 1-3 dimensions
+_BOXES = st.one_of(st.sampled_from(_UNEVEN_BOXES),
+                   st.integers(1, 3).flatmap(lambda d: st.tuples(
+                       st.lists(st.integers(-2 ** 40, 2 ** 40),
+                                min_size=d, max_size=d),
+                       st.lists(st.integers(1, 40), min_size=d,
+                                max_size=d))))
+
+
 class TestIntegerThresholds:
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 64 - 1),
-           st.one_of(st.sampled_from(_UNEVEN_BOXES),
-                     st.integers(1, 3).flatmap(lambda d: st.tuples(
-                         st.lists(st.integers(-2 ** 40, 2 ** 40),
-                                  min_size=d, max_size=d),
-                         st.lists(st.integers(1, 40), min_size=d,
-                                  max_size=d)))),
-           st.data())
+    @given(st.integers(0, 2 ** 64 - 1), _BOXES, st.data())
     def test_masks_equal_uniform_below_eps(self, seed, box, data):
         origin, shape = tuple(box[0]), tuple(box[1])
         u = cell_uniform(seed, origin, shape)
@@ -252,3 +255,20 @@ class TestIntegerThresholds:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
+
+
+class TestBernoulliPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), _BOXES,
+           st.lists(st.sampled_from([0.0, math.nan, 1.0])
+                    | st.floats(0.0, 1.0), min_size=1, max_size=5))
+    def test_equals_mask_indices_and_nests(self, seed, box, eps):
+        origin, shape = tuple(box[0]), tuple(box[1])
+        points = bernoulli_points(seed, shape, eps, origin)
+        masks = bernoulli_masks(seed, shape, eps, origin)
+        for keys, mask in zip(points, masks):
+            assert keys.dtype == np.intp
+            assert np.array_equal(keys, np.flatnonzero(mask.data))
+        live = sorted((e, i) for i, e in enumerate(eps) if not math.isnan(e))
+        for (_, lo), (_, hi) in zip(live, live[1:]):
+            assert np.isin(points[lo], points[hi]).all()

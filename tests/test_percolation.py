@@ -12,7 +12,7 @@ from scipy import ndimage
 from noisysft import harness as H
 from noisysft import percolation
 from noisysft.core import NoiseMask, thicken
-from noisysft.noise import Bernoulli, derive_seed, sample_mask
+from noisysft.noise import Bernoulli, bernoulli_masks, derive_seed, sample_mask
 from noisysft.percolation import (
     exclusion_bound,
     open_components,
@@ -21,6 +21,16 @@ from noisysft.percolation import (
 
 # 4-adjacency, for the reference labellings
 _CROSS = ndimage.generate_binary_structure(2, 1)
+
+
+def _keys(data):
+    """A mask's obscured cells as the points the percolation code takes:
+    sorted flat keys and the box shape."""
+    return np.flatnonzero(data), data.shape
+
+
+def _excluded(mask, c):
+    return origin_excluded(*_keys(mask.data), c)
 
 
 def mask_from(rows):
@@ -80,13 +90,13 @@ class TestOpenComponents:
 class TestOriginExcluded:
     def test_clear_box_includes_origin(self):
         mask = mask_from(np.zeros((33, 33), dtype=np.uint8))
-        assert not origin_excluded(mask, c=1)
+        assert not _excluded(mask, c=1)
 
     def test_blocked_centre_is_excluded(self):
         rows = np.zeros((33, 33), dtype=np.uint8)
         rows[16, 16] = 1
         mask = mask_from(rows)
-        assert origin_excluded(mask, c=1)
+        assert _excluded(mask, c=1)
 
     def test_ring_around_centre_excludes(self):
         rows = np.zeros((33, 33), dtype=np.uint8)
@@ -94,7 +104,7 @@ class TestOriginExcluded:
             rows[10, t] = rows[22, t] = rows[t, 10] = rows[t, 22] = 1
         mask = mask_from(rows)
         # centre survives thickening but sits in a small enclosed pocket
-        assert origin_excluded(mask, c=1)
+        assert _excluded(mask, c=1)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -106,8 +116,8 @@ class TestOriginExcluded:
         u = cell_uniform(np.uint64(seed), (0, 0), shape)
         lo = NoiseMask((0, 0), (u < 0.01).astype(np.uint8))
         hi = NoiseMask((0, 0), (u < 0.05).astype(np.uint8))
-        if origin_excluded(lo, c=1):
-            assert origin_excluded(hi, c=1)
+        if _excluded(lo, c=1):
+            assert _excluded(hi, c=1)
 
 
 def _sweep(epsilons, c, box, trials, seed):
@@ -171,7 +181,7 @@ class TestSharedField:
         # reference: a fresh Bernoulli mask per (epsilon, trial) on the
         # sweep's seed chain
         key = derive_seed(seed, "perc-sweep", c)
-        hits = [sum(origin_excluded(
+        hits = [sum(_excluded(
             sample_mask(Bernoulli(e), (box, box), derive_seed(key, "perc", t)),
             c) for t in range(trials)) for e in epsilons]
         assert [est["origin_excluded"][0] for est in shared] \
@@ -236,9 +246,9 @@ class TestSparseDecision:
             with pytest.raises(ValueError, match="too small"):
                 _dense_excluded(mask, c)
             with pytest.raises(ValueError, match="too small"):
-                origin_excluded(mask, c)
+                _excluded(mask, c)
             return
-        assert origin_excluded(mask, c) == _dense_excluded(mask, c)
+        assert _excluded(mask, c) == _dense_excluded(mask, c)
 
     def test_certified_answers_match_on_random_fields(self):
         rng = np.random.default_rng(5)
@@ -250,7 +260,7 @@ class TestSparseDecision:
                 continue
             density = float(np.exp(rng.uniform(np.log(0.002), np.log(0.2))))
             mask = NoiseMask((0, 0), rng.random((h, w)) < density)
-            got = percolation._sparse_excluded(mask.data, c)
+            got = percolation._sparse_excluded(*_keys(mask.data), c)
             if got is not None:
                 certified += 1
                 excluded += got
@@ -261,7 +271,7 @@ class TestSparseDecision:
     def test_ring_of_points_encloses_centre(self, dense_calls):
         # c = 1: points 3 apart give 3x3 squares that touch edge to edge
         mask = _points((41, 41), _ring((41, 41), (20, 20), 8, 3))
-        assert origin_excluded(mask, 1)
+        assert _excluded(mask, 1)
         assert dense_calls == []
         assert _dense_excluded(mask, 1)
 
@@ -272,7 +282,7 @@ class TestSparseDecision:
         tm = thicken(mask, 2)
         labels, _ = ndimage.label(tm.data == 0, structure=_CROSS)
         assert np.count_nonzero(labels == labels[0, 0]) == 20
-        assert not origin_excluded(mask, 2)
+        assert not _excluded(mask, 2)
         assert dense_calls == []
         assert not _dense_excluded(mask, 2)
 
@@ -283,7 +293,7 @@ class TestSparseDecision:
         wall = [(r, 91) for r in range(1, 14, 3)] \
             + [(13, q) for q in range(1, 92, 3)]
         mask = _points((23, 153), wall)
-        assert origin_excluded(mask, 1)
+        assert _excluded(mask, 1)
         assert dense_calls == []
         assert _dense_excluded(mask, 1)
 
@@ -305,26 +315,26 @@ class TestSparseDecision:
         data = {"bottom": data, "top": data[::-1], "right": data.T,
                 "left": data.T[:, ::-1]}[side]
         mask = NoiseMask((0, 0), data)
-        assert percolation._sparse_excluded(mask.data, 1) is False
-        assert not origin_excluded(mask, 1)
+        assert percolation._sparse_excluded(*_keys(mask.data), 1) is False
+        assert not _excluded(mask, 1)
         assert dense_calls == []
         assert not _dense_excluded(mask, 1)
 
     def test_centre_obscured(self, dense_calls):
         mask = _points((33, 47), [(17, 23)])
-        assert origin_excluded(mask, 1)
+        assert _excluded(mask, 1)
         assert dense_calls == []
 
     def test_all_obscured(self, dense_calls):
         # the certificate would fail, but an obscured centre is excluded
         # whatever the rest of the box holds
         mask = NoiseMask((0, 0), np.ones((15, 15), dtype=np.uint8))
-        assert origin_excluded(mask, 2)
+        assert _excluded(mask, 2)
         assert dense_calls == []
         assert _dense_excluded(mask, 2)
 
     def test_nothing_obscured(self, dense_calls):
-        assert not origin_excluded(_points((12, 30), []), 3)
+        assert not _excluded(_points((12, 30), []), 3)
         assert dense_calls == []
 
 
@@ -345,13 +355,52 @@ class TestSparseFallback:
         (NoiseMask((0, 0, 0), np.zeros((9, 9, 9), dtype=np.uint8)), 1),
     ], ids=["spanning", "area", "dense-scan", "c0", "3d"])
     def test_falls_back_to_dense(self, dense_calls, mask, c):
-        assert origin_excluded(mask, c) == _dense_excluded(mask, c)
+        assert _excluded(mask, c) == _dense_excluded(mask, c)
         assert len(dense_calls) == 1
 
     def test_box_too_small(self):
         mask = _points((4, 40), [(1, 1)])
         with pytest.raises(ValueError, match="box too small to thicken"):
-            origin_excluded(mask, 2)
+            _excluded(mask, 2)
+
+
+class TestTrialFromPoints:
+    """`_trial_perc` reads its epsilons from `bernoulli_points`; the
+    reference builds a mask per epsilon and labels the whole box."""
+
+    @pytest.mark.parametrize("c, box, trials, labelled", [
+        # c = 0 labels the box at every eps < 1
+        (0, 33, 6, 12),
+        # at c >= 1, eps 0.4 fails the certificate; the box is labelled
+        # when the centre's (2c + 1)^2 mask cells are clear (trial 18 here)
+        (1, 33, 20, 1),
+        (2, 41, 4, 0),
+    ])
+    def test_equals_mask_trial(self, dense_calls, c, box, trials, labelled):
+        eps = (0.0, 0.4, 1.0)
+        for t in range(trials):
+            seed = derive_seed(21, "perc", t)
+            want = [{"origin_excluded": float(_dense_excluded(mask, c))}
+                    for mask in bernoulli_masks(seed, (box, box), eps)]
+            assert H._trial_perc(((c, box), eps, seed)) == want
+        # eps 1 is answered with no mask
+        assert dense_calls == [(box, box)] * labelled
+
+    @pytest.mark.parametrize("c", [1, 2])
+    def test_traced_peak_of_a_1024_trial(self, c):
+        # two 256 KiB hash buffers and the points; a 1024^2 bool mask per
+        # epsilon would be 1 MiB each
+        args = ((c, 1024), (0.001, 0.003), derive_seed(13, "perc"))
+        want = [{"origin_excluded": float(_dense_excluded(mask, c))}
+                for mask in bernoulli_masks(args[2], (1024, 1024), args[1])]
+        tracemalloc.start()
+        try:
+            got = H._trial_perc(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2 ** 20
 
 
 @pytest.fixture
@@ -439,7 +488,7 @@ class TestClearCount:
         # read at a T cell its c-square covers; no neighbour-scan limit
         lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
             np.minimum(rows, th - 1), np.minimum(cols, tw - 1)]
-        points = percolation._clusters(data, c)
+        points = percolation._clusters(*_keys(data), c)
         if points is not None:
             assert np.array_equal(points[0], rows)
             assert np.array_equal(_canonical(points[2]), _canonical(lab))
@@ -457,7 +506,7 @@ class TestClearCount:
     ], ids=["point", "ring", "corner"])
     def test_known_counts(self, rows, expected):
         data = _points((33, 33), rows).data
-        points = percolation._clusters(data, 1)
+        points = percolation._clusters(*_keys(data), 1)
         fat = thicken(NoiseMask((0, 0), data), 1).data
         assert percolation._clear_count(fat, *points, 1) == expected
 
@@ -504,7 +553,7 @@ class TestGiantFromPoints:
         expected = _giant_reference(mask, c)
         tm = thicken(mask, c)
         count = ndimage.label(~tm.data, structure=_CROSS)[1]
-        points = percolation._clusters(mask.data, c)
+        points = percolation._clusters(*_keys(mask.data), c)
         certified = points is not None \
             and percolation._windows(*points, tm.shape, c) is not None
         with _spies() as (lab, hist):
@@ -555,7 +604,7 @@ class TestGiantFromPoints:
         # components sized; no intp copy of the whole label array is made
         rng = np.random.default_rng(3)
         mask = NoiseMask((0, 0), rng.random((514, 514)) < 0.3)
-        assert percolation._clusters(mask.data, 1) is None
+        assert percolation._clusters(*_keys(mask.data), 1) is None
         tracemalloc.start()
         try:
             giant = open_components(mask, 1)
@@ -622,6 +671,6 @@ class TestRunLabels:
     def test_window_answer_matches_dense(self, seed, h, w, c, density):
         rng = np.random.default_rng(seed)
         mask = NoiseMask((0, 0), rng.random((h, w)) < density)
-        got = percolation._sparse_excluded(mask.data, c)
+        got = percolation._sparse_excluded(*_keys(mask.data), c)
         assume(got is not None)  # the certificate holds
         assert got == _dense_excluded(mask, c)
