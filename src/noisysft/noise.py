@@ -162,21 +162,20 @@ def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
     return [NoiseMask(origin, m) for m in masks]
 
 
-def bernoulli_points(seed: int, shape, epsilons, origin=None) -> list[np.ndarray]:
+def bernoulli_points(seed: int, shape, epsilons) -> list[np.ndarray]:
     """The obscured cells of `bernoulli_masks`, as sorted flat indices into
     the box, one array per epsilon, with no mask built.  Each hash block is
     compared once with the largest live bound; the cells below it keep
     their hashes, and each epsilon keeps those below its own bound, so the
     arrays nest as eps grows.  eps >= 1 gives every cell, eps <= 0 and NaN
     none."""
-    origin = (0,) * len(shape) if origin is None else tuple(origin)
     eps = [float(e) for e in epsilons]
     limits = [_limit(e) for e in eps if 0.0 < e < 1.0]
     keys, hashes = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
     if limits:
         top, inner = max(limits), math.prod(shape[1:])
         below = np.empty(0, dtype=bool)  # sized by the first, largest block
-        for rows, h in _hash_blocks(seed, origin, shape):
+        for rows, h in _hash_blocks(seed, (0,) * len(shape), shape):
             h = h.reshape(-1)
             if below.size < h.size:
                 below = np.empty(h.size, dtype=bool)

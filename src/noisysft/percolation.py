@@ -176,8 +176,8 @@ def _clusters(keys: np.ndarray, shape: tuple, c: int):
     row offset dr = 0..d have flat indices in [key + dr width - d,
     key + dr width + d] (later keys only at dr = 0); two binary searches
     per offset find them, and the explicit distance test drops the matches
-    that wrapped round a row end.  Roots come from min-label hooking with pointer jumping, so a
-    root is its cluster's smallest point index."""
+    that wrapped round a row end.  Roots come from min-label hooking with
+    pointer jumping, so a root is its cluster's smallest point index."""
     d, width = 2 * c + 1, shape[1]
     n = len(keys)
     if n * (d + 1) * (2 * d + 1) > shape[0] * width:
@@ -199,10 +199,14 @@ def _clusters(keys: np.ndarray, shape: tuple, c: int):
 def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                  lab: np.ndarray, c: int) -> int:
     """The number of clear components of the thickened box `fat`, b0 - chi,
-    from its points' cluster labels and one pass over bands of rows."""
+    from its points' cluster roots (`lab`, as `_clusters` gives them: a
+    root labels itself) and one pass over bands of rows."""
     th, tw = fat.shape
     edge = (rows <= 2 * c) | (rows >= th - 1) | (cols <= 2 * c) | (cols >= tw - 1)
-    b0 = 1 + _distinct(lab) - _distinct(lab[edge])
+    seen = np.zeros(len(lab), dtype=bool)
+    seen[lab[edge]] = True  # the roots of the clusters touching the edge
+    b0 = 1 + np.count_nonzero(lab == np.arange(len(lab))) \
+        - np.count_nonzero(seen)
     chi, step = 0, 2 ** 16 // tw + 1
     for r0 in range(0, th, step):
         band = fat[r0:r0 + step + 1]  # with the next band's first row
@@ -212,13 +216,6 @@ def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
             - np.count_nonzero(band[:, :-1] | band[:, 1:]) \
             + np.count_nonzero(pairs[:, :-1] | pairs[:, 1:])
     return b0 - chi
-
-
-def _distinct(a: np.ndarray) -> int:
-    """The number of distinct values in `a`, from one sort (plain
-    `np.unique` imports numpy.ma)."""
-    a = np.sort(a)
-    return int(np.count_nonzero(a[1:] != a[:-1])) + 1 if len(a) else 0
 
 
 def _windows(rows: np.ndarray, cols: np.ndarray, lab: np.ndarray,

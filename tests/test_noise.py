@@ -263,9 +263,9 @@ class TestBernoulliPoints:
            st.lists(st.sampled_from([0.0, math.nan, 1.0])
                     | st.floats(0.0, 1.0), min_size=1, max_size=5))
     def test_equals_mask_indices_and_nests(self, seed, box, eps):
-        origin, shape = tuple(box[0]), tuple(box[1])
-        points = bernoulli_points(seed, shape, eps, origin)
-        masks = bernoulli_masks(seed, shape, eps, origin)
+        shape = tuple(box[1])  # points are sampled at origin 0
+        points = bernoulli_points(seed, shape, eps)
+        masks = bernoulli_masks(seed, shape, eps)
         for keys, mask in zip(points, masks):
             assert keys.dtype == np.intp
             assert np.array_equal(keys, np.flatnonzero(mask.data))

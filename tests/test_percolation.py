@@ -492,7 +492,8 @@ class TestClearCount:
         if points is not None:
             assert np.array_equal(points[0], rows)
             assert np.array_equal(_canonical(points[2]), _canonical(lab))
-        assert percolation._clear_count(fat, rows, cols, lab, c) \
+        # _clear_count reads labels as roots: each point's smallest peer
+        assert percolation._clear_count(fat, rows, cols, _canonical(lab), c) \
             == ndimage.label(~fat, structure=_CROSS)[1]
 
     @pytest.mark.parametrize("rows, expected", [
@@ -519,15 +520,15 @@ class TestClearCount:
         rows, cols = np.nonzero(data)
         lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
             np.minimum(rows, len(fat) - 1), np.minimum(cols, 31)]
-        assert percolation._clear_count(fat, rows, cols, lab, 1) \
+        assert percolation._clear_count(fat, rows, cols, _canonical(lab), 1) \
             == ndimage.label(~fat, structure=_CROSS)[1]
 
     def test_all_obscured(self):
         data = np.ones((12, 9), dtype=bool)
         fat = thicken(NoiseMask((0, 0), data), 2).data
         rows, cols = np.nonzero(data)
-        assert percolation._clear_count(fat, rows, cols,
-                                        np.zeros(len(rows)), 2) == 0
+        assert percolation._clear_count(
+            fat, rows, cols, np.zeros(len(rows), dtype=np.intp), 2) == 0
 
 
 @contextlib.contextmanager
