@@ -293,7 +293,7 @@ def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
     """Resample the obscured cells uniformly over the alphabet."""
     rng = np.random.default_rng(seed)
     noisy = data.copy()
-    noisy[mask] = rng.integers(0, nsym, size=int(mask.sum()))
+    noisy[mask] = rng.integers(0, nsym, size=np.count_nonzero(mask))
     return noisy
 
 

@@ -418,16 +418,6 @@ class RepairPeriodicReport:
     no_votes: bool
 
 
-# int16: a vote top + 8 w is exact up to 32768 translates; numpy raises past
-_TOP_BIT = np.array([v.bit_length() - 1 for v in range(256)], dtype=np.int16)
-_TOP_BIT.setflags(write=False)
-
-
-def _top_bit(x: np.ndarray) -> np.ndarray:
-    """Index of the highest set bit of each uint8 word, -1 where it is 0."""
-    return _TOP_BIT[x]
-
-
 def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
                     c: int) -> RepairPeriodicReport:
     """Majority-vote repair: infer the translate on the largest open
@@ -439,10 +429,15 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     agrees with translate i) come from one gather in the MATCH table of
     the periodic SFT; OR-ing their complements over the (2c+1) box leaves
     the translates broken somewhere in it, so the consistent translates
-    are the complement of that, and the vote is its highest set bit.
-    Bits are held in uint8 words of 8 translates, one pass per word.
-    Vote ties pick the lexicographically greatest offset, matching the
-    maximal-configuration convention.
+    are the complement of that.  Bits are held in uint8 words of 8
+    translates.  A cell votes for translate 8 w + i exactly when its word
+    w lies in [2^i, 2^(i+1)) and every higher word is 0, so the words are
+    taken highest first: a word is zeroed on the cells off the giant or
+    already voting in a higher word, and the count of translate 8 w + i
+    is the number of cells with word >= 2^i less those with word
+    >= 2^(i+1); no per-cell vote is built.  Vote ties pick the
+    lexicographically greatest offset, matching the maximal-configuration
+    convention.
     """
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
@@ -459,17 +454,17 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
               for k, (o, s) in enumerate(zip(grid.origin[::-1],
                                              grid.shape[::-1])))
     np.add(key, g, out=key, casting="unsafe")
-    for w, table in enumerate(p._match):  # one word per 8 translates
-        bits = table.ravel()[key]
-        top = _top_bit(~core._or_windows(~bits, c))
-        vote = top if w == 0 else np.where(top >= 0, top + 8 * w, vote)
-    # bands of leading-axis rows keep the index and bincount temporaries small
     counts = np.zeros(len(orbit), dtype=np.intp)
-    step = 2 ** 16 // max(vote[:1].size, 1) + 1  # vote[:1]: one row's cells
-    for r0 in range(0, len(vote), step):
-        band = vote[r0:r0 + step]
-        counts += np.bincount(band[~giant.data[r0:r0 + step] & (band >= 0)],
-                              minlength=len(orbit))
+    off = giant.data.copy()  # cells that cast no vote in the words left
+    for w in range(len(p._match) - 1, -1, -1):  # one word per 8 translates
+        ok = ~core._or_windows(~p._match[w].ravel()[key], c)
+        np.copyto(ok, 0, where=off)
+        size = min(8, len(orbit) - 8 * w)
+        at_least = np.array([np.count_nonzero(ok >= 1 << i)
+                             for i in range(size)] + [0])
+        counts[8 * w:8 * w + size] = at_least[:-1] - at_least[1:]
+        if w:
+            off |= ok != 0
     no_votes = not counts.any()
     if no_votes:
         best = len(orbit) - 1

@@ -24,7 +24,6 @@ from noisysft.noise import Bernoulli, sample_mask
 from noisysft.repair import (
     PeriodicSft,
     Repair1DReport,
-    _top_bit,
     local_global_constant,
     parse_periodic,
     repair_1d,
@@ -710,8 +709,8 @@ class TestRepairPeriodic:
 
     @pytest.mark.parametrize("target", ["checkerboard", "stripes"])
     def test_traced_peak_of_a_512_box(self, target):
-        # uint8 symbols, MATCH key and words, int16 votes and an int32 label
-        # array; int64 symbols and keys alone would be 4 MiB
+        # uint8 symbols, MATCH key and words, bool vote masks and an int32
+        # label array; int64 symbols and keys alone would be 4 MiB
         _, p = H.resolve_periodic(target)
         c = local_global_constant(p)
         shape = (512, 512)
@@ -871,12 +870,6 @@ class TestRandomPeriodic:
                     got.no_votes) == (want.offset, want.c,
                                       want.changed_fraction,
                                       want.vote_counts, want.no_votes)
-
-    def test_top_bit_is_the_frexp_rule(self):
-        words = np.arange(256, dtype=np.uint8)
-        want = np.frexp(words.astype(np.float32))[1] - 1
-        assert np.array_equal(_top_bit(words), want)
-        assert _top_bit(words[:1])[0] == -1
 
     def test_orbit_over_128_translates(self):
         # period 12 gives up to 144 translates: vote indices past 127, the
