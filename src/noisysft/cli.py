@@ -184,6 +184,10 @@ def _cmd_sample(args) -> int:
     # the mask prints as rows of a 2D box; a clean word is 1D
     hn.check_sides(args.box, "a sample --sft" if args.sft else "a sample",
                    "one side" if args.sft else "one or two sides")
+    # the seed keys the noise hash as a uint64, unlike the sweeps' seeds,
+    # which pass through derive_seed
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"sample needs --seed in [0, 2^64), got {args.seed}")
     model = parse_model(args.model)
     mask = sample_mask(model, args.box, args.seed)
     lines = [f"# model {args.model} marginal "

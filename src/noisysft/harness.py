@@ -212,6 +212,9 @@ def _pool_map(fn, payloads, threads: int):
 # clean-sample helpers
 
 
+_TABLE_CAP = 1 << 20  # (live state, draw % period) entries the sampler holds
+
+
 def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
                            seed: int) -> np.ndarray:
     """A random globally admissible word from a walk on the live states.
@@ -219,23 +222,33 @@ def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
     The walk starts at a live state and follows only edges into live
     states; every live state has one, since a bi-infinite path runs
     through it.  The start state and each step are fixed by pre-drawn
-    integers: step i leaves state s by its (draw % deg(s))-th live edge.
+    uint32 integers: step i leaves state s by its (draw % deg(s))-th live
+    edge.
 
     The walk runs in numpy.  With L the lcm of the live out-degrees,
     draw % deg(s) == (draw % L) % deg(s), because deg(s) divides L, so
-    one (state, draw % L) table gives each step's next state and letter.
-    The steps are cut into blocks of about sqrt(steps) (and at least as
-    many steps as live states, so every array stays O(length)).  Pass 1
-    runs every block but the last from every live state at once, giving
-    each block's map from entry to exit state; a short loop over the
-    blocks chains the maps into each block's entry state; pass 2 walks
-    all blocks from their entries at once and reads off the letters.
+    one (state, draw % L) table gives each step's next state and letter;
+    a table over 2^20 entries is refused with a ValueError naming L.  The
+    steps are cut into blocks of about sqrt(steps) (and at least as many
+    steps as live states, so every array stays O(length)).
+
+    Pass 1 steps every block from every live state at once, on the shared
+    draws, and checks every 8 steps whether each block's lanes have met
+    (the grand coupling of Propp and Wilson).  Once they have, at step k,
+    a block's state after step k is the same from any entry, so one lane
+    per block walks on from there and writes letters k onwards, and each
+    block's exit is the next block's entry.  If the lanes never all meet
+    (as on a periodic SFT), pass 1 runs every block to its end, and a
+    short loop over the blocks chains their maps into each block's entry.
+    Pass 2 walks all blocks from their entries for the first k steps and
+    writes those letters.
 
     The word is held in the narrowest unsigned dtype of the alphabet
     (uint8 up to 256 letters), as `corrupt`, `repair.repair_1d` and the
     automaton oracle keep it.  The walk holds each state multiplied by
     the period, so a step is one add and one gather, and reads each step's
-    draws as one contiguous row, draw j of every block."""
+    draws as one contiguous row, draw j of every block, held as draw % L
+    in the narrowest unsigned dtype of L."""
     if length < auto.word_len:
         raise ValueError("box shorter than the automaton word length")
     live = a1d.live_states(auto)
@@ -247,14 +260,21 @@ def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
     opts = [[(b, pos[j]) for b, j in auto.edges[s] if j in live]
             for s in starts]
     period = math.lcm(*(len(o) for o in opts))
+    if period * len(starts) > _TABLE_CAP:
+        raise ValueError(f"the live out-degrees have lcm {period}: the "
+                         f"sampler's {len(starts)} x {period} step table "
+                         f"is over {_TABLE_CAP} entries")
     # (state, draw % period) -> letter and period * next state, flattened
     # per column
-    table = np.array([[o[r % len(o)] for r in range(period)] for o in opts],
-                     dtype=np.intp)
-    letter = table[..., 0].ravel().astype(dtype)
-    nxt = table[..., 1].ravel() * period
+    degs = np.array([len(o) for o in opts])
+    picks = ((np.cumsum(degs) - degs)[:, None]
+             + np.arange(period) % degs[:, None])
+    edges = np.array([e for o in opts for e in o], dtype=np.intp)
+    table = edges[picks.ravel()]
+    letter = table[:, 0].astype(dtype)
+    nxt = table[:, 1] * period
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, 1 << 32, size=length + 1)
+    draws = rng.integers(0, 1 << 32, size=length + 1, dtype=np.uint32)
     first = int(draws[0]) % len(starts)
     steps = length - auto.word_len
     if steps == 0:
@@ -262,29 +282,40 @@ def sample_admissible_word(auto: a1d.WordAutomaton, length: int,
     block = max(math.isqrt(steps), len(starts))
     nblocks = -(-steps // block)
     # cols[j, b] is draw j of block b; the last block is padded
-    cols = np.zeros((block, nblocks), dtype=np.intp)
+    cols = np.zeros((block, nblocks), dtype=np.min_scalar_type(period - 1))
     full = (nblocks - 1) * block
     np.remainder(draws[1:full + 1].reshape(nblocks - 1, block), period,
                  out=cols.T[:-1])
     np.remainder(draws[full + 1:steps + 1], period,
                  out=cols[:steps - full, -1])
     del draws
-    maps = np.tile(np.arange(len(starts), dtype=np.intp) * period,
-                   (nblocks - 1, 1))
-    for j in range(block):
-        maps = nxt[maps + cols[j, :-1, None]]
-    entry = np.empty(nblocks, dtype=np.intp)
-    entry[0] = first * period
-    for b in range(nblocks - 1):
-        entry[b + 1] = maps[b, entry[b] // period]
     word = np.empty(auto.word_len + nblocks * block, dtype=dtype)
     word[:auto.word_len] = auto.states[starts[first]]
     letters = word[auto.word_len:].reshape(nblocks, block)
-    cur = entry
+
+    def walk(cur, js):
+        for j in js:
+            at = cur + cols[j]
+            letters[:, j] = letter[at]
+            cur = nxt[at]
+        return cur
+
+    lanes = np.tile(np.arange(len(starts), dtype=np.intp) * period,
+                    (nblocks, 1))
+    k = block
     for j in range(block):
-        at = cur + cols[j]
-        letters[:, j] = letter[at]
-        cur = nxt[at]
+        lanes = nxt[lanes + cols[j, :, None]]
+        if j % 8 == 7 and (lanes == lanes[:, :1]).all():
+            k = j + 1
+            break
+    entry = np.empty(nblocks, dtype=np.intp)
+    entry[0] = first * period
+    if k < block:
+        entry[1:] = walk(lanes[:, 0], range(k, block))[:-1]
+    else:
+        for b in range(nblocks - 1):
+            entry[b + 1] = lanes[b, entry[b] // period]
+    walk(entry, range(k))
     return word[:length]
 
 

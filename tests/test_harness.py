@@ -425,13 +425,47 @@ class TestBlockedWalk:
             assert got.dtype == np.uint8 and got.shape == (length,)
             assert np.array_equal(got, want), (sft, length, seed)
 
+    # each block's lanes meet on golden-mean and sft3 and never meet on
+    # ALTERNATING and its two-cycle twin
     @pytest.mark.parametrize("sft", [GOLDEN_MEAN, ALTERNATING,
-                                     word_sft("012", ["11", "202", "0220"])])
+                                     word_sft("012", ["11", "202", "0220"]),
+                                     word_sft("ab", ["ab", "ba"])])
     def test_long_words_match(self, sft):
         auto = build_automaton(sft)
         for length, seed in ((100_000, 3), (4097, 8), (12_345, 9)):
             assert np.array_equal(H.sample_admissible_word(auto, length, seed),
                                   _walk_reference(auto, length, seed))
+
+    @pytest.mark.parametrize("sft", [GOLDEN_MEAN, ALTERNATING,
+                                     word_sft("012", ["11", "202", "0220"])])
+    def test_blocks_shorter_than_the_meeting_check(self, sft):
+        # up to 64 steps the blocks hold at most 8 steps, so the lanes are
+        # never checked before a block ends
+        auto = build_automaton(sft)
+        for length in range(auto.word_len + 1, auto.word_len + 65):
+            for seed in (0, 5):
+                assert np.array_equal(
+                    H.sample_admissible_word(auto, length, seed),
+                    _walk_reference(auto, length, seed)), (length, seed)
+
+    @staticmethod
+    def _ladder(n):
+        # letter i may be followed only by letters <= i + 1: the live
+        # out-degrees are 2..n and n, with lcm(2..n) table columns
+        al = "abcdefghijklmnopqrst"[:n]
+        return build_automaton(word_sft(al, [a + b for i, a in enumerate(al)
+                                             for b in al[i + 2:]]))
+
+    def test_eleven_letter_ladder_matches(self):
+        auto = self._ladder(11)
+        for length, seed in ((1000, 1), (20_000, 2)):
+            assert np.array_equal(H.sample_admissible_word(auto, length, seed),
+                                  _walk_reference(auto, length, seed))
+
+    def test_twenty_letter_ladder_refused(self):
+        # a 20 x lcm(2..20) table would hold 4.7e9 entries
+        with pytest.raises(ValueError, match="lcm 232792560"):
+            H.sample_admissible_word(self._ladder(20), 1000, 0)
 
 
 class TestTrialMemory:
@@ -446,6 +480,19 @@ class TestTrialMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 2 ** 20
+
+    def test_traced_peak_of_a_100k_sample(self):
+        # uint32 draws and uint8 remainders; int64 draws and intp
+        # remainders held at once peaked at 1.59 MiB
+        auto = build_automaton(GOLDEN_MEAN)
+        H.sample_admissible_word(auto, 100_000, 5)
+        tracemalloc.start()
+        try:
+            H.sample_admissible_word(auto, 100_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * 2 ** 20
 
 
 class TestLocalityFlags:
@@ -891,6 +938,13 @@ class TestCli:
                          "--out", str(out)]) == 2
         assert err in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, code", [(-5, 2), (2 ** 64, 2),
+                                            (2 ** 64 - 1, 0)])
+    def test_sample_seed_range(self, seed, code, capsys):
+        assert cli.main(["sample", "--model", "bernoulli:0.5", "--box", "8",
+                         "--sft", "golden-mean", "--seed", str(seed)]) == code
+        assert ("[0, 2^64)" in capsys.readouterr().err) == (code == 2)
 
     def test_robinson_gen_roundtrip(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
