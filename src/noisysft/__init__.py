@@ -30,9 +30,7 @@ from .core import (
     word_sft,
 )
 from .harness import (
-    DistanceEstimate,
     ExperimentSpec,
-    InstabilityReport,
     format_csv,
     run_instability_bern1d,
     run_instability_grid2d,

@@ -235,24 +235,27 @@ def _cmd_instability(args) -> int:
                    "one side or two equal sides" if args.icmd == "grid2d"
                    else "one side")
     if args.icmd == "phase1d":
-        rep = hn.run_instability_phase1d(args.p, box[0], args.trials,
-                                         args.seed)
+        rows = hn.run_instability_phase1d(args.p, box[0], args.trials,
+                                          args.seed)
     elif args.icmd == "bern1d":
-        rep = hn.run_instability_bern1d(args.sft, args.epsilon, box[0],
-                                        args.trials, args.seed)
+        rows = hn.run_instability_bern1d(args.sft, args.epsilon, box[0],
+                                         args.trials, args.seed)
     else:
         _, p = hn.resolve_periodic(args.periodic)
-        rep = hn.run_instability_grid2d(p, args.k, args.n, box[0],
-                                        args.trials, args.seed)
-    print(f"estimate: {rep.estimate.value:.6f} +- {rep.estimate.ci95:.6f}")
-    print(f"certificate: {rep.certificate:.6f}")
-    print(f"obscured_rate: {rep.obscured_rate:.6f}")
-    print(f"slack: {rep.slack:.6f}")
-    if rep.flagged:
-        print(f"finite-size gap: {rep.finite_size_gap:.6f} "
+        rows = hn.run_instability_grid2d(p, args.k, args.n, box[0],
+                                         args.trials, args.seed)
+    cell = {r["metric"]: (r["value"], r["ci95"]) for r in rows}
+    (estimate, ci95), certificate = cell["min_density"], cell["certificate"][0]
+    slack = cell["slack"][0]
+    print(f"estimate: {estimate:.6f} +- {ci95:.6f}")
+    print(f"certificate: {certificate:.6f}")
+    print(f"obscured_rate: {cell['obscured_rate'][0]:.6f}")
+    print(f"slack: {slack:.6f}")
+    if estimate < certificate - slack:
+        print(f"finite-size gap: {certificate - estimate:.6f} "
               f"(estimate under certificate; grow the box or trials)")
     if args.out:
-        _emit(hn.format_csv(rep.rows()), args.out)
+        _emit(hn.format_csv(rows), args.out)
     return 0
 
 

@@ -141,8 +141,6 @@ class ExperimentSpec:
         for e in self.epsilons:
             if not 0.0 <= e <= 1.0:
                 raise ValueError(f"epsilon {e} outside [0, 1]")
-        if self.trials < 1:
-            raise ValueError("need at least one trial")
         if any(side < 1 for side in self.box):
             raise ValueError("box sides must be positive")
         if self.threads < 1:
@@ -331,31 +329,32 @@ def corrupt(data: np.ndarray, mask: np.ndarray, nsym: int,
 # ---------------------------------------------------------------------------
 # sweeps
 #
-# Every sweep driver runs the same Monte Carlo loop.  A trial takes
-# (payload, epsilons, trial seed), draws its clean sample once, and
-# returns one {metric: value} dict per epsilon; `_sweep_rows` pools the
-# trials and turns them into rows.
-
-
-def _metric_rows(experiment: str, sft: str, model: str, epsilon: float, box,
-                 trials: int, seed: int, cells: dict) -> list[dict]:
-    """One CSV row per metric of `cells`, {metric: (value, ci95)}."""
-    base = {"experiment": experiment, "sft": sft, "model": model,
-            "epsilon": epsilon, "box": _box_str(box), "trials": trials,
-            "seed": seed}
-    return [dict(base, metric=m, value=v, ci95=ci)
-            for m, (v, ci) in cells.items()]
+# Every experiment, sweep or instability construction, runs the same Monte
+# Carlo loop.  A trial takes (payload, epsilons, trial seed), draws its
+# clean sample or construction once, and returns one dict per epsilon;
+# `_sweep_rows` pools the trials and hands each epsilon's dicts to the
+# experiment's reducer, whose {metric: (value, ci95)} become the rows.
 
 
 _FLOORED = frozenset({"origin_excluded"})  # ci95 by `mean_ci`'s floored rule
 
 
+def _trial_means(per_trial) -> dict:
+    """{metric: (trial mean, ci95)} for every metric of the trial dicts."""
+    return {m: mean_ci([r[m] for r in per_trial], floored=m in _FLOORED)
+            for m in per_trial[0]}
+
+
 def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
-                trial, payload, closed, key, min_side: int) -> list[dict]:
-    """Rows per epsilon: the trial mean and ci95 of every metric, then the
-    closed-form metrics `closed(eps, per_trial)`, which replace an averaged
-    metric of the same name.  Trial t is seeded `derive_seed(*key, t)`.
-    A box side below `min_side`, the least the kernel takes, is refused."""
+                trial, payload, reduce, key, min_side: int,
+                model: str | None = None) -> list[dict]:
+    """One CSV row per metric of `reduce(eps, per_trial)`, {metric: (value,
+    ci95)}, for each epsilon; a value of the trial dicts that the reducer
+    does not name is never written.  Trial t is seeded `derive_seed(*key,
+    t)`.  The model label defaults to `bernoulli:<eps>`.  No trials, or a
+    box side below `min_side`, the least the kernel takes, is refused."""
+    if spec.trials < 1:
+        raise ValueError("need at least one trial")
     if min(box) < min_side:
         raise ValueError(f"{experiment} needs every box side at least "
                          f"{min_side}, got {_box_str(spec.box)!r}")
@@ -364,12 +363,11 @@ def _sweep_rows(spec: ExperimentSpec, experiment: str, sft: str, box,
                         spec.threads)
     rows = []
     for i, eps in enumerate(spec.epsilons):
-        per_trial = [res[i] for res in results]
-        cells = {m: mean_ci([r[m] for r in per_trial], floored=m in _FLOORED)
-                 for m in per_trial[0]}
-        cells.update((m, (v, 0.0)) for m, v in closed(eps, per_trial).items())
-        rows += _metric_rows(experiment, sft, f"bernoulli:{_fmt(eps)}", eps,
-                             box, spec.trials, spec.seed, cells)
+        base = {"experiment": experiment, "sft": sft,
+                "model": model or f"bernoulli:{_fmt(eps)}", "epsilon": eps,
+                "box": _box_str(box), "trials": spec.trials, "seed": spec.seed}
+        rows += [dict(base, metric=m, value=v, ci95=ci) for m, (v, ci)
+                 in reduce(eps, [res[i] for res in results]).items()]
     return rows
 
 
@@ -434,7 +432,8 @@ def run_repair1d_sweep(spec: ExperimentSpec):
     consts = a1d.repair_constants(auto)
     return _sweep_rows(spec, "repair1d", name, spec.box, _trial_repair1d,
                        (sft, spec.box[0]),
-                       lambda eps, _: {"bound": 3.0 * (2 * consts.E + 1) * eps},
+                       lambda eps, rs: {**_trial_means(rs), "bound": (
+                           3.0 * (2 * consts.E + 1) * eps, 0.0)},
                        (spec.seed, "repair1d"), consts.min_length)
 
 
@@ -462,8 +461,8 @@ def run_perc_sweep(spec: ExperimentSpec):
     box = spec.box[0]
     return _sweep_rows(spec, "perc", f"free-c{c}", (box, box), _trial_perc,
                        (c, box),
-                       lambda eps, _: {"exclusion_bound":
-                                       exclusion_bound(eps, c)},
+                       lambda eps, rs: {**_trial_means(rs), "exclusion_bound":
+                                        (exclusion_bound(eps, c), 0.0)},
                        (derive_seed(spec.seed, "perc-sweep", c), "perc"),
                        2 * c + 1)
 
@@ -499,7 +498,8 @@ def run_repair2d_sweep(spec: ExperimentSpec):
     shape = _square(spec.box)
     return _sweep_rows(spec, "repair2d", name, shape, _trial_repair2d,
                        (p, shape, c),
-                       lambda eps, _: {"bound": 2.0 * exclusion_bound(eps, c)},
+                       lambda eps, rs: {**_trial_means(rs), "bound": (
+                           2.0 * exclusion_bound(eps, c), 0.0)},
                        (spec.seed, "repair2d"), 2 * c + 1)
 
 
@@ -546,12 +546,13 @@ def run_robinson_repair(spec: ExperimentSpec):
     min_side = 2 ** (max(spec.scales) + 2) + 1
     rows = []
     for n_scale in spec.scales:
-        def closed(eps, per_trial, n_scale=n_scale):
+        def reduce(eps, per_trial, n_scale=n_scale):
+            # the largest slack, in the slot of the mean it replaces
             slack = max(r["slack"] for r in per_trial)
-            return {"slack": slack,
-                    "bound": rb.robinson_bound(eps, n_scale) + slack}
+            return {**_trial_means(per_trial), "slack": (slack, 0.0),
+                    "bound": (rb.robinson_bound(eps, n_scale) + slack, 0.0)}
         rows += _sweep_rows(spec, "robinson", f"robinson-{n_scale}", shape,
-                            _trial_robinson, (n_scale, shape), closed,
+                            _trial_robinson, (n_scale, shape), reduce,
                             (spec.seed, "robinson", n_scale), min_side)
     return rows
 
@@ -567,107 +568,64 @@ def finite_size_slack(cells: int) -> float:
     return 4.0 / math.sqrt(cells)
 
 
-@dataclass(frozen=True)
-class DistanceEstimate:
-    """Empirical Besicovitch distance on a finite box: the mean Hamming
-    density over coupled sample pairs, with a normal 95% interval."""
-
-    value: float
-    ci95: float
-    trials: int
-
-
-def _min_over_refs(per_ref) -> DistanceEstimate:
-    """Distance to the nearest reference: trial-mean per reference first,
-    then the minimum.  Per-trial minima would undershoot, since segment
-    shift fluctuations let single samples drift toward either reference."""
-    per_ref = np.asarray(per_ref, dtype=np.float64)
-    means = per_ref.mean(axis=1)
-    best = int(means.argmin())
-    mean, ci = mean_ci(per_ref[best])
-    return DistanceEstimate(value=mean, ci95=ci, trials=per_ref.shape[1])
-
-
-@dataclass(frozen=True)
-class InstabilityReport:
-    kind: str
-    estimate: DistanceEstimate
-    certificate: float  # the construction's closed-form lower bound
-    obscured_rate: float
-    slack: float
-    box: tuple[int, ...]
-    trials: int
-    seed: int
-    model: str
-    sft: str
-    epsilon: float
-
-    @property
-    def finite_size_gap(self) -> float:
-        """How far the estimate fell below the certificate, if at all."""
-        return max(0.0, self.certificate - self.estimate.value)
-
-    @property
-    def flagged(self) -> bool:
-        return self.estimate.value < self.certificate - self.slack
-
-    def rows(self):
-        return _metric_rows(
-            self.kind, self.sft, self.model, self.epsilon, self.box,
-            self.trials, self.seed,
-            {"min_density": (self.estimate.value, self.estimate.ci95),
-             "certificate": (self.certificate, 0.0),
-             "obscured_rate": (self.obscured_rate, 0.0),
-             "slack": (self.slack, 0.0)})
+def _nearest_reference(certificate: float, box):
+    """The instability reducer: `min_density`, the distance to the nearest
+    reference, then the certificate, the mean obscured fraction and the
+    slack.  `min_density` is the least trial mean over the references, with
+    that reference's ci95.  Per-trial minima would undershoot, since
+    segment shift fluctuations let single samples drift toward either
+    reference."""
+    def reduce(eps, per_trial):
+        # references x trials in C order: numpy sums each contiguous row
+        # pairwise, while a transposed view sums in another order and can
+        # differ in the last bit
+        per_ref = np.array([r["per_ref"] for r in per_trial]).T.copy()
+        obscured = 0.0
+        for r in per_trial:  # left to right; np.mean and fsum round otherwise
+            obscured += r["obscured"]
+        return {"min_density": mean_ci(per_ref[per_ref.mean(axis=1).argmin()]),
+                "certificate": (certificate, 0.0),
+                "obscured_rate": (obscured / len(per_trial), 0.0),
+                "slack": (finite_size_slack(math.prod(box)), 0.0)}
+    return reduce
 
 
-def _instability_report(kind: str, refs, draw, trials: int, seed: int,
-                        box: tuple[int, ...], **fields) -> InstabilityReport:
-    """The loop shared by the constructions: `draw(t)` returns trial t's
-    configuration and mask; the report holds the distance to the nearest
-    reference and the mean obscured fraction."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    per_ref = np.empty((len(refs), trials))
-    obscured = 0.0
-    for t in range(trials):
-        x, mask = draw(t)
-        per_ref[:, t] = [float((x != ref).mean()) for ref in refs]
-        obscured += float(mask.mean())
-    return InstabilityReport(
-        kind=kind, estimate=_min_over_refs(per_ref),
-        obscured_rate=obscured / trials,
-        slack=finite_size_slack(math.prod(box)), box=box, trials=trials,
-        seed=seed, **fields)
+def _distances(x: np.ndarray, mask: np.ndarray, refs) -> dict:
+    """A construction trial's result: its Hamming density to each reference
+    and its obscured fraction."""
+    return {"per_ref": [float((x != ref).mean()) for ref in refs],
+            "obscured": float(mask.mean())}
+
+
+def _trial_phase1d(args):
+    (p, box), _, tseed = args
+    m = sample_mask(parse_model(f"grid:1,{p - 1}"), (box,), tseed).data
+    idx = np.arange(box, dtype=np.int64)
+    ref0 = idx % 2
+    phase = int(np.flatnonzero(m)[0]) % p
+    seg = (idx - phase + p) // p
+    x = np.where(m, ref0, (idx + seg) % 2)
+    return [_distances(x, m, [ref0, 1 - ref0])]
 
 
 def run_instability_phase1d(p: int, box: int, trials: int,
-                            seed: int) -> InstabilityReport:
+                            seed: int) -> list[dict]:
     """Deterministic period-p mask over the {00,11} system.
 
     Each clear window of length p-1 copies one of the two alternating
     points, switching at every obscured cell; obscured cells copy the
     first point.  The minimum density over both points concentrates at
-    1/2 - 1/(2p).
+    1/2 - 1/(2p), the certificate.  Rows as `_nearest_reference` gives
+    them, at epsilon 1/p.
     """
     if p < 2:
         raise ValueError("p must be at least 2")
-    if box < 2 * p:
-        raise ValueError("box too small for the mask period")
-    model = parse_model(f"grid:1,{p - 1}")
-    idx = np.arange(box, dtype=np.int64)
-    ref0 = idx % 2
-
-    def draw(t):
-        m = sample_mask(model, (box,), derive_seed(seed, "phase1d", t)).data
-        phase = int(np.flatnonzero(m)[0]) % p
-        seg = (idx - phase + p) // p
-        return np.where(m, ref0, (idx + seg) % 2), m
-
-    return _instability_report(
-        "instability_phase1d", [ref0, 1 - ref0], draw, trials, seed, (box,),
-        certificate=0.5 - 1.0 / (2.0 * p),
-        model=f"grid:1,{p - 1}", sft="alternating", epsilon=1.0 / p)
+    spec = ExperimentSpec("instability_phase1d", epsilons=(1.0 / p,),
+                          box=(box,), trials=trials, seed=seed)
+    return _sweep_rows(spec, "instability_phase1d", "alternating", spec.box,
+                       _trial_phase1d, (p, box),
+                       _nearest_reference(0.5 - 1.0 / (2.0 * p), spec.box),
+                       (seed, "phase1d"), 2 * p, model=f"grid:1,{p - 1}")
 
 
 def _periodic_cycle(auto: a1d.WordAutomaton) -> np.ndarray:
@@ -686,15 +644,30 @@ def _periodic_cycle(auto: a1d.WordAutomaton) -> np.ndarray:
         state = nxt
 
 
+def _trial_bern1d(args):
+    (word, d, box), epsilons, tseed = args
+    period = len(word)
+    idx = np.arange(box, dtype=np.int64)
+    mask = bernoulli_masks(derive_seed(tseed, "mask"), (box,), epsilons)[0].data
+    run_id, nruns = _mask_runs(mask, d)
+    rng = np.random.default_rng(derive_seed(tseed, "translate"))
+    shifts = rng.integers(0, period, size=nruns + 1)
+    x = word[(idx + shifts[run_id]) % period]
+    x[mask] = word[idx[mask] % period]
+    return [_distances(x, mask, [word[(idx + s) % period]
+                                 for s in range(period)])]
+
+
 def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
-                           trials: int, seed: int) -> InstabilityReport:
+                           trials: int, seed: int) -> list[dict]:
     """Bernoulli noise over an irreducible periodic target.
 
     Three steps per trial: sample the mask; cut at every run of at least
     d consecutive obscured cells; give each cut-to-cut segment an
     independent uniform translate of the periodic point, while obscured
     cells copy the untranslated point.  Distances are taken to the whole
-    translate orbit and the minimum lands at (p-1)/(pd) - ((p-1)/p) eps.
+    translate orbit and the minimum lands at (p-1)/(pd) - ((p-1)/p) eps,
+    the certificate.  Rows as `_nearest_reference` gives them.
     """
     if isinstance(sft_or_auto, str):
         sft_or_auto = resolve_sft_1d(sft_or_auto)[1]
@@ -703,31 +676,22 @@ def run_instability_bern1d(sft_or_auto, epsilon: float, box: int,
     if cls.kind != "irreducible_periodic":
         raise ValueError(
             f"construction needs an irreducible periodic target, got {cls.kind}")
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError("epsilon outside [0, 1]")
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(
+            f"epsilon {epsilon} outside (0, 1]: at epsilon 0 no cut is drawn, "
+            f"so the configuration is one translate of the periodic point, "
+            f"at distance 0 from its orbit")
     d = max(auto.sft.diameter, 1)
     word = _periodic_cycle(auto)
     period = len(word)
-    idx = np.arange(box, dtype=np.int64)
-    refs = [word[(idx + s) % period] for s in range(period)]
-    model = parse_model(f"bernoulli:{epsilon}")
-
-    def draw(t):
-        tseed = derive_seed(seed, "bern1d", t)
-        mask = sample_mask(model, (box,), derive_seed(tseed, "mask")).data
-        run_id, nruns = _mask_runs(mask, d)
-        rng = np.random.default_rng(derive_seed(tseed, "translate"))
-        shifts = rng.integers(0, period, size=nruns + 1)
-        x = word[(idx + shifts[run_id]) % period]
-        x[mask] = word[idx[mask] % period]
-        return x, mask
-
-    return _instability_report(
-        "instability_bern1d", refs, draw, trials, seed, (box,),
-        certificate=(period - 1) / (period * d)
-        - ((period - 1) / period) * epsilon,
-        model=f"bernoulli:{_fmt(epsilon)}", sft=_sft_label(auto.sft),
-        epsilon=epsilon)
+    spec = ExperimentSpec("instability_bern1d", epsilons=(epsilon,),
+                          box=(box,), trials=trials, seed=seed)
+    return _sweep_rows(spec, "instability_bern1d", _sft_label(auto.sft),
+                       spec.box, _trial_bern1d, (word, d, box),
+                       _nearest_reference((period - 1) / (period * d)
+                                          - ((period - 1) / period) * epsilon,
+                                          spec.box),
+                       (seed, "bern1d"), 1)
 
 
 def _sft_label(sft: Sft) -> str:
@@ -751,15 +715,32 @@ def _mask_runs(mask: np.ndarray, d: int) -> tuple[np.ndarray, int]:
     return np.cumsum(cuts)[:-1], int(long.sum())
 
 
+def _trial_grid2d(args):
+    (tilings, k, block), _, tseed = args
+    stride = k + block
+    rr, cc = np.indices(tilings.shape[1:])
+    rng = np.random.default_rng(tseed)
+    ph = rng.integers(0, stride, size=2)
+    mask = (((rr + ph[0]) % stride) < k) | (((cc + ph[1]) % stride) < k)
+    b0 = (rr + ph[0]) // stride
+    b1 = (cc + ph[1]) // stride
+    choice = rng.integers(0, len(tilings),
+                          size=(int(b0.max()) + 1, int(b1.max()) + 1))
+    x = tilings[choice[b0, b1], rr, cc]
+    x[mask] = tilings[0][mask]
+    return [_distances(x, mask, tilings)]
+
+
 def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
-                           trials: int, seed: int) -> InstabilityReport:
+                           trials: int, seed: int) -> list[dict]:
     """Grid noise over a single periodic orbit in 2D.
 
     Slabs of width k >= diameter hide every block junction; each clear
     block of side n*period copies an independent uniform orbit element,
     and obscured cells copy the first one.  The independent choices
     disagree with any fixed configuration on at least 1/(2 (period+1)^d)
-    of the cells, the certificate.
+    of the cells, the certificate.  Rows as `_nearest_reference` gives
+    them, at the grid model's marginal rate.
     """
     if isinstance(p, str):
         p = resolve_periodic(p)[1]
@@ -773,28 +754,16 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
     block = n * period
     if block < 1:
         raise ValueError("n must be positive")
-    shape = (box, box)
-    tilings = np.stack([p.tiling(o, (0, 0), shape).data for o in orbit])
-    stride = k + block
-    rr, cc = np.indices(shape)
-
-    def draw(t):
-        rng = np.random.default_rng(derive_seed(seed, "grid2d", t))
-        ph = rng.integers(0, stride, size=2)
-        mask = (((rr + ph[0]) % stride) < k) | (((cc + ph[1]) % stride) < k)
-        b0 = (rr + ph[0]) // stride
-        b1 = (cc + ph[1]) // stride
-        choice = rng.integers(0, len(orbit),
-                              size=(int(b0.max()) + 1, int(b1.max()) + 1))
-        x = tilings[choice[b0, b1], rr, cc]
-        x[mask] = tilings[0][mask]
-        return x, mask
-
-    return _instability_report(
-        "instability_grid2d", tilings, draw, trials, seed, shape,
-        certificate=1.0 / (2.0 * (period + 1) ** p.sft.dim),
-        model=f"grid:{k},{block}", sft=f"periodic-{period}",
-        epsilon=marginal_rate(parse_model(f"grid:{k},{block}"), 2))
+    model = f"grid:{k},{block}"
+    spec = ExperimentSpec("instability_grid2d",
+                          epsilons=(marginal_rate(parse_model(model), 2),),
+                          box=(box, box), trials=trials, seed=seed)
+    tilings = np.stack([p.tiling(o, (0, 0), spec.box).data for o in orbit])
+    return _sweep_rows(spec, "instability_grid2d", f"periodic-{period}",
+                       spec.box, _trial_grid2d, (tilings, k, block),
+                       _nearest_reference(
+                           1.0 / (2.0 * (period + 1) ** p.sft.dim), spec.box),
+                       (seed, "grid2d"), 1, model=model)
 
 
 # ---------------------------------------------------------------------------

@@ -102,12 +102,9 @@ def test_sweep_digest(name, tmp_path):
 
 def test_instability_digest():
     checkerboard = H.resolve_periodic("checkerboard")[1]
-    reports = [
-        H.run_instability_phase1d(4, 4000, 3, 2),
-        H.run_instability_bern1d("alternating", 0.02, 3000, 3, 5),
-        H.run_instability_grid2d(checkerboard, 1, 2, 40, 3, 6),
-    ]
-    rows = [row for rep in reports for row in rep.rows()]
+    rows = (H.run_instability_phase1d(4, 4000, 3, 2)
+            + H.run_instability_bern1d("alternating", 0.02, 3000, 3, 5)
+            + H.run_instability_grid2d(checkerboard, 1, 2, 40, 3, 6))
     assert _digest(rows) == DIGESTS["instability"]
 
 

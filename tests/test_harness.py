@@ -49,9 +49,10 @@ class TestExperimentSpec:
         with pytest.raises(ValueError, match="epsilon"):
             H.ExperimentSpec(kind="perc", epsilons=(0.1, 1.5)).validate()
 
-    def test_trials_positive(self):
-        with pytest.raises(ValueError, match="trial"):
-            H.ExperimentSpec(kind="perc", epsilons=(0.1,), trials=0).validate()
+    def test_trials_positive(self, reach_pool):
+        with pytest.raises(ValueError, match="need at least one trial"):
+            H.run_perc_sweep(H.ExperimentSpec(kind="perc", epsilons=(0.1,),
+                                              trials=0))
 
     @pytest.mark.parametrize("argv", [
         ["perc", "--epsilons", ""],
@@ -635,28 +636,32 @@ class TestSweepRunner:
             H.run_perc_sweep(H.ExperimentSpec(kind="analyze", epsilons=(0.1,)))
 
 
+def _values(rows) -> dict:
+    """{metric: value} of one instability run's rows."""
+    return {r["metric"]: r["value"] for r in rows}
+
+
 class TestInstabilityPhase1d:
     def test_p2_quarter(self):
-        rep = H.run_instability_phase1d(2, 50_000, 8, 0)
-        assert rep.certificate == 0.25
-        assert abs(rep.estimate.value - 0.25) < 0.01
-        assert rep.obscured_rate == pytest.approx(0.5)
-        assert not rep.flagged
+        v = _values(H.run_instability_phase1d(2, 50_000, 8, 0))
+        assert v["certificate"] == 0.25
+        assert abs(v["min_density"] - 0.25) < 0.01
+        assert v["obscured_rate"] == pytest.approx(0.5)
+        assert v["min_density"] >= v["certificate"] - v["slack"]
 
     def test_p64_certificate(self):
-        rep = H.run_instability_phase1d(64, 64_000, 6, 1)
-        assert rep.certificate == 0.4921875
-        assert rep.estimate.value >= rep.certificate - rep.slack
+        v = _values(H.run_instability_phase1d(64, 64_000, 6, 1))
+        assert v["certificate"] == 0.4921875
+        assert v["min_density"] >= v["certificate"] - v["slack"]
         # 64 divides the box, so the mask density is exact
-        assert rep.obscured_rate == pytest.approx(1 / 64)
+        assert v["obscured_rate"] == pytest.approx(1 / 64)
 
     def test_p_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):
             H.run_instability_phase1d(1, 1000, 2, 0)
 
     def test_rows_schema(self):
-        rep = H.run_instability_phase1d(4, 4000, 3, 2)
-        rows = rep.rows()
+        rows = H.run_instability_phase1d(4, 4000, 3, 2)
         assert {r["metric"] for r in rows} == \
             {"min_density", "certificate", "obscured_rate", "slack"}
         assert all(set(H.SCHEMA) >= set(r) for r in rows)
@@ -664,17 +669,18 @@ class TestInstabilityPhase1d:
 
 class TestInstabilityBern1d:
     def test_certificate_value(self):
-        rep = H.run_instability_bern1d(ALTERNATING, 0.01, 30_000, 20, 0)
-        assert rep.certificate == pytest.approx(0.495)
-        assert rep.estimate.value >= rep.certificate - rep.slack
+        v = _values(H.run_instability_bern1d(ALTERNATING, 0.01, 30_000, 20, 0))
+        assert v["certificate"] == pytest.approx(0.495)
+        assert v["min_density"] >= v["certificate"] - v["slack"]
         # empirical mask rate within 4 sigma of epsilon
         sigma = math.sqrt(0.01 * 0.99 / (30_000 * 20))
-        assert abs(rep.obscured_rate - 0.01) <= 4 * sigma
+        assert abs(v["obscured_rate"] - 0.01) <= 4 * sigma
 
     def test_zero_noise_certificate(self):
-        rep = H.run_instability_bern1d(ALTERNATING, 0.0, 5000, 4, 0)
-        assert rep.certificate == 0.5
-        assert rep.obscured_rate == 0.0
+        # no cut at eps 0: the configuration is one translate of the
+        # periodic point, which refutes the certificate 0.5
+        with pytest.raises(ValueError, match=r"epsilon 0\.0 outside \(0, 1\]"):
+            H.run_instability_bern1d(ALTERNATING, 0.0, 5000, 4, 0)
 
     def test_wrong_classification(self):
         with pytest.raises(ValueError, match="periodic"):
@@ -696,18 +702,20 @@ class TestInstabilityBern1d:
         sft = word_sft("abc", ["aa", "ab", "ac", "bb", "cc"])
         assert H._periodic_cycle(build_automaton(sft)).tolist() == [2, 1]
         # a 2-cycle with d = 1, like the alternating shift: same distances
-        rep = H.run_instability_bern1d(sft, 0.01, 5000, 4, 0)
+        rows = H.run_instability_bern1d(sft, 0.01, 5000, 4, 0)
         alt = H.run_instability_bern1d(ALTERNATING, 0.01, 5000, 4, 0)
-        assert (rep.estimate, rep.certificate) == (alt.estimate, alt.certificate)
+        assert [(r["metric"], r["value"], r["ci95"]) for r in rows] == \
+            [(r["metric"], r["value"], r["ci95"]) for r in alt]
 
 
 class TestInstabilityGrid2d:
     def test_checkerboard_certificate(self):
         p = H.resolve_periodic("checkerboard")[1]
-        rep = H.run_instability_grid2d(p, 1, 1, 192, 6, 0)
-        assert rep.certificate == pytest.approx(1 / 18)
-        assert rep.estimate.value >= rep.certificate - rep.slack
-        assert abs(rep.obscured_rate - rep.epsilon) < 0.02
+        rows = H.run_instability_grid2d(p, 1, 1, 192, 6, 0)
+        v = _values(rows)
+        assert v["certificate"] == pytest.approx(1 / 18)
+        assert v["min_density"] >= v["certificate"] - v["slack"]
+        assert abs(v["obscured_rate"] - rows[0]["epsilon"]) < 0.02
 
     def test_constant_orbit_rejected(self):
         flat = Sft(dim=2, alphabet=("a",), forbidden=frozenset())
@@ -745,12 +753,20 @@ class TestMaskRuns:
         assert seg[-1] <= cuts
 
 
-class TestMinOverRefs:
-    def test_picks_smaller_mean(self):
-        per_ref = [[0.5, 0.6], [0.1, 0.3]]
-        est = H._min_over_refs(per_ref)
-        assert est.value == pytest.approx(0.2)
-        assert est.trials == 2
+class TestNearestReference:
+    def test_least_trial_mean_not_per_trial_minimum(self):
+        # reference 0 reads 0.1 then 0.5 (mean 0.3), reference 1 reads 0.4
+        # then 0.3 (mean 0.35); the per-trial minima would average 0.2
+        per_trial = [{"per_ref": [0.1, 0.4], "obscured": 0.25},
+                     {"per_ref": [0.5, 0.3], "obscured": 0.5}]
+        got = H._nearest_reference(0.4, (100,))(0.1, per_trial)
+        assert got == {"min_density": H.mean_ci([0.1, 0.5]),
+                       "certificate": (0.4, 0.0),
+                       "obscured_rate": (0.375, 0.0),
+                       "slack": (0.4, 0.0)}
+        assert got["min_density"][0] == pytest.approx(0.3)
+        assert list(got) == ["min_density", "certificate", "obscured_rate",
+                             "slack"]
 
 
 class TestPlotAndConfig:
@@ -979,12 +995,39 @@ class TestCli:
         assert "tileset,edges,align,peel" in captured.err
         assert not captured.out
 
-    def test_instability_cli(self, capsys):
-        code = cli.main(["instability", "phase1d", "--p", "2", "--box",
-                         "4000", "--trials", "3"])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "certificate: 0.250000" in out
+    def test_instability_cli(self, tmp_path, capsys):
+        """The summary reads the run's own CSV rows, and the finite-size gap
+        line shows only when the estimate is under the certificate by more
+        than the slack: not for phase1d at p 64 (0.4892 against 0.4922 -
+        0.0498), but for bern1d at box 400 (0.155 against 0.475 - 0.2)."""
+        out = tmp_path / "i.csv"
+        # (argv, estimate under the certificate, gap line)
+        for argv, under, gap in [
+                (["phase1d", "--p", "2", "--box", "4000", "--trials", "3"],
+                 False, False),
+                (["phase1d", "--p", "64", "--box", "6450", "--trials", "3"],
+                 True, False),
+                (["bern1d", "--epsilon", "0.05", "--box", "400", "--trials",
+                  "1", "--seed", "0"], True, True)]:
+            assert cli.main(["instability"] + argv + ["--out", str(out)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            # metric, value, ci95 from the right: a grid model label holds
+            # a comma
+            cell = {m: (float(v), float(ci)) for m, v, ci in
+                    (line.rsplit(",", 3)[1:]
+                     for line in out.read_text().splitlines()[1:])}
+            (est, ci), cert = cell["min_density"], cell["certificate"][0]
+            want = [f"estimate: {est:.6f} +- {ci:.6f}",
+                    f"certificate: {cert:.6f}",
+                    f"obscured_rate: {cell['obscured_rate'][0]:.6f}",
+                    f"slack: {cell['slack'][0]:.6f}"]
+            if gap:
+                want.append(f"finite-size gap: {cert - est:.6f} (estimate "
+                            f"under certificate; grow the box or trials)")
+            assert lines == want
+            assert (est < cert) == under
+        assert want[:2] == ["estimate: 0.155000 +- 0.000000",
+                            "certificate: 0.475000"]
 
     @pytest.mark.parametrize("argv", [
         ["phase1d", "--p", "4", "--box", "400x7"],
@@ -1002,15 +1045,16 @@ class TestCli:
 
     @pytest.mark.parametrize("trials", ["0", "-2"])
     @pytest.mark.parametrize("argv", [
-        ["phase1d", "--p", "2", "--box", "400"],
-        ["bern1d", "--epsilon", "0.01", "--box", "400"],
-        ["grid2d", "--box", "32"],
+        ["instability", "phase1d", "--p", "2", "--box", "400"],
+        ["instability", "bern1d", "--epsilon", "0.01", "--box", "400"],
+        ["instability", "grid2d", "--box", "32"],
+        ["repair1d", "--epsilons", "0.01", "--box", "400"],
+        ["perc", "--epsilons", "0.01", "--box", "32"],
     ])
     def test_instability_needs_a_trial_exit_2(self, argv, trials, tmp_path,
                                               capsys):
         out = tmp_path / "i.csv"
-        assert cli.main(["instability"] + argv
-                        + ["--trials", trials, "--out", str(out)]) == 2
+        assert cli.main(argv + ["--trials", trials, "--out", str(out)]) == 2
         assert "need at least one trial" in capsys.readouterr().err
         assert not out.exists()
 
