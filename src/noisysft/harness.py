@@ -10,6 +10,7 @@ output byte-identical across runs and across worker counts.
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import io
 import math
 import os
@@ -175,10 +176,10 @@ def _fmt(v) -> str:
 
 
 def format_csv(rows) -> str:
-    buf = io.StringIO()
-    buf.write(",".join(SCHEMA) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(row.get(col, "")) for col in SCHEMA) + "\n")
+    buf = io.StringIO()  # RFC 4180: quote a field only if it holds , " or \n
+    out = csv.writer(buf, lineterminator="\n")
+    out.writerow(SCHEMA)
+    out.writerows([_fmt(row.get(col, "")) for col in SCHEMA] for row in rows)
     return buf.getvalue()
 
 

@@ -3,9 +3,12 @@
 All sampling is keyed: the obscured bit of a cell is a hash of the seed
 and the absolute cell coordinates, so masks are reproducible, independent
 of box origin, and two boxes sampled with the same seed agree on their
-overlap.  The hash is a splitmix64-style mixer applied coordinatewise; a
-cell is obscured at Bernoulli(eps) iff the top 53 bits of its hash are below
-ceil(eps 2^53), an integer test that builds no float field.
+overlap.  The hash is a splitmix64-style mixer applied coordinatewise, a
+block of cells at a time, each later axis xored in as a tile.  A cell is
+obscured at Bernoulli(eps) iff the top 53 bits of its hash are below
+ceil(eps 2^53); the mixer's last xorshift keeps the top 31 bits, so that
+integer test runs before it and only the candidates finish the hash.  Every
+Bernoulli mask is a scatter of those points.
 """
 
 from __future__ import annotations
@@ -24,20 +27,23 @@ _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _BLOCK_CELLS = 2 ** 15  # 32 rows of 1024: 256 KB of uint64 per hash buffer
 
 
-# splitmix64's finaliser as (multiplier, xorshift) steps: a head, then a
-# tail.  The head is linear over xor, head(h ^ m) = head(h) ^ head(m), so a
-# value that a later mix takes as a xor operand is stored with it applied.
-_HEAD = ((None, 30),)
-_TAIL = ((_M1, 27), (_M2, 31))
+# splitmix64's finaliser as xorshifts (ints) and multiplies: a head, a
+# tail, and the last xorshift.  The head is linear over xor, head(h ^ m) =
+# head(h) ^ head(m), so a value that a later mix takes as a xor operand is
+# stored with it applied.
+_HEAD = (30,)
+_TAIL = (_M1, 27, _M2)
+_LAST = (31,)
 
 
-def _mix(z, steps=_HEAD + _TAIL, tmp=None):
+def _mix(z, steps=_HEAD + _TAIL + _LAST, tmp=None):
     """The steps on a uint64 scalar, or in place on a uint64 array given
     scratch tmp of its shape.  Scalars warn when they wrap; arrays do not."""
-    for mult, shift in steps:
-        if mult is not None:
-            z *= mult
-        z ^= np.right_shift(z, shift, out=tmp)
+    for op in steps:
+        if isinstance(op, int):
+            z ^= np.right_shift(z, op, out=tmp)
+        else:
+            z *= op
     return z
 
 
@@ -56,40 +62,44 @@ def derive_seed(*parts) -> int:
 
 
 def _hash_blocks(seed: int, origin, shape):
-    """Yield (rows, h): the final uint64 hashes h of leading-axis `rows`,
-    about _BLOCK_CELLS cells at a time, in a buffer the next block reuses.
-    Cell x hashes to h_d, h_0 = seed, h_{i+1} = mix(h_i ^ mix(x_i + GOLDEN
-    (i+1))); the inner mix runs on each axis's coordinates, then broadcasts."""
+    """Yield (first, y): a block's first flat index and its hashes stopped
+    before `_LAST`, whole leading rows of about _BLOCK_CELLS cells, in a
+    buffer the next block reuses.  Cell x hashes to h_d, h_0 = seed, h_{i+1}
+    = mix(h_i ^ mix(x_i + GOLDEN (i+1))); the inner mix runs on each axis's
+    coordinates, tiled once over a block so each xor is a contiguous pass."""
     with np.errstate(over="ignore"):  # scalar uint64 arithmetic wraps
         axes = [np.arange(o, o + s, dtype=np.int64).view(np.uint64)
                 + _GOLDEN * np.uint64(i + 1)
                 for i, (o, s) in enumerate(zip(origin, shape))]
         for axis in axes:
-            _mix(axis, _HEAD + _TAIL + _HEAD, np.empty_like(axis))
+            _mix(axis, _HEAD + _TAIL + _LAST + _HEAD, np.empty_like(axis))
+        inner = math.prod(shape[1:])
+        rows = max(1, min(shape[0], _BLOCK_CELLS // max(1, inner)))
+        tiles = [np.tile(m, rows * math.prod(shape[1:k]))
+                 for k, m in enumerate(axes[1:], 1)]
         lead = axes[0] ^ _mix(np.uint64(seed), _HEAD)  # axes[0] is now scratch
-        _mix(lead, _TAIL + (_HEAD if len(axes) > 1 else ()), axes[0])
-        inner = max(1, math.prod(shape[1:]))
-        rows = max(1, _BLOCK_CELLS // inner)
-        bufs = np.empty((2, min(rows, shape[0]) * inner), dtype=np.uint64)
+        _mix(lead, _TAIL + (_LAST + _HEAD if tiles else ()), axes[0])
+        bufs = np.empty((2 if tiles else 0, rows * inner), dtype=np.uint64)
         for a in range(0, shape[0], rows):
             h = lead[a:a + rows]
-            for k, m in enumerate(axes[1:], 2):
-                cur = h.shape + m.shape
-                z, tmp = (b[:math.prod(cur)].reshape(cur) for b in bufs)
-                np.bitwise_xor(h[..., None], m, out=z)
-                _mix(z, _TAIL + (_HEAD if k < len(axes) else ()), tmp)
+            for k, tile in enumerate(tiles, 1):
+                z, tmp = (b[:h.size * shape[k]] for b in bufs)
+                np.copyto(z.reshape(h.size, shape[k]), h[:, None])
+                np.bitwise_xor(z, tile[:z.size], out=z)
+                _mix(z, _TAIL + (_LAST + _HEAD if k < len(tiles) else ()), tmp)
                 h, bufs = z, bufs[::-1]
-            yield slice(a, a + rows), h
+            yield a * inner, h
 
 
 def cell_uniform(seed: int, origin, shape) -> np.ndarray:
     """Per-cell uniforms in [0, 1) keyed by absolute coordinates: the top
-    53 bits of each cell's `_hash_blocks` hash as a float.  The reference
-    field of `bernoulli_masks`, which reads the same bits without it."""
-    out = np.empty(tuple(shape), dtype=np.float64)
-    for rows, h in _hash_blocks(seed, origin, shape):
-        np.multiply(h >> np.uint64(11), 2.0 ** -53, out=out[rows])
-    return out
+    53 bits of each cell's hash, `_LAST` run on every cell, as a float.  The
+    reference field of `bernoulli_points`, which finishes candidates only."""
+    out = np.empty(math.prod(shape), dtype=np.float64)
+    for first, y in _hash_blocks(seed, origin, shape):
+        np.multiply(_mix(y, _LAST) >> np.uint64(11), 2.0 ** -53,
+                    out=out[first:first + y.size])
+    return out.reshape(tuple(shape))
 
 
 @dataclass(frozen=True)
@@ -145,46 +155,61 @@ def _limit(eps: float) -> np.uint64:
     return np.uint64(math.ceil(eps * 2.0 ** 53) << 11)
 
 
-def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
-    """Bernoulli(eps) masks for every epsilon from one keyed hash: a cell is
-    obscured at eps iff the top 53 bits of its hash are below ceil(eps 2^53),
-    exactly `cell_uniform(...) < eps` with no float field built, so the
-    masks of one seed nest as eps grows (threshold coupling)."""
-    origin = (0,) * len(shape) if origin is None else tuple(origin)
-    eps = [float(e) for e in epsilons]
-    # np.less writes every cell of a live mask; NaN and eps <= 0: clear
-    masks = [np.empty(shape, dtype=bool) if 0.0 < e < 1.0
-             else np.full(shape, e >= 1.0) for e in eps]
-    live = [(m, _limit(e)) for m, e in zip(masks, eps) if 0.0 < e < 1.0]
-    for rows, h in _hash_blocks(seed, origin, shape):
-        for mask, limit in live:
-            np.less(h, limit, out=mask[rows])
-    return [NoiseMask(origin, m) for m in masks]
+def _candidate_bound(top: int):
+    """A bound on y, a hash before `_LAST`, when the finished hash is below
+    top: `_LAST` keeps bits 63..33, so h < top gives y >> 33 <= (top - 1)
+    >> 33.  None when it reaches 2^64 (eps near 1): every cell is kept."""
+    bound = (((top - 1) >> 33) + 1) << 33
+    return np.uint64(bound) if bound < 2 ** 64 else None
+
+
+def _obscured(seed: int, origin, shape, eps: list[float]):
+    """Yield, hash block by hash block, each epsilon's obscured cells in the
+    block as sorted flat indices into the box at origin: exactly
+    `flatnonzero(cell_uniform(...) < eps)` over all blocks.  Each block is
+    compared once, before `_LAST`, with the candidate bound of the largest
+    limit; the candidates (about eps + 2^-31 of the cells) finish the hash
+    and each epsilon keeps those below its limit, so the cells nest as eps
+    grows (threshold coupling).  eps >= 1 gives every cell, eps <= 0 and
+    NaN none."""
+    limits = [_limit(e) for e in eps if 0.0 < e < 1.0]
+    if not limits:  # no hash needed
+        yield [np.arange(math.prod(shape) if e >= 1.0 else 0) for e in eps]
+        return
+    bound = _candidate_bound(int(max(limits)))
+    below = np.empty(0, dtype=bool)  # sized by the first, largest block
+    for first, y in _hash_blocks(seed, origin, shape):
+        if below.size < y.size:
+            below = np.empty(y.size, dtype=bool)
+        hit = (np.arange(y.size) if bound is None else
+               np.flatnonzero(np.less(y, bound, out=below[:y.size])))
+        h = _mix(y[hit], _LAST)
+        hit += first
+        yield [hit[h < _limit(e)] if 0.0 < e < 1.0 else
+               np.arange(first, first + y.size) if e >= 1.0 else hit[:0]
+               for e in eps]
 
 
 def bernoulli_points(seed: int, shape, epsilons) -> list[np.ndarray]:
-    """The obscured cells of `bernoulli_masks`, as sorted flat indices into
-    the box, one array per epsilon, with no mask built.  Each hash block is
-    compared once with the largest live bound; the cells below it keep
-    their hashes, and each epsilon keeps those below its own bound, so the
-    arrays nest as eps grows.  eps >= 1 gives every cell, eps <= 0 and NaN
-    none."""
+    """Each epsilon's obscured cells on the box at origin 0, as sorted flat
+    indices (`_obscured`), with no mask built: what the perc trials read."""
     eps = [float(e) for e in epsilons]
-    limits = [_limit(e) for e in eps if 0.0 < e < 1.0]
-    keys, hashes = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.uint64)]
-    if limits:
-        top, inner = max(limits), math.prod(shape[1:])
-        below = np.empty(0, dtype=bool)  # sized by the first, largest block
-        for rows, h in _hash_blocks(seed, (0,) * len(shape), shape):
-            h = h.reshape(-1)
-            if below.size < h.size:
-                below = np.empty(h.size, dtype=bool)
-            hit = np.flatnonzero(np.less(h, top, out=below[:h.size]))
-            keys.append(hit + rows.start * inner)
-            hashes.append(h[hit])
-    keys, hashes = np.concatenate(keys), np.concatenate(hashes)
-    return [keys[hashes < _limit(e)] if 0.0 < e < 1.0
-            else np.arange(math.prod(shape) if e >= 1.0 else 0) for e in eps]
+    blocks = [[np.zeros(0, dtype=np.intp)] * len(eps),
+              *_obscured(seed, (0,) * len(shape), shape, eps)]
+    return [np.concatenate(keys) for keys in zip(*blocks)]
+
+
+def bernoulli_masks(seed: int, shape, epsilons, origin=None) -> list[NoiseMask]:
+    """Bernoulli(eps) masks for every epsilon from one keyed hash: zeroed
+    masks with each block's `_obscured` cells scattered in, so the masks of
+    one seed nest as eps grows."""
+    origin = (0,) * len(shape) if origin is None else tuple(origin)
+    eps = [float(e) for e in epsilons]
+    masks = [np.zeros(math.prod(shape), dtype=bool) for _ in eps]
+    for keys in _obscured(seed, origin, shape, eps):
+        for mask, k in zip(masks, keys):
+            mask[k] = True
+    return [NoiseMask(origin, m.reshape(shape)) for m in masks]
 
 
 def sample_mask(model, shape, seed: int, origin=None) -> NoiseMask:

@@ -81,7 +81,7 @@ DIGESTS = {
     "sweep-repair1d":
         "ecd63d4e3be8af6e034a3a8c0aee39282a8454019cf039bf01604ac327ae64a4",
     "instability":
-        "a9c5b3a32031cd400eb3844f2f25434e18a9148441133b90c75d4b6b81409a4d",
+        "401e02631abd8e877c0448a2a2b354485a14e7a9d23895d14462c70c60521ea9",
 }
 
 

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 import json
@@ -1063,6 +1064,26 @@ class TestCli:
         assert cli.main(["instability", "grid2d", "--box", "32x32",
                          "--trials", "1", "--out", str(out)]) == 0
         assert ",32x32," in out.read_text()
+
+    @pytest.mark.parametrize("argv, model", [
+        (["phase1d", "--p", "2", "--box", "400"], "grid:1,1"),
+        # checkerboard: n = 1 block of the period-2 orbit
+        (["grid2d", "--k", "1", "--n", "1", "--box", "32"], "grid:1,2"),
+    ])
+    def test_instability_csv_quotes_grid_model(self, argv, model, tmp_path):
+        """A grid model label holds a comma, so its field is quoted and a
+        CSV reader gets the schema's ten fields with the whole label."""
+        out = tmp_path / "i.csv"
+        assert cli.main(["instability"] + argv
+                        + ["--trials", "1", "--out", str(out)]) == 0
+        with out.open(newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert reader.fieldnames == list(H.SCHEMA) and rows
+        for row in rows:
+            assert None not in row and len(row) == len(H.SCHEMA)
+            assert row["model"] == model and float(row["value"]) >= 0
+        assert f'"{model}"' in out.read_text()
 
     @pytest.mark.parametrize("argv, err", [
         (["perc", "--proxy", "largest", "--epsilons", "0.01", "--box", "32",

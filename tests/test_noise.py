@@ -13,6 +13,8 @@ from noisysft.core import thicken
 from noisysft.noise import (
     Bernoulli,
     GridNoise,
+    _candidate_bound,
+    _limit,
     bernoulli_masks,
     bernoulli_points,
     cell_uniform,
@@ -272,3 +274,110 @@ class TestBernoulliPoints:
         live = sorted((e, i) for i, e in enumerate(eps) if not math.isnan(e))
         for (_, lo), (_, hi) in zip(live, live[1:]):
             assert np.isin(points[lo], points[hi]).all()
+
+
+# shapes with a short last hash block in 1, 2 and 3 dimensions: the uneven
+# boxes at origin 0, and a line of two full blocks of 2^15 cells and a short
+# one
+_UNEVEN_SHAPES = [shape for _, shape in _UNEVEN_BOXES] + [(70001,)]
+
+
+class TestPointsAgainstCellUniform:
+    """`bernoulli_points` and the masks scattered from them, against the
+    field `cell_uniform` builds with the last xorshift run on every cell."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1),
+           st.sampled_from(_UNEVEN_SHAPES) | st.lists(
+               st.integers(1, 40), min_size=1, max_size=3).map(tuple),
+           st.data())
+    def test_equal_flat_indices_below_eps(self, seed, shape, data):
+        u = cell_uniform(seed, (0,) * len(shape), shape)
+        cell = tuple(data.draw(st.integers(0, s - 1)) for s in shape)
+        own = float(u[cell])
+        # the edge epsilons, where eps near 1 takes every cell as a
+        # candidate; then a list whose largest limit sits just above one
+        # cell's hash, so that cell is a candidate only at the exact bound
+        for eps in (_EDGE_EPS, (own / 2, own, float(np.nextafter(own, 1.0)))):
+            points = bernoulli_points(seed, shape, eps)
+            masks = bernoulli_masks(seed, shape, eps)
+            for e, keys, mask in zip(eps, points, masks):
+                want = np.flatnonzero(u < e)
+                assert np.array_equal(keys, want), e
+                assert np.array_equal(np.flatnonzero(mask.data), want), e
+        flat = np.ravel_multi_index(cell, shape)
+        assert flat not in points[1] and flat in points[2]
+
+    def test_traced_peak_builds_no_mask(self):
+        # one 256 KiB tile of the last axis and two 256 KiB block buffers;
+        # a 1 MiB bool mask of the box alone would pass the bound
+        seed = derive_seed(13, "mask")
+        tracemalloc.start()
+        try:
+            bernoulli_points(seed, (1024, 1024), (0.001, 0.003))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+def _finish(y: int) -> int:
+    """The last xorshift of the hash on a Python integer."""
+    return y ^ (y >> 31)
+
+
+def _unfinish(h: int) -> int:
+    """The pre-step value whose last xorshift gives h."""
+    return h ^ (h >> 31) ^ (h >> 62)
+
+
+_LOW = 2 ** 33 - 1
+# limits whose low 33 bits are 0, all ones, or neither, small and past 2^63
+# (past 2^63 the last xorshift flips bit 32, so low bits up to 2^32 there
+# tell a bound on bits 63..32 from the bound on bits 63..33)
+_TOPS = [1, 2 ** 11, 2 ** 33, 2 ** 33 + 1, 5 * 2 ** 33 + _LOW, 2 ** 40 + 12345,
+         2 ** 63, 2 ** 63 + 1, 2 ** 63 + 2 ** 32, 2 ** 63 + _LOW, 3 << 62,
+         (3 << 62) + 12345, (3 << 62) + 2 ** 32 + 7, 2 ** 64 - 2 ** 34 + 1,
+         2 ** 64 - 2 ** 34 + _LOW, 2 ** 64 - 2 ** 33]
+
+
+class TestCandidateBound:
+    @pytest.mark.parametrize("top", _TOPS)
+    def test_no_cell_below_top_is_dropped(self, top):
+        bound = int(_candidate_bound(top))
+        assert top <= bound < 2 ** 64
+        # synthetic pre-step values just below, at and just above the bound:
+        # the uint64 test keeps the first, and the others finish at top or
+        # above
+        ys = [y for y in (bound - 1, bound, bound + 1) if y < 2 ** 64]
+        kept = np.less(np.array(ys, dtype=np.uint64), _candidate_bound(top))
+        assert kept.tolist() == [True, False, False][:len(ys)]
+        assert all(_finish(y) >= top for y in ys[1:])
+        # cells whose finished hash lies just below top, or anywhere
+        rng = np.random.default_rng(top % 2 ** 32)
+        hashes = [top - d for d in (1, 2, 2 ** 11, 2 ** 31, 2 ** 32, 2 ** 33,
+                                    2 ** 33 + 1) if d <= top]
+        hashes += [int(h) % top for h in rng.integers(0, 2 ** 63, 200)]
+        for h in hashes:
+            y = _unfinish(h)
+            assert _finish(y) == h and y < bound, (hex(top), hex(h))
+        for y in rng.integers(0, 2 ** 64 - 1, 500, dtype=np.uint64):
+            if _finish(int(y)) < top:
+                assert int(y) < bound
+        assert bound % 2 ** 33 == 0  # the tightest bound on bits 63..33
+
+    @pytest.mark.parametrize("eps", [1 - 2 ** -32, 1 - 2 ** -40, 1 - 2 ** -53])
+    def test_bounds_past_2_64_take_every_cell(self, eps):
+        top = int(_limit(eps))
+        assert top > 2 ** 64 - 2 ** 33 and _candidate_bound(top) is None
+        for shape in [(70, 1024), (3, 40, 700), (70001,)]:
+            u = cell_uniform(11, (0,) * len(shape), shape)
+            points = bernoulli_points(11, shape, (0.5, eps))
+            assert np.array_equal(points[0], np.flatnonzero(u < 0.5))
+            assert np.array_equal(points[1], np.flatnonzero(u < eps))
+
+    def test_last_bound_below_2_64(self):
+        assert int(_limit(1 - 2 ** -31)) == 2 ** 64 - 2 ** 33
+        assert int(_candidate_bound(2 ** 64 - 2 ** 33)) == 2 ** 64 - 2 ** 33
+        assert _candidate_bound(2 ** 64 - 2 ** 33 + 1) is None
+        assert _candidate_bound(2 ** 64 - 1) is None
