@@ -26,7 +26,6 @@ from .core import (
     SftParseError,
     is_locally_admissible,
     parse_sft,
-    violations,
     word_sft,
 )
 from .harness import (
@@ -70,7 +69,6 @@ from .robinson import (
     is_admissible,
     robinson_bound,
     robinson_repair,
-    tileset,
     verify_suite,
 )
 

@@ -13,6 +13,7 @@ import sys
 from . import automaton1d as a1d
 from . import harness as hn
 from . import robinson as rb
+from .core import CapExceeded
 from .noise import marginal_rate, parse_model, sample_mask
 
 
@@ -283,6 +284,10 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except CapExceeded as exc:  # repair2d without --c on a loose rule file
+        print(f"error: {exc}; give the repair radius with --c",
+              file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -29,21 +29,18 @@ class SftParseError(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """reconstruction_phi found no radius up to the requested cap."""
+    """repair.local_global_constant found no radius up to its cap: the
+    local rules do not pin the periodic orbit."""
 
 
 class BudgetExceeded(RuntimeError):
     """An enumeration hit its node budget before finishing."""
 
 
-def _as_offset(cell, dim: int | None = None) -> Offset:
+def _as_offset(cell) -> Offset:
     if isinstance(cell, int):
-        off = (cell,)
-    else:
-        off = tuple(int(c) for c in cell)
-    if dim is not None and len(off) != dim:
-        raise ValueError(f"offset {off} has dimension {len(off)}, expected {dim}")
-    return off
+        return (cell,)
+    return tuple(int(c) for c in cell)
 
 
 @dataclass(frozen=True)
@@ -304,20 +301,6 @@ def pattern_hits(grid: Grid, pattern: Pattern,
     return hit
 
 
-def violations(sft: Sft, grid: Grid, mask: NoiseMask | None = None):
-    """All (pattern, absolute anchor) pairs violated by the clear cells."""
-    clear = _clear_array(grid, mask)
-    out = []
-    for p in sorted(sft.forbidden, key=lambda q: q.cells):
-        if not p.cells:
-            continue
-        hits = pattern_hits(grid, p, clear)
-        for idx in np.argwhere(hits):
-            anchor = tuple(int(i) + o for i, o in zip(idx, grid.origin))
-            out.append((p, anchor))
-    return out
-
-
 def is_locally_admissible(sft: Sft, grid: Grid, mask: NoiseMask | None = None) -> bool:
     """True when no forbidden pattern occurs entirely on clear cells."""
     if grid.dim != sft.dim:
@@ -337,14 +320,6 @@ def ball(radius: int, dim: int) -> list[Offset]:
         raise ValueError("radius must be nonnegative")
     rng = range(-radius, radius + 1)
     return list(itertools.product(rng, repeat=dim))
-
-
-def minkowski_sum(cells: Iterable[Offset], radius: int, dim: int) -> list[Offset]:
-    out = set()
-    for c in cells:
-        for b in ball(radius, dim):
-            out.add(tuple(ci + bi for ci, bi in zip(c, b)))
-    return sorted(out)
 
 
 def _enumerate_admissible(sft: Sft, cells: list[Offset], budget: int):
@@ -411,52 +386,6 @@ def _enumerate_admissible(sft: Sft, cells: list[Offset], budget: int):
     yield from dfs(0)
 
 
-def reconstruction_phi(sft: Sft, window, cap: int, *,
-                       global_oracle: Callable[[dict], bool] | None = None,
-                       budget: int = 2_000_000) -> int:
-    """Least k such that local admissibility on window + B_k forces global
-    admissibility on the window.
-
-    The window is a set of offsets.  For each k = 0..cap, every locally
-    admissible assignment on the inflated set is enumerated and its
-    restriction to the window tested for global admissibility.  For 1D
-    SFTs with a contiguous window the word automaton provides the oracle;
-    otherwise a ``global_oracle`` callable must be supplied (it receives a
-    dict offset -> symbol on the window).
-
-    Raises CapExceeded if no k up to cap works, BudgetExceeded if the
-    enumeration is too large.
-    """
-    win = sorted(_as_offset(c, sft.dim) for c in window)
-    if not win:
-        raise ValueError("empty window")
-    if global_oracle is None:
-        if sft.dim != 1:
-            raise ValueError("global_oracle is required for dimension > 1")
-        lo, hi = win[0][0], win[-1][0]
-        if [c[0] for c in win] != list(range(lo, hi + 1)):
-            raise ValueError("1D windows must be contiguous intervals")
-        from . import automaton1d
-
-        auto = automaton1d.build_automaton(sft)
-
-        def global_oracle(cells: dict) -> bool:
-            word = tuple(cells[c] for c in sorted(cells))
-            return automaton1d.is_globally_admissible(auto, word)
-
-    for k in range(cap + 1):
-        inflated = minkowski_sum(win, k, sft.dim)
-        good = True
-        for assign in _enumerate_admissible(sft, inflated, budget):
-            restr = {c: assign[c] for c in win}
-            if not global_oracle(restr):
-                good = False
-                break
-        if good:
-            return k
-    raise CapExceeded(f"no reconstruction radius up to {cap}")
-
-
 def thicken(mask: NoiseMask, n: int) -> NoiseMask:
     """The n-thickening: a cell is obscured when any cell within
     L-infinity distance n of it is.  Free boundary, so the box shrinks by
@@ -487,4 +416,3 @@ def _or_windows(arr: np.ndarray, n: int) -> np.ndarray:
 
 GOLDEN_MEAN = word_sft("01", ["11"])
 ALTERNATING = word_sft("01", ["00", "11"])
-FULL_SHIFT_2 = Sft(dim=1, alphabet=("0", "1"), forbidden=frozenset())

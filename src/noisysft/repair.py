@@ -385,27 +385,30 @@ def parse_periodic(text: str) -> PeriodicSft:
     return p
 
 
-def local_global_constant(p: PeriodicSft, cap: int = 4, *,
-                          budget: int = 2_000_000) -> int:
+_CAP = 4
+_BUDGET = 2_000_000
+
+
+def local_global_constant(p: PeriodicSft) -> int:
     """Radius c such that a clear window of radius c pins the orbit locally:
-    local admissibility on B_{r+k} forces agreement with some translate on
-    B_r, where r = ceil(period/2); at least r so a window spans a period."""
+    for the least k <= _CAP, every locally admissible pattern on B_{r+k}
+    agrees on B_r with some translate, where r = ceil(period/2); c is
+    max(k, r), at least r so a window spans a period.  Raises
+    core.CapExceeded when no such k exists, core.BudgetExceeded when an
+    enumeration passes _BUDGET search nodes."""
     r = -(-p.period // 2)
-    window = core.ball(r, p.dim)
-    orbit = p.orbit()
+    window = core.ball(r, p.dim)  # sorted, so row-major
     shape = (2 * r + 1,) * p.dim
     origin = (-r,) * p.dim
-    translates = [p.tiling(t, origin, shape).data for t in orbit]
-
-    def oracle(cells: dict) -> bool:
-        got = np.empty(shape, dtype=int)
-        for off, sym in cells.items():
-            got[tuple(o + r for o in off)] = sym
-        return any(np.array_equal(got, tr) for tr in translates)
-
-    k = core.reconstruction_phi(p.sft, window, cap, global_oracle=oracle,
-                                budget=budget)
-    return max(k, r)
+    translates = {tuple(p.tiling(t, origin, shape).data.ravel().tolist())
+                  for t in p.orbit()}
+    for k in range(_CAP + 1):
+        cells = core.ball(r + k, p.dim)
+        if all(tuple(a[c] for c in window) in translates
+               for a in core._enumerate_admissible(p.sft, cells, _BUDGET)):
+            return max(k, r)
+    raise core.CapExceeded(f"the local rules do not pin the periodic orbit "
+                           f"within the cap ({_CAP} cells past radius {r})")
 
 
 @dataclass(frozen=True)

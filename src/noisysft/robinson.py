@@ -84,50 +84,26 @@ _BASES = (
 )
 
 
-@dataclass(frozen=True)
-class RTile:
-    id: int
-    parity: int
-    sides: tuple
-    kind: str  # "cross" or "arm"
-    base: str
-    rot: int
-    reflected: bool
-
-    @property
-    def tuple(self):
-        return (self.parity, self.sides)
-
-
 def _generate():
-    found = {}
-    for base_name, mode, base in _BASES:
-        frontier = [(base, 0, False)]
+    """The closure of the base tiles under rotation (and reflection for
+    "d4" bases), sorted: a tile's id is its position."""
+    found = set()
+    for _, mode, base in _BASES:
+        frontier = [base]
         while frontier:
-            tile, rot, refl = frontier.pop(0)
+            tile = frontier.pop()
             if tile in found:
                 continue
-            found[tile] = (base_name, rot, refl)
-            frontier.append((rot90_tile(tile), (rot + 1) % 4, refl))
+            found.add(tile)
+            frontier.append(rot90_tile(tile))
             if mode == "d4":
-                frontier.append((reflect_tile(tile), rot, not refl))
-    tiles = []
-    for i, t in enumerate(sorted(found)):
-        base_name, rot, refl = found[t]
-        kind = "cross" if base_name.startswith("cross") else "arm"
-        tiles.append(RTile(i, t[0], t[1], kind, base_name, rot, refl))
-    return tuple(tiles)
+                frontier.append(reflect_tile(tile))
+    return tuple(sorted(found))
 
 
-_RTILES = _generate()
-TILES = tuple(t.tuple for t in _RTILES)
+TILES = _generate()
 TILE_INDEX = {t: i for i, t in enumerate(TILES)}
 NTILES = len(TILES)
-
-
-def tileset():
-    """All tiles, id order."""
-    return list(_RTILES)
 
 
 def classic_projection():
@@ -421,13 +397,13 @@ def write_text(grid) -> str:
 _SVG_COLOURS = {BLUE: "#3a6ea5", RED: "#b5413a"}
 
 
-def render_svg(grid, mask=None, cell: int = 18) -> str:
+def render_svg(grid) -> str:
     """Draw a tile grid: parity shading, coloured side marks, black heads."""
     g, _ = _as_ids(grid)
     h, w = g.shape
     if h * w > 256 * 256:
         raise ValueError("grid too large to render")
-    clear = _as_clear(mask, g.shape)
+    cell = 18
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{w * cell}" height="{h * cell}" '
@@ -466,9 +442,6 @@ def render_svg(grid, mask=None, cell: int = 18) -> str:
                     parts.append(f'<circle cx="{hx:.1f}" cy="{hy:.1f}" '
                                  f'r="{third / 2:.1f}" fill="none" '
                                  f'stroke="{col}" stroke-width="1.2"/>')
-            if not clear[r, c]:
-                parts.append(f'<rect x="{x}" y="{y}" width="{cell}" '
-                             f'height="{cell}" fill="#555" opacity="0.55"/>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -959,7 +932,7 @@ def verify_tileset() -> list:
     return checks
 
 
-def verify_edge_words(max_scale: int = 6) -> list:
+def verify_edge_words() -> list:
     checks = []
     ew3 = edge_words(3)
     checks.append(("l3=1100100", ew3.l == "1100100", ew3.l))
@@ -976,8 +949,8 @@ def verify_edge_words(max_scale: int = 6) -> list:
             ok = False
     checks.append(("edge word algebra to N=20", ok, None))
     ok = all(read_edge_words(build_macro(N, 0)) == edge_words(N)
-             for N in range(1, max_scale + 1))
-    checks.append((f"read-off words match to N={max_scale}", ok, None))
+             for N in range(1, 7))
+    checks.append(("read-off words match to N=6", ok, None))
     return checks
 
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisysft.core import ALTERNATING, FULL_SHIFT_2, GOLDEN_MEAN, word_sft
+from noisysft.core import ALTERNATING, GOLDEN_MEAN, word_sft
 from noisysft import automaton1d as a1d
 
+
+FULL_SHIFT_2 = word_sft("01", [])
 
 # alphabet {0,1,2} with only the pairs 01, 10, 12, 20 allowed: the cycle
 # lengths through the single class are 2 and 3, so it is aperiodic but

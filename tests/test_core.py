@@ -1,4 +1,6 @@
-"""Core SFT data model: parsing, admissibility, thickening, phi."""
+"""Core SFT data model: parsing, admissibility, thickening, enumeration."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from noisysft import core
 from noisysft.core import (
     ALTERNATING,
     GOLDEN_MEAN,
-    CapExceeded,
+    BudgetExceeded,
     Grid,
     NoiseMask,
     Pattern,
@@ -18,7 +20,6 @@ from noisysft.core import (
     SftParseError,
     is_locally_admissible,
     parse_sft,
-    reconstruction_phi,
     thicken,
     word_sft,
 )
@@ -103,9 +104,9 @@ class TestAdmissibility:
         assert m.data.dtype == bool
         assert m.data.tolist() == [False, True, True, False]
         g = grid1([0, 1, 1, 0])
-        assert core.violations(GOLDEN_MEAN, g, mask1([0, 0, 0, 0]))
-        assert core.violations(
-            GOLDEN_MEAN, g, NoiseMask((0,), np.array([0, 256, 0, 0]))) == []
+        assert not is_locally_admissible(GOLDEN_MEAN, g, mask1([0, 0, 0, 0]))
+        assert is_locally_admissible(
+            GOLDEN_MEAN, g, NoiseMask((0,), np.array([0, 256, 0, 0])))
 
     def test_bool_input_stays_writable(self):
         a = np.zeros(4, dtype=bool)
@@ -134,10 +135,11 @@ class TestAdmissibility:
         arr[2, 2] = 1 - arr[2, 2]
         assert not is_locally_admissible(checker, Grid((0, 0), arr))
 
-    def test_violations_positions(self):
+    def test_pattern_hits_positions(self):
+        # anchors are box-relative, whatever the grid's origin
         g = grid1([1, 1, 0, 1, 1], origin=10)
-        out = core.violations(GOLDEN_MEAN, g)
-        assert [pos for _, pos in out] == [(10,), (13,)]
+        (p,) = GOLDEN_MEAN.forbidden
+        assert np.flatnonzero(core.pattern_hits(g, p)).tolist() == [0, 3]
 
 
 class TestThicken:
@@ -204,38 +206,57 @@ class TestThicken:
             thicken(NoiseMask((0,) * dim, np.zeros(shape)), n)
 
 
-class TestPhi:
-    def test_full_shift(self):
-        assert reconstruction_phi(core.FULL_SHIFT_2, [(0,)], 3) == 0
+def _brute_admissible(sft, cells):
+    """Every assignment on the cells, in lexicographic order, that holds
+    no forbidden translate lying wholly inside the cell set."""
+    cells = sorted(cells)
+    cellset = set(cells)
+    out = []
+    for syms in itertools.product(range(len(sft.alphabet)), repeat=len(cells)):
+        assign = dict(zip(cells, syms))
+        bad = False
+        for p in sft.forbidden:
+            for c in cells:
+                anchor = tuple(ci - oi for ci, oi in zip(c, p.cells[0][0]))
+                placed = [(tuple(a + o for a, o in zip(anchor, off)), sym)
+                          for off, sym in p.cells]
+                if all(q in cellset and assign[q] == sym for q, sym in placed):
+                    bad = True
+        if not bad:
+            out.append(assign)
+    return out
 
-    def test_golden_mean(self):
-        assert reconstruction_phi(GOLDEN_MEAN, [(0,)], 3) == 0
-        assert reconstruction_phi(GOLDEN_MEAN, [(0,), (1,)], 3) == 0
 
-    def test_needs_radius_one(self):
-        # with 11 and 010 forbidden, the single letter 0 is locally fine
-        # yet globally inadmissible next to ones; radius 1 settles it
-        s = word_sft("01", ["11", "010"])
-        assert reconstruction_phi(s, [(0,)], 3) == 1
+class TestEnumerateAdmissible:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
+    def test_matches_brute_force(self, dim, seed):
+        # random patterns of one to three cells within side 3, and a random
+        # set of up to seven cells within side 5, gaps included
+        rng = np.random.default_rng(seed)
+        nsym = int(rng.integers(2, 4))
+        box = list(itertools.product(range(3), repeat=dim))
+        forbidden = []
+        for _ in range(rng.integers(0, 4)):
+            at = rng.choice(len(box), size=rng.integers(1, 4),
+                            replace=False)
+            forbidden.append(Pattern.from_cells(
+                (box[k], int(rng.integers(0, nsym))) for k in at))
+        sft = Sft(dim=dim, alphabet=tuple("abc"[:nsym]),
+                  forbidden=frozenset(forbidden))
+        space = list(itertools.product(range(-2, 3), repeat=dim))
+        size = rng.integers(1, min(len(space), 7) + 1)
+        cells = [space[k] for k in rng.choice(len(space), size, replace=False)]
+        got = list(core._enumerate_admissible(sft, cells, 10 ** 6))
+        assert got == _brute_admissible(sft, cells)
 
-    def test_cap_exceeded(self):
-        s = word_sft("01", ["11", "010"])
-        with pytest.raises(CapExceeded):
-            reconstruction_phi(s, [(0,)], 0)
-
-    def test_2d_needs_oracle(self):
-        checker = parse_sft(CHECKER_TEXT)
-        with pytest.raises(ValueError):
-            reconstruction_phi(checker, [(0, 0)], 2)
-
-    def test_2d_with_oracle(self):
-        checker = parse_sft(CHECKER_TEXT)
-
-        def oracle(cells):
-            # any single cell extends to a checkerboard
-            return True
-
-        assert reconstruction_phi(checker, [(0, 0)], 2, global_oracle=oracle) == 0
+    def test_budget_counts_every_symbol_tried(self):
+        # the full shift on three cells tries 2 + 4 + 8 = 14 symbols
+        full = word_sft("01", [])
+        cells = [(0,), (1,), (2,)]
+        assert len(list(core._enumerate_admissible(full, cells, 14))) == 8
+        with pytest.raises(BudgetExceeded, match="13 nodes"):
+            list(core._enumerate_admissible(full, cells, 13))
 
 
 class TestCanonicalForm:

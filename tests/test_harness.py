@@ -1119,6 +1119,24 @@ class TestCli:
         assert f"error: line {line}: {what}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_periodic_file_that_does_not_pin_its_orbit(self, tmp_path,
+                                                       capsys):
+        # the one rule bars two a's side by side, so the all-b pattern is
+        # locally admissible on every ball and no radius pins the orbit
+        path = tmp_path / "loose.txt"
+        path.write_text("dim 2\nalphabet a b\nforbid (0,0)=a (0,1)=a\n"
+                        "period 2\nbase a b b a\n")
+        argv = ["repair2d", "--periodic", str(path), "--box", "16",
+                "--epsilons", "0.01", "--trials", "1", "--out",
+                str(tmp_path / "r.csv")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the local rules do not pin the periodic "
+                              "orbit within the cap")
+        assert "--c" in err
+        assert not (tmp_path / "r.csv").exists()
+        assert cli.main(argv + ["--c", "1"]) == 0
+
     @pytest.mark.parametrize("box, c, threads", [
         ("2", "1", "1"), ("2", "1", "2"), ("4x4", "2", "1"), ("1", "1", "1")])
     def test_perc_box_too_small_to_thicken_exit_2(self, box, c, threads,

@@ -12,6 +12,7 @@ import noisysft.automaton1d as a1d
 from noisysft import harness as H
 from noisysft.core import (
     GOLDEN_MEAN,
+    CapExceeded,
     Grid,
     NoiseMask,
     Pattern,
@@ -604,6 +605,21 @@ class TestPeriodicSft:
     def test_local_global_constants(self):
         assert local_global_constant(parse_periodic(CHECKER_TEXT)) == 1
         assert local_global_constant(parse_periodic(STRIPES_TEXT)) == 2
+
+    def test_local_global_constant_of_domino_stripes(self):
+        # vertical stripes, and horizontal ones with a third symbol unused
+        for base, nsym in (([[0, 1], [0, 1]], 2), ([[2, 2], [0, 0]], 3)):
+            p = _domino_periodic(np.array(base), nsym)
+            assert local_global_constant(p) == 1
+
+    def test_local_global_constant_cap_exceeded(self):
+        # the domino rules of these period-3 bases admit, on every ball up
+        # to the cap, a pattern that no translate of the orbit shows
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            p = _domino_periodic(rng.integers(0, 3, size=(3, 3)), 3)
+            with pytest.raises(CapExceeded, match="do not pin"):
+                local_global_constant(p)
 
 
 class TestRepairPeriodic:
