@@ -15,8 +15,9 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Sft
+from .core import Sft, _gather
 
 Word = tuple[int, ...]
 
@@ -247,56 +248,63 @@ def _letters(sft: Sft, word) -> np.ndarray:
     return np.array(coerce_word(sft, word), dtype=np.int64)
 
 
-def window_states(auto: WordAutomaton, word) -> np.ndarray:
-    """Index of the state spelled by word[p:p + word_len] for every start
-    p, or -1 where that window is no state, in the smallest signed integer
-    type that holds every index.  An integer array is read as given, with
-    no wider copy (`_window_index`); ValueError for letters that are not
-    integers.
+def window_states(auto: WordAutomaton, word, starts) -> np.ndarray:
+    """Index of the state spelled by word[p:p + word_len] at every start p
+    of the 1D sequence `starts`, or -1 where that window leaves the word or
+    is no state, in the smallest signed integer type that holds every
+    index.  Only those windows are read, from an integer array as given;
+    ValueError for letters that are not integers.
     """
-    return _window_index(_letters(auto.sft, word), auto.states,
-                         auto.word_len, len(auto.sft.alphabet))
+    w, wl = _letters(auto.sft, word), auto.word_len
+    nsym = len(auto.sft.alphabet)
+    starts = np.asarray(starts, dtype=np.intp)
+    inside = (starts >= 0) & (starts <= len(w) - wl)
+    windows = w[starts[inside, None] + np.arange(wl)]
+    found = _window_index(_digits(windows, nsym), auto.states, nsym)
+    out = np.full(starts.shape, -1, dtype=found.dtype)
+    out[inside] = found
+    return out
 
 
-def _window_index(w: np.ndarray, words: tuple[Word, ...], width: int,
+def _digits(w: np.ndarray, nsym: int) -> np.ndarray:
+    """The letters of w, with nsym for every letter outside [0, nsym)."""
+    if w.size and (w.min() < 0 or w.max() >= nsym):
+        return np.where((w >= 0) & (w < nsym), w, nsym)
+    return w
+
+
+def _window_index(windows: np.ndarray, words: tuple[Word, ...],
                   nsym: int) -> np.ndarray:
-    """Index in `words`, sorted words of `width` letters, of w[p:p + width]
-    for every start p, or -1 where that window is none of them, in the
-    smallest signed integer type that holds every index.
+    """Index in `words`, sorted words of `width` letters, of every row of
+    `windows`, a (count, width) array of `_digits`, or -1 where the row is
+    none of them, in the smallest signed integer type that holds any index.
 
-    Each window is read as a number in base nsym + 1, accumulated letter
-    by letter over all windows at once; the extra digit stands for any
-    letter outside the alphabet, so such windows match no word.  The
-    numbers are held in the narrowest unsigned type that holds
-    base ** width (exact Python integers past int64).  They index a lookup
-    table when it is no larger than the word; otherwise a binary search
-    over the sorted word numbers finds them.
+    Each row is read as a number in base nsym + 1, accumulated digit by
+    digit over all rows at once; the digit nsym stands for any letter
+    outside the alphabet, so such rows match no word.  The numbers are
+    held in the narrowest unsigned type that holds base ** width (exact
+    Python integers past int64).  They index a lookup table when it is no
+    larger than the row count; otherwise a binary search over the sorted
+    word numbers finds them.
     """
-    count = len(w) - width + 1
+    count, width = windows.shape
     out_type = np.min_scalar_type(-max(len(words), 1))
-    if count <= 0:
-        return np.zeros(0, dtype=out_type)
     if not words:
         return np.full(count, -1, dtype=out_type)
     base = nsym + 1
     size = base ** width
     dtype = np.min_scalar_type(size) if size < 2 ** 63 else object
-    digits = w
-    if w.min() < 0 or w.max() >= nsym:
-        digits = np.where((w >= 0) & (w < nsym), w, nsym)
-    if dtype is object:
-        digits = digits.astype(object)
     codes = np.zeros(count, dtype=dtype)
     table = np.zeros(len(words), dtype=dtype)
     letters = np.array(words, dtype=dtype).reshape(len(words), width)
     for i in range(width):
         codes *= base
-        np.add(codes, digits[i:i + count], out=codes, casting="unsafe")
+        np.add(codes, windows[:, i], out=codes, casting="unsafe")
         table = table * base + letters[:, i]
     if size <= count:
         lut = np.full(size, -1, dtype=out_type)
         lut[table] = np.arange(len(table))
-        return lut[codes]
+        return _gather(lut, codes)
     idx = np.minimum(np.searchsorted(table, codes), len(table) - 1)
     return np.where(table[idx] == codes, idx, -1).astype(out_type)
 
@@ -322,7 +330,7 @@ def is_globally_admissible(auto: WordAutomaton, word) -> bool:
     letters that are not integers.
     """
     w = _letters(auto.sft, word)
-    wl = auto.word_len
+    wl, nsym = auto.word_len, len(auto.sft.alphabet)
     live = live_states(auto)
     if len(w) <= wl:
         w = tuple(int(v) for v in w)
@@ -331,7 +339,8 @@ def is_globally_admissible(auto: WordAutomaton, word) -> bool:
             if any(s[a:a + len(w)] == w for a in range(wl - len(w) + 1)):
                 return True
         return False
-    edges = _window_index(w, _live_edges(auto), wl + 1, len(auto.sft.alphabet))
+    edges = _window_index(sliding_window_view(_digits(w, nsym), wl + 1),
+                          _live_edges(auto), nsym)
     return bool((edges >= 0).all())
 
 

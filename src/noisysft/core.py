@@ -231,9 +231,7 @@ def parse_sft(text: str, *, extra: dict | None = None) -> Sft:
     patterns = []
     for lineno, rest in forbid_lines:
         cells = []
-        consumed = 0
         for m in _FORBID_CELL_RE.finditer(rest):
-            consumed += len(m.group(0))
             coords = m.group(1).split(",")
             if len(coords) != dim:
                 raise SftParseError(
@@ -247,7 +245,9 @@ def parse_sft(text: str, *, extra: dict | None = None) -> Sft:
                 raise SftParseError(f"line {lineno}: unknown symbol {tok!r}")
             cells.append((off, alphabet.index(tok)))
         if not cells:
-            raise SftParseError(f"line {lineno}: empty forbid")
+            what = (f"malformed forbid cells {rest!r}, expected "
+                    "(<c1,...,cd>)=<sym> ..." if rest else "empty forbid")
+            raise SftParseError(f"line {lineno}: {what}")
         if len(re.sub(r"\s", "", rest)) != len(re.sub(r"\s", "", "".join(
                 m.group(0) for m in _FORBID_CELL_RE.finditer(rest)))):
             raise SftParseError(f"line {lineno}: trailing junk in forbid")
@@ -412,6 +412,20 @@ def _or_windows(arr: np.ndarray, n: int) -> np.ndarray:
             k *= 2
         arr = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
     return arr
+
+
+_BAND = 1 << 15
+
+
+def _gather(table: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """table[key] for a 1D table and an integer key of any shape, by np.take
+    over bands of _BAND cells: fancy indexing casts a narrow key to intp in
+    slow buffered chunks, np.take casts a whole band at once."""
+    out = np.empty(key.shape, dtype=table.dtype)
+    flat, at = out.reshape(-1), key.reshape(-1)
+    for i in range(0, at.size, _BAND):
+        np.take(table, at[i:i + _BAND], out=flat[i:i + _BAND])
+    return out
 
 
 GOLDEN_MEAN = word_sft("01", ["11"])

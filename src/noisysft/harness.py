@@ -594,8 +594,8 @@ def _nearest_reference(certificate: float, box):
 def _distances(x: np.ndarray, mask: np.ndarray, refs) -> dict:
     """A construction trial's result: its Hamming density to each reference
     and its obscured fraction."""
-    return {"per_ref": [float((x != ref).mean()) for ref in refs],
-            "obscured": float(mask.mean())}
+    return {"per_ref": [int(np.count_nonzero(x != r)) / x.size for r in refs],
+            "obscured": int(np.count_nonzero(mask)) / mask.size}
 
 
 def _trial_phase1d(args):

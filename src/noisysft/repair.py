@@ -81,10 +81,8 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     fat = thicken(padded, rc.E).data
     out = np.array(grid.data, copy=True)
     live = a1d.live_states(auto)
-    # every anchor is read from one pass over the noisy word, taken before
-    # any window is written
-    boundary_gap = not _fill_windows(auto, rc, fat,
-                                     a1d.window_states(auto, out), live, out)
+    # every anchor is read from the noisy word, grid.data, never written
+    boundary_gap = not _fill_windows(auto, rc, fat, grid.data, live, out)
     if boundary_gap:
         out[:] = a1d.lex_least_admissible_word(auto, length)
         end_rewrites = 0
@@ -97,8 +95,8 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
         grid=Grid(grid.origin, out),
         interior=(origin + c_const, origin + length - c_const),
         changed=changed,
-        changed_fraction=float(changed[c_const:length - c_const].sum())
-        / (length - 2 * c_const),
+        changed_fraction=int(np.count_nonzero(
+            changed[c_const:length - c_const])) / (length - 2 * c_const),
         boundary_gap=boundary_gap,
         end_rewrites=end_rewrites,
         constants=rc,
@@ -106,18 +104,17 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
 
 
 def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
-                  fat: np.ndarray, states_at: np.ndarray, live: frozenset,
+                  fat: np.ndarray, noisy: np.ndarray, live: frozenset,
                   out: np.ndarray) -> bool:
     """Refill every run of `fat` in `out` as if the runs were written one
     by one in run order; False, with `out` untouched, when some run cannot
     be anchored.
 
-    `states_at[p]` is the state spelled by the noisy word at p.  An
-    interior run [a, b) is anchored on the states ending at a + h and
-    starting at b - h.  When both are states and `fill_gap` has a word
-    between them, which is what the first step of the widening loop
-    accepts, the run takes the batched path; every other run goes through
-    `_widened_fills`.
+    Anchors are read from the word `noisy`.  An interior run [a, b) is
+    anchored on the states ending at a + h and starting at b - h.  When
+    both are states and `fill_gap` has a word between them, which is what
+    the first step of the widening loop accepts, the run takes the batched
+    path; every other run goes through `_widened_fills`.
     """
     wl, length = rc.word_len, len(fat)
     h = -(-auto.sft.diameter // 2)
@@ -127,7 +124,8 @@ def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
     if np.any(touches_lo & touches_hi):
         return False
     start, stop = a + h, b - h
-    left, right = _anchors(states_at, start - wl), _anchors(states_at, stop)
+    left = a1d.window_states(auto, noisy, start - wl)
+    right = a1d.window_states(auto, noisy, stop)
     fast = np.flatnonzero(~touches_lo & ~touches_hi & (left >= 0)
                           & (right >= 0))
     nstates = len(auto.states)
@@ -146,7 +144,7 @@ def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
     slow[fast] = False
     slow = np.flatnonzero(slow)
     widened = _widened_fills(auto, rc, zip(a[slow].tolist(), b[slow].tolist()),
-                             states_at, live)
+                             noisy, live)
     if widened is None:
         return False
 
@@ -177,14 +175,8 @@ def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
     return True
 
 
-def _anchors(states_at: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """states_at[lo] where lo is a window start inside the box, else -1."""
-    inside = (lo >= 0) & (lo < len(states_at))
-    return np.where(inside, states_at[np.where(inside, lo, 0)], -1)
-
-
 def _widened_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
-                   runs, states_at: np.ndarray, live: frozenset):
+                   runs, noisy: np.ndarray, live: frozenset):
     """(start, stop, letters) refills of the given [a, b) runs of the
     thickened mask, in the order given, or None when some run cannot be
     anchored.
@@ -193,16 +185,15 @@ def _widened_fills(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
     side only and filled to the box end; runs reaching into both are
     rejected before this is called.
     """
-    wl, c_const, length = rc.word_len, rc.C, len(states_at) + rc.word_len - 1
+    wl, c_const, length = rc.word_len, rc.C, len(noisy)
     h = -(-auto.sft.diameter // 2)
 
     def anchor(pos: int, left: bool) -> int | None:
-        """State of word[pos-wl:pos] (left) or word[pos:pos+wl] (right),
+        """State of noisy[pos-wl:pos] (left) or noisy[pos:pos+wl] (right),
         None when that window leaves the box or is no state."""
         lo = pos - wl if left else pos
-        if 0 <= lo <= length - wl and states_at[lo] >= 0:
-            return int(states_at[lo])
-        return None
+        state = int(a1d.window_states(auto, noisy, [lo])[0])
+        return state if state >= 0 else None
 
     def widen(pos: int, step: int, left: bool):
         """(position, state) of the first live anchor among the C + wl + 2
@@ -449,8 +440,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()
-    # flat index of (x mod period..., grid[x]) in a MATCH word, per cell x, in
-    # the narrowest dtype that holds it; np.take would copy it to intp
+    # per cell x, the flat MATCH-word index of (x mod period..., grid[x])
     kt = np.min_scalar_type(p._match[0].size)
     key = sum((((o + np.arange(s)) % p.period) * (nsym * p.period ** k))
               .astype(kt).reshape((-1,) + (1,) * k)
@@ -460,7 +450,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     counts = np.zeros(len(orbit), dtype=np.intp)
     off = giant.data.copy()  # cells that cast no vote in the words left
     for w in range(len(p._match) - 1, -1, -1):  # one word per 8 translates
-        ok = ~core._or_windows(~p._match[w].ravel()[key], c)
+        ok = ~core._or_windows(~core._gather(p._match[w].ravel(), key), c)
         np.copyto(ok, 0, where=off)
         size = min(8, len(orbit) - 8 * w)
         at_least = np.array([np.count_nonzero(ok >= 1 << i)
@@ -476,7 +466,8 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
         best = max(i for i, n in enumerate(counts) if n == top)
     offset = orbit[best]
     repaired = p.tiling(offset, giant.origin, giant.shape)
-    changed = float(np.mean(g[inner] != repaired.data))
+    changed = int(np.count_nonzero(g[inner] != repaired.data)) \
+        / repaired.data.size
     return RepairPeriodicReport(
         grid=repaired, offset=offset, c=c, changed_fraction=changed,
         vote_counts={orbit[i]: int(n) for i, n in enumerate(counts)},

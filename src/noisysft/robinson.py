@@ -895,7 +895,7 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
 
     ref = reference_window(giant.origin, giant.shape, t_full)
     original = grid.data[inner]
-    changed = float(np.mean(original != ref))
+    changed = int(np.count_nonzero(original != ref)) / ref.size
     slack = robinson_slack(N, min(giant.shape))
     return RobinsonRepairReport(
         grid=Grid(giant.origin, ref), scale=N, c=c, translate=translate,

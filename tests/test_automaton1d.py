@@ -347,12 +347,17 @@ class TestGlobalOracle:
         auto = a1d.build_automaton(sft)
         assert a1d.is_globally_admissible(auto, word) is \
             _admissible_reference(auto, word)
+        w, wl = a1d.coerce_word(sft, word), auto.word_len
+        assert a1d.window_states(auto, word, range(len(w))).tolist() == [
+            auto.index.get(w[s:s + wl], -1) if s + wl <= len(w) else -1
+            for s in range(len(w))]
 
     def test_letters_outside_alphabet(self):
         auto = a1d.build_automaton(GOLDEN_MEAN)
         assert not a1d.is_globally_admissible(auto, np.array([0, 2, 0]))
         assert not a1d.is_globally_admissible(auto, [0, -1, 0])
-        assert list(a1d.window_states(auto, [0, 2, -1, 1])) == [0, -1, -1, 1]
+        assert list(a1d.window_states(auto, [0, 2, -1, 1],
+                                      range(4))) == [0, -1, -1, 1]
 
     def test_non_integer_letters_raise(self):
         # truncation used to read both words as 0100, which is admissible
@@ -362,7 +367,7 @@ class TestGlobalOracle:
             with pytest.raises(ValueError, match="integers"):
                 a1d.is_globally_admissible(auto, word)
             with pytest.raises(ValueError, match="integers"):
-                a1d.window_states(auto, word)
+                a1d.window_states(auto, word, range(len(word)))
 
     @pytest.mark.parametrize("word", [
         np.array([False, True, False, False]),
@@ -373,7 +378,7 @@ class TestGlobalOracle:
     def test_integer_words_read_as_given(self, word):
         auto = a1d.build_automaton(GOLDEN_MEAN)
         assert a1d.is_globally_admissible(auto, word)
-        assert list(a1d.window_states(auto, word)) == [0, 1, 0, 0]
+        assert list(a1d.window_states(auto, word, range(4))) == [0, 1, 0, 0]
 
 
 class TestCaches:

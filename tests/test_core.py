@@ -80,11 +80,34 @@ class TestParse:
         with pytest.raises(SftParseError, match="unknown directive"):
             parse_sft("dim 1\nalphabet 0 1\nperiod 2\n")
 
+    def test_forbid_without_cells(self):
+        # a forbid line with content but no cell used to read as empty
+        with pytest.raises(SftParseError, match=r"line 3: malformed forbid "
+                           r"cells 'aa', expected \(<c1,...,cd>\)=<sym>"):
+            parse_sft("dim 1\nalphabet a b\nforbid aa\n")
+        with pytest.raises(SftParseError, match="line 3: empty forbid"):
+            parse_sft("dim 1\nalphabet a b\nforbid\n")
+
     def test_extra_directives_collected(self):
         extra = {}
         parse_sft("dim 1\nalphabet 0 1\nperiod 2\nbase 0 1\n", extra=extra)
         assert extra["period"] == [(3, "2")]
         assert extra["base"] == [(4, "0 1")]
+
+
+class TestGather:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32,
+                                       np.intp])
+    @pytest.mark.parametrize("shape", [
+        (0,), (1,), (core._BAND - 1,), (core._BAND,), (core._BAND + 1,),
+        (0, 3), (181, 363)])
+    def test_equals_fancy_indexing(self, dtype, shape):
+        rng = np.random.default_rng(len(shape) * 1000 + shape[-1])
+        table = rng.integers(-1000, 1000, 250).astype(np.int16)
+        key = rng.integers(0, len(table), shape).astype(dtype)
+        got, want = core._gather(table, key), table[key]
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 class TestAdmissibility:

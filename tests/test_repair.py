@@ -135,6 +135,7 @@ class TestRepair1D:
         assert len(changed) > 0
         e = rep.constants.E
         assert all(abs(i - 30) <= e for i in changed)
+        assert type(rep.changed_fraction) is float
 
     def test_all_obscured_reports_boundary_gap(self):
         data = np.ones(50, dtype=np.int64)
@@ -279,13 +280,11 @@ def _repair_1d_reference(auto, grid, mask, spans=None):
         lo = pos - wl if side == "left" else pos
         return lo if 0 <= lo <= length - wl else None
 
-    states_at = a1d.window_states(auto, out)
-
     def anchor_state(pos, side):
         lo = window_start(pos, side)
-        if lo is None or states_at[lo] < 0:
+        if lo is None:
             return None
-        return int(states_at[lo])
+        return auto.index.get(tuple(int(v) for v in grid.data[lo:lo + wl]))
 
     def peel_state(pos, side):
         lo = window_start(pos, side)
@@ -494,6 +493,22 @@ class TestRandomSft1D:
         _assert_same_1d(repair_1d(auto, noisy, mask),
                         _repair_1d_reference(auto, noisy, mask))
 
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_aperiodic_automata(), st.data())
+    def test_window_states_at_starts(self, auto, data):
+        """window_states against the state dict, at starts on and off the
+        word; the letter nsym is off the alphabet."""
+        nsym, wl = len(auto.sft.alphabet), auto.word_len
+        word = np.array(data.draw(st.lists(st.integers(0, nsym), max_size=40)),
+                        dtype=data.draw(st.sampled_from(
+                            [np.uint8, np.int16, np.int64])))
+        starts = data.draw(st.lists(st.integers(-wl - 2, len(word) + 2),
+                                    max_size=60))
+        want = [auto.index.get(tuple(word[s:s + wl].tolist()), -1)
+                if 0 <= s <= len(word) - wl else -1 for s in starts]
+        got = a1d.window_states(auto, word, starts)
+        assert got.tolist() == want
+        assert got.dtype == np.min_scalar_type(-len(auto.states))
 
     def test_widened_fill_overlaps_next_batched_fill(self):
         """Unmasked 2s right of the first window push its right anchor onto
@@ -651,6 +666,7 @@ class TestRepairPeriodic:
         ref = self.p.tiling((0, 0), rep.grid.origin, rep.grid.shape)
         assert np.array_equal(rep.grid.data, ref.data)
         assert rep.changed_fraction == pytest.approx(1 / rep.grid.data.size)
+        assert type(rep.changed_fraction) is float
 
     def test_majority_wins(self):
         shape = (30, 30)

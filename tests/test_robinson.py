@@ -507,6 +507,7 @@ class TestRepair:
         assert rep.translate == (t_in[0] % 8, t_in[1] % 8)
         assert rb.is_admissible(rep.grid.data)
         assert rep.changed_fraction <= 0.5 + rep.slack
+        assert type(rep.changed_fraction) is float
 
     def test_determinism(self):
         _, g, m = self._noisy_instance(2, 1e-3, (200, 200), seed=3)
