@@ -444,37 +444,34 @@ class _ReachTable:
         return self.seq[self.start + (t - self.start) % self.period]
 
 
-def _state_index(auto: WordAutomaton, state) -> int:
-    if isinstance(state, (int, np.integer)) and not isinstance(state, bool):
-        if 0 <= state < len(auto.states):
-            return int(state)
-        raise ValueError(f"no state {state}")
-    w = coerce_word(auto.sft, state)
-    try:
-        return auto.index[w]
-    except KeyError:
-        raise ValueError(f"{w} is not a state") from None
-
-
 _GAP_CACHE = 4096
 
 
-def fill_gap(auto: WordAutomaton, left, right, n: int) -> Word | None:
+def fill_gap(auto: WordAutomaton, left: int, right: int,
+             n: int) -> Word | None:
     """Lexicographically least word w of length n with left.w.right locally
-    admissible as a path, or None when no such word exists.
+    admissible as a path, or None when no such word exists.  `left` and
+    `right` are state indices.
 
     Deterministic: ties are broken by alphabet order at every letter.
-    Results are kept per automaton, the oldest dropped past _GAP_CACHE.
+    Results are kept per automaton, the oldest dropped past _GAP_CACHE; a
+    key is checked on its first walk, so an invalid one raises ValueError
+    and is never kept.
     """
+    key = (left, right, n)
+    gaps = auto._gaps
+    try:
+        return gaps[key]
+    except KeyError:
+        pass
+    if not (0 <= left < len(auto.states) and 0 <= right < len(auto.states)):
+        raise ValueError(f"no state pair ({left}, {right})")
     if n < 0:
         raise ValueError("gap length must be nonnegative")
-    key = (_state_index(auto, left), _state_index(auto, right), n)
-    gaps = auto._gaps
-    if key not in gaps:
-        if len(gaps) >= _GAP_CACHE:
-            del gaps[next(iter(gaps))]
-        gaps[key] = _walk_gap(auto, *key)
-    return gaps[key]
+    if len(gaps) >= _GAP_CACHE:
+        del gaps[next(iter(gaps))]
+    gaps[key] = word = _walk_gap(auto, left, right, n)
+    return word
 
 
 def _walk_gap(auto: WordAutomaton, li: int, ri: int, n: int) -> Word | None:
@@ -499,16 +496,17 @@ def _walk_gap(auto: WordAutomaton, li: int, ri: int, n: int) -> Word | None:
     return tuple(out)
 
 
-def extend_from(auto: WordAutomaton, state, n: int, *, forward: bool = True) -> Word:
-    """Lex-least n-letter continuation from (or into) a state, staying
-    within the live part so the result remains globally admissible."""
+def extend_from(auto: WordAutomaton, state: int, n: int, *,
+                forward: bool = True) -> Word:
+    """Lex-least n-letter continuation from (or into) the state with index
+    `state`, staying within the live part so the result remains globally
+    admissible.  ValueError for an index that is no live state."""
     live = live_states(auto)
-    idx = _state_index(auto, state)
-    if idx not in live:
+    if state not in live:
         raise ValueError("state has no bi-infinite extension")
     out = []
     if forward:
-        cur = idx
+        cur = state
         for _ in range(n):
             b, j = min((b, j) for b, j in auto.edges[cur] if j in live)
             out.append(b)
@@ -516,8 +514,8 @@ def extend_from(auto: WordAutomaton, state, n: int, *, forward: bool = True) -> 
         return tuple(out)
     # backwards: choose predecessors; lex-least means minimizing earlier
     # letters first, so scan positions left to right among live paths
-    # reach[t] = states that reach idx in exactly t live steps
-    reach = [{idx}]
+    # reach[t] = states that reach `state` in exactly t live steps
+    reach = [{state}]
     for _ in range(n):
         reach.append({u for v in reach[-1] for u, _ in auto._preds[v]
                       if u in live})
@@ -530,7 +528,7 @@ def extend_from(auto: WordAutomaton, state, n: int, *, forward: bool = True) -> 
                    if j in live and j in reach[t - 1])
         out.append(b)
         cur = j
-    assert cur == idx
+    assert cur == state
     # the full word is start-state letters then edge labels; the last
     # word_len letters of it spell the target state, so the prepended
     # word is the first n letters

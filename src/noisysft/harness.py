@@ -495,6 +495,8 @@ def run_repair2d_sweep(spec: ExperimentSpec):
     spec.validate()
     check_sides(spec.box, "a repair2d", "one or two sides")
     name, p = resolve_periodic(spec.sft)
+    if p.sft.dim != 2:
+        raise ValueError(f"repair2d needs a 2D periodic SFT, got dim {p.sft.dim}")
     c = local_global_constant(p) if spec.c is None else spec.c
     shape = _square(spec.box)
     return _sweep_rows(spec, "repair2d", name, shape, _trial_repair2d,
@@ -745,6 +747,9 @@ def run_instability_grid2d(p: PeriodicSft, k: int, n: int, box: int,
     """
     if isinstance(p, str):
         p = resolve_periodic(p)[1]
+    if p.sft.dim != 2:
+        raise ValueError(
+            f"instability grid2d needs a 2D periodic SFT, got dim {p.sft.dim}")
     orbit = p.orbit()
     if len(orbit) < 2:
         raise ValueError("construction needs a non-constant orbit")

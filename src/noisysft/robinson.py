@@ -572,61 +572,6 @@ def _macro_as_fixed(N, orient, dr=0, dc=0):
             for r in range(g.shape[0]) for c in range(g.shape[1])}
 
 
-def forcing_3square() -> dict:
-    """Exhaustive 3x3 solution counts for a pinned bumpy cross.
-
-    Key (corner, orient_name); value (solutions, macros among them).
-    Inward pins force the four 2-macro completions exactly.  The search
-    runs once per process; each call gets its own copy of the result.
-    """
-    return dict(_forcing_3square())
-
-
-@lru_cache(maxsize=None)
-def _forcing_3square() -> dict:
-    macros = [_macro_as_fixed(2, o) for o in range(4)]
-    cells = [(r, c) for r in range(3) for c in range(3)]
-    report = {}
-    for corner, inward in (((0, 0), 0), ((0, 2), 3), ((2, 0), 1), ((2, 2), 2)):
-        for o in range(4):
-            sols = solve_window(cells, {corner: make_cross(o, BUMPY)})
-            n_macro = sum(s in macros for s in sols)
-            report[(corner, ORIENT_NAMES[o])] = (len(sols), n_macro)
-    return report
-
-
-def check_alignment(N: int) -> dict:
-    """Gap tilings between two N-macros at every small offset.
-
-    Horizontal: left macro at origin, right macro at column offset
-    2^N + 1 and row offset dy; one gap column between them.  Vertical
-    likewise with a gap row.  Returns the tileable orientation pairs per
-    offset; misaligned offsets admit none.
-    """
-    if N not in (1, 2):
-        raise ValueError("exhaustive alignment check is limited to N <= 2")
-    side = 2 ** N - 1
-    report = {}
-    for axis in ("h", "v"):
-        for dy in range(side):
-            pairs = []
-            for o1 in range(4):
-                for o2 in range(4):
-                    if axis == "h":
-                        fixed = _macro_as_fixed(N, o1)
-                        fixed.update(_macro_as_fixed(N, o2, dy, side + 1))
-                        gap = [(r, side) for r in range(side + dy)]
-                    else:
-                        fixed = _macro_as_fixed(N, o1)
-                        fixed.update(_macro_as_fixed(N, o2, side + 1, dy))
-                        gap = [(side, c) for c in range(side + dy)]
-                    cells = list(fixed) + gap
-                    if solve_window(cells, fixed, limit=1):
-                        pairs.append((ORIENT_NAMES[o1], ORIENT_NAMES[o2]))
-            report[(axis, dy)] = pairs
-    return report
-
-
 # ---------------------------------------------------------------------------
 # peeling
 
@@ -659,7 +604,7 @@ def cross_lattice_defects(grid, t4, origin=(0, 0)) -> list:
 
 # A locally admissible 9-square centred on a 2-macro whose 2-peel core
 # contains an off-lattice dented cross at (2,4), kept as the standing
-# optimality witness.  The checks in `peel_verify` (and
+# optimality witness.  The checks in `verify_peel` (and
 # test_witness_is_certified) certify it: admissible, centred, defective
 # after 2 peels and clean after 3.
 _PEEL_WITNESS_9 = np.array([
@@ -673,51 +618,6 @@ _PEEL_WITNESS_9 = np.array([
     [10, 52, 0, 53, 50, 52, 12, 53, 15],
     [15, 36, 9, 51, 51, 41, 20, 51, 10]], dtype=np.int8)
 _PEEL_WITNESS_9.setflags(write=False)
-
-
-def peel_verify() -> dict:
-    """Base forcing fact plus the C2 = 3 peeling statement on 9-squares.
-
-    Peeling 3 layers from an admissible 9-square centred on a 2-macro
-    exposes exactly that macro; peeling only 2 can leave a core with an
-    off-lattice cross, witnessed by the frozen `_PEEL_WITNESS_9`.  Every
-    9-window of the scale-5 macro centred on a 2-macro is checked: none
-    shows a defect at any peel depth.
-    """
-    report = {"forcing": forcing_3square()}
-    macros = [build_macro(2, o) for o in range(4)]
-    g5 = build_macro(5, 0)
-    # every 9-window of a valid tiling centred on a 2-macro: 3-peel core
-    # is the macro, and no peel depth surfaces an off-lattice cross
-    clean = True
-    centres = [(r, c) for r in range(4, g5.shape[0] - 4)
-               for c in range(4, g5.shape[1] - 4)
-               if r % 4 == 1 and c % 4 == 1]
-    for r, c in centres:
-        win = g5[r - 4:r + 5, c - 4:c + 5]
-        t4 = ((r - 1) % 4, (c - 1) % 4)
-        if not any(np.array_equal(win[3:6, 3:6], m) for m in macros):
-            clean = False
-        for j in range(4):
-            core = win[j:9 - j, j:9 - j]
-            if cross_lattice_defects(core, t4, (r - 4 + j, c - 4 + j)):
-                clean = False
-    report["macro_windows_clean"] = clean
-
-    witness = _PEEL_WITNESS_9
-    t4 = (3, 3)  # centre cross at (4,4) is a block centre: t = (4,4)-(1,1)
-    report["witness_admissible"] = is_admissible(witness)
-    report["witness_centred"] = any(
-        np.array_equal(witness[3:6, 3:6], m) for m in macros)
-    report["witness_two_peel_defects"] = len(
-        cross_lattice_defects(witness[2:7, 2:7], t4, (2, 2)))
-    report["witness_three_peel_defects"] = len(
-        cross_lattice_defects(witness[3:6, 3:6], t4, (3, 3)))
-    report["needs_exactly"] = 3 if (
-        report["witness_two_peel_defects"] > 0
-        and report["witness_three_peel_defects"] == 0
-        and report["macro_windows_clean"]) else None
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -954,59 +854,112 @@ def verify_edge_words() -> list:
     return checks
 
 
+def _tileable_pairs(N: int, axis: str, dy: int) -> list:
+    """Orientation pairs of two N-macros that tile with one gap line
+    between them, the second macro shifted by dy along the gap.
+
+    Horizontal ("h"): left macro at the origin, right macro at column
+    2^N and row dy, the gap column 2^N - 1 between them.  Vertical ("v")
+    likewise with a gap row.  Misaligned offsets admit none.
+    """
+    side = 2 ** N - 1
+    h = axis == "h"
+    shift = (dy, side + 1) if h else (side + 1, dy)
+    gap = [(i, side) if h else (side, i) for i in range(side + dy)]
+    pairs = []
+    for o1 in range(4):
+        for o2 in range(4):
+            fixed = {**_macro_as_fixed(N, o1), **_macro_as_fixed(N, o2, *shift)}
+            if solve_window(list(fixed) + gap, fixed, limit=1):
+                pairs.append((ORIENT_NAMES[o1], ORIENT_NAMES[o2]))
+    return pairs
+
+
 def verify_alignment() -> list:
-    checks = []
-    rep1 = check_alignment(1)
     # single crosses sit on the orientation lattice, so only the pairs a
     # valid row actually contains survive; ill-oriented pairs all die
-    h1 = sorted([("NE", "NW"), ("NW", "NE"), ("SE", "SW"), ("SW", "SE")])
-    v1 = sorted([("NE", "SE"), ("NW", "SW"), ("SE", "NE"), ("SW", "NW")])
-    checks.append(("scale-1 horizontal pairs",
-                   sorted(rep1[("h", 0)]) == h1, rep1[("h", 0)]))
-    checks.append(("scale-1 vertical pairs",
-                   sorted(rep1[("v", 0)]) == v1, rep1[("v", 0)]))
-    rep2 = check_alignment(2)
-    h0 = sorted(rep2[("h", 0)])
+    h1, v1 = _tileable_pairs(1, "h", 0), _tileable_pairs(1, "v", 0)
+    h2, v2 = _tileable_pairs(2, "h", 0), _tileable_pairs(2, "v", 0)
+    h_off = [_tileable_pairs(2, "h", dy) for dy in (1, 2)]
+    v_off = [_tileable_pairs(2, "v", dy) for dy in (1, 2)]
     h_expect = sorted([("SE", "SW"), ("NE", "NW"), ("NW", "SE"),
                        ("NW", "NE"), ("SW", "SE"), ("SW", "NE")])
-    checks.append(("scale-2 aligned pairs (6)", h0 == h_expect, h0))
-    checks.append(("scale-2 offset 1 blocked", rep2[("h", 1)] == [],
-                   rep2[("h", 1)]))
-    checks.append(("scale-2 offset 2 blocked", rep2[("h", 2)] == [],
-                   rep2[("h", 2)]))
-    v0 = sorted(rep2[("v", 0)])
     v_expect = sorted([("SE", "NE"), ("NE", "SE"), ("NE", "SW"),
                        ("NW", "SE"), ("NW", "SW"), ("SW", "NW")])
-    checks.append(("scale-2 vertical aligned pairs", v0 == v_expect, v0))
-    checks.append(("scale-2 vertical offsets blocked",
-                   rep2[("v", 1)] == [] and rep2[("v", 2)] == [], None))
-    return checks
+    return [
+        ("scale-1 horizontal pairs", sorted(h1) == sorted(
+            [("NE", "NW"), ("NW", "NE"), ("SE", "SW"), ("SW", "SE")]), h1),
+        ("scale-1 vertical pairs", sorted(v1) == sorted(
+            [("NE", "SE"), ("NW", "SW"), ("SE", "NE"), ("SW", "NW")]), v1),
+        ("scale-2 aligned pairs (6)", sorted(h2) == h_expect, sorted(h2)),
+        ("scale-2 offset 1 blocked", h_off[0] == [], h_off[0]),
+        ("scale-2 offset 2 blocked", h_off[1] == [], h_off[1]),
+        ("scale-2 vertical aligned pairs", sorted(v2) == v_expect,
+         sorted(v2)),
+        ("scale-2 vertical offsets blocked", v_off == [[], []], None),
+    ]
 
 
 def verify_peel() -> list:
-    checks = []
-    rep = peel_verify()
-    checks.append(("macro windows: all peels defect-free",
-                   rep["macro_windows_clean"], None))
-    checks.append(("witness 9-square admissible",
-                   rep["witness_admissible"], None))
-    checks.append(("witness centred on a 2-macro",
-                   rep["witness_centred"], None))
-    checks.append(("witness: 2-peel core off-lattice",
-                   rep["witness_two_peel_defects"] > 0,
-                   rep["witness_two_peel_defects"]))
-    checks.append(("9-square needs exactly 3 peels",
-                   rep["needs_exactly"] == 3, rep["needs_exactly"]))
-    forcing = rep["forcing"]
+    """Base forcing fact plus the C2 = 3 peeling statement on 9-squares.
+
+    Peeling 3 layers from an admissible 9-square centred on a 2-macro
+    exposes exactly that macro; peeling only 2 can leave a core with an
+    off-lattice cross, witnessed by the frozen `_PEEL_WITNESS_9`.  Every
+    9-window of the scale-5 macro centred on a 2-macro is checked: none
+    shows a defect at any peel depth.  An exhaustive 3x3 search counts
+    the solutions, and the 2-macros among them, for each pinned bumpy
+    cross: inward pins force the four 2-macro completions exactly.
+    """
+    macros = [build_macro(2, o) for o in range(4)]
+    g5 = build_macro(5, 0)
+    # every 9-window of a valid tiling centred on a 2-macro: 3-peel core
+    # is the macro, and no peel depth surfaces an off-lattice cross
+    clean = True
+    centres = [(r, c) for r in range(4, g5.shape[0] - 4)
+               for c in range(4, g5.shape[1] - 4)
+               if r % 4 == 1 and c % 4 == 1]
+    for r, c in centres:
+        win = g5[r - 4:r + 5, c - 4:c + 5]
+        t4 = ((r - 1) % 4, (c - 1) % 4)
+        if not any(np.array_equal(win[3:6, 3:6], m) for m in macros):
+            clean = False
+        for j in range(4):
+            core = win[j:9 - j, j:9 - j]
+            if cross_lattice_defects(core, t4, (r - 4 + j, c - 4 + j)):
+                clean = False
+
+    witness = _PEEL_WITNESS_9
+    t4 = (3, 3)  # centre cross at (4,4) is a block centre: t = (4,4)-(1,1)
+    two_peel = len(cross_lattice_defects(witness[2:7, 2:7], t4, (2, 2)))
+    three_peel = len(cross_lattice_defects(witness[3:6, 3:6], t4, (3, 3)))
+    needs = 3 if two_peel > 0 and three_peel == 0 and clean else None
+
+    # key (corner, orient_name); value (solutions, macros among them)
+    fixed_macros = [_macro_as_fixed(2, o) for o in range(4)]
+    cells = [(r, c) for r in range(3) for c in range(3)]
+    forcing = {}
+    for corner in ((0, 0), (0, 2), (2, 0), (2, 2)):
+        for o in range(4):
+            sols = solve_window(cells, {corner: make_cross(o, BUMPY)})
+            forcing[(corner, ORIENT_NAMES[o])] = (
+                len(sols), sum(s in fixed_macros for s in sols))
     inward = {((0, 0), "SE"), ((0, 2), "SW"), ((2, 0), "NE"), ((2, 2), "NW")}
-    ok_in = all(forcing[k] == (4, 4) for k in inward)
-    checks.append(("inward 3-square pins force the four 2-macros", ok_in,
-                   {k: forcing[k] for k in sorted(inward)}))
     others = {k: v for k, v in forcing.items() if k not in inward}
-    ok_out = all(v == (52, 0) for v in others.values())
-    checks.append(("other pins leave 52 solutions, none macros", ok_out,
-                   sorted(set(others.values()))))
-    return checks
+    return [
+        ("macro windows: all peels defect-free", clean, None),
+        ("witness 9-square admissible", is_admissible(witness), None),
+        ("witness centred on a 2-macro", any(
+            np.array_equal(witness[3:6, 3:6], m) for m in macros), None),
+        ("witness: 2-peel core off-lattice", two_peel > 0, two_peel),
+        ("9-square needs exactly 3 peels", needs == 3, needs),
+        ("inward 3-square pins force the four 2-macros",
+         all(forcing[k] == (4, 4) for k in inward),
+         {k: forcing[k] for k in sorted(inward)}),
+        ("other pins leave 52 solutions, none macros",
+         all(v == (52, 0) for v in others.values()),
+         sorted(set(others.values()))),
+    ]
 
 
 VERIFY_GROUPS = ("tileset", "edges", "align", "peel")

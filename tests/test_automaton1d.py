@@ -219,13 +219,15 @@ class TestRepairConstants:
 class TestFillGap:
     def test_examples(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
-        assert a1d.fill_gap(golden, "1", "1", 1) == (0,)
-        assert a1d.fill_gap(golden, "0", "0", 0) == ()
+        zero, one = golden.index[(0,)], golden.index[(1,)]
+        assert a1d.fill_gap(golden, one, one, 1) == (0,)
+        assert a1d.fill_gap(golden, zero, zero, 0) == ()
         alt = a1d.build_automaton(ALTERNATING)
+        zero = alt.index[(0,)]
         # a path 0 -> 0 has even length; 2 filler letters plus the single
         # letter consumed entering the right state make 3, which is odd
-        assert a1d.fill_gap(alt, "0", "0", 2) is None
-        assert a1d.fill_gap(alt, "0", "0", 1) == (1,)
+        assert a1d.fill_gap(alt, zero, zero, 2) is None
+        assert a1d.fill_gap(alt, zero, zero, 1) == (1,)
 
     def test_lex_least(self):
         auto = a1d.build_automaton(TWO_THREE)
@@ -243,7 +245,8 @@ class TestFillGap:
 
     def test_filled_word_admissible(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
-        w = a1d.fill_gap(golden, "1", "1", 5)
+        one = golden.index[(1,)]
+        w = a1d.fill_gap(golden, one, one, 5)
         assert w == (0, 0, 0, 0, 0)
         assert a1d._word_admissible(GOLDEN_MEAN, (1,) + w + (1,))
 
@@ -253,7 +256,8 @@ class TestFillGap:
         # 0 -> 0 paths have even edge count; n filler letters plus the one
         # entering the right state make n + 1 edges
         alt = a1d.build_automaton(ALTERNATING)
-        got = a1d.fill_gap(alt, "0", "0", n)
+        zero = alt.index[(0,)]
+        got = a1d.fill_gap(alt, zero, zero, n)
         if n % 2 == 1:
             assert got == tuple((i + 1) % 2 for i in range(n))
         else:
@@ -425,11 +429,12 @@ class TestCaches:
 class TestExtend:
     def test_forward(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
-        assert a1d.extend_from(golden, "1", 4) == (0, 0, 0, 0)
+        assert a1d.extend_from(golden, golden.index[(1,)], 4) == (0, 0, 0, 0)
 
     def test_backward(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
-        assert a1d.extend_from(golden, "1", 3, forward=False) == (0, 0, 0)
+        assert a1d.extend_from(golden, golden.index[(1,)], 3,
+                               forward=False) == (0, 0, 0)
 
     def test_stays_live(self):
         s = word_sft("01", ["11", "010"])
@@ -442,7 +447,8 @@ class TestExtend:
     def test_backward_stays_live(self):
         # 'a' leads into 'b' but has no history of its own
         auto = a1d.build_automaton(TRANSIENT)
-        assert a1d.extend_from(auto, "b", 3, forward=False) == (1, 1, 1)
+        assert a1d.extend_from(auto, auto.index[(1,)], 3,
+                               forward=False) == (1, 1, 1)
 
     def test_lex_least_word(self):
         golden = a1d.build_automaton(GOLDEN_MEAN)
@@ -458,7 +464,6 @@ class TestStateIndex:
     def test_index_is_not_a_letter(self):
         auto = a1d.build_automaton(word_sft("0123", ["1", "12", "30"]))
         assert auto.states == ((0,), (2,), (3,))
-        assert a1d._state_index(auto, 2) == 2
         # state 2 is (3,), which 0 may not follow
         assert a1d.extend_from(auto, 2, 3) == (2, 0, 0)
         assert a1d.fill_gap(auto, 2, 0, 1) == (2,)
@@ -479,9 +484,23 @@ class TestStateIndex:
             a1d.fill_gap(golden, 0, 0, 2)
         assert a1d.extend_from(golden, np.int32(1), 2) == \
             a1d.extend_from(golden, 1, 2)
-        for flag in (True, np.bool_(True)):
-            with pytest.raises(TypeError):
-                a1d.fill_gap(golden, flag, 0, 2)
+
+    def test_out_of_range_refused(self):
+        """An index outside the automaton, or a negative gap, is refused
+        and never enters the gap cache."""
+        auto = a1d.build_automaton(TWO_THREE)
+        a1d.fill_gap(auto, 0, 1, 3)
+        before = dict(auto._gaps)
+        k = len(auto.states)
+        for left, right, n in ((-1, 0, 2), (0, -1, 2), (k, 0, 2),
+                               (0, k, 2), (0, 0, -1)):
+            with pytest.raises(ValueError):
+                a1d.fill_gap(auto, left, right, n)
+            assert auto._gaps == before, (left, right, n)
+        for state in (-1, k):
+            for forward in (True, False):
+                with pytest.raises(ValueError):
+                    a1d.extend_from(auto, state, 2, forward=forward)
 
 
 class TestRepairConstantsCache:

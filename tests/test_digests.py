@@ -11,6 +11,7 @@ import hashlib
 
 import pytest
 
+from noisysft import cli
 from noisysft import harness as H
 
 SFT3 = """dim 1
@@ -106,6 +107,17 @@ def test_instability_digest():
             + H.run_instability_bern1d("alternating", 0.02, 3000, 3, 5)
             + H.run_instability_grid2d(checkerboard, 1, 2, 40, 3, 6))
     assert _digest(rows) == DIGESTS["instability"]
+
+
+# stdout of `noisysft robinson verify`: every check's name, flag and detail
+VERIFY_DIGEST = \
+    "b447f9a927445d9c52ea784b6aa1dc69d42aae6ba1de1321b041f4e4173f59a7"
+
+
+def test_robinson_verify_digest(capsys):
+    assert cli.main(["robinson", "verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
 
 
 @pytest.mark.parametrize("name", ["repair1d-sft3", "repair2d-checkerboard",

@@ -1137,6 +1137,22 @@ class TestCli:
         assert not (tmp_path / "r.csv").exists()
         assert cli.main(argv + ["--c", "1"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["repair2d", "--epsilons", "0.01", "--trials", "1"],
+        ["instability", "grid2d", "--trials", "1"],
+    ], ids=["repair2d", "instability-grid2d"])
+    def test_one_dimensional_periodic_file_exit_2(self, argv, tmp_path,
+                                                  capsys):
+        path = tmp_path / "alt.txt"
+        path.write_text("dim 1\nalphabet 0 1\nforbid (0)=0 (1)=0\n"
+                        "forbid (0)=1 (1)=1\nperiod 2\nbase 0 1\n")
+        out = tmp_path / "r.csv"
+        assert cli.main(argv + ["--periodic", str(path), "--box", "16",
+                                "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "needs a 2D periodic SFT, got dim 1" in captured.err
+        assert not captured.out and not out.exists()
+
     @pytest.mark.parametrize("box, c, threads", [
         ("2", "1", "1"), ("2", "1", "2"), ("4x4", "2", "1"), ("1", "1", "1")])
     def test_perc_box_too_small_to_thicken_exit_2(self, box, c, threads,

@@ -206,31 +206,6 @@ class TestAdmissibility:
         assert rb.is_admissible(rb._PEEL_WITNESS_9)
 
 
-class TestAlignment:
-    def test_scale_one_pairs(self):
-        rep = rb.check_alignment(1)
-        assert sorted(rep[("h", 0)]) == sorted(
-            [("NE", "NW"), ("NW", "NE"), ("SE", "SW"), ("SW", "SE")])
-        assert sorted(rep[("v", 0)]) == sorted(
-            [("NE", "SE"), ("NW", "SW"), ("SE", "NE"), ("SW", "NW")])
-
-    def test_scale_two_pairs(self):
-        rep = rb.check_alignment(2)
-        assert sorted(rep[("h", 0)]) == sorted(
-            [("SE", "SW"), ("NE", "NW"), ("NW", "SE"),
-             ("NW", "NE"), ("SW", "SE"), ("SW", "NE")])
-        assert sorted(rep[("v", 0)]) == sorted(
-            [("SE", "NE"), ("NE", "SE"), ("NE", "SW"),
-             ("NW", "SE"), ("NW", "SW"), ("SW", "NW")])
-        for axis in ("h", "v"):
-            for dy in (1, 2):
-                assert rep[(axis, dy)] == []
-
-    def test_large_scale_rejected(self):
-        with pytest.raises(ValueError):
-            rb.check_alignment(3)
-
-
 class TestForcing:
     def test_inward_pin_forces_macros(self):
         sols = rb.solve_window(
@@ -366,20 +341,6 @@ class TestPeel:
         assert rb.cross_lattice_defects(g, (0, 0), (0, 0)) \
             == [((0, 0), "bumpy")]
         assert rb.cross_lattice_defects(g, (0, 0), (2, 0)) == []
-
-    def test_forcing_report_is_a_fresh_copy(self):
-        first = rb.forcing_3square()
-        want = dict(first)
-        first.clear()
-        again = rb.forcing_3square()
-        assert again == want and len(again) == 16
-        assert again is not rb.forcing_3square()
-
-    def test_report_shape(self):
-        rep = rb.peel_verify()
-        assert set(rep["forcing"]) == {
-            (corner, name) for corner in
-            ((0, 0), (0, 2), (2, 0), (2, 2)) for name in rb.ORIENT_NAMES}
 
 
 class TestTextFormat:
