@@ -206,6 +206,25 @@ class TestAdmissibility:
         assert rb.is_admissible(rb._PEEL_WITNESS_9)
 
 
+class TestAlignment:
+    def test_scale_one_pairs(self):
+        assert sorted(rb._tileable_pairs(1, "h", 0)) == sorted(
+            [("NE", "NW"), ("NW", "NE"), ("SE", "SW"), ("SW", "SE")])
+        assert sorted(rb._tileable_pairs(1, "v", 0)) == sorted(
+            [("NE", "SE"), ("NW", "SW"), ("SE", "NE"), ("SW", "NW")])
+
+    def test_scale_two_pairs(self):
+        assert sorted(rb._tileable_pairs(2, "h", 0)) == sorted(
+            [("SE", "SW"), ("NE", "NW"), ("NW", "SE"),
+             ("NW", "NE"), ("SW", "SE"), ("SW", "NE")])
+        assert sorted(rb._tileable_pairs(2, "v", 0)) == sorted(
+            [("SE", "NE"), ("NE", "SE"), ("NE", "SW"),
+             ("NW", "SE"), ("NW", "SW"), ("SW", "NW")])
+        for axis in ("h", "v"):
+            for dy in (1, 2):
+                assert rb._tileable_pairs(2, axis, dy) == []
+
+
 class TestForcing:
     def test_inward_pin_forces_macros(self):
         sols = rb.solve_window(
@@ -341,6 +360,18 @@ class TestPeel:
         assert rb.cross_lattice_defects(g, (0, 0), (0, 0)) \
             == [((0, 0), "bumpy")]
         assert rb.cross_lattice_defects(g, (0, 0), (2, 0)) == []
+
+    def test_report_shape(self):
+        checks = rb.verify_peel()
+        assert all(isinstance(name, str) and flag is True
+                   for name, flag, _ in checks)
+        inward, others = checks[-2][2], checks[-1][2]
+        # 4 inward pins force the macros; the other 12 of the 16 pins
+        # all leave the same count
+        assert set(inward) == {((0, 0), "SE"), ((0, 2), "SW"),
+                               ((2, 0), "NE"), ((2, 2), "NW")}
+        assert all(v == (4, 4) for v in inward.values())
+        assert others == [(52, 0)]
 
 
 class TestTextFormat:
