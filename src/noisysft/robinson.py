@@ -119,16 +119,6 @@ SIDE_BLACK = np.array([[b for b, _ in t[1]] for t in TILES], dtype=np.int8)
 SIDE_COLOUR = np.array([[c for _, c in t[1]] for t in TILES], dtype=np.int8)
 ROT = np.array([TILE_INDEX[rot90_tile(t)] for t in TILES], dtype=np.int8)
 
-_BLACK_PAIRS = {(NONE, NONE), (OUT, IN), (IN, OUT)}
-H_OK = np.zeros((NTILES, NTILES), dtype=bool)
-V_OK = np.zeros((NTILES, NTILES), dtype=bool)
-for _i, _a in enumerate(TILES):
-    for _j, _b in enumerate(TILES):
-        (bl, cl), (br, cr) = _a[1][R], _b[1][L]
-        H_OK[_i, _j] = cl == cr and (bl, br) in _BLACK_PAIRS
-        (bt, ct), (bb, cb) = _a[1][D], _b[1][U]
-        V_OK[_i, _j] = ct == cb and (bt, bb) in _BLACK_PAIRS
-
 # cross ids and lattice classes
 _CROSS_ID = {}
 for _o in range(4):
@@ -272,12 +262,46 @@ def read_edge_words(grid: np.ndarray) -> EdgeWords:
 # ---------------------------------------------------------------------------
 # admissibility
 
+# Every pair rule is one table ok[a, b] over tile a at p and tile b at p + d.
+_BLACK_OK = np.zeros((3, 3), dtype=bool)
+_BLACK_OK[NONE, NONE] = _BLACK_OK[OUT, IN] = _BLACK_OK[IN, OUT] = True
+
+
+def _edge_ok(side, facing):
+    """Tile a's `side` meets tile b's `facing` side: the colours agree and
+    the black states are none/none or out/in."""
+    return ((SIDE_COLOUR[:, side, None] == SIDE_COLOUR[:, facing])
+            & _BLACK_OK[SIDE_BLACK[:, side, None], SIDE_BLACK[:, facing]])
+
+
+H_OK = _edge_ok(R, L)  # d = (0, 1)
+V_OK = _edge_ok(D, U)  # d = (1, 0)
+
 # ordered displacements covering all unordered pairs within Chebyshev
 # distance 2 of each other
 _LATTICE_STEPS = tuple((dr, dc) for dr in range(3) for dc in range(-2, 3)
                        if (dr, dc) > (0, 0))
+
+
+def _lattice_ok(dr, dc):
+    """Two bumpy crosses at p and p + (dr, dc) sit on one 4-periodic
+    orientation lattice: their classes differ by (dr, dc) mod 4."""
+    cross = (CLASS_R >= 0)[:, None] & (CLASS_R >= 0)
+    return ~cross | (((CLASS_R[:, None] + dr - CLASS_R) % 4 == 0)
+                     & ((CLASS_C[:, None] + dc - CLASS_C) % 4 == 0))
+
+
+LATTICE_OK = {d: _lattice_ok(*d) for d in _LATTICE_STEPS}
+
 # inward bumpy orientations on the four diagonals of a centre cell
 _INWARD = (((-1, -1), 0), ((-1, 1), 3), ((1, -1), 1), ((1, 1), 2))
+# the centre rule as a shape of (offset, bad tiles), broken where every
+# cell of the shape holds a bad tile
+_CENTRE = (((0, 0), ~IS_DENTED_CROSS),) + tuple(
+    (d, BUMPY_ORIENT == o) for d, o in _INWARD)
+# `violations` and `solve_window` both read these tables
+for _a in (H_OK, V_OK, *LATTICE_OK.values(), *(m for _, m in _CENTRE)):
+    _a.setflags(write=False)
 
 
 def _as_ids(grid):
@@ -296,85 +320,65 @@ def _as_clear(mask, shape):
     return ~data
 
 
-def violations(grid, mask=None, limit: int | None = None) -> list:
-    """All broken constraints whose cells are entirely clear.
-
-    Returns (rule, cells) pairs with absolute cell coordinates; rules are
-    edge-h, edge-v, square, lattice, centre.
-    """
+def _tile_box(grid, mask):
+    """Tile ids, origin and clear cells; a NoiseMask must share the box."""
     g, origin = _as_ids(grid)
     if g.ndim != 2:
         raise ValueError("tile grids are 2D")
-    if g.size and (g.min() < 0 or g.max() >= NTILES):
-        raise ValueError("array holds values that are not tile ids")
-    clear = _as_clear(mask, g.shape)
+    if g.dtype.kind not in "iu" or (
+            g.size and (g.min() < 0 or g.max() >= NTILES)):
+        raise ValueError(f"tile ids must lie in [0, {NTILES}) as integers")
+    if isinstance(mask, NoiseMask) and tuple(mask.origin) != tuple(origin):
+        raise ValueError("mask box does not match grid box")
+    return g, origin, _as_clear(mask, g.shape)
+
+
+def violations(grid, mask=None, limit: int | None = None) -> list:
+    """All broken constraints whose cells are entirely clear.
+
+    Returns at most `limit` (rule, cells) pairs with absolute cell
+    coordinates, in rule order edge-h, edge-v, square, lattice by step,
+    centre, and row-major within a rule.
+    """
+    g, origin, clear = _tile_box(grid, mask)
+    ids = g.astype(np.uint16)
+    keys, bump = ids * NTILES, np.take(PARITY, ids)
+
+    def pair(ok):
+        bad = ~ok.ravel()
+        return lambda a, b: np.take(bad, keys[a] + ids[b])
+
+    centre = _CENTRE[1:] + _CENTRE[:1]  # cells listed inward crosses first
+    rules = [("edge-h", ((0, 0), (0, 1)), pair(H_OK)),
+             ("edge-v", ((0, 0), (1, 0)), pair(V_OK)),
+             ("square", ((0, 0), (0, 1), (1, 0), (1, 1)),
+              lambda *v: sum(bump[x] for x in v) != 1)]
+    rules += [("lattice", ((0, 0), d), pair(ok))
+              for d, ok in LATTICE_OK.items()]
+    rules.append(("centre", [d for d, _ in centre],
+                  lambda *v: np.logical_and.reduce(
+                      [np.take(m, ids[x]) for (_, m), x in zip(centre, v)])))
     out = []
-    r0, c0 = origin
-
-    def add(rule, rows, cols, spans):
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            cells = tuple((r0 + r + dr, c0 + c + dc) for dr, dc in spans)
-            out.append((rule, cells))
-            if limit is not None and len(out) >= limit:
-                return True
-        return False
-
-    bad = ~H_OK[g[:, :-1], g[:, 1:]] & clear[:, :-1] & clear[:, 1:]
-    if add("edge-h", *np.nonzero(bad), spans=((0, 0), (0, 1))):
-        return out
-    bad = ~V_OK[g[:-1, :], g[1:, :]] & clear[:-1, :] & clear[1:, :]
-    if add("edge-v", *np.nonzero(bad), spans=((0, 0), (1, 0))):
-        return out
-
-    bump = PARITY[g]
-    if g.shape[0] > 1 and g.shape[1] > 1:
-        count = (bump[:-1, :-1] + bump[:-1, 1:] + bump[1:, :-1]
-                 + bump[1:, 1:])
-        allclear = (clear[:-1, :-1] & clear[:-1, 1:] & clear[1:, :-1]
-                    & clear[1:, 1:])
-        bad = (count != 1) & allclear
-        if add("square", *np.nonzero(bad),
-               spans=((0, 0), (0, 1), (1, 0), (1, 1))):
-            return out
-
-    cr, cc = CLASS_R[g], CLASS_C[g]
-    cross = cr >= 0
-    h, w = g.shape
-    for dr, dc in _LATTICE_STEPS:
-        if dr >= h or abs(dc) >= w:
-            continue
-        asl = (slice(0, h - dr),
-               slice(0, w - dc) if dc >= 0 else slice(-dc, w))
-        bsl = (slice(dr, h),
-               slice(dc, w) if dc >= 0 else slice(0, w + dc))
-        both = cross[asl] & cross[bsl] & clear[asl] & clear[bsl]
-        ok = (((cr[asl] + dr - cr[bsl]) % 4 == 0)
-              & ((cc[asl] + dc - cc[bsl]) % 4 == 0))
-        bad = both & ~ok
-        rows, cols = np.nonzero(bad)
-        if dc < 0:
-            cols = cols - dc
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            out.append(("lattice", ((r0 + r, c0 + c),
-                                    (r0 + r + dr, c0 + c + dc))))
-            if limit is not None and len(out) >= limit:
-                return out
-
-    if h > 2 and w > 2:
-        ori = BUMPY_ORIENT[g]
-        inner = np.ones((h - 2, w - 2), dtype=bool)
-        for (dr, dc), need in _INWARD:
-            inner &= ori[1 + dr:h - 1 + dr, 1 + dc:w - 1 + dc] == need
-            inner &= clear[1 + dr:h - 1 + dr, 1 + dc:w - 1 + dc]
-        inner &= clear[1:-1, 1:-1] & ~IS_DENTED_CROSS[g[1:-1, 1:-1]]
-        rows, cols = np.nonzero(inner)
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            cells = tuple((r0 + 1 + r + dr, c0 + 1 + c + dc)
-                          for (dr, dc), _ in _INWARD) + ((r0 + 1 + r,
-                                                          c0 + 1 + c),)
-            out.append(("centre", cells))
-            if limit is not None and len(out) >= limit:
-                return out
+    for rule, offsets, broken in rules:
+        # views[k] holds p + offsets[k] for the anchors p that fit the box
+        lo = [-min(d[i] for d in offsets) for i in (0, 1)]
+        hi = [max(lo[i], g.shape[i] - max(d[i] for d in offsets))
+              for i in (0, 1)]
+        views = [(slice(lo[0] + dr, hi[0] + dr),
+                  slice(lo[1] + dc, hi[1] + dc)) for dr, dc in offsets]
+        bad = broken(*views)
+        if mask is not None:
+            for v in views:
+                bad &= clear[v]
+        room = None if limit is None else max(limit - len(out), 0)
+        rows, cols = np.divmod(np.flatnonzero(bad)[:room], bad.shape[1])
+        rows += origin[0] + lo[0]
+        cols += origin[1] + lo[1]
+        out.extend((rule, cells) for cells in zip(*(
+            zip((rows + dr).tolist(), (cols + dc).tolist())
+            for dr, dc in offsets)))
+        if limit is not None and len(out) >= limit:
+            break
     return out
 
 
@@ -455,36 +459,31 @@ def _bits(flags) -> int:
 
 
 _FULL = (1 << NTILES) - 1
-_NEAR = tuple((dr, dc) for dr in range(-2, 3) for dc in range(-2, 3)
-              if dr or dc)
 
 
 @lru_cache(maxsize=None)
 def _solver_tables():
-    """Tile masks for `solve_window`, built on its first call.
+    """Tile masks for `solve_window`, built on its first call from the
+    tables that `violations` reads.
 
     pair[(dr, dc)][u] has bit t set when tile t at p and tile u at
-    p + (dr, dc) break neither the edge rule nor the lattice rule; entry
-    NTILES stands for an unassigned neighbour and allows every tile.  The
-    square and centre rules are shapes of (offset, bad tiles), broken
-    when every cell of the shape holds a bad tile.  Two bumpy tiles in a
-    block already break the lattice rule, as every offset inside a block
-    has an odd component, so the square shape is four dented tiles.
+    p + (dr, dc) break neither H_OK/V_OK nor LATTICE_OK (transposed for
+    a negative step); entry NTILES stands for an unassigned neighbour and
+    allows every tile.  The square and centre (_CENTRE) rules are shapes
+    of (offset, bad tiles), broken when every cell of the shape holds a
+    bad tile.  Two bumpy tiles in a block already break the lattice rule,
+    as every offset inside a block has an odd component, so the square
+    shape is four dented tiles.
     """
-    cr, cc = CLASS_R.astype(int), CLASS_C.astype(int)
-    cross = (cr >= 0)[:, None] & (cr >= 0)
-    edge = {(0, 1): H_OK, (0, -1): H_OK.T, (1, 0): V_OK, (-1, 0): V_OK.T}
+    edge = {(0, 1): H_OK, (1, 0): V_OK}
     pair = {}
-    for dr, dc in _NEAR:
-        ok = ~cross | (((cr[:, None] + dr - cr) % 4 == 0)
-                       & ((cc[:, None] + dc - cc) % 4 == 0))
-        ok &= edge.get((dr, dc), True)
-        pair[(dr, dc)] = tuple(_bits(ok[:, u]) for u in range(NTILES)) \
-            + (_FULL,)
+    for (dr, dc), lattice in LATTICE_OK.items():
+        ok = lattice & edge.get((dr, dc), True)
+        pair[(dr, dc)] = tuple(_bits(col) for col in ok.T) + (_FULL,)
+        pair[(-dr, -dc)] = tuple(_bits(row) for row in ok) + (_FULL,)
     dented = _bits(PARITY == DENTED)
     square = tuple(((dr, dc), dented) for dr in (0, 1) for dc in (0, 1))
-    centre = (((0, 0), _bits(~IS_DENTED_CROSS)),) + tuple(
-        (d, _bits(BUMPY_ORIENT == o)) for d, o in _INWARD)
+    centre = tuple((d, _bits(bad)) for d, bad in _CENTRE)
     return pair, (square, centre)
 
 
@@ -514,10 +513,10 @@ def solve_window(cells, fixed, limit: int | None = None) -> list[dict]:
     near = [[] for _ in cells]
     patterns = [[] for _ in cells]
     for k, (r, c) in enumerate(cells):
-        for d in _NEAR:
-            j = index.get((r + d[0], c + d[1]))
+        for (dr, dc), table in pair.items():
+            j = index.get((r + dr, c + dc))
             if j is not None:
-                near[k].append((j, pair[d]))
+                near[k].append((j, table))
         for shape in shapes:
             pattern = [(index.get((r + dr, c + dc)), bad)
                        for (dr, dc), bad in shape]
@@ -582,17 +581,19 @@ def cross_lattice_defects(grid, t4, origin=(0, 0)) -> list:
     block centres of some order k >= 2, so q = p - t + (1,1) must have
     both components even and q mod 4 in {(0,0), (2,2)}; only the part of
     the congruence visible mod 4 is checked, which never gives a false
-    positive for larger k.
+    positive for larger k.  A Grid carries its own origin; `origin`
+    places a plain array.
     """
-    g, _ = _as_ids(grid)
+    g, box = _as_ids(grid)
+    origin = box if isinstance(grid, Grid) else origin
     out = []
     for r in range(g.shape[0]):
         for c in range(g.shape[1]):
             t = int(g[r, c])
             p = (origin[0] + r, origin[1] + c)
             if BUMPY_ORIENT[t] >= 0:
-                if (p[0] - t4[0] - CLASS_R[t]) % 4 or \
-                        (p[1] - t4[1] - CLASS_C[t]) % 4:
+                if (p[0] - t4[0] - int(CLASS_R[t])) % 4 or \
+                        (p[1] - t4[1] - int(CLASS_C[t])) % 4:
                     out.append((p, "bumpy"))
             elif IS_DENTED_CROSS[t]:
                 qr = (p[0] - t4[0] + 1) % 4
@@ -694,10 +695,7 @@ def infer_translate(grid, mask, N: int):
     """
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
-    g, origin = _as_ids(grid)
-    clear = _as_clear(mask, g.shape)
-    if g.size and (g.min() < 0 or g.max() >= NTILES):
-        raise ValueError(f"tile ids must lie in [0, {NTILES})")
+    g, origin, clear = _tile_box(grid, mask)
     h, w = g.shape
     P = 2 ** (N + 1)
     qr, qc = min(P, h), min(P, w)

@@ -151,6 +151,67 @@ class TestEdgeWords:
                 rb.edge_words(n)
 
 
+def _reference_violations(grid, clear, limit):
+    """violations cell by cell from the rule definitions: the side labels,
+    PARITY, the cross classes mod 4 and _INWARD."""
+    g = np.asarray(grid.data).tolist()
+    (r0, c0), (h, w) = grid.origin, grid.shape
+    black_ok = {(rb.NONE, rb.NONE), (rb.OUT, rb.IN), (rb.IN, rb.OUT)}
+
+    def edge(a, b, side, facing):
+        return (rb.SIDE_COLOUR[a, side] == rb.SIDE_COLOUR[b, facing]
+                and (int(rb.SIDE_BLACK[a, side]),
+                     int(rb.SIDE_BLACK[b, facing])) in black_ok)
+
+    def lattice(a, b, dr, dc):
+        if rb.CLASS_R[a] < 0 or rb.CLASS_R[b] < 0:
+            return True
+        return ((int(rb.CLASS_R[a]) + dr - int(rb.CLASS_R[b])) % 4 == 0
+                and (int(rb.CLASS_C[a]) + dc - int(rb.CLASS_C[b])) % 4 == 0)
+
+    cells = [(r, c) for r in range(h) for c in range(w)]
+    found = []
+
+    def check(rule, offsets, ok):
+        for r, c in cells:
+            at = [(r + dr, c + dc) for dr, dc in offsets]
+            if all(0 <= y < h and 0 <= x < w and clear[y, x] for y, x in at) \
+                    and not ok(*[g[y][x] for y, x in at]):
+                found.append((rule, tuple((r0 + y, c0 + x) for y, x in at)))
+
+    check("edge-h", [(0, 0), (0, 1)], lambda a, b: edge(a, b, rb.R, rb.L))
+    check("edge-v", [(0, 0), (1, 0)], lambda a, b: edge(a, b, rb.D, rb.U))
+    check("square", [(0, 0), (0, 1), (1, 0), (1, 1)],
+          lambda *t: sum(int(rb.PARITY[x]) for x in t) == 1)
+    for dr, dc in rb._LATTICE_STEPS:
+        check("lattice", [(0, 0), (dr, dc)],
+              lambda a, b: lattice(a, b, dr, dc))
+    check("centre", [d for d, _ in rb._INWARD] + [(0, 0)],
+          lambda *t: bool(rb.IS_DENTED_CROSS[t[-1]]) or not all(
+              rb.BUMPY_ORIENT[x] == o for x, (_, o) in zip(t, rb._INWARD)))
+    return found if limit is None else found[:max(limit, 0)]
+
+
+@st.composite
+def _oracle_cases(draw):
+    """A window up to 9x9 of random ids or of the 5-macro with a few
+    flips, at a random origin, with no mask, an array mask or a NoiseMask,
+    and a limit."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        ids = rng.integers(0, rb.NTILES, size=(h, w))
+    else:
+        r, c = draw(st.integers(0, 31 - h)), draw(st.integers(0, 31 - w))
+        ids = np.array(rb.build_macro(5, 0)[r:r + h, c:c + w])
+        for _ in range(draw(st.integers(0, 3))):
+            ids[rng.integers(h), rng.integers(w)] = rng.integers(rb.NTILES)
+    origin = (draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+    hit = rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.4]))
+    mask = draw(st.sampled_from([None, hit, NoiseMask(origin, hit)]))
+    return Grid(origin, ids), mask, draw(st.sampled_from([None, 1, 3]))
+
+
 class TestAdmissibility:
     def test_flip_breaks_and_mask_exempts(self):
         g = np.array(rb.build_macro(3, 0))
@@ -204,6 +265,49 @@ class TestAdmissibility:
     def test_single_cell_and_empty(self):
         assert rb.is_admissible(np.array([[0]], dtype=np.int8))
         assert rb.is_admissible(rb._PEEL_WITNESS_9)
+
+    def test_noise_mask_from_another_box_refused(self):
+        g = np.array(rb.build_macro(3, 0))
+        g[0, 0] = rb.make_cross(1, rb.BUMPY)
+        hit = np.zeros(g.shape, dtype=bool)
+        hit[0, 0] = True
+        assert rb.violations(Grid((0, 0), g), NoiseMask((0, 0), hit)) == []
+        with pytest.raises(ValueError, match="mask box does not match"):
+            rb.violations(Grid((0, 0), g), NoiseMask((40, 40), hit))
+        # a plain array only has to match the box's shape
+        assert rb.violations(Grid((40, 40), g), hit) == []
+        assert len(rb.violations(Grid((40, 40), g))) == 5
+
+    def test_rejects_non_integer_ids(self):
+        g = np.array(rb.build_macro(2, 0), dtype=float)
+        g[0, 0] = 2.7
+        with pytest.raises(ValueError, match="as integers"):
+            rb.violations(g)
+        with pytest.raises(ValueError, match="as integers"):
+            rb.infer_translate(g, None, 1)
+
+    @pytest.mark.parametrize("limit", [-2, 0, 1, 3, 7])
+    def test_limit_caps_the_list(self, limit):
+        g = np.zeros((6, 6), dtype=np.int8)
+        full = rb.violations(g)
+        assert rb.violations(g, limit=limit) == full[:max(limit, 0)]
+        assert len(rb.solve_window([(0, 0)], {}, limit=limit)) \
+            == min(max(limit, 0), rb.NTILES)
+
+    def test_rule_tables_are_read_only(self):
+        tables = [rb.H_OK, rb.V_OK, *rb.LATTICE_OK.values(),
+                  *(bad for _, bad in rb._CENTRE)]
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = False
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_cases())
+    def test_matches_cell_by_cell_reference(self, case):
+        grid, mask, limit = case
+        clear = rb._as_clear(mask, grid.shape)
+        assert rb.violations(grid, mask, limit) == \
+            _reference_violations(grid, clear, limit)
 
 
 class TestAlignment:
@@ -351,6 +455,14 @@ class TestPeel:
         assert defects == [((2, 4), "dented")]
         assert rb.cross_lattice_defects(w[3:6, 3:6], (3, 3), (3, 3)) == []
 
+    def test_grid_origin_is_used(self):
+        core = Grid((2, 2), rb._PEEL_WITNESS_9[2:7, 2:7])
+        assert rb.cross_lattice_defects(core, (3, 3)) == [((2, 4), "dented")]
+        # coordinates past the int8 range of the class tables
+        t = (37, 101)
+        far = Grid((600, 700), rb.reference_window((600, 700), (16, 16), t))
+        assert rb.cross_lattice_defects(far, (t[0] % 4, t[1] % 4)) == []
+
     def test_macro_window_has_no_defects(self):
         g = rb.build_macro(4, 0)
         assert rb.cross_lattice_defects(g, (0, 0)) == []
@@ -449,6 +561,12 @@ class TestInferTranslate:
         win = rb.reference_window((0, 0), (32, 32), (0, 0))
         with pytest.raises(ValueError, match="scale must be at least 1"):
             rb.infer_translate(win, None, n)
+
+    def test_noise_mask_from_another_box_refused(self):
+        win = rb.reference_window((0, 0), (32, 32), (0, 0))
+        hit = np.zeros((32, 32), dtype=bool)
+        with pytest.raises(ValueError, match="mask box does not match"):
+            rb.infer_translate(Grid((0, 0), win), NoiseMask((40, 40), hit), 1)
 
     @pytest.mark.parametrize("bad", [-1, rb.NTILES])
     def test_tile_ids_outside_tileset_raise(self, bad):
