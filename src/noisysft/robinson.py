@@ -305,10 +305,16 @@ for _a in (H_OK, V_OK, *LATTICE_OK.values(), *(m for _, m in _CENTRE)):
 
 
 def _as_ids(grid):
+    """Tile ids and origin of a Grid or a plain array (origin 0)."""
     if isinstance(grid, Grid):
-        return np.asarray(grid.data), grid.origin
-    arr = np.asarray(grid)
-    return arr, (0,) * arr.ndim
+        g, origin = np.asarray(grid.data), grid.origin
+    else:
+        g = np.asarray(grid)
+        origin = (0,) * g.ndim
+    if g.dtype.kind not in "iu" or (
+            g.size and (g.min() < 0 or g.max() >= NTILES)):
+        raise ValueError(f"tile ids must lie in [0, {NTILES}) as integers")
+    return g, origin
 
 
 def _as_clear(mask, shape):
@@ -325,9 +331,6 @@ def _tile_box(grid, mask):
     g, origin = _as_ids(grid)
     if g.ndim != 2:
         raise ValueError("tile grids are 2D")
-    if g.dtype.kind not in "iu" or (
-            g.size and (g.min() < 0 or g.max() >= NTILES)):
-        raise ValueError(f"tile ids must lie in [0, {NTILES}) as integers")
     if isinstance(mask, NoiseMask) and tuple(mask.origin) != tuple(origin):
         raise ValueError("mask box does not match grid box")
     return g, origin, _as_clear(mask, g.shape)
@@ -672,66 +675,54 @@ def robinson_bound(epsilon: float, N: int) -> float:
     return 96.0 * (2 ** (N + 2) + 1) ** 2 * epsilon + 2.0 ** (1 - N)
 
 
-# per tile: 0..3 the orientation of a bumpy cross, 4 a dented cross, 5
-# anything else; a cell that does not vote reads tile id + NTILES, class 6
-_VOTE_CLASS = np.concatenate([
-    np.where(BUMPY_ORIENT >= 0, BUMPY_ORIENT, np.where(IS_DENTED_CROSS, 4, 5)),
-    np.full(NTILES, 6)])
+# `infer_translate` codes a cell as its tile id if clear, NTILES + id if
+# obscured, and _PAD off the box; _DENTED_CODE marks clear dented crosses
+_PAD = 2 * NTILES
+_DENTED_CODE = np.zeros(_PAD, dtype=bool)
+_DENTED_CODE[:NTILES] = IS_DENTED_CROSS
 
 
 def infer_translate(grid, mask, N: int):
     """The macro-grid translate mod P = 2^{N+1} read off the clear cells.
 
-    Stage one: every bumpy cross votes for a translate mod 4 through its
-    orientation class.  Stage k: the scale-k cross lattice sits on one of
-    four refinements of the known class mod 2^k; the one actually occupied
-    by dented crosses wins.  Returns (translate, no_votes).
+    Stage one: every clear bumpy cross votes for a translate mod 4
+    through its orientation class; the most voted class wins, the first
+    in row-major order on a tie.  Stage m = 3..N+1 refines the class mod
+    2^{m-1} to one mod 2^m.  A translate t puts the scale-m crosses at
+    t + 2^{m-1} - 1 mod 2^m (`reference_window`); of the four
+    refinements, the one whose scale-m sites hold the highest share of
+    dented crosses among their clear cells wins.  Returns
+    (translate, no_votes).
 
-    Every vote and count is a sum over one histogram of the voting cells
-    by (tile class, row bin, column bin).  A cell's bin on an axis is its
-    box index mod Q with Q = min(P, side), so bin q stands for absolute
-    coordinates origin + q mod Q: when Q = P, the moduli 4 and 2^k divide
-    P, and when Q is the side, each bin is one row or column.
+    Each cell is coded once.  Stage one counts each bumpy tile by box row
+    and column mod 4, over the box padded to whole 4x4 blocks, and rolls
+    the counts from box to absolute residues.  The sites of a stage-m
+    candidate are one residue class mod 2^m, a strided slice of the box.
     """
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
     g, origin, clear = _tile_box(grid, mask)
     h, w = g.shape
-    P = 2 ** (N + 1)
-    qr, qc = min(P, h), min(P, w)
-    nbins = 7 * qr * qc
-    lut = (_VOTE_CLASS * (qr * qc)).astype(np.uint32)
-    row_key = (np.arange(h) % qr * qc).astype(np.uint32)[:, None]
-    col_key = (np.arange(w) % qc).astype(np.uint32)
-    # blocks of rows keep the index and bincount temporaries small
-    hist = np.zeros(nbins, dtype=np.int64)
-    step = max(2 ** 16, nbins) // max(w, 1) + 1
-    for r0 in range(0, h, step):
-        band = slice(r0, r0 + step)
-        idx = (~clear[band]).view(np.int8) * np.int8(NTILES)
-        idx += g[band].astype(np.int8, copy=False)
-        key = np.take(lut, idx)
-        key += row_key[band]
-        key += col_key
-        hist += np.bincount(key.ravel(), minlength=nbins)
-    hist = hist.reshape(7, qr, qc)
-    rows = np.arange(qr) + origin[0]  # an absolute row of each row bin
-    cols = np.arange(qc) + origin[1]
+    hb, wb = -(-h // 4), -(-w // 4)
+    padded = np.full((4 * hb, 4 * wb), _PAD, dtype=np.int8)
+    code = padded[:h, :w]
+    np.multiply(clear.view(np.int8), np.int8(-NTILES), out=code)
+    code += g.astype(np.int8, copy=False)
+    code += np.int8(NTILES)
+    del clear  # hold the code and one box-sized buffer, no more
 
-    no_votes = not hist[:4].any()
-    if no_votes:
-        tr = tc = 0
-    else:
-        votes = np.zeros(16, dtype=np.int64)
-        for o in range(4):
-            cr, cc = CROSS_CLASS[o]
-            flat = ((rows - cr) % 4 * 4)[:, None] + (cols - cc) % 4
-            votes += np.bincount(flat.ravel(), weights=hist[o].ravel(),
-                                 minlength=16).astype(np.int64)
-        best = int(np.argmax(votes))
-        tr, tc = best // 4, best % 4
+    votes = np.zeros((4, 4), dtype=np.int64)
+    hits = np.empty((hb, 16 * wb), dtype=bool)
+    acc = np.min_scalar_type(hb)  # a column of hb blocks cannot overflow
+    for o, (cr, cc) in CROSS_CLASS.items():
+        np.equal(padded.reshape(hits.shape), _CROSS_ID[(BUMPY, o)], out=hits)
+        by_row = np.add.reduce(hits.view(np.uint8), axis=0, dtype=acc)
+        counts = by_row.reshape(4, wb, 4).sum(axis=1, dtype=np.int64)
+        votes += np.roll(counts, ((origin[0] - cr) % 4, (origin[1] - cc) % 4),
+                         axis=(0, 1))
+    no_votes = not votes.any()
+    tr, tc = divmod(int(np.argmax(votes)), 4)
 
-    total_hist, dented_hist = hist[:6].sum(axis=0), hist[4]
     for m in range(3, N + 2):
         period = 2 ** m
         half = period // 2
@@ -740,9 +731,10 @@ def infer_translate(grid, mask, N: int):
             for ac in (0, 1):
                 cr = (tr + ar * half + half - 1) % period
                 cc = (tc + ac * half + half - 1) % period
-                cells = np.ix_(rows % period == cr, cols % period == cc)
-                total = int(total_hist[cells].sum())
-                dented = int(dented_hist[cells].sum())
+                cells = code[(cr - origin[0]) % period::period,
+                             (cc - origin[1]) % period::period]
+                total = int(np.count_nonzero(cells < NTILES))
+                dented = int(np.count_nonzero(_DENTED_CODE[cells]))
                 score = dented / total if total else 0.0
                 if score > best_score:
                     best_score, best_ext = score, (ar, ac)

@@ -498,6 +498,10 @@ class TestTextFormat:
         text = rb.write_text(Grid((5, 5), rb.build_macro(2, 1)))
         assert text.startswith("robinson-v1 3 3\n")
 
+    def test_rejects_ids_outside_tileset(self):
+        with pytest.raises(ValueError, match="tile ids must lie"):
+            rb.write_text(np.array([[-3, 1.5]]))
+
 
 class TestSvg:
     def test_smoke(self):
@@ -509,6 +513,10 @@ class TestSvg:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             rb.render_svg(np.zeros((300, 300), dtype=np.int8))
+
+    def test_rejects_ids_outside_tileset(self):
+        with pytest.raises(ValueError, match="tile ids must lie"):
+            rb.render_svg(np.array([[99]]))
 
 
 class TestReference:
@@ -574,6 +582,21 @@ class TestInferTranslate:
         win[5, 7] = bad
         with pytest.raises(ValueError, match="tile ids must lie"):
             rb.infer_translate(win, None, 2)
+
+    @pytest.mark.parametrize("shape", [(0, 9), (9, 0), (0, 0)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_box_has_no_votes(self, shape, n):
+        grid = Grid((-5, 3), np.zeros(shape, dtype=np.int8))
+        assert rb.infer_translate(grid, None, n) == ((0, 0), True)
+
+    def test_tie_goes_to_first_class(self):
+        # one vote each for classes (2, 2) and (1, 1); the later cell
+        # votes for the class that comes first in row-major order
+        win = np.zeros((8, 8), dtype=np.int8)
+        win[0, 0] = rb.make_cross("nw")  # class (2, 2) votes (2, 2)
+        win[5, 1] = rb.make_cross("se")  # class (0, 0) votes (1, 1)
+        assert rb.infer_translate(win, None, 1) == ((1, 1), False)
+        assert _infer_translate_full_box(win, None, 1) == ((1, 1), False)
 
 
 class TestRepair:
@@ -695,9 +718,23 @@ def _infer_translate_full_box(grid, mask, N, votes_ok=None):
 
 
 class TestInferTranslateStrided:
-    # scales above the drawn range: up to 7 x 256 x 256 histogram bins
+    # scales above the drawn range
     @example(6, 6, 300, 200, 300, 280, 0.05, False, True)
     @example(7, 7, 300, 200, 300, 280, 0.05, False, True)
+    # sides that are not multiples of 4, and sides 1-3
+    @example(11, 3, 5, -7, 37, 22, 0.05, False, True)
+    @example(12, 4, 2, 1, 61, 43, 0.0, False, False)
+    @example(13, 2, -3, 4, 1, 3, 0.0, False, False)
+    @example(14, 3, 9, 2, 3, 2, 0.05, True, True)
+    @example(15, 1, 6, -6, 2, 1, 0.0, False, False)
+    # P = 2^{N+1} larger than both sides
+    @example(16, 5, 17, -29, 39, 33, 0.05, False, True)
+    @example(17, 6, -41, 3, 30, 38, 0.0, False, False)
+    # a fully obscured box
+    @example(18, 3, 10, 10, 24, 20, 1.0, False, False)
+    # negative origins
+    @example(19, 3, -123, -250, 45, 61, 0.05, False, True)
+    @example(20, 4, -1, -298, 70, 70, 0.0, False, False)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
            st.integers(-300, 300), st.integers(-300, 300),
            st.integers(1, 70), st.integers(1, 70),
