@@ -43,38 +43,25 @@ answered before any clustering, by binary searches for a point in the
 or the case is not covered, are the points written into one mask of the
 box for `open_components`.
 
-`open_components` counts the clear components K of T from the same
-clusters.  With a one-cell obscured frame round T, the obscured cells F'
-(closed unit squares) leave the clear components as the bounded
-components of their complement, so K = b0(F') - chi(F'), the Euler
-number by local counts (Gray, IEEE Trans. Computers C-20, 1971).
-Clusters with a cell on T's border join the frame: b0(F') is 1 plus the
-other clusters.  chi = V - E + F and the frame alone (an annulus) has
-chi 0, so chi(F') counts the obscured cells of T, minus its 4-adjacent
-pairs, plus its 2x2 blocks, that hold an obscured cell.  K <= 1 needs no
-labelling; with K >= 2 and the certificate, M is the component of any
-cell outside every window, so no component is sized.
-
-Where a labelling is needed, T is labelled by its clear runs along the
-last axis (Hoshen & Kopelman, Phys. Rev. B 14, 1976).  Each run is linked
-to the runs it overlaps one step along each leading axis, found by two
-binary searches per axis, and the runs are rooted by the min-label
-hooking that roots the point clusters, so a component's root is its
-first run in row-major order.  With the certificate, the giant is the
-root of the run that holds a cell outside every window.  Otherwise one
-bincount of run lengths by root sizes the components, and a tie goes to
-the first maximum: the component met first in row-major order, the one
-`scipy.ndimage.label` numbers lowest.  The cost is a few byte-wide
-passes over T's cells, to find the runs and to paint the giant back, and
-O(r log r) in the number r of runs; no label array the size of T is
-made.  This labelling serves every case the count does not settle:
-other dimensions, c = 0, a failed certificate, or points too dense for
-the neighbour scan, (2c + 2)(4c + 3) cells per point, to cover less than
-the box (the clusters would then percolate and fail the certificate
-anyway).  `_sparse_excluded` labels each window holding the centre the
-same way and reads the window's sides from the runs in its first and
-last rows and the runs that start at its first column or end at its
-last.
+`open_components`, which the repairs call, labels T by its clear runs
+along the last axis (Hoshen & Kopelman, Phys. Rev. B 14, 1976).  Each run
+is linked to the runs it overlaps one step along each leading axis, found
+by two binary searches per axis, and the runs are rooted by the min-label
+hooking that roots the point clusters, so a component's root is its first
+run in row-major order.  With at most one root, T is returned as it is.
+Otherwise one bincount of run lengths by root sizes the components, and a
+tie goes to the first maximum: the component met first in row-major
+order, the one `scipy.ndimage.label` numbers lowest.  The cost is a few
+byte-wide passes over T's cells, to find the runs and to paint the giant
+back, and O(r log r) in the number r of runs; no label array the size of
+T is made.  `origin_excluded` falls back to it in every case the
+certificate does not settle: other dimensions, c = 0, a failed
+certificate, or points too dense for the neighbour scan, (2c + 2)(4c + 3)
+cells per point, to cover less than the box (the clusters would then
+percolate and fail the certificate anyway).  `_sparse_excluded` labels
+each window holding the centre the same way and reads the window's sides
+from the runs in its first and last rows and the runs that start at its
+first column or end at its last.
 """
 
 from __future__ import annotations
@@ -88,25 +75,14 @@ def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     """Thicken the mask by c and keep its largest 4-connected clear
     component: the result obscures every other cell of the thickened box,
     and every cell when none is clear.  Ties go to the component whose
-    first cell comes first in row-major order.  A 2D mask with c >= 1 and
-    at most one clear component is answered from its obscured points;
-    any other box is labelled by its clear runs (see the module
-    docstring)."""
+    first cell comes first in row-major order.  The box is labelled by
+    its clear runs (see the module docstring)."""
     tm = thicken(mask, c)
-    points = _clusters(np.flatnonzero(mask.data), mask.shape, c) \
-        if tm.data.ndim == 2 and c >= 1 else None
-    if points is not None and _clear_count(tm.data, *points, c) <= 1:
-        return tm  # its clear cells are the one component, or none
-    windows = None if points is None else _windows(*points, tm.shape, c)
     starts, ends, lab = _runs(tm.data)
-    if windows is not None:  # the giant holds every cell off the windows
-        r, q = _free_cell(windows, tm.shape)
-        giant = lab[np.searchsorted(starts, r * (tm.shape[1] + 1) + q,
-                                    side="right") - 1]
-    elif np.count_nonzero(lab == np.arange(len(lab))) <= 1:
-        return tm
-    else:  # a root is its component's first run, so argmax keeps the first
-        giant = np.argmax(np.bincount(lab, weights=ends - starts))
+    if np.count_nonzero(lab == np.arange(len(lab))) <= 1:
+        return tm  # its clear cells are the one component, or none
+    # a root is its component's first run, so argmax keeps the first
+    giant = np.argmax(np.bincount(lab, weights=ends - starts))
     # the padded box as alternating gaps (obscured) and runs (clear on the
     # giant's), each value repeated over its segment
     padded = tuple(s + 1 for s in tm.shape)
@@ -196,28 +172,6 @@ def _clusters(keys: np.ndarray, shape: tuple, c: int):
     return rows, cols, _roots(n, src[near], dst[near])
 
 
-def _clear_count(fat: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                 lab: np.ndarray, c: int) -> int:
-    """The number of clear components of the thickened box `fat`, b0 - chi,
-    from its points' cluster roots (`lab`, as `_clusters` gives them: a
-    root labels itself) and one pass over bands of rows."""
-    th, tw = fat.shape
-    edge = (rows <= 2 * c) | (rows >= th - 1) | (cols <= 2 * c) | (cols >= tw - 1)
-    seen = np.zeros(len(lab), dtype=bool)
-    seen[lab[edge]] = True  # the roots of the clusters touching the edge
-    b0 = 1 + np.count_nonzero(lab == np.arange(len(lab))) \
-        - np.count_nonzero(seen)
-    chi, step = 0, 2 ** 16 // tw + 1
-    for r0 in range(0, th, step):
-        band = fat[r0:r0 + step + 1]  # with the next band's first row
-        pairs = band[:-1] | band[1:]
-        band = band[:step]
-        chi += np.count_nonzero(band) - np.count_nonzero(pairs) \
-            - np.count_nonzero(band[:, :-1] | band[:, 1:]) \
-            + np.count_nonzero(pairs[:, :-1] | pairs[:, 1:])
-    return b0 - chi
-
-
 def _windows(rows: np.ndarray, cols: np.ndarray, lab: np.ndarray,
              shape: tuple, c: int):
     """The windows W_i, as (top, bottom, left, right) arrays in the
@@ -244,21 +198,6 @@ def _windows(rows: np.ndarray, cols: np.ndarray, lab: np.ndarray,
     if th * tw - int(areas.sum()) <= int(areas.max(initial=0)):
         return None
     return top, bottom, left, right
-
-
-def _free_cell(windows, shape: tuple) -> tuple:
-    """A cell outside every window when they cover less than the box: in a
-    row whose windows are narrowest in sum, the first column none covers."""
-    top, bottom, left, right = windows
-    cover = np.zeros(shape[0] + 1, dtype=np.intp)
-    np.add.at(cover, top, right - left + 1)
-    np.add.at(cover, bottom + 1, left - right - 1)
-    r = int(np.argmin(np.cumsum(cover)[:-1]))
-    on = (top <= r) & (r <= bottom)
-    cover = np.zeros(shape[1] + 1, dtype=np.intp)
-    np.add.at(cover, left[on], 1)
-    np.add.at(cover, right[on] + 1, -1)
-    return r, int(np.argmin(np.cumsum(cover)[:-1]))
 
 
 def _sparse_excluded(keys: np.ndarray, shape: tuple, c: int):

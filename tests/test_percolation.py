@@ -462,14 +462,14 @@ def _canonical(lab):
     return first[inverse]
 
 
-class TestClearCount:
+class TestClusters:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
            st.integers(0, 40), st.integers(0, 40),
            st.sampled_from([0.0, 0.005, 0.02, 0.08, 0.3, 1.0]),
            st.none() | st.tuples(st.integers(0, 40), st.integers(0, 40),
                                  st.booleans(), st.booleans()))
-    def test_count_matches_labelling(self, seed, c, dh, dw, eps, corner):
+    def test_partition_matches_labelling(self, seed, c, dh, dw, eps, corner):
         rng = np.random.default_rng(seed)
         h, w = 2 * c + 1 + dh, 2 * c + 1 + dw
         data = rng.random((h, w)) < eps
@@ -492,43 +492,6 @@ class TestClearCount:
         if points is not None:
             assert np.array_equal(points[0], rows)
             assert np.array_equal(_canonical(points[2]), _canonical(lab))
-        # _clear_count reads labels as roots: each point's smallest peer
-        assert percolation._clear_count(fat, rows, cols, _canonical(lab), c) \
-            == ndimage.label(~fat, structure=_CROSS)[1]
-
-    @pytest.mark.parametrize("rows, expected", [
-        # one point in the middle: no component is split off
-        ([(6, 6)], 1),
-        # a ring of points 3 apart closes a pocket inside
-        (_ring((33, 33), (16, 16), 8, 3), 2),
-        # a corner wall closes a pocket against the border
-        ([(8, q) for q in range(0, 9, 3)] + [(r, 8) for r in range(0, 9, 3)],
-         2),
-    ], ids=["point", "ring", "corner"])
-    def test_known_counts(self, rows, expected):
-        data = _points((33, 33), rows).data
-        points = percolation._clusters(*_keys(data), 1)
-        fat = thicken(NoiseMask((0, 0), data), 1).data
-        assert percolation._clear_count(fat, *points, 1) == expected
-
-    @pytest.mark.parametrize("eps", [0.02, 0.1, 0.3])
-    def test_bands_meet(self, eps):
-        # T is 32 wide, so the Euler pass counts it in bands of 2049 rows;
-        # pairs and blocks that straddle a band seam count once
-        data = np.random.default_rng(11).random((2049 * 2 + 7, 34)) < eps
-        fat = thicken(NoiseMask((0, 0), data), 1).data
-        rows, cols = np.nonzero(data)
-        lab = ndimage.label(fat, structure=np.ones((3, 3)))[0][
-            np.minimum(rows, len(fat) - 1), np.minimum(cols, 31)]
-        assert percolation._clear_count(fat, rows, cols, _canonical(lab), 1) \
-            == ndimage.label(~fat, structure=_CROSS)[1]
-
-    def test_all_obscured(self):
-        data = np.ones((12, 9), dtype=bool)
-        fat = thicken(NoiseMask((0, 0), data), 2).data
-        rows, cols = np.nonzero(data)
-        assert percolation._clear_count(
-            fat, rows, cols, np.zeros(len(rows), dtype=np.intp), 2) == 0
 
 
 @contextlib.contextmanager
@@ -540,7 +503,10 @@ def _spies():
         yield lab, hist
 
 
-class TestGiantFromPoints:
+class TestRunLabelledGiant:
+    """`open_components` on boxes of the repairs' sizes: one run labelling
+    per call, and component sizes only when there are two or more."""
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(64, 256),
            st.integers(64, 256), st.integers(1, 3), st.floats(1e-3, 0.02))
@@ -554,37 +520,41 @@ class TestGiantFromPoints:
         expected = _giant_reference(mask, c)
         tm = thicken(mask, c)
         count = ndimage.label(~tm.data, structure=_CROSS)[1]
-        points = percolation._clusters(*_keys(mask.data), c)
-        certified = points is not None \
-            and percolation._windows(*points, tm.shape, c) is not None
         with _spies() as (lab, hist):
             giant = open_components(mask, c)
         assert giant.origin == tm.origin
         assert np.array_equal(giant.data, expected)
-        if points is not None and count <= 1:
-            assert lab.call_count == 0 and hist.call_count == 0
-        elif certified:
-            assert lab.call_count == 1 and hist.call_count == 0
-        else:  # the labelling's own count spares the sizes when <= 1
-            assert lab.call_count == 1
-            assert (hist.call_count >= 1) == (count >= 2)
+        assert lab.call_count == 1
+        assert hist.call_count == (count >= 2)
 
-    @pytest.mark.parametrize("mask", [
-        _points((31, 31), [(20, q) for q in range(0, 31, 3)]),
-        _points((41, 41), _ring((41, 41), (20, 20), 15, 3)),
-    ], ids=["spanning", "area"])
-    def test_failed_certificate_sizes_components(self, mask):
+    @pytest.mark.parametrize("mask, count", [
+        # a wall across the whole width
+        (_points((31, 31), [(20, q) for q in range(0, 31, 3)]), 2),
+        # a ring whose pocket is the largest component
+        (_points((41, 41), _ring((41, 41), (20, 20), 15, 3)), 2),
+        # one point in the middle: no component is split off
+        (_points((33, 33), [(6, 6)]), 1),
+        # a ring of points 3 apart closes a pocket inside
+        (_points((33, 33), _ring((33, 33), (16, 16), 8, 3)), 2),
+        # a corner wall closes a pocket against the border
+        (_points((33, 33), [(8, q) for q in range(0, 9, 3)]
+                 + [(r, 8) for r in range(0, 9, 3)]), 2),
+    ], ids=["spanning", "area", "point", "ring", "corner"])
+    def test_sizes_components_only_when_several(self, mask, count):
         expected = _giant_reference(mask, 1)
+        assert ndimage.label(~thicken(mask, 1).data,
+                             structure=_CROSS)[1] == count
         with _spies() as (lab, hist):
             giant = open_components(mask, 1)
         assert np.array_equal(giant.data, expected)
-        assert lab.call_count == 1 and hist.call_count == 1
+        assert lab.call_count == 1
+        assert hist.call_count == (count >= 2)
 
     def test_traced_peak_at_robinson_scale_2(self):
-        # Robinson N = 2's shape: c = 8 thickens a 1024^2 mask to 1008^2;
-        # the points certify but leave several clear components, so the
-        # box is labelled.  The cap is the peak of the ndimage.label
-        # labelling with its int32 label array (5.895 MiB)
+        # Robinson N = 2's shape: c = 8 thickens a 1024^2 mask to 1008^2,
+        # which holds several clear components, so they are sized.  The
+        # cap is the peak of the ndimage.label labelling with its int32
+        # label array (5.895 MiB)
         mask = NoiseMask((0, 0),
                          np.random.default_rng(0).random((1024, 1024)) < 1e-3)
         expected = _giant_reference(mask, 8)
@@ -601,8 +571,8 @@ class TestGiantFromPoints:
         assert peak < 5.9 * 2 ** 20
 
     def test_traced_peak_of_a_dense_512_box(self):
-        # the neighbour scan does not fit, so the box is labelled and its
-        # components sized; no intp copy of the whole label array is made
+        # too dense for the neighbour scan, as at high noise: many
+        # components, all sized; no intp copy of a label array is made
         rng = np.random.default_rng(3)
         mask = NoiseMask((0, 0), rng.random((514, 514)) < 0.3)
         assert percolation._clusters(*_keys(mask.data), 1) is None
