@@ -3,16 +3,18 @@
 All sampling is keyed: the obscured bit of a cell is a hash of the seed
 and the absolute cell coordinates, so masks are reproducible, independent
 of box origin, and two boxes sampled with the same seed agree on their
-overlap.  The hash is a splitmix64-style mixer applied coordinatewise, a
-block of cells at a time, each later axis xored in as a tile.  A cell is
-obscured at Bernoulli(eps) iff the top 53 bits of its hash are below
-ceil(eps 2^53); the mixer's last xorshift keeps the top 31 bits, so that
-integer test runs before it and only the candidates finish the hash.  Every
-Bernoulli mask is a scatter of those points.
+overlap.  The hash is a splitmix64-style mixer applied coordinatewise: each
+axis's seed-free mix is computed once, the seed joins a block of cells at a
+time, later axes xored in as tiles.  A cell is obscured at Bernoulli(eps)
+iff the top 53 bits of its hash are below ceil(eps 2^53); the mixer's last
+xorshift keeps the top 31 bits, so that integer test runs before it and
+only the candidates finish the hash.  Every Bernoulli mask is a scatter of
+those points.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -61,34 +63,47 @@ def derive_seed(*parts) -> int:
     return int(h)
 
 
+@functools.lru_cache(maxsize=8)
+def _axis_term(i: int, start: int, size: int) -> np.ndarray:
+    """Axis i's seed-free term, head(mix(x + GOLDEN (i+1))), read-only."""
+    m = np.arange(start, start + size, dtype=np.int64).view(np.uint64)
+    m += np.uint64(int(_GOLDEN) * (i + 1) % 2 ** 64)
+    _mix(m, _HEAD + _TAIL + _LAST + _HEAD, np.empty_like(m))
+    m.flags.writeable = False
+    return m
+
+
 def _hash_blocks(seed: int, origin, shape):
     """Yield (first, y): a block's first flat index and its hashes stopped
     before `_LAST`, whole leading rows of about _BLOCK_CELLS cells, in a
     buffer the next block reuses.  Cell x hashes to h_d, h_0 = seed, h_{i+1}
-    = mix(h_i ^ mix(x_i + GOLDEN (i+1))); the inner mix runs on each axis's
-    coordinates, tiled once over a block so each xor is a contiguous pass."""
-    with np.errstate(over="ignore"):  # scalar uint64 arithmetic wraps
-        axes = [np.arange(o, o + s, dtype=np.int64).view(np.uint64)
-                + _GOLDEN * np.uint64(i + 1)
-                for i, (o, s) in enumerate(zip(origin, shape))]
-        for axis in axes:
-            _mix(axis, _HEAD + _TAIL + _LAST + _HEAD, np.empty_like(axis))
-        inner = math.prod(shape[1:])
-        rows = max(1, min(shape[0], _BLOCK_CELLS // max(1, inner)))
-        tiles = [np.tile(m, rows * math.prod(shape[1:k]))
-                 for k, m in enumerate(axes[1:], 1)]
-        lead = axes[0] ^ _mix(np.uint64(seed), _HEAD)  # axes[0] is now scratch
-        _mix(lead, _TAIL + (_LAST + _HEAD if tiles else ()), axes[0])
-        bufs = np.empty((2 if tiles else 0, rows * inner), dtype=np.uint64)
-        for a in range(0, shape[0], rows):
-            h = lead[a:a + rows]
-            for k, tile in enumerate(tiles, 1):
-                z, tmp = (b[:h.size * shape[k]] for b in bufs)
-                np.copyto(z.reshape(h.size, shape[k]), h[:, None])
-                np.bitwise_xor(z, tile[:z.size], out=z)
-                _mix(z, _TAIL + (_LAST + _HEAD if k < len(tiles) else ()), tmp)
-                h, bufs = z, bufs[::-1]
-            yield a * inner, h
+    = mix(h_i ^ `_axis_term` at x_i); the seed enters the leading axis at
+    most _BLOCK_CELLS rows at a time, each later axis is tiled per block."""
+    if not math.prod(shape):  # no cells; bufs would be empty
+        return
+    axes = [_axis_term(i, int(o), int(s))
+            for i, (o, s) in enumerate(zip(origin, shape))]
+    inner = math.prod(shape[1:])
+    rows = max(1, min(shape[0], _BLOCK_CELLS // max(1, inner)))
+    span = rows * (_BLOCK_CELLS // rows)  # rows of whole blocks per chunk
+    tiles = [np.tile(m, rows * math.prod(shape[1:k]))
+             for k, m in enumerate(axes[1:], 1)]
+    key = _mix(np.uint64(seed), _HEAD)  # xorshifts only: nothing wraps
+    lead = np.empty((2, min(span, shape[0])), dtype=np.uint64)
+    bufs = np.empty((2 if tiles else 0, rows * inner), dtype=np.uint64)
+    for a in range(0, shape[0], rows):
+        if a % span == 0:
+            chunk, tmp = (b[:min(span, shape[0] - a)] for b in lead)
+            _mix(np.bitwise_xor(axes[0][a:a + span], key, out=chunk),
+                 _TAIL + (_LAST + _HEAD if tiles else ()), tmp)
+        h = chunk[a % span:][:rows]
+        for k, tile in enumerate(tiles, 1):
+            z, tmp = (b[:h.size * shape[k]] for b in bufs)
+            np.copyto(z.reshape(h.size, shape[k]), h[:, None])
+            np.bitwise_xor(z, tile[:z.size], out=z)
+            _mix(z, _TAIL + (_LAST + _HEAD if k < len(tiles) else ()), tmp)
+            h, bufs = z, bufs[::-1]
+        yield a * inner, h
 
 
 def cell_uniform(seed: int, origin, shape) -> np.ndarray:

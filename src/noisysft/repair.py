@@ -18,7 +18,7 @@ import numpy as np
 
 from . import automaton1d as a1d
 from . import core
-from .core import Grid, NoiseMask, Sft, thicken
+from .core import Grid, NoiseMask, Sft
 from .percolation import open_components
 
 
@@ -49,22 +49,22 @@ def _check_symbols(data: np.ndarray, nsym: int) -> None:
 def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     """Repair a noisy 1D configuration.
 
-    The obscured set is thickened by E; each thickened window is refilled
-    through the automaton between anchor states read off the clear cells
-    just inside the window edges, which are always genuinely clear.  An
-    anchor pair is accepted when both anchors are states and `fill_gap`
-    finds a word between them; otherwise the window widens, moving the
-    side whose anchor is no live state, or both sides.  Windows accepted
-    at once are filled in one batch, one `fill_gap` call per distinct
-    (left, right, length) gap; the others go through the widening loop.
-    The box ends are treated as admissible-word boundaries: C cells are
-    peeled at each physical end and the guarantees hold on the interior
-    between them.  Cells changed on the interior lie within E of an
-    obscured cell except for at most a few end rewrites next to the peel
-    margins, which are counted separately.  When some window cannot be
-    anchored the whole box becomes the lex-least admissible word and
-    `boundary_gap` is set.  The repaired word keeps the grid's dtype;
-    symbols that are not integers in [0, nsym) are refused.
+    The obscured set is thickened by E, its runs [a, b) merged straight from
+    the obscured cells: a new run starts where two lie more than 2E + 1 apart.
+    Each run is refilled through the automaton between anchor states read off
+    the clear cells just inside its edges, which are always genuinely clear.
+    An anchor pair is accepted when both anchors are states and `fill_gap`
+    finds a word between them; otherwise the window widens, moving the side
+    whose anchor is no live state, or both sides.  Runs accepted at once are
+    filled in one batch, one `fill_gap` call per distinct (left, right, length)
+    gap; the others go through the widening loop.  The box ends are
+    admissible-word boundaries: C cells are peeled at each physical end and the
+    guarantees hold on the interior between them.  Cells changed on the
+    interior lie within E of an obscured cell except for at most a few end
+    rewrites next to the peel margins, counted separately.  When some run
+    cannot be anchored the whole box becomes the lex-least admissible word and
+    `boundary_gap` is set.  The repaired word keeps the grid's dtype; symbols
+    that are not integers in [0, nsym) are refused.
     """
     auto = _coerce_automaton(sft_or_auto)
     rc = a1d.repair_constants(auto)
@@ -77,12 +77,14 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
         raise ValueError("box too small to repair")
     _check_symbols(grid.data, len(auto.sft.alphabet))
 
-    padded = NoiseMask((0,), np.pad(mask.data, rc.E))
-    fat = thicken(padded, rc.E).data
+    p = np.flatnonzero(mask.data)
+    cut = np.flatnonzero(np.diff(p) > 2 * rc.E + 1)  # p[cut] ends a run
+    a = np.maximum(np.concatenate((p[:1], p[cut + 1])) - rc.E, 0)
+    b = np.minimum(np.concatenate((p[cut], p[-1:])) + rc.E + 1, length)
     out = np.array(grid.data, copy=True)
     live = a1d.live_states(auto)
     # every anchor is read from the noisy word, grid.data, never written
-    boundary_gap = not _fill_windows(auto, rc, fat, grid.data, live, out)
+    boundary_gap = not _fill_windows(auto, rc, a, b, grid.data, live, out)
     if boundary_gap:
         out[:] = a1d.lex_least_admissible_word(auto, length)
         end_rewrites = 0
@@ -104,11 +106,11 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
 
 
 def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
-                  fat: np.ndarray, noisy: np.ndarray, live: frozenset,
-                  out: np.ndarray) -> bool:
-    """Refill every run of `fat` in `out` as if the runs were written one
-    by one in run order; False, with `out` untouched, when some run cannot
-    be anchored.
+                  a: np.ndarray, b: np.ndarray, noisy: np.ndarray,
+                  live: frozenset, out: np.ndarray) -> bool:
+    """Refill every run [a, b) of the thickened mask in `out` as if the runs
+    were written one by one in run order; False, with `out` untouched, when
+    some run cannot be anchored.
 
     Anchors are read from the word `noisy`.  An interior run [a, b) is
     anchored on the states ending at a + h and starting at b - h.  When
@@ -116,10 +118,8 @@ def _fill_windows(auto: a1d.WordAutomaton, rc: a1d.RepairConstants,
     the first step of the widening loop accepts, the run takes the batched
     path; every other run goes through `_widened_fills`.
     """
-    wl, length = rc.word_len, len(fat)
+    wl, length = rc.word_len, len(noisy)
     h = -(-auto.sft.diameter // 2)
-    edges = np.flatnonzero(np.diff(fat, prepend=False, append=False))
-    a, b = edges[::2], edges[1::2]
     touches_lo, touches_hi = a <= rc.C, b >= length - rc.C
     if np.any(touches_lo & touches_hi):
         return False

@@ -927,6 +927,18 @@ class TestCli:
             env=dict(os.environ, PYTHONPATH=src))
         assert json.loads(out.stdout.splitlines()[-1]) == [False] * 5
 
+    def test_import_leaves_the_axis_cache_empty(self):
+        # the seed-free axis terms of the noise hash are mixed on first
+        # use, so the set-up time of a run holds none of them
+        script = ("from noisysft import cli, noise\n"
+                  "info = noise._axis_term.cache_info()\n"
+                  "print(info.currsize, info.misses)\n")
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.split() == ["0", "0"]
+
     def test_perc_csv(self, tmp_path):
         out = tmp_path / "p.csv"
         code = cli.main(["perc", "--epsilons", "0.002", "--box", "64",

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisysft import noise
 from noisysft.core import thicken
 from noisysft.noise import (
     Bernoulli,
@@ -381,3 +382,75 @@ class TestCandidateBound:
         assert int(_candidate_bound(2 ** 64 - 2 ** 33)) == 2 ** 64 - 2 ** 33
         assert _candidate_bound(2 ** 64 - 2 ** 33 + 1) is None
         assert _candidate_bound(2 ** 64 - 1) is None
+
+
+# (origin, sides, as_shape): 1-3 dimensions, negative origins and zero
+# sides included, the shape given as a tuple, a list or numpy ints
+_CACHE_BOXES = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=d, max_size=d),
+    st.lists(st.integers(0, 40), min_size=d, max_size=d),
+    st.sampled_from([tuple, list, lambda s: tuple(np.int64(v) for v in s)])))
+
+
+def _hashes(seed, origin, shape):
+    """The bytes of every public hash of one box: the masks at its origin,
+    the points at origin 0, then the uniforms at its origin."""
+    eps = (0.01, 0.3, 1.0)
+    return ([m.data.tobytes() for m in bernoulli_masks(seed, shape, eps,
+                                                       origin)],
+            [p.tobytes() for p in bernoulli_points(seed, shape, eps)],
+            cell_uniform(seed, origin, shape).tobytes())
+
+
+class TestAxisCache:
+    """The seed-free axis terms are mixed once and cached: a box hashes to
+    the same bytes whatever the cache held before."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 64 - 1), _CACHE_BOXES,
+           st.integers(1, 2 ** 20))
+    def test_warm_cache_equals_cold(self, seed, box, shift):
+        origin, sides, as_shape = box
+        shape = as_shape(sides)
+        noise._axis_term.cache_clear()
+        cold = _hashes(seed, origin, shape)
+        assert cold == _hashes(seed, origin, shape)
+        # the same sides warmed at other origins and on reversed axes
+        # first: an entry keyed on its size alone would be read back here
+        noise._axis_term.cache_clear()
+        _hashes(seed ^ 1, [o + shift for o in origin], shape)
+        _hashes(seed, origin[::-1], as_shape(sides[::-1]))
+        assert _hashes(seed, origin, shape) == cold
+
+    @pytest.mark.parametrize("origin, shape", [
+        ((-3,), (70001,)), ((-35, 17), (70, 1024)), ((5, -20, -3), (3, 4, 7))])
+    def test_finishing_in_place_leaves_the_cache(self, origin, shape):
+        # cell_uniform runs the last xorshift in place on every block it
+        # is given; the masks and points hashed after it on the cache it
+        # filled read the bytes of a cold cache
+        seed = derive_seed(4, "cache")
+        noise._axis_term.cache_clear()
+        cold = _hashes(seed, origin, shape)
+        noise._axis_term.cache_clear()
+        u = cell_uniform(seed, origin, shape)
+        assert _hashes(seed, origin, shape) == cold
+        assert u.tobytes() == cold[2]
+
+    def test_cached_terms_are_read_only(self):
+        noise._axis_term.cache_clear()
+        cell_uniform(3, (-5, 2), (4, 6))
+        for i, start, size in ((0, -5, 4), (1, 2, 6)):
+            term = noise._axis_term(i, start, size)
+            assert term.shape == (size,) and not term.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                term[0] = 0
+        assert noise._axis_term.cache_info().hits == 2
+
+    def test_cache_stays_within_maxsize(self):
+        noise._axis_term.cache_clear()
+        for k in range(12):
+            bernoulli_masks(k, (3, 4, 5), (0.1,), (k, -k, 2 * k))
+            info = noise._axis_term.cache_info()
+            assert info.currsize <= info.maxsize <= 16
+        assert info.misses == 36 and info.currsize == info.maxsize
+

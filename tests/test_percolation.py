@@ -403,20 +403,6 @@ class TestTrialFromPoints:
         assert peak < 2 ** 20
 
 
-@pytest.fixture
-def bincount_calls(monkeypatch):
-    """Counts the np.bincount calls made while the test runs."""
-    calls = []
-    real = np.bincount
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(np, "bincount", spy)
-    return calls
-
-
 def _giant_reference(mask, c):
     """The largest clear component labelled and counted independently:
     True off it, ties to the lowest label."""
@@ -427,32 +413,6 @@ def _giant_reference(mask, c):
         return np.ones(labels.shape, dtype=bool)
     sizes = np.bincount(labels.ravel(), minlength=count + 1)
     return labels != int(np.argmax(sizes[1:])) + 1
-
-
-class TestLazySizes:
-    def test_single_component_skips_histogram(self, bincount_calls):
-        mask = _points((20, 20), [(3, 3)])
-        giant = open_components(mask, 1)
-        assert not bincount_calls
-        assert int((~giant.data).sum()) == 18 * 18 - 9
-        assert np.array_equal(giant.data, thicken(mask, 1).data)
-        rows = np.zeros((7, 7), dtype=np.uint8)
-        rows[:, 2] = 1  # two components: the spy sees the one histogram
-        open_components(mask_from(rows), c=0)
-        assert len(bincount_calls) == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
-           st.integers(0, 2), st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
-    def test_giant_matches_bincount_argmax(self, seed, dim, c, eps):
-        rng = np.random.default_rng(seed)
-        shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 13,
-                                                   size=dim))
-        mask = NoiseMask(tuple(int(o) for o in rng.integers(-9, 9, size=dim)),
-                         rng.random(shape) < eps)
-        giant = open_components(mask, c)
-        assert giant.origin == tuple(o + c for o in mask.origin)
-        assert np.array_equal(giant.data, _giant_reference(mask, c))
 
 
 def _canonical(lab):
@@ -600,11 +560,13 @@ def _run_image(fat):
 
 
 class TestRunLabels:
-    """The run labeller against ndimage.label as an independent reference."""
+    """The run labeller against ndimage.label as an independent reference,
+    and `open_components` built on it: one run labelling per call, and
+    component sizes only when there are two or more."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(0, 3),
-           st.sampled_from([0.0, 0.05, 0.3, 0.5, 1.0]),
+           st.sampled_from([0.0, 0.05, 0.2, 0.3, 0.5, 1.0]),
            st.none() | st.tuples(st.integers(0, 2), st.integers(1, 5)))
     @example(0, 2, 0, 0.0, (1, 1))  # two clear 1 x 1 halves
     @example(0, 3, 2, 0.0, (0, 3))  # two clear halves, split along rows
@@ -612,7 +574,7 @@ class TestRunLabels:
     def test_labels_match_ndimage(self, seed, dim, c, eps, split):
         rng = np.random.default_rng(seed)
         # sides from 2c + 1, a thickened side of one cell
-        shape = [int(s) for s in rng.integers(2 * c + 1, 2 * c + 12, size=dim)]
+        shape = [int(s) for s in rng.integers(2 * c + 1, 2 * c + 13, size=dim)]
         if split is not None:
             # an obscured wall across one axis between two mirror halves
             # of k cells each: the mirror image of a mask cell j along an
@@ -623,7 +585,8 @@ class TestRunLabels:
         if split is not None:
             data |= np.flip(data, axis)
             data[(slice(None),) * axis + (k + 2 * c,)] = True
-        mask = NoiseMask((0,) * dim, data)
+        origin = tuple(int(o) for o in rng.integers(-9, 9, size=dim))
+        mask = NoiseMask(origin, data)
         fat = thicken(mask, c).data
         labels, count = ndimage.label(
             ~fat, structure=ndimage.generate_binary_structure(dim, 1))
@@ -633,8 +596,12 @@ class TestRunLabels:
         assert np.array_equal(image, labels)
         assert np.count_nonzero(lab == np.arange(len(lab))) == count
         assert np.array_equal(lab, _canonical(lab))
-        giant = open_components(mask, c)
+        with _spies() as (runs, hist):
+            giant = open_components(mask, c)
+        assert giant.origin == tuple(o + c for o in origin)
         assert np.array_equal(giant.data, _giant_reference(mask, c))
+        assert runs.call_count == 1
+        assert hist.call_count == (count >= 2)
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(7, 90), st.integers(7, 90),

@@ -1,6 +1,8 @@
 """Window repair in 1D and majority-vote repair of periodic 2D systems."""
 
+import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy import ndimage
 
 import noisysft.automaton1d as a1d
 from noisysft import harness as H
+from noisysft import repair
 from noisysft.core import (
     GOLDEN_MEAN,
     CapExceeded,
@@ -527,6 +530,58 @@ class TestRandomSft1D:
         assert a1d.fill_gap(auto, 0, 0, 7)[15 - 9] == 0
         assert ref.grid.data[15] == 1
         _assert_same_1d(repair_1d(auto, noisy, mask), ref)
+
+
+def _thickened_runs(obscured, e):
+    """The runs [a, b) of the e-thickened mask found densely: pad by e,
+    thicken by e back to the box, and the edges of the result."""
+    fat = thicken(NoiseMask((0,), np.pad(obscured, e)), e).data
+    edges = np.flatnonzero(np.diff(fat, prepend=False, append=False))
+    return edges[::2], edges[1::2]
+
+
+class _HaveRuns(Exception):
+    """Raised by the `_fill_windows` spy once it has seen the runs."""
+
+
+class TestWindowRuns:
+    """The runs `repair_1d` hands to `_fill_windows`, merged from the
+    obscured cells, against the dense thickening.  E is set directly, so
+    every radius from 1 to 6 is drawn; boxes are near `min_length`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 12),
+           st.sets(st.integers(0, 10 ** 6)),
+           st.sampled_from(["inside", "lo", "hi", "both", "full"]))
+    @example(1, 0, {3, 7}, "inside")  # 2E + 2 apart: two runs
+    @example(1, 0, {3, 6}, "inside")  # 2E + 1 apart: one run
+    @example(6, 5, {9, 23}, "both")  # the same at E = 6, ends obscured
+    @example(6, 0, set(), "inside")  # nothing obscured: no run
+    @example(4, 0, set(), "full")
+    def test_runs_equal_dense_thickening(self, e, extra, cells, ends):
+        auto = a1d.build_automaton(GOLDEN_MEAN)
+        rc = dataclasses.replace(a1d.repair_constants(auto), E=e)
+        length = rc.min_length + extra
+        obscured = np.zeros(length, dtype=bool)
+        obscured[[c % length for c in cells]] = True
+        obscured[0] |= ends in ("lo", "both")
+        obscured[-1] |= ends in ("hi", "both")
+        obscured |= ends == "full"
+        seen = []
+
+        def spy(auto, rc, a, b, *rest):
+            seen.append((a, b))
+            raise _HaveRuns
+
+        with mock.patch.object(a1d, "repair_constants", return_value=rc), \
+                mock.patch.object(repair, "_fill_windows", spy), \
+                pytest.raises(_HaveRuns):
+            repair_1d(auto, Grid((-4,), np.zeros(length, dtype=np.int64)),
+                      NoiseMask((-4,), obscured))
+        (a, b), = seen
+        want_a, want_b = _thickened_runs(obscured, e)
+        assert a.dtype == want_a.dtype and b.dtype == want_b.dtype
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
 
 def _assert_same_1d(rep, other):
