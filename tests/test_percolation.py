@@ -415,6 +415,46 @@ def _giant_reference(mask, c):
     return labels != int(np.argmax(sizes[1:])) + 1
 
 
+@pytest.fixture
+def bincount_calls(monkeypatch):
+    """Counts the np.bincount calls made while the test runs."""
+    calls = []
+    real = np.bincount
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    return calls
+
+
+class TestLazySizes:
+    def test_single_component_skips_histogram(self, bincount_calls):
+        mask = _points((20, 20), [(3, 3)])
+        giant = open_components(mask, 1)
+        assert not bincount_calls
+        assert int((~giant.data).sum()) == 18 * 18 - 9
+        assert np.array_equal(giant.data, thicken(mask, 1).data)
+        rows = np.zeros((7, 7), dtype=np.uint8)
+        rows[:, 2] = 1  # two components: the spy sees the one histogram
+        open_components(mask_from(rows), c=0)
+        assert len(bincount_calls) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+           st.integers(0, 2), st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    def test_giant_matches_bincount_argmax(self, seed, dim, c, eps):
+        rng = np.random.default_rng(seed)
+        shape = tuple(int(s) for s in rng.integers(2 * c + 1, 2 * c + 13,
+                                                   size=dim))
+        mask = NoiseMask(tuple(int(o) for o in rng.integers(-9, 9, size=dim)),
+                         rng.random(shape) < eps)
+        giant = open_components(mask, c)
+        assert giant.origin == tuple(o + c for o in mask.origin)
+        assert np.array_equal(giant.data, _giant_reference(mask, c))
+
+
 def _canonical(lab):
     """Each point's cluster named by its first point: equal for two
     labellings exactly when they make the same partition."""
