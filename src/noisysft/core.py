@@ -397,21 +397,26 @@ def thicken(mask: NoiseMask, n: int) -> NoiseMask:
     if any(s <= 2 * n for s in mask.shape):
         raise ValueError("box too small to thicken")
     return NoiseMask(tuple(o + n for o in mask.origin),
-                     _or_windows(mask.data, n))
+                     _windows(mask.data, n))
 
 
-def _or_windows(arr: np.ndarray, n: int) -> np.ndarray:
-    """Bitwise OR of `arr` over every (2n+1)-cube window, which shrinks
-    each axis by 2n.  Per axis: OR windows of doubling width k, then two
-    overlapping k-windows."""
+def _windows(arr: np.ndarray, n: int, op=np.bitwise_or,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """The bitwise `op`, OR or AND, of `arr` over every (2n+1)-cube window
+    (a dilation or an erosion), a view of `out` (C-ordered, arr's shape)
+    that drops 2n cells at each axis's far end.  Per axis: op over windows
+    of doubling width k, then over two overlapping k-windows, each step one
+    in-place pass over the flat buffer shifted by k lines of the axis."""
     w = 2 * n + 1
-    for axis in range(arr.ndim):
-        a, k = np.moveaxis(arr, axis, 0), 1
-        while 2 * k <= w:
-            a = a[:-k] | a[k:]
-            k *= 2
-        arr = np.moveaxis(a[:len(a) - (w - k)] | a[w - k:], 0, axis)
-    return arr
+    out = np.empty(arr.shape, dtype=arr.dtype) if out is None else out
+    src, flat = np.ascontiguousarray(arr).reshape(-1), out.reshape(-1)
+    top = 1 << (w.bit_length() - 1)
+    for stride in [s // out.itemsize for s in out.strides]:
+        for k in [1 << i for i in range(w.bit_length() - 1)] + [w - top]:
+            op(src[:src.size - k * stride], src[k * stride:],
+               out=flat[:flat.size - k * stride])
+            src = flat
+    return out[tuple(slice(s - 2 * n) for s in arr.shape)]
 
 
 _BAND = 1 << 15

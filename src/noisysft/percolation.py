@@ -76,7 +76,8 @@ def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     component: the result obscures every other cell of the thickened box,
     and every cell when none is clear.  Ties go to the component whose
     first cell comes first in row-major order.  The box is labelled by
-    its clear runs (see the module docstring)."""
+    its clear runs (see the module docstring); the result's data is a
+    view of the painted, padded box or of the thickened mask, not a copy."""
     tm = thicken(mask, c)
     starts, ends, lab = _runs(tm.data)
     if np.count_nonzero(lab == np.arange(len(lab))) <= 1:
@@ -91,8 +92,7 @@ def open_components(mask: NoiseMask, c: int) -> NoiseMask:
     bounds = np.concatenate(([0], np.column_stack((starts, ends)).ravel(),
                              [np.prod(padded)]))
     out = np.repeat(values, np.diff(bounds)).reshape(padded)
-    return NoiseMask(tm.origin, np.ascontiguousarray(
-        out[tuple(slice(s) for s in tm.shape)]))
+    return NoiseMask(tm.origin, out[tuple(slice(s) for s in tm.shape)])
 
 
 def _runs(fat: np.ndarray):

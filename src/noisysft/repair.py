@@ -41,7 +41,8 @@ def _coerce_automaton(sft_or_auto) -> a1d.WordAutomaton:
 
 def _check_symbols(data: np.ndarray, nsym: int) -> None:
     """ValueError unless every symbol is an integer in [0, nsym)."""
-    if data.size and not (data.dtype.kind in "biu" and 0 <= data.min()
+    kind = data.dtype.kind  # only a signed dtype needs its minimum
+    if data.size and not (kind in "biu" and (kind != "i" or data.min() >= 0)
                           and data.max() < nsym):
         raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
 
@@ -307,8 +308,9 @@ class PeriodicSft:
         n = self.period
         cell = self.base[np.ix_(*(np.mod(np.arange(n) + origin[i] - offset[i],
                                          n) for i in range(self.dim)))]
-        whole = np.tile(cell, [-(-s // n) for s in shape])
-        return Grid(tuple(origin), whole[tuple(slice(0, s) for s in shape)])
+        for k in range(self.dim - 1, -1, -1):  # last axis first: long copies
+            cell = np.tile(cell, [-(-shape[k] // n)] + [1] * (self.dim - 1 - k))
+        return Grid(tuple(origin), cell[tuple(slice(0, s) for s in shape)])
 
     def orbit(self):
         """Distinct translates as canonical (lex-least) offsets."""
@@ -421,17 +423,17 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     A cell votes for the lexicographically greatest orbit translate the
     grid matches on its c-box.  Each cell's match bits (bit i: the cell
     agrees with translate i) come from one gather in the MATCH table of
-    the periodic SFT; OR-ing their complements over the (2c+1) box leaves
-    the translates broken somewhere in it, so the consistent translates
-    are the complement of that.  Bits are held in uint8 words of 8
-    translates.  A cell votes for translate 8 w + i exactly when its word
-    w lies in [2^i, 2^(i+1)) and every higher word is 0, so the words are
-    taken highest first: a word is zeroed on the cells off the giant or
-    already voting in a higher word, and the count of translate 8 w + i
-    is the number of cells with word >= 2^i less those with word
-    >= 2^(i+1); no per-cell vote is built.  Vote ties pick the
-    lexicographically greatest offset, matching the maximal-configuration
-    convention.
+    the periodic SFT; AND-ing them over the (2c+1) box (`core._windows`)
+    leaves the translates consistent on all of it.  Bits are held in uint8
+    words of 8 translates.  A cell votes for translate 8 w + i exactly
+    when its word w lies in [2^i, 2^(i+1)) and every higher word is 0, so
+    the words are taken highest first: a word is zeroed on the cells off
+    the giant or already voting in a higher word, and the count of
+    translate 8 w + i is the number of cells with word >= 2^i less those
+    with word >= 2^(i+1); no per-cell vote is built.  The giant is read,
+    never copied or written (higher-word voters join it in a new array).
+    Vote ties pick the lexicographically greatest offset, matching the
+    maximal-configuration convention.
     """
     if grid.shape != mask.shape or grid.origin != mask.origin:
         raise ValueError("mask box does not match grid box")
@@ -448,16 +450,17 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
                                              grid.shape[::-1])))
     np.add(key, g, out=key, casting="unsafe")
     counts = np.zeros(len(orbit), dtype=np.intp)
-    off = giant.data.copy()  # cells that cast no vote in the words left
+    off = giant.data  # cells that cast no vote in the words left
     for w in range(len(p._match) - 1, -1, -1):  # one word per 8 translates
-        ok = ~core._or_windows(~core._gather(p._match[w].ravel(), key), c)
+        ok = core._gather(p._match[w].ravel(), key)
+        ok = core._windows(ok, c, np.bitwise_and, out=ok)
         np.copyto(ok, 0, where=off)
+        if w:
+            off = off | (ok != 0)
         size = min(8, len(orbit) - 8 * w)
         at_least = np.array([np.count_nonzero(ok >= 1 << i)
                              for i in range(size)] + [0])
         counts[8 * w:8 * w + size] = at_least[:-1] - at_least[1:]
-        if w:
-            off |= ok != 0
     no_votes = not counts.any()
     if no_votes:
         best = len(orbit) - 1

@@ -317,23 +317,24 @@ def _as_ids(grid):
     return g, origin
 
 
-def _as_clear(mask, shape):
+def _as_obscured(mask, shape):
+    """Obscured cells of a NoiseMask or bool array (None: none), no copy."""
     if mask is None:
-        return np.ones(shape, dtype=bool)
+        return np.zeros(shape, dtype=bool)
     data = mask.data if isinstance(mask, NoiseMask) else np.asarray(mask, bool)
     if data.shape != shape:
         raise ValueError("mask box does not match grid box")
-    return ~data
+    return data
 
 
 def _tile_box(grid, mask):
-    """Tile ids, origin and clear cells; a NoiseMask must share the box."""
+    """Tile ids, origin and obscured cells; a NoiseMask must share the box."""
     g, origin = _as_ids(grid)
     if g.ndim != 2:
         raise ValueError("tile grids are 2D")
     if isinstance(mask, NoiseMask) and tuple(mask.origin) != tuple(origin):
         raise ValueError("mask box does not match grid box")
-    return g, origin, _as_clear(mask, g.shape)
+    return g, origin, _as_obscured(mask, g.shape)
 
 
 def violations(grid, mask=None, limit: int | None = None) -> list:
@@ -343,7 +344,8 @@ def violations(grid, mask=None, limit: int | None = None) -> list:
     coordinates, in rule order edge-h, edge-v, square, lattice by step,
     centre, and row-major within a rule.
     """
-    g, origin, clear = _tile_box(grid, mask)
+    g, origin, obscured = _tile_box(grid, mask)
+    clear = ~obscured
     ids = g.astype(np.uint16)
     keys, bump = ids * NTILES, np.take(PARITY, ids)
 
@@ -694,22 +696,22 @@ def infer_translate(grid, mask, N: int):
     dented crosses among their clear cells wins.  Returns
     (translate, no_votes).
 
-    Each cell is coded once.  Stage one counts each bumpy tile by box row
-    and column mod 4, over the box padded to whole 4x4 blocks, and rolls
-    the counts from box to absolute residues.  The sites of a stage-m
-    candidate are one residue class mod 2^m, a strided slice of the box.
+    Each cell is coded once, in place in the padded buffer, as NTILES
+    obscured + id: no box-sized temporary.  Stage one counts each bumpy
+    tile by box row and column mod 4, over the box padded to whole 4x4
+    blocks, and rolls the counts from box to absolute residues.  The sites
+    of a stage-m candidate are one residue class mod 2^m, a strided slice
+    of the box.
     """
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
-    g, origin, clear = _tile_box(grid, mask)
+    g, origin, obscured = _tile_box(grid, mask)
     h, w = g.shape
     hb, wb = -(-h // 4), -(-w // 4)
     padded = np.full((4 * hb, 4 * wb), _PAD, dtype=np.int8)
     code = padded[:h, :w]
-    np.multiply(clear.view(np.int8), np.int8(-NTILES), out=code)
+    np.multiply(obscured, np.int8(NTILES), out=code)
     code += g.astype(np.int8, copy=False)
-    code += np.int8(NTILES)
-    del clear  # hold the code and one box-sized buffer, no more
 
     votes = np.zeros((4, 4), dtype=np.int64)
     hits = np.empty((hb, 16 * wb), dtype=bool)

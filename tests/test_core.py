@@ -229,6 +229,53 @@ class TestThicken:
             thicken(NoiseMask((0,) * dim, np.zeros(shape)), n)
 
 
+def _brute_windows(arr, n, op):
+    """`op` reduced over each (2n+1)-cube window of `arr`, one at a time."""
+    w = 2 * n + 1
+    out = np.empty(tuple(s - 2 * n for s in arr.shape), dtype=arr.dtype)
+    for idx in np.ndindex(*out.shape):
+        out[idx] = op.reduce(arr[tuple(slice(i, i + w) for i in idx)],
+                             axis=None)
+    return out
+
+
+class TestWindows:
+    """The window kernel behind `thicken` and the periodic vote, against a
+    brute-force reduction per window, into a fresh buffer and in place."""
+
+    @pytest.mark.parametrize("op, dtype", [(np.bitwise_or, bool),
+                                           (np.bitwise_and, np.uint8)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("layout", ["c", "sliced"])
+    def test_matches_brute_force(self, op, dtype, dim, n, layout):
+        rng = np.random.default_rng([dim, n, int(layout == "c"),
+                                     int(dtype is bool)])
+        for _ in range(4):
+            shape = tuple(int(s) for s in rng.integers(2 * n + 1, 2 * n + 7,
+                                                       size=dim))
+            if dtype is bool:
+                draw = lambda sh: rng.random(sh) < rng.random() * 0.3
+            else:  # bytes mostly set, so an AND over a window is not 0
+                draw = lambda sh: ~(rng.integers(0, 256, sh, dtype=np.uint8)
+                                    & rng.integers(0, 256, sh, dtype=np.uint8)
+                                    & rng.integers(0, 256, sh, dtype=np.uint8))
+            if layout == "c":
+                arr = draw(shape)
+            else:  # strided, offset and with the axes reversed
+                big = draw(tuple(2 * s + 1 for s in shape[::-1])).T
+                arr = big[tuple(slice(1, 1 + 2 * s, 2) for s in shape)]
+                assert not arr.flags.c_contiguous or arr.size <= 1
+            want = _brute_windows(arr, n, op)
+            got = core._windows(arr, n, op)
+            assert got.dtype == arr.dtype
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            # in place, as the periodic vote reduces its gathered words
+            buf = np.array(arr, order="C")
+            assert np.array_equal(core._windows(buf, n, op, out=buf), want)
+
+
 def _brute_admissible(sft, cells):
     """Every assignment on the cells, in lexicographic order, that holds
     no forbidden translate lying wholly inside the cell set."""

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 import noisysft.automaton1d as a1d
+from noisysft import core, percolation, repair
 from noisysft import harness as H
-from noisysft import repair
 from noisysft.core import (
     GOLDEN_MEAN,
     CapExceeded,
@@ -609,6 +609,26 @@ class TestPeriodicSft:
             assert np.array_equal(p.tiling(t, (0, 0), (2, 2)).data,
                                   p.tiling(canon, (0, 0), (2, 2)).data)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tiling_reads_base_at_each_cell(self, dim):
+        # cell x holds base[(x - offset) mod period], whatever the order in
+        # which the axes are tiled
+        rng = np.random.default_rng(dim)
+        for period in (1, 2, 3, 5):
+            sft = Sft(dim=dim, alphabet=("a", "b", "c"), forbidden=frozenset())
+            p = PeriodicSft(sft=sft, period=period,
+                            base=rng.integers(0, 3, size=(period,) * dim))
+            for _ in range(10):
+                shape = tuple(int(s) for s in rng.integers(0, 12, size=dim))
+                origin = tuple(int(o) for o in rng.integers(-20, 20, size=dim))
+                offset = tuple(int(o) for o in rng.integers(-9, 9, size=dim))
+                got = p.tiling(offset, origin, shape)
+                idx = np.indices(shape)
+                want = p.base[tuple((idx[i] + origin[i] - offset[i]) % period
+                                    for i in range(dim))]
+                assert got.data.dtype == p.base.dtype
+                assert np.array_equal(got.data, want)
+
     def test_tiling_values(self):
         p = parse_periodic(CHECKER_TEXT)
         g = p.tiling((0, 0), (0, 0), (3, 4))
@@ -977,3 +997,120 @@ class TestRandomPeriodic:
                        if rep.vote_counts[t]) >= 128
             if c == 6:
                 assert rep.offset == orbit[i]
+
+
+def _complement_or_vote(p, grid, mask, c):
+    """repair_periodic's vote as it was before the AND windows: each word's
+    match bits complemented, OR-ed over the c-box windows and complemented
+    back, zeroed on an explicit copy of the off-giant cells.  Returns
+    (offset, vote_counts, no_votes, changed_fraction)."""
+    nsym, g = len(p.sft.alphabet), grid.data
+    giant = percolation.open_components(mask, c)
+    inner = tuple(slice(c, s - c) for s in grid.shape)
+    orbit = p.orbit()
+    kt = np.min_scalar_type(p._match[0].size)
+    key = sum((((o + np.arange(s)) % p.period) * (nsym * p.period ** k))
+              .astype(kt).reshape((-1,) + (1,) * k)
+              for k, (o, s) in enumerate(zip(grid.origin[::-1],
+                                             grid.shape[::-1])))
+    np.add(key, g, out=key, casting="unsafe")
+    counts = np.zeros(len(orbit), dtype=np.intp)
+    off = giant.data.copy()
+    for w in range(len(p._match) - 1, -1, -1):
+        ok = ~core._windows(~core._gather(p._match[w].ravel(), key), c,
+                            np.bitwise_or)
+        np.copyto(ok, 0, where=off)
+        size = min(8, len(orbit) - 8 * w)
+        at_least = np.array([np.count_nonzero(ok >= 1 << i)
+                             for i in range(size)] + [0])
+        counts[8 * w:8 * w + size] = at_least[:-1] - at_least[1:]
+        if w:
+            off |= ok != 0
+    no_votes = not counts.any()
+    if no_votes:
+        best = len(orbit) - 1
+    else:
+        best = max(i for i, n in enumerate(counts) if n == counts.max())
+    offset = orbit[best]
+    repaired = p.tiling(offset, giant.origin, giant.shape)
+    changed = int(np.count_nonzero(g[inner] != repaired.data)) \
+        / repaired.data.size
+    return (offset, {orbit[i]: int(n) for i, n in enumerate(counts)},
+            no_votes, changed)
+
+
+class TestAndWindowVote:
+    """The vote by AND windows read straight off the giant against the
+    complement-OR vote on a copy of it."""
+
+    def _check(self, p, grid, mask, c):
+        seen = []
+
+        def spy(*args, **kwargs):
+            out = percolation.open_components(*args, **kwargs)
+            seen.append((out, np.array(out.data)))
+            return out
+
+        with mock.patch.object(repair, "open_components", spy):
+            rep = repair_periodic(p, grid, mask, c=c)
+        (giant, before), = seen
+        assert np.array_equal(giant.data, before)  # the repair never wrote it
+        assert (rep.offset, rep.vote_counts, rep.no_votes,
+                rep.changed_fraction) == _complement_or_vote(p, grid, mask, c)
+        return rep
+
+    @settings(max_examples=120, deadline=None)
+    @given(*_RANDOM_CASES)
+    def test_matches_complement_or_vote(self, seed, period, nsym, c, eps):
+        p, _, origin, _, noisy, hit = _random_case(seed, period, nsym, c, eps)
+        self._check(p, Grid(origin, noisy), NoiseMask(origin, hit), c)
+
+    @pytest.mark.parametrize("period, c, eps", [(3, 1, 0.05), (4, 2, 0.02),
+                                                (9, 4, 0.01), (9, 0, 0.3)])
+    def test_orbits_of_several_words(self, period, c, eps):
+        # more than 8 translates: the lower words skip the cells that voted
+        # in a higher word, through a new array, not the giant
+        rng = np.random.default_rng(period * 10 + c)
+        while True:
+            p = _domino_periodic(rng.integers(0, 3, size=(period, period)), 3)
+            if len(p.orbit()) > 8:
+                break
+        assert len(p._match) > 1
+        shape, origin = (61, 47), (-4, 9)
+        for t in (p.orbit()[0], p.orbit()[-1]):
+            clean = p.tiling(t, origin, shape).data
+            hit = rng.random(shape) < eps
+            noisy = np.where(hit, rng.integers(0, 3, size=shape), clean)
+            rep = self._check(p, Grid(origin, noisy), NoiseMask(origin, hit),
+                              c)
+            if 2 * c + 1 >= period:
+                assert rep.offset == t
+
+
+class TestCheckSymbols:
+    """`_check_symbols` pays for a minimum only on signed dtypes."""
+
+    class _NoMin(np.ndarray):
+        def min(self, *args, **kwargs):
+            raise AssertionError("min() taken of an unsigned grid")
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64])
+    def test_negative_signed_symbol_raises(self, dtype):
+        data = np.array([[0, 1], [-1, 2]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 3\)"):
+            repair._check_symbols(data, 3)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8,
+                                       np.uint16])
+    @pytest.mark.parametrize("bad", [3, 4])
+    def test_symbol_at_or_above_nsym_raises(self, dtype, bad):
+        data = np.array([[0, 1], [bad, 2]], dtype=dtype)
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 3\)"):
+            repair._check_symbols(data, 3)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, bool])
+    def test_unsigned_and_bool_skip_the_minimum(self, dtype):
+        data = np.array([[0, 1], [1, 0]], dtype=dtype).view(self._NoMin)
+        repair._check_symbols(data, 2)
+        with pytest.raises(ValueError, match=r"symbols must lie in \[0, 1\)"):
+            repair._check_symbols(data, 1)

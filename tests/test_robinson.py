@@ -305,7 +305,7 @@ class TestAdmissibility:
     @given(_oracle_cases())
     def test_matches_cell_by_cell_reference(self, case):
         grid, mask, limit = case
-        clear = rb._as_clear(mask, grid.shape)
+        clear = ~rb._as_obscured(mask, grid.shape)
         assert rb.violations(grid, mask, limit) == \
             _reference_violations(grid, clear, limit)
 
@@ -684,7 +684,7 @@ class TestVerifySuite:
 def _infer_translate_full_box(grid, mask, N, votes_ok=None):
     """infer_translate as it was, with full-box residue masks per level."""
     g, origin = rb._as_ids(grid)
-    clear = rb._as_clear(mask, g.shape)
+    clear = ~rb._as_obscured(mask, g.shape)
     votes_ok = clear if votes_ok is None else votes_ok & clear
     h, w = g.shape
     pr = np.arange(h).reshape(-1, 1) + origin[0]
@@ -846,3 +846,79 @@ class TestRepairEquivalence:
         assert rep.translate == left
         giant = ~open_components(mask, rep.c).data
         assert giant[:, :24].all() and not giant[:, 24:].any()
+
+
+def _infer_translate_three_pass(grid, mask, N):
+    """infer_translate as it was before the one coding pass: the clear
+    cells made as ~mask, coded as -NTILES clear + id + NTILES."""
+    g, origin = rb._as_ids(grid)
+    clear = np.ones(g.shape, dtype=bool) if mask is None else \
+        ~rb._as_obscured(mask, g.shape)
+    h, w = g.shape
+    hb, wb = -(-h // 4), -(-w // 4)
+    padded = np.full((4 * hb, 4 * wb), rb._PAD, dtype=np.int8)
+    code = padded[:h, :w]
+    np.multiply(clear.view(np.int8), np.int8(-rb.NTILES), out=code)
+    code += g.astype(np.int8, copy=False)
+    code += np.int8(rb.NTILES)
+    votes = np.zeros((4, 4), dtype=np.int64)
+    for o, (cr, cc) in rb.CROSS_CLASS.items():
+        hits = padded.reshape(hb, 16 * wb) == rb._CROSS_ID[(rb.BUMPY, o)]
+        counts = hits.sum(axis=0).reshape(4, wb, 4).sum(axis=1)
+        votes += np.roll(counts, ((origin[0] - cr) % 4, (origin[1] - cc) % 4),
+                         axis=(0, 1))
+    no_votes = not votes.any()
+    tr, tc = divmod(int(np.argmax(votes)), 4)
+    for m in range(3, N + 2):
+        period, half = 2 ** m, 2 ** (m - 1)
+        best_score, best_ext = -1.0, (0, 0)
+        for ar in (0, 1):
+            for ac in (0, 1):
+                cr = (tr + ar * half + half - 1) % period
+                cc = (tc + ac * half + half - 1) % period
+                cells = code[(cr - origin[0]) % period::period,
+                             (cc - origin[1]) % period::period]
+                total = int(np.count_nonzero(cells < rb.NTILES))
+                dented = int(np.count_nonzero(rb._DENTED_CODE[cells]))
+                score = dented / total if total else 0.0
+                if score > best_score:
+                    best_score, best_ext = score, (ar, ac)
+        tr += best_ext[0] * half
+        tc += best_ext[1] * half
+    return (tr, tc), no_votes
+
+
+class TestInferTranslateCoding:
+    """The cells coded in place as NTILES obscured + id against the
+    three-pass coding, for no mask, a NoiseMask and a plain bool array,
+    each mask a strided view like the giant `open_components` returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4),
+           st.integers(-300, 300), st.integers(-300, 300),
+           st.integers(0, 40), st.integers(0, 40),
+           st.sampled_from([0.0, 0.05, 0.4, 1.0]), st.booleans(),
+           st.sampled_from(["none", "noise_mask", "bool_array"]))
+    def test_matches_three_pass_coding(self, seed, n, o0, o1, hh, hw, eps,
+                                       random_ids, kind):
+        rng = np.random.default_rng(seed)
+        shape = (2 * hh + 1, 2 * hw + 1)  # odd sides: the _PAD margin shows
+        if random_ids:
+            ids = rng.integers(0, rb.NTILES, size=shape).astype(np.int8)
+        else:
+            t = tuple(int(v) for v in rng.integers(0, 512, size=2))
+            ids = rb.reference_window((abs(o0), abs(o1)), shape, t)
+        padded = rng.random((shape[0] + 1, shape[1] + 1)) < eps
+        hit = padded[:shape[0], :shape[1]]  # a view, as open_components paints
+        mask = {"none": None, "noise_mask": NoiseMask((o0, o1), hit),
+                "bool_array": hit}[kind]
+        grid = Grid((o0, o1), ids)
+        assert rb.infer_translate(grid, mask, n) == \
+            _infer_translate_three_pass(grid, mask, n)
+
+    @pytest.mark.parametrize("mask", [np.zeros((9, 10), dtype=bool),
+                                      NoiseMask((0, 0), np.zeros((9, 10)))])
+    def test_mask_of_another_shape_refused(self, mask):
+        win = rb.reference_window((0, 0), (9, 9), (0, 0))
+        with pytest.raises(ValueError, match="mask box does not match"):
+            rb.infer_translate(Grid((0, 0), win), mask, 1)
