@@ -474,10 +474,14 @@ def fill_gap(auto: WordAutomaton, left: int, right: int,
     return word
 
 
+def _reach_table(auto: WordAutomaton, target: int) -> _ReachTable:
+    if target not in auto._reach:
+        auto._reach[target] = _ReachTable(auto, target)
+    return auto._reach[target]
+
+
 def _walk_gap(auto: WordAutomaton, li: int, ri: int, n: int) -> Word | None:
-    if ri not in auto._reach:
-        auto._reach[ri] = _ReachTable(auto, ri)
-    reach = auto._reach[ri]
+    reach = _reach_table(auto, ri)
     wl = auto.word_len
     if li not in reach(n + wl):
         return None
@@ -504,36 +508,24 @@ def extend_from(auto: WordAutomaton, state: int, n: int, *,
     live = live_states(auto)
     if state not in live:
         raise ValueError("state has no bi-infinite extension")
-    out = []
     if forward:
-        cur = state
+        out, cur = [], state
         for _ in range(n):
-            b, j = min((b, j) for b, j in auto.edges[cur] if j in live)
+            b, cur = min((b, j) for b, j in auto.edges[cur] if j in live)
             out.append(b)
-            cur = j
         return tuple(out)
-    # backwards: choose predecessors; lex-least means minimizing earlier
-    # letters first, so scan positions left to right among live paths
-    # reach[t] = states that reach `state` in exactly t live steps
-    reach = [{state}]
-    for _ in range(n):
-        reach.append({u for v in reach[-1] for u, _ in auto._preds[v]
-                      if u in live})
-    if not reach[n]:
+    # backwards: the lex-least live state with a path of n edges into
+    # `state`, then the lex-least such path; every state on a path between
+    # two live states is live.  The word is the start state's letters then
+    # the path's, of which the last word_len spell `state`.
+    starts = _reach_table(auto, state)(n) & live
+    if not starts:
         raise ValueError("state has no live history long enough")
-    start = min(reach[n], key=lambda u: auto.states[u])
-    cur = start
-    for t in range(n, 0, -1):
-        b, j = min((b, j) for b, j in auto.edges[cur]
-                   if j in live and j in reach[t - 1])
-        out.append(b)
-        cur = j
-    assert cur == state
-    # the full word is start-state letters then edge labels; the last
-    # word_len letters of it spell the target state, so the prepended
-    # word is the first n letters
-    full = auto.states[start] + tuple(out)
-    return full[:n]
+    start = min(starts, key=auto.states.__getitem__)
+    wl = auto.word_len
+    if n < wl:
+        return auto.states[start][:n]
+    return auto.states[start] + _walk_gap(auto, start, state, n - wl)
 
 
 def lex_least_admissible_word(auto: WordAutomaton, n: int) -> Word | None:

@@ -124,49 +124,38 @@ class Sft:
 
 
 @dataclass(frozen=True)
-class Grid:
+class _Box:
+    """Values on a finite box anchored at an absolute origin; `data` is a
+    read-only view cast to the subclass's `_dtype`, not the caller's array."""
+
+    origin: Offset
+    data: np.ndarray
+    _dtype = None
+
+    def __post_init__(self):
+        arr = np.asarray(self.data, dtype=self._dtype).view()
+        if arr.ndim != len(self.origin):
+            raise ValueError("origin dimension does not match data")
+        arr.setflags(write=False)
+        object.__setattr__(self, "data", arr)
+
+    @property
+    def dim(self) -> int:
+        return self.data.ndim
+
+    @property
+    def shape(self) -> Offset:
+        return tuple(self.data.shape)
+
+
+class Grid(_Box):
     """Symbol values on a finite box, anchored at an absolute origin."""
 
-    origin: Offset
-    data: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.data).view()  # not the caller's array
-        if arr.ndim != len(self.origin):
-            raise ValueError("origin dimension does not match data")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def shape(self) -> Offset:
-        return tuple(self.data.shape)
-
-
-@dataclass(frozen=True)
-class NoiseMask:
+class NoiseMask(_Box):
     """Obscured-cell indicator on a finite box; any nonzero value is True."""
 
-    origin: Offset
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=bool).view()  # not the caller's array
-        if arr.ndim != len(self.origin):
-            raise ValueError("origin dimension does not match data")
-        arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.data.ndim
-
-    @property
-    def shape(self) -> Offset:
-        return tuple(self.data.shape)
+    _dtype = bool
 
 
 _DIRECTIVE_RE = re.compile(r"^(\w+)\s*(.*)$")
@@ -270,12 +259,19 @@ def word_sft(alphabet: Sequence[str], words: Iterable[str]) -> Sft:
     return Sft(dim=1, alphabet=alpha, forbidden=frozenset(pats))
 
 
-def _clear_array(grid: Grid, mask: NoiseMask | None) -> np.ndarray | None:
-    if mask is None:
-        return None
-    if mask.shape != grid.shape or mask.origin != grid.origin:
+def _check_box(grid: Grid, mask: NoiseMask | None = None,
+               nsym: int | None = None, what: str = "grid symbols") -> None:
+    """ValueError unless the mask (None: no mask) lies on the grid's box
+    and, given nsym, every symbol is an integer in [0, nsym)."""
+    if mask is not None and (mask.shape != grid.shape
+                             or tuple(mask.origin) != tuple(grid.origin)):
         raise ValueError("mask box does not match grid box")
-    return ~mask.data
+    data = grid.data
+    kind = data.dtype.kind  # only a signed dtype needs its minimum
+    if nsym is not None and data.size and not (
+            kind in "biu" and (kind != "i" or data.min() >= 0)
+            and data.max() < nsym):
+        raise ValueError(f"{what} must lie in [0, {nsym}) as integers")
 
 
 def pattern_hits(grid: Grid, pattern: Pattern,
@@ -305,7 +301,8 @@ def is_locally_admissible(sft: Sft, grid: Grid, mask: NoiseMask | None = None) -
     """True when no forbidden pattern occurs entirely on clear cells."""
     if grid.dim != sft.dim:
         raise ValueError("grid dimension does not match SFT")
-    clear = _clear_array(grid, mask)
+    _check_box(grid, mask)
+    clear = None if mask is None else ~mask.data
     for p in sft.forbidden:
         if not p.cells:
             return False

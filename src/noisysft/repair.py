@@ -39,14 +39,6 @@ def _coerce_automaton(sft_or_auto) -> a1d.WordAutomaton:
     return a1d.build_automaton(sft_or_auto)
 
 
-def _check_symbols(data: np.ndarray, nsym: int) -> None:
-    """ValueError unless every symbol is an integer in [0, nsym)."""
-    kind = data.dtype.kind  # only a signed dtype needs its minimum
-    if data.size and not (kind in "biu" and (kind != "i" or data.min() >= 0)
-                          and data.max() < nsym):
-        raise ValueError(f"grid symbols must lie in [0, {nsym}) as integers")
-
-
 def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     """Repair a noisy 1D configuration.
 
@@ -71,12 +63,10 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     rc = a1d.repair_constants(auto)
     if grid.dim != 1 or mask.dim != 1:
         raise ValueError("repair_1d needs 1D boxes")
-    if grid.shape != mask.shape or grid.origin != mask.origin:
-        raise ValueError("mask box does not match grid box")
+    core._check_box(grid, mask, len(auto.sft.alphabet))
     length = grid.shape[0]
     if length < rc.min_length:
         raise ValueError("box too small to repair")
-    _check_symbols(grid.data, len(auto.sft.alphabet))
 
     p = np.flatnonzero(mask.data)
     cut = np.flatnonzero(np.diff(p) > 2 * rc.E + 1)  # p[cut] ends a run
@@ -435,10 +425,8 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     Vote ties pick the lexicographically greatest offset, matching the
     maximal-configuration convention.
     """
-    if grid.shape != mask.shape or grid.origin != mask.origin:
-        raise ValueError("mask box does not match grid box")
     nsym, g = len(p.sft.alphabet), grid.data
-    _check_symbols(g, nsym)
+    core._check_box(grid, mask, nsym)
     giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()

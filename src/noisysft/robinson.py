@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, NoiseMask
+from .core import Grid, NoiseMask, _check_box
 from .noise import derive_seed
 from .percolation import open_components
 
@@ -304,37 +304,23 @@ for _a in (H_OK, V_OK, *LATTICE_OK.values(), *(m for _, m in _CENTRE)):
     _a.setflags(write=False)
 
 
+def _tile_box(grid, mask=None):
+    """Tile ids, origin and mask of a Grid, or a plain array at origin 0,
+    and a NoiseMask, or a plain array at the grid's origin (None kept),
+    checked to share one 2D box of tile ids."""
+    if not isinstance(grid, Grid):
+        grid = Grid((0,) * np.ndim(grid), grid)
+    if grid.dim != 2:
+        raise ValueError("tile grids are 2D")
+    if mask is not None and not isinstance(mask, NoiseMask):
+        mask = NoiseMask(grid.origin, mask)
+    _check_box(grid, mask, NTILES, "tile ids")
+    return grid.data, grid.origin, mask
+
+
 def _as_ids(grid):
     """Tile ids and origin of a Grid or a plain array (origin 0)."""
-    if isinstance(grid, Grid):
-        g, origin = np.asarray(grid.data), grid.origin
-    else:
-        g = np.asarray(grid)
-        origin = (0,) * g.ndim
-    if g.dtype.kind not in "iu" or (
-            g.size and (g.min() < 0 or g.max() >= NTILES)):
-        raise ValueError(f"tile ids must lie in [0, {NTILES}) as integers")
-    return g, origin
-
-
-def _as_obscured(mask, shape):
-    """Obscured cells of a NoiseMask or bool array (None: none), no copy."""
-    if mask is None:
-        return np.zeros(shape, dtype=bool)
-    data = mask.data if isinstance(mask, NoiseMask) else np.asarray(mask, bool)
-    if data.shape != shape:
-        raise ValueError("mask box does not match grid box")
-    return data
-
-
-def _tile_box(grid, mask):
-    """Tile ids, origin and obscured cells; a NoiseMask must share the box."""
-    g, origin = _as_ids(grid)
-    if g.ndim != 2:
-        raise ValueError("tile grids are 2D")
-    if isinstance(mask, NoiseMask) and tuple(mask.origin) != tuple(origin):
-        raise ValueError("mask box does not match grid box")
-    return g, origin, _as_obscured(mask, g.shape)
+    return _tile_box(grid)[:2]
 
 
 def violations(grid, mask=None, limit: int | None = None) -> list:
@@ -344,8 +330,8 @@ def violations(grid, mask=None, limit: int | None = None) -> list:
     coordinates, in rule order edge-h, edge-v, square, lattice by step,
     centre, and row-major within a rule.
     """
-    g, origin, obscured = _tile_box(grid, mask)
-    clear = ~obscured
+    g, origin, mask = _tile_box(grid, mask)
+    clear = None if mask is None else ~mask.data
     ids = g.astype(np.uint16)
     keys, bump = ids * NTILES, np.take(PARITY, ids)
 
@@ -372,7 +358,7 @@ def violations(grid, mask=None, limit: int | None = None) -> list:
         views = [(slice(lo[0] + dr, hi[0] + dr),
                   slice(lo[1] + dc, hi[1] + dc)) for dr, dc in offsets]
         bad = broken(*views)
-        if mask is not None:
+        if clear is not None:
             for v in views:
                 bad &= clear[v]
         room = None if limit is None else max(limit - len(out), 0)
@@ -705,12 +691,13 @@ def infer_translate(grid, mask, N: int):
     """
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
-    g, origin, obscured = _tile_box(grid, mask)
+    g, origin, mask = _tile_box(grid, mask)
     h, w = g.shape
     hb, wb = -(-h // 4), -(-w // 4)
     padded = np.full((4 * hb, 4 * wb), _PAD, dtype=np.int8)
     code = padded[:h, :w]
-    np.multiply(obscured, np.int8(NTILES), out=code)
+    np.multiply(False if mask is None else mask.data, np.int8(NTILES),
+                out=code)
     code += g.astype(np.int8, copy=False)
 
     votes = np.zeros((4, 4), dtype=np.int64)
@@ -763,13 +750,10 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     reference configuration in that translate class.  Bits above 2^{N+1}
     are sampled fresh, so the hierarchy above scale N is replaced rather
     than recovered."""
-    if grid.shape != mask.shape or grid.origin != mask.origin:
-        raise ValueError("mask box does not match grid box")
+    _check_box(grid, mask)  # infer_translate checks the ids it reads
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
     c = 2 ** (N + 1)
-    if any(s < 2 * c + 1 for s in grid.shape):
-        raise ValueError("box too small for the thickening radius")
     giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     # only the giant component votes; it lies in the interior, so the
@@ -932,8 +916,11 @@ def verify_peel() -> list:
     cells = [(r, c) for r in range(3) for c in range(3)]
     forcing = {}
     for corner in ((0, 0), (0, 2), (2, 0), (2, 2)):
+        # cells nearest the pin first: its rules prune the search soonest
+        near = sorted(cells, key=lambda p: max(abs(p[0] - corner[0]),
+                                               abs(p[1] - corner[1])))
         for o in range(4):
-            sols = solve_window(cells, {corner: make_cross(o, BUMPY)})
+            sols = solve_window(near, {corner: make_cross(o, BUMPY)})
             forcing[(corner, ORIENT_NAMES[o])] = (
                 len(sols), sum(s in fixed_macros for s in sols))
     inward = {((0, 0), "SE"), ((0, 2), "SW"), ((2, 0), "NE"), ((2, 2), "NW")}

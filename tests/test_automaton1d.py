@@ -456,6 +456,38 @@ class TestExtend:
         alt = a1d.build_automaton(ALTERNATING)
         assert a1d.lex_least_admissible_word(alt, 4) == (0, 1, 0, 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+        st.just("012"[:k]), st.lists(st.text("012"[:k], min_size=1,
+                                              max_size=4),
+                                     min_size=1, max_size=4, unique=True))),
+        st.data())
+    def test_matches_enumeration(self, sft, data):
+        """Random SFTs drawn as in test_repair's TestRandomSft1D, any
+        class structure: from every state, both directions, against the
+        first globally admissible word in lexicographic order."""
+        auto = a1d.build_automaton(word_sft(*sft))
+        live = a1d.live_states(auto)
+        n = data.draw(st.integers(0, 6))
+        nsym = len(auto.sft.alphabet)
+        for state, letters in enumerate(auto.states):
+            for forward in (True, False):
+                if state not in live:
+                    with pytest.raises(ValueError, match="no bi-infinite"):
+                        a1d.extend_from(auto, state, n, forward=forward)
+                    continue
+                want = next((w for w in itertools.product(range(nsym),
+                                                          repeat=n)
+                             if a1d.is_globally_admissible(
+                                 auto, letters + w if forward
+                                 else w + letters)), None)
+                if want is None:
+                    with pytest.raises(ValueError, match="no live history"):
+                        a1d.extend_from(auto, state, n, forward=forward)
+                else:
+                    assert a1d.extend_from(auto, state, n,
+                                           forward=forward) == want
+
 
 class TestStateIndex:
     """With word_len 1 and a letter forbidden, state index i need not spell

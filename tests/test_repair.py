@@ -12,6 +12,7 @@ from scipy import ndimage
 
 import noisysft.automaton1d as a1d
 from noisysft import core, percolation, repair
+from noisysft import robinson as rb
 from noisysft import harness as H
 from noisysft.core import (
     GOLDEN_MEAN,
@@ -768,6 +769,35 @@ class TestRepairPeriodic:
         g = self.p.tiling((0, 0), (0, 0), (16, 16))
         with pytest.raises(ValueError, match="mask box"):
             repair_periodic(self.p, g, self.empty_mask((16, 17)), c=1)
+        # every caller of core._check_box refuses a NoiseMask of the grid's
+        # shape at another origin, with one message
+        word = Grid((0,), np.zeros(40, dtype=np.uint8))
+        tiles = Grid((0, 0), rb.reference_window((0, 0), (16, 16), (0, 0)))
+        callers = [
+            (lambda m: core.is_locally_admissible(self.p.sft, g, m), g),
+            (lambda m: repair_1d(GOLDEN_MEAN, word, m), word),
+            (lambda m: repair_periodic(self.p, g, m, c=1), g),
+            (lambda m: rb.robinson_repair(tiles, m, 1), tiles),
+            (lambda m: rb.infer_translate(tiles, m, 1), tiles),
+            (lambda m: rb.violations(tiles, m), tiles)]
+        for call, grid in callers:
+            call(NoiseMask(grid.origin, np.zeros(grid.shape, dtype=bool)))
+            with pytest.raises(ValueError,
+                               match="^mask box does not match grid box$"):
+                call(NoiseMask((3,) * grid.dim,
+                               np.zeros(grid.shape, dtype=bool)))
+        # and names the symbols it refuses with one of two nouns
+        bad = np.array(g.data, dtype=np.int64)
+        bad[2, 3] = 2
+        with pytest.raises(ValueError, match=r"^grid symbols must lie in "
+                                             r"\[0, 2\) as integers$"):
+            repair_periodic(self.p, Grid((0, 0), bad), self.empty_mask(
+                (16, 16)), c=1)
+        ids = np.array(tiles.data, dtype=np.int64)
+        ids[2, 3] = rb.NTILES
+        with pytest.raises(ValueError, match=r"^tile ids must lie in "
+                                             rf"\[0, {rb.NTILES}\) as integers$"):
+            rb.violations(ids)
 
     def test_noisy_recovery_stripes(self):
         p = parse_periodic(STRIPES_TEXT)
@@ -1088,17 +1118,25 @@ class TestAndWindowVote:
 
 
 class TestCheckSymbols:
-    """`_check_symbols` pays for a minimum only on signed dtypes."""
+    """`core._check_box` pays for a minimum only on signed dtypes."""
 
     class _NoMin(np.ndarray):
         def min(self, *args, **kwargs):
             raise AssertionError("min() taken of an unsigned grid")
 
+    @classmethod
+    def _grid(cls, data):
+        """A Grid holding `data` as a _NoMin view: Grid's own cast would
+        drop the subclass, so the view is set on the frozen instance."""
+        grid = Grid((0,) * data.ndim, data)
+        object.__setattr__(grid, "data", grid.data.view(cls._NoMin))
+        return grid
+
     @pytest.mark.parametrize("dtype", [np.int8, np.int64])
     def test_negative_signed_symbol_raises(self, dtype):
         data = np.array([[0, 1], [-1, 2]], dtype=dtype)
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 3\)"):
-            repair._check_symbols(data, 3)
+            core._check_box(Grid((0, 0), data), None, 3)
 
     @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8,
                                        np.uint16])
@@ -1106,11 +1144,12 @@ class TestCheckSymbols:
     def test_symbol_at_or_above_nsym_raises(self, dtype, bad):
         data = np.array([[0, 1], [bad, 2]], dtype=dtype)
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 3\)"):
-            repair._check_symbols(data, 3)
+            core._check_box(Grid((0, 0), data), None, 3)
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint64, bool])
     def test_unsigned_and_bool_skip_the_minimum(self, dtype):
-        data = np.array([[0, 1], [1, 0]], dtype=dtype).view(self._NoMin)
-        repair._check_symbols(data, 2)
+        grid = self._grid(np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert isinstance(grid.data, self._NoMin)
+        core._check_box(grid, None, 2)
         with pytest.raises(ValueError, match=r"symbols must lie in \[0, 1\)"):
-            repair._check_symbols(data, 1)
+            core._check_box(grid, None, 1)

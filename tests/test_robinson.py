@@ -151,6 +151,14 @@ class TestEdgeWords:
                 rb.edge_words(n)
 
 
+def _clear_cells(mask, shape):
+    """Clear cells of a NoiseMask or a bool array; None leaves all clear."""
+    if mask is None:
+        return np.ones(shape, dtype=bool)
+    return ~np.asarray(mask.data if isinstance(mask, NoiseMask) else mask,
+                       dtype=bool)
+
+
 def _reference_violations(grid, clear, limit):
     """violations cell by cell from the rule definitions: the side labels,
     PARITY, the cross classes mod 4 and _INWARD."""
@@ -305,7 +313,7 @@ class TestAdmissibility:
     @given(_oracle_cases())
     def test_matches_cell_by_cell_reference(self, case):
         grid, mask, limit = case
-        clear = ~rb._as_obscured(mask, grid.shape)
+        clear = _clear_cells(mask, grid.shape)
         assert rb.violations(grid, mask, limit) == \
             _reference_violations(grid, clear, limit)
 
@@ -652,11 +660,11 @@ class TestRepair:
     def test_box_errors(self):
         g = Grid((0, 0), np.zeros((20, 20), dtype=np.int8))
         m = NoiseMask((0, 0), np.zeros((20, 20), dtype=np.uint8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^box too small to thicken$"):
             rb.robinson_repair(g, m, 3)  # c=16 needs a box of 33+
         m2 = NoiseMask((0, 0), np.zeros((24, 20), dtype=np.uint8))
         g2 = Grid((0, 0), np.zeros((24, 24), dtype=np.int8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^mask box does not match"):
             rb.robinson_repair(g2, m2, 1)
 
     @pytest.mark.parametrize("n", [0, -1])
@@ -684,7 +692,7 @@ class TestVerifySuite:
 def _infer_translate_full_box(grid, mask, N, votes_ok=None):
     """infer_translate as it was, with full-box residue masks per level."""
     g, origin = rb._as_ids(grid)
-    clear = ~rb._as_obscured(mask, g.shape)
+    clear = _clear_cells(mask, g.shape)
     votes_ok = clear if votes_ok is None else votes_ok & clear
     h, w = g.shape
     pr = np.arange(h).reshape(-1, 1) + origin[0]
@@ -852,8 +860,7 @@ def _infer_translate_three_pass(grid, mask, N):
     """infer_translate as it was before the one coding pass: the clear
     cells made as ~mask, coded as -NTILES clear + id + NTILES."""
     g, origin = rb._as_ids(grid)
-    clear = np.ones(g.shape, dtype=bool) if mask is None else \
-        ~rb._as_obscured(mask, g.shape)
+    clear = _clear_cells(mask, g.shape)
     h, w = g.shape
     hb, wb = -(-h // 4), -(-w // 4)
     padded = np.full((4 * hb, 4 * wb), rb._PAD, dtype=np.int8)
