@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Sft, _gather
+from .core import Sft, _gather, _sft_shapes, _solve
 
 Word = tuple[int, ...]
 
@@ -74,52 +74,19 @@ class Classification:
         return self.kind
 
 
-def _word_admissible(sft: Sft, word: Word) -> bool:
-    for p in sft.forbidden:
-        if not p.cells:
-            return False
-        span = p.extent[0]
-        if span > len(word):
-            continue
-        offs = [o[0] for o, _ in p.cells]
-        syms = [s for _, s in p.cells]
-        for a in range(len(word) - span + 1):
-            if all(word[a + o] == s for o, s in zip(offs, syms)):
-                return False
-    return True
-
-
 @functools.lru_cache(maxsize=None)
 def build_automaton(sft: Sft) -> WordAutomaton:
     if sft.dim != 1:
         raise ValueError("word automata are for 1D SFTs")
     wl = max(sft.diameter, 1)
-    nsym = len(sft.alphabet)
-    states: list[Word] = []
-    stack: list[Word] = [()]
-    # depth-first extension keeps the admissibility checks incremental
-    while stack:
-        w = stack.pop()
-        if len(w) == wl:
-            states.append(w)
-            continue
-        for s in range(nsym - 1, -1, -1):
-            w2 = w + (s,)
-            if _word_admissible(sft, w2):
-                stack.append(w2)
-    states.sort()
+    nsym, shapes = len(sft.alphabet), _sft_shapes(sft)
+    states = list(_solve([(i,) for i in range(wl)], nsym, shapes))
     index = {w: i for i, w in enumerate(states)}
-    edges = []
-    for w in states:
-        outs = []
-        for b in range(nsym):
-            if _word_admissible(sft, w + (b,)):
-                tgt = w[1:] + (b,)
-                if tgt in index:
-                    outs.append((b, index[tgt]))
-        edges.append(tuple(outs))
+    edges = [[] for _ in states]
+    for w in _solve([(i,) for i in range(wl + 1)], nsym, shapes):
+        edges[index[w[:-1]]].append((w[-1], index[w[1:]]))
     return WordAutomaton(sft=sft, word_len=wl, states=tuple(states),
-                         edges=tuple(edges))
+                         edges=tuple(map(tuple, edges)))
 
 
 def _postorder(auto: WordAutomaton) -> list[int]:

@@ -15,6 +15,7 @@ choice made downstream (gap filling, offset votes, enumeration).
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -274,6 +275,13 @@ def _check_box(grid: Grid, mask: NoiseMask | None = None,
         raise ValueError(f"{what} must lie in [0, {nsym}) as integers")
 
 
+def _check_repair_box(grid: Grid, mask: NoiseMask, nsym=None) -> None:
+    """`_check_box` for a repair kernel, which needs a mask."""
+    if mask is None:
+        raise ValueError("repair needs a NoiseMask, got mask=None")
+    _check_box(grid, mask, nsym)
+
+
 def pattern_hits(grid: Grid, pattern: Pattern,
                  clear: np.ndarray | None = None) -> np.ndarray:
     """Boolean array over anchor positions where the pattern occurs.
@@ -301,7 +309,7 @@ def is_locally_admissible(sft: Sft, grid: Grid, mask: NoiseMask | None = None) -
     """True when no forbidden pattern occurs entirely on clear cells."""
     if grid.dim != sft.dim:
         raise ValueError("grid dimension does not match SFT")
-    _check_box(grid, mask)
+    _check_box(grid, mask, len(sft.alphabet))
     clear = None if mask is None else ~mask.data
     for p in sft.forbidden:
         if not p.cells:
@@ -311,76 +319,99 @@ def is_locally_admissible(sft: Sft, grid: Grid, mask: NoiseMask | None = None) -
     return True
 
 
-def ball(radius: int, dim: int) -> list[Offset]:
-    """Offsets of the L-infinity ball of the given radius."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    rng = range(-radius, radius + 1)
-    return list(itertools.product(rng, repeat=dim))
+def _sft_shapes(sft: Sft) -> list:
+    """The forbidden patterns as `_solve` shapes, one bad symbol a cell."""
+    return [tuple((off, 1 << s) for off, s in p.cells) for p in sft.forbidden]
 
 
-def _enumerate_admissible(sft: Sft, cells: list[Offset], budget: int):
-    """Yield all locally admissible assignments on an arbitrary cell set.
+def _solve(cells, nsym: int, shapes, pairs=None, fixed=None,
+           budget: float = float("inf")):
+    """Yield, in lexicographic order, every assignment of symbols in
+    [0, nsym) to the distinct `cells` that breaks no rule, as a tuple in
+    cell order.  The free cells are walked in the order given, each
+    trying the symbols (bits of a mask) its assigned neighbours leave:
 
-    Assignments are dicts offset -> symbol.  Local admissibility is judged
-    on the cell set itself: a forbidden translate counts only when all of
-    its cells belong to the set.  DFS in lexicographic cell and symbol
-    order, pruned as soon as a completed translate is violated.
+    - a pair table pairs[d][u] is the mask allowed at p when p + d holds
+      u, or is unassigned for u = nsym;
+    - a shape, a tuple of (offset, bad mask), is broken where each of its
+      cells holds a bad symbol.  It is placed with its first cell on each
+      cell, where it lies in the set; an empty shape breaks everywhere.
+
+    `fixed` pins cells first; pins that break a rule yield nothing.  The
+    budget counts every symbol tried at a visited cell, pruned or not;
+    passing it raises BudgetExceeded.
     """
-    cells = sorted(cells)
-    index = {c: i for i, c in enumerate(cells)}
-    dim = sft.dim
-    nsym = len(sft.alphabet)
-    # For each cell position, the constraints that become fully assigned
-    # once that cell receives a value: (cells_as_indices, symbols).
-    checks_at: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in cells]
-    cellset = set(cells)
-    for p in sft.forbidden:
-        if not p.cells:
-            return
-        ext = p.extent
-        for c in cells:
-            # translate anchored so that some pattern cell lands on c:
-            # enumerate anchors a with a + off covering c is wasteful; instead
-            # anchor over all positions within extent of c.
-            for anchor in itertools.product(*[
-                    range(c[i] - ext[i] + 1, c[i] + 1) for i in range(dim)]):
-                placed = [tuple(anchor[i] + off[i] for i in range(dim))
-                          for off, _ in p.cells]
-                if any(q not in cellset for q in placed):
-                    continue
-                idxs = tuple(index[q] for q in placed)
-                last = max(idxs)
-                if index[c] != last:
-                    continue
-                syms = tuple(s for _, s in p.cells)
-                checks_at[last].append((idxs, syms))
-    # dedupe
-    checks_at = [sorted(set(ck)) for ck in checks_at]
+    if not all(shapes):
+        return
+    pairs, fixed = pairs or {}, fixed or {}
+    # cells as integers in a balanced base too wide for any p + d of a
+    # rule to wrap, so a neighbour is one addition away
+    offs = [*pairs, *(off for shape in shapes for off, _ in shape)]
+    base = 2 * (max(map(abs, itertools.chain(*cells)), default=0)
+                + 2 * max(map(abs, itertools.chain(*offs)), default=0)) + 1
+    dim = max(map(len, itertools.chain(cells, offs)), default=0)
+    weights = [base ** (dim - 1 - i) for i in range(dim)]
 
-    assign = [-1] * len(cells)
+    def key(p):
+        return sum(map(operator.mul, p, weights))
+
+    index = {key(p): i for i, p in enumerate(cells)}
+    steps = [(key(d), table) for d, table in pairs.items()]
+    placements = [[(key(off) - key(shape[0][0]), bad) for off, bad in shape]
+                  for shape in shapes]
+    # per cell: (neighbour, pair table) inside the set, and (the other
+    # cells with their bad masks, its own bad mask) per shape holding it
+    near, held = [[] for _ in cells], [[] for _ in cells]
+    for k, p in enumerate(index):
+        near[k] = [(j, table) for d, table in steps
+                   if (j := index.get(p + d)) is not None]
+        for shape in placements:
+            placed = [(index.get(p + d), bad) for d, bad in shape]
+            if all(j is not None for j, _ in placed):
+                for j, bad in placed:
+                    held[j].append(([x for x in placed if x[0] != j], bad))
+
+    def allowed(k):
+        m = (1 << nsym) - 1
+        for j, table in near[k]:
+            m &= table[val[j]]
+        for others, bad in held[k]:
+            for j, b in others:
+                if not b >> val[j] & 1:
+                    break
+            else:  # every other cell of the shape is bad
+                m &= ~bad
+        return m
+
+    pinned = {index[key(p)]: s for p, s in fixed.items()}
+    val = [pinned.get(k, nsym) for k in range(len(cells))]
+    if not all(allowed(k) >> s & 1 for k, s in pinned.items()):
+        return
+    todo = [k for k in range(len(cells)) if k not in pinned]
     nodes = 0
 
-    def dfs(i: int):
+    def rec(i):
         nonlocal nodes
-        if i == len(cells):
-            yield dict(zip(cells, assign))
+        if i == len(todo):
+            yield tuple(val)
             return
-        for s in range(nsym):
-            nodes += 1
+        k, m, tried = todo[i], allowed(todo[i]), 0
+        while True:
+            # count the next allowed symbol and the pruned ones below it,
+            # or the pruned ones left when no allowed symbol is
+            s = (m & -m).bit_length() - 1 if m else nsym - 1
+            nodes += s + 1 - tried
             if nodes > budget:
-                raise BudgetExceeded(f"admissible enumeration exceeded {budget} nodes")
-            assign[i] = s
-            ok = True
-            for idxs, syms in checks_at[i]:
-                if all(assign[j] == sym for j, sym in zip(idxs, syms)):
-                    ok = False
-                    break
-            if ok:
-                yield from dfs(i + 1)
-        assign[i] = -1
+                raise BudgetExceeded(
+                    f"admissible enumeration exceeded {budget} nodes")
+            if not m:
+                break
+            tried, val[k] = s + 1, s
+            yield from rec(i + 1)
+            m &= m - 1
+        val[k] = nsym
 
-    yield from dfs(0)
+    yield from rec(0)
 
 
 def thicken(mask: NoiseMask, n: int) -> NoiseMask:

@@ -61,9 +61,9 @@ def repair_1d(sft_or_auto, grid: Grid, mask: NoiseMask) -> Repair1DReport:
     """
     auto = _coerce_automaton(sft_or_auto)
     rc = a1d.repair_constants(auto)
-    if grid.dim != 1 or mask.dim != 1:
+    core._check_repair_box(grid, mask, len(auto.sft.alphabet))
+    if grid.dim != 1:
         raise ValueError("repair_1d needs 1D boxes")
-    core._check_box(grid, mask, len(auto.sft.alphabet))
     length = grid.shape[0]
     if length < rc.min_length:
         raise ValueError("box too small to repair")
@@ -377,18 +377,21 @@ def local_global_constant(p: PeriodicSft) -> int:
     for the least k <= _CAP, every locally admissible pattern on B_{r+k}
     agrees on B_r with some translate, where r = ceil(period/2); c is
     max(k, r), at least r so a window spans a period.  Raises
-    core.CapExceeded when no such k exists, core.BudgetExceeded when an
-    enumeration passes _BUDGET search nodes."""
+    core.CapExceeded when no such k exists, core.BudgetExceeded when a
+    search tries more than _BUDGET symbols (`core._solve`)."""
     r = -(-p.period // 2)
-    window = core.ball(r, p.dim)  # sorted, so row-major
+    window = list(itertools.product(range(-r, r + 1), repeat=p.dim))
     shape = (2 * r + 1,) * p.dim
     origin = (-r,) * p.dim
     translates = {tuple(p.tiling(t, origin, shape).data.ravel().tolist())
                   for t in p.orbit()}
+    nsym, shapes = len(p.sft.alphabet), core._sft_shapes(p.sft)
     for k in range(_CAP + 1):
-        cells = core.ball(r + k, p.dim)
-        if all(tuple(a[c] for c in window) in translates
-               for a in core._enumerate_admissible(p.sft, cells, _BUDGET)):
+        cells = list(itertools.product(range(-r - k, r + k + 1),
+                                       repeat=p.dim))
+        at = [cells.index(c) for c in window]
+        if all(tuple(a[i] for i in at) in translates
+               for a in core._solve(cells, nsym, shapes, budget=_BUDGET)):
             return max(k, r)
     raise core.CapExceeded(f"the local rules do not pin the periodic orbit "
                            f"within the cap ({_CAP} cells past radius {r})")
@@ -426,7 +429,7 @@ def repair_periodic(p: PeriodicSft, grid: Grid, mask: NoiseMask, *,
     maximal-configuration convention.
     """
     nsym, g = len(p.sft.alphabet), grid.data
-    core._check_box(grid, mask, nsym)
+    core._check_repair_box(grid, mask, nsym)
     giant = open_components(mask, c)
     inner = tuple(slice(c, s - c) for s in grid.shape)
     orbit = p.orbit()

@@ -19,12 +19,13 @@ which the side labels alone cannot see.  All constraints span at most a
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid, NoiseMask, _check_box
+from .core import Grid, NoiseMask, _check_box, _check_repair_box, _solve
 from .noise import derive_seed
 from .percolation import open_components
 
@@ -449,29 +450,25 @@ def _bits(flags) -> int:
                           "little")
 
 
-_FULL = (1 << NTILES) - 1
-
-
 @lru_cache(maxsize=None)
 def _solver_tables():
-    """Tile masks for `solve_window`, built on its first call from the
-    tables that `violations` reads.
+    """The `core._solve` pair tables and shapes of `solve_window`, built
+    on its first call from the tables that `violations` reads.
 
     pair[(dr, dc)][u] has bit t set when tile t at p and tile u at
     p + (dr, dc) break neither H_OK/V_OK nor LATTICE_OK (transposed for
-    a negative step); entry NTILES stands for an unassigned neighbour and
-    allows every tile.  The square and centre (_CENTRE) rules are shapes
-    of (offset, bad tiles), broken when every cell of the shape holds a
-    bad tile.  Two bumpy tiles in a block already break the lattice rule,
-    as every offset inside a block has an odd component, so the square
-    shape is four dented tiles.
+    a negative step); entry NTILES, an unassigned neighbour, allows every
+    tile.  The shapes are the square and centre (_CENTRE) rules.  Two
+    bumpy tiles in a block already break the lattice rule, as every
+    offset inside a block has an odd component, so the square shape is
+    four dented tiles.
     """
     edge = {(0, 1): H_OK, (1, 0): V_OK}
-    pair = {}
+    pair, full = {}, (1 << NTILES) - 1
     for (dr, dc), lattice in LATTICE_OK.items():
         ok = lattice & edge.get((dr, dc), True)
-        pair[(dr, dc)] = tuple(_bits(col) for col in ok.T) + (_FULL,)
-        pair[(-dr, -dc)] = tuple(_bits(row) for row in ok) + (_FULL,)
+        pair[(dr, dc)] = tuple(_bits(col) for col in ok.T) + (full,)
+        pair[(-dr, -dc)] = tuple(_bits(row) for row in ok) + (full,)
     dented = _bits(PARITY == DENTED)
     square = tuple(((dr, dc), dented) for dr in (0, 1) for dc in (0, 1))
     centre = tuple((d, _bits(bad)) for d, bad in _CENTRE)
@@ -479,81 +476,29 @@ def _solver_tables():
 
 
 def solve_window(cells, fixed, limit: int | None = None) -> list[dict]:
-    """All assignments of tile ids to `cells` satisfying every rule.
+    """All assignments of tile ids to `cells` satisfying every rule, at
+    most `limit` of them.
 
     `cells` is an iterable of (r, c); `fixed` pins some of them, and a pin
     outside `cells` or not a tile id is refused.  Edge, square, lattice
-    and centre constraints are generated for every pair and block inside
-    the cell set.  The free cells are assigned in order, each to the
-    tiles, in id order, that the rule masks of its assigned neighbours
-    leave, so solutions come in lexicographic order.  Exponential: meant
-    for windows of a few dozen cells.
+    and centre constraints hold for every pair and block inside the cell
+    set.  `core._solve` assigns the free cells in order from the masks of
+    `_solver_tables`, so solutions come in lexicographic order.
+    Exponential: meant for windows of a few dozen cells.
     """
     cells = list(dict.fromkeys(cells))
-    index = {p: k for k, p in enumerate(cells)}
+    inside = set(cells)
     for p, t in fixed.items():
-        if p not in index:
+        if p not in inside:
             raise ValueError(f"pin at {p} lies outside the cell set")
         if not isinstance(t, (int, np.integer)) or not 0 <= t < NTILES:
             raise ValueError(f"pin at {p} is {t!r}, not a tile id in "
                              f"[0, {NTILES})")
     pair, shapes = _solver_tables()
-    # per cell: (neighbour, pair table) for the cells within distance 2,
-    # and (the other cells with their bad masks, its own bad mask) for
-    # each square or centre shape inside the cell set that holds it
-    near = [[] for _ in cells]
-    patterns = [[] for _ in cells]
-    for k, (r, c) in enumerate(cells):
-        for (dr, dc), table in pair.items():
-            j = index.get((r + dr, c + dc))
-            if j is not None:
-                near[k].append((j, table))
-        for shape in shapes:
-            pattern = [(index.get((r + dr, c + dc)), bad)
-                       for (dr, dc), bad in shape]
-            if all(j is not None for j, _ in pattern):
-                for j, bad in pattern:
-                    patterns[j].append(
-                        ([x for x in pattern if x[0] != j], bad))
-
-    val = [NTILES] * len(cells)  # NTILES marks an unassigned cell
-    for p, t in fixed.items():
-        val[index[p]] = int(t)
-
-    def allowed(k):
-        m = _FULL
-        for j, table in near[k]:
-            m &= table[val[j]]
-        for others, bad in patterns[k]:
-            if all(b >> val[j] & 1 for j, b in others):
-                m &= ~bad
-        return m
-
-    for p, t in fixed.items():
-        val[index[p]] = NTILES
-        good = allowed(index[p]) >> int(t) & 1
-        val[index[p]] = int(t)
-        if not good:
-            return []
-
-    todo = [index[p] for p in cells if p not in fixed]
-    sols = []
-
-    def rec(i):
-        if limit is not None and len(sols) >= limit:
-            return
-        if i == len(todo):
-            sols.append({**fixed, **{cells[k]: val[k] for k in todo}})
-            return
-        k, m = todo[i], allowed(todo[i])
-        while m:
-            val[k] = (m & -m).bit_length() - 1
-            rec(i + 1)
-            m &= m - 1
-        val[k] = NTILES
-
-    rec(0)
-    return sols
+    sols = _solve(cells, NTILES, shapes, pair,
+                  {p: int(t) for p, t in fixed.items()})
+    return [dict(zip(cells, s)) for s in itertools.islice(
+        sols, None if limit is None else max(limit, 0))]
 
 
 def _macro_as_fixed(N, orient, dr=0, dc=0):
@@ -750,7 +695,7 @@ def robinson_repair(grid: Grid, mask: NoiseMask, N: int, *,
     reference configuration in that translate class.  Bits above 2^{N+1}
     are sampled fresh, so the hierarchy above scale N is replaced rather
     than recovered."""
-    _check_box(grid, mask)  # infer_translate checks the ids it reads
+    _check_repair_box(grid, mask)  # infer_translate checks the ids it reads
     if N < 1:
         raise ValueError(f"Robinson scale must be at least 1, got {N}")
     c = 2 ** (N + 1)

@@ -6,7 +6,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisysft.core import ALTERNATING, GOLDEN_MEAN, word_sft
@@ -24,13 +24,32 @@ TWO_THREE = word_sft("012", ["00", "02", "11", "21", "22"])
 TRANSIENT = word_sft("ab", ["aa", "ba"])
 
 
+def _word_admissible(sft, word):
+    """No forbidden pattern occurs in the word, read with free boundary."""
+    for p in sft.forbidden:
+        if not p.cells:
+            return False
+        span = p.extent[0]
+        for a in range(len(word) - span + 1):
+            if all(word[a + o[0]] == s for o, s in p.cells):
+                return False
+    return True
+
+
 def brute_words(sft, n):
     """All length-n words with no forbidden factor, as tuples."""
     out = []
     for w in itertools.product(range(len(sft.alphabet)), repeat=n):
-        if a1d._word_admissible(sft, w):
+        if _word_admissible(sft, w):
             out.append(w)
     return out
+
+
+# random SFTs of 2-3 letters and 1-4 forbidden words of 1-4 letters, as
+# (alphabet, words) for word_sft
+_RANDOM_WORD_SFTS = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just("012"[:k]), st.lists(st.text("012"[:k], min_size=1, max_size=4),
+                                 min_size=1, max_size=4, unique=True)))
 
 
 class TestBuild:
@@ -46,16 +65,21 @@ class TestBuild:
         assert len(auto.states) == 2
         assert all(len(e) == 2 for e in auto.edges)
 
-    def test_states_match_brute_force(self):
-        s = word_sft("01", ["11", "010"])
+    @example(("01", ["11", "010"]))
+    @settings(max_examples=100, deadline=None)
+    @given(_RANDOM_WORD_SFTS)
+    def test_states_match_brute_force(self, sft):
+        # states are the admissible words of word_len letters; the edges,
+        # in order, are the admissible words of one letter more
+        s = word_sft(*sft)
         auto = a1d.build_automaton(s)
-        assert auto.word_len == 2
-        assert list(auto.states) == brute_words(s, 2)
+        assert auto.word_len == max(s.diameter, 1)
+        assert list(auto.states) == brute_words(s, auto.word_len)
+        assert [st_ + (b,) for st_, outs in zip(auto.states, auto.edges)
+                for b, _ in outs] == brute_words(s, auto.word_len + 1)
         for i, st_ in enumerate(auto.states):
             for b, j in auto.edges[i]:
-                w = st_ + (b,)
-                assert a1d._word_admissible(s, w)
-                assert auto.states[j] == w[1:]
+                assert auto.states[j] == (st_ + (b,))[1:]
 
 
 class TestClassify:
@@ -126,8 +150,8 @@ class TestGlobalAdmissibility:
         pads = list(itertools.product(range(nsym), repeat=pad))
         for n in (2, 3):
             for w in itertools.product(range(nsym), repeat=n):
-                ext = any(a1d._word_admissible(sft, l + w) for l in pads) and \
-                    any(a1d._word_admissible(sft, w + r) for r in pads)
+                ext = any(_word_admissible(sft, l + w) for l in pads) and \
+                    any(_word_admissible(sft, w + r) for r in pads)
                 assert a1d.is_globally_admissible(auto, w) == ext, w
 
 
@@ -239,7 +263,7 @@ class TestFillGap:
                     best = None
                     for w in itertools.product(range(3), repeat=n):
                         full = left + w + right
-                        if a1d._word_admissible(auto.sft, full):
+                        if _word_admissible(auto.sft, full):
                             best = w if best is None else min(best, w)
                     assert got == best, (left, right, n)
 
@@ -248,7 +272,7 @@ class TestFillGap:
         one = golden.index[(1,)]
         w = a1d.fill_gap(golden, one, one, 5)
         assert w == (0, 0, 0, 0, 0)
-        assert a1d._word_admissible(GOLDEN_MEAN, (1,) + w + (1,))
+        assert _word_admissible(GOLDEN_MEAN, (1,) + w + (1,))
 
     @settings(max_examples=60)
     @given(st.integers(0, 40))
@@ -457,11 +481,7 @@ class TestExtend:
         assert a1d.lex_least_admissible_word(alt, 4) == (0, 1, 0, 1)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(2, 3).flatmap(lambda k: st.tuples(
-        st.just("012"[:k]), st.lists(st.text("012"[:k], min_size=1,
-                                              max_size=4),
-                                     min_size=1, max_size=4, unique=True))),
-        st.data())
+    @given(_RANDOM_WORD_SFTS, st.data())
     def test_matches_enumeration(self, sft, data):
         """Random SFTs drawn as in test_repair's TestRandomSft1D, any
         class structure: from every state, both directions, against the

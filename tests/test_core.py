@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -114,6 +114,10 @@ class TestAdmissibility:
     def test_golden_mean_words(self):
         assert is_locally_admissible(GOLDEN_MEAN, grid1([0, 1, 0, 1, 0]))
         assert not is_locally_admissible(GOLDEN_MEAN, grid1([0, 1, 1, 0]))
+        # a symbol outside the alphabet matches no pattern, so it is refused
+        with pytest.raises(ValueError, match=r"^grid symbols must lie in "
+                                             r"\[0, 2\) as integers$"):
+            is_locally_admissible(GOLDEN_MEAN, Grid((0,), [7, 7, 7, 0.5]))
 
     def test_obscured_cells_are_exempt(self):
         g = grid1([0, 1, 1, 0])
@@ -297,7 +301,17 @@ def _brute_admissible(sft, cells):
     return out
 
 
+def _solve_sft(sft, cells, budget):
+    """core._solve on the SFT's shapes over the sorted cells, as dicts."""
+    cells = sorted(cells)
+    return [dict(zip(cells, a)) for a in core._solve(
+        cells, len(sft.alphabet), core._sft_shapes(sft), budget=budget)]
+
+
 class TestEnumerateAdmissible:
+    # draws {(0,1)=a, (1,0)=a} alone, whose canonical corner is no cell:
+    # the translate on (-1,1) and (0,0) has its corner outside the set
+    @example(2, 2489)
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 2), st.integers(0, 2 ** 32 - 1))
     def test_matches_brute_force(self, dim, seed):
@@ -317,16 +331,20 @@ class TestEnumerateAdmissible:
         space = list(itertools.product(range(-2, 3), repeat=dim))
         size = rng.integers(1, min(len(space), 7) + 1)
         cells = [space[k] for k in rng.choice(len(space), size, replace=False)]
-        got = list(core._enumerate_admissible(sft, cells, 10 ** 6))
-        assert got == _brute_admissible(sft, cells)
+        assert _solve_sft(sft, cells, 10 ** 6) == _brute_admissible(sft, cells)
 
     def test_budget_counts_every_symbol_tried(self):
         # the full shift on three cells tries 2 + 4 + 8 = 14 symbols
         full = word_sft("01", [])
         cells = [(0,), (1,), (2,)]
-        assert len(list(core._enumerate_admissible(full, cells, 14))) == 8
+        assert len(_solve_sft(full, cells, 14)) == 8
         with pytest.raises(BudgetExceeded, match="13 nodes"):
-            list(core._enumerate_admissible(full, cells, 13))
+            _solve_sft(full, cells, 13)
+        # the golden mean prunes 11 but still counts its second 1: the
+        # cells try 2 + 2 * 2 + 3 * 2 = 12 symbols for 5 words
+        assert len(_solve_sft(GOLDEN_MEAN, cells, 12)) == 5
+        with pytest.raises(BudgetExceeded, match="11 nodes"):
+            _solve_sft(GOLDEN_MEAN, cells, 11)
 
 
 class TestCanonicalForm:

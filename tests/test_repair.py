@@ -786,6 +786,10 @@ class TestRepairPeriodic:
                                match="^mask box does not match grid box$"):
                 call(NoiseMask((3,) * grid.dim,
                                np.zeros(grid.shape, dtype=bool)))
+        # the three repairs need a mask to repair: None is refused by name
+        for call, _ in callers[1:4]:
+            with pytest.raises(ValueError, match=r"got mask=None$"):
+                call(None)
         # and names the symbols it refuses with one of two nouns
         bad = np.array(g.data, dtype=np.int64)
         bad[2, 3] = 2
